@@ -1,5 +1,5 @@
 //! Approximate-backend frontier benchmark: exact kd-tree MDAV versus
-//! the `grid` and `hybrid` opt-ins on the seeded blob workload
+//! the `hybrid` opt-in on the seeded blob workload
 //! (`tclose_datasets::synthetic::frontier_rows` — the same data the
 //! `tclose-perf` `approx/*` cases and the `repro --exp frontier`
 //! experiment time, so all three measurement paths agree).
@@ -33,7 +33,6 @@ fn bench_approx_frontier(c: &mut Criterion) {
             let k = frontier_k(n);
             for (name, backend) in [
                 ("kdtree", NeighborBackend::KdTree),
-                ("grid", NeighborBackend::Grid),
                 ("hybrid", NeighborBackend::Hybrid),
             ] {
                 let id = format!("mdav_{name}/n{n}_d{dims}");

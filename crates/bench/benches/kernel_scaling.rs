@@ -1,11 +1,8 @@
-//! Lane-width scaling of the multi-lane distance kernels and the
-//! amortization of batched kd-tree queries (PR 7's tentpole hardware).
+//! Lane-width scaling of the multi-lane distance kernels.
 //!
-//! Three kernel groups sweep every [`KernelPath`] over a 100k-row matrix
-//! so the scalar→lanes4→lanes8 progression is directly readable (the
-//! lane-width table in `docs/PERFORMANCE.md` comes from this target), and
-//! one group compares a shared batched tree traversal against the same
-//! queries answered one traversal at a time.
+//! Four kernel groups sweep both [`KernelPath`]s over a 100k-row matrix
+//! so the scalar→lanes8 speedup is directly readable (the lane-width
+//! table in `docs/PERFORMANCE.md` comes from this target).
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use tclose_metrics::distance::{
@@ -14,7 +11,7 @@ use tclose_metrics::distance::{
 use tclose_metrics::matrix::{Matrix, RowId};
 use tclose_metrics::sse::column_sq_err_with;
 use tclose_metrics::KernelPath;
-use tclose_microagg::{NeighborBackend, NeighborSet, Parallelism, QueryMode};
+use tclose_microagg::Parallelism;
 
 /// Deterministic synthetic rows (the `index_scaling` / perf-suite
 /// integer-hash construction, so the workloads line up across harnesses).
@@ -112,45 +109,11 @@ fn bench_centroid_sum(c: &mut Criterion) {
     group.finish();
 }
 
-/// Two batch workloads bracket the shared-traversal design space:
-/// `clustered` is the workload the batched mode exists for — V-MDAV's
-/// extension scan queries the members of one growing cluster, spatially
-/// co-located rows whose traversals overlap almost entirely — while
-/// `scattered` spreads the 64 queries across the whole data set, the
-/// worst case for a shared walk (a node is pruned only when *every*
-/// active query prunes it, so scattered queries drag each other through
-/// subtrees their solo traversals would skip).
-fn bench_batched_tree_queries(c: &mut Criterion) {
-    let m = synthetic_matrix(N, DIMS);
-    let live: Vec<RowId> = m.row_ids().collect();
-    let probe = NeighborSet::new(&m, NeighborBackend::KdTree, Parallelism::sequential());
-    let clustered: Vec<Vec<f64>> = probe
-        .k_nearest(&live, m.row(N / 2), 64)
-        .into_iter()
-        .map(|id| m.row(id).to_vec())
-        .collect();
-    let scattered: Vec<Vec<f64>> = (0..64).map(|i| m.row(i * 997 % N).to_vec()).collect();
-    for (workload, points) in [("clustered", &clustered), ("scattered", &scattered)] {
-        let refs: Vec<&[f64]> = points.iter().map(Vec::as_slice).collect();
-        let mut group = c.benchmark_group(format!("kernel_scaling/batch64_k8_{workload}"));
-        group.sample_size(20);
-        for mode in [QueryMode::Batched, QueryMode::PerQuery] {
-            let set = NeighborSet::new(&m, NeighborBackend::KdTree, Parallelism::sequential())
-                .with_query_mode(mode);
-            group.bench_with_input(BenchmarkId::from_parameter(mode), &mode, |b, _| {
-                b.iter(|| black_box(set.k_nearest_batch(&live, &refs, 8)));
-            });
-        }
-        group.finish();
-    }
-}
-
 criterion_group!(
     benches,
     bench_sq_dist_scan,
     bench_farthest_scan,
     bench_sse_column,
     bench_centroid_sum,
-    bench_batched_tree_queries,
 );
 criterion_main!(benches);

@@ -67,8 +67,9 @@ pub fn parse_workers(p: &Parsed) -> Result<Option<Parallelism>, String> {
 /// Parses the `--backend` option: the neighbor-search backend of the
 /// clustering hot path. `auto`/`flat`/`kdtree` are exact — the release
 /// is identical for any of them; only wall-clock time changes.
-/// `grid`/`hybrid` opt into approximate partitioning for million-row
-/// speed: still deterministic and audited, but a different clustering.
+/// `hybrid` opts into approximate MDAV-family partitioning for
+/// million-row speed: still deterministic and audited, but a different
+/// clustering. Anything else is an error naming `auto|flat|kdtree|hybrid`.
 pub fn parse_backend(p: &Parsed) -> Result<NeighborBackend, String> {
     match p.get("backend") {
         None => Ok(NeighborBackend::Auto),
@@ -730,7 +731,7 @@ pub fn cmd_audit(p: &Parsed) -> Result<String, String> {
     );
     // With `--t` the audit also grades the release against a requested
     // level: deviation ≤ 1.0 means the t-budget holds. This is the check
-    // to run after an approximate-backend (`grid`/`hybrid`) release.
+    // to run after an approximate-backend (`hybrid`) release.
     if let Some(v) = p.get("t") {
         let t: f64 = v
             .parse()
@@ -863,14 +864,12 @@ mod tests {
             NeighborBackend::KdTree
         );
         assert_eq!(
-            parse_backend(&argv("anonymize --backend grid")).unwrap(),
-            NeighborBackend::Grid
-        );
-        assert_eq!(
             parse_backend(&argv("anonymize --backend hybrid")).unwrap(),
             NeighborBackend::Hybrid
         );
         assert!(parse_backend(&argv("anonymize --backend ball-tree")).is_err());
+        let e = parse_backend(&argv("anonymize --backend grid")).unwrap_err();
+        assert!(e.contains("auto|flat|kdtree|hybrid"), "{e}");
     }
 
     #[test]
@@ -882,28 +881,26 @@ mod tests {
         )))
         .unwrap();
 
-        for backend in ["grid", "hybrid"] {
-            let released = tmp(&format!("census_anon_approx_{backend}.csv"));
-            let msg = cmd_anonymize(&argv(&format!(
-                "anonymize --input {} --output {} --qi TAXINC,POTHVAL --confidential FEDTAX \
-                 --k 4 --t 0.3 --backend {backend}",
-                data.display(),
-                released.display()
-            )))
-            .unwrap();
-            assert!(!msg.contains("warning"), "{backend}: {msg}");
+        let released = tmp("census_anon_approx_hybrid.csv");
+        let msg = cmd_anonymize(&argv(&format!(
+            "anonymize --input {} --output {} --qi TAXINC,POTHVAL --confidential FEDTAX \
+             --k 4 --t 0.3 --backend hybrid",
+            data.display(),
+            released.display()
+        )))
+        .unwrap();
+        assert!(!msg.contains("warning"), "{msg}");
 
-            let msg = cmd_audit(&argv(&format!(
-                "audit --input {} --qi TAXINC,POTHVAL --confidential FEDTAX --t 0.3",
-                released.display()
-            )))
-            .unwrap();
-            let k_line = msg.lines().find(|l| l.contains("achieved k")).unwrap();
-            let k: usize = k_line.split_whitespace().last().unwrap().parse().unwrap();
-            assert!(k >= 4, "{backend}: audited k = {k}");
-            let dev_line = msg.lines().find(|l| l.contains("deviation")).unwrap();
-            assert!(dev_line.contains("within budget"), "{backend}: {dev_line}");
-        }
+        let msg = cmd_audit(&argv(&format!(
+            "audit --input {} --qi TAXINC,POTHVAL --confidential FEDTAX --t 0.3",
+            released.display()
+        )))
+        .unwrap();
+        let k_line = msg.lines().find(|l| l.contains("achieved k")).unwrap();
+        let k: usize = k_line.split_whitespace().last().unwrap().parse().unwrap();
+        assert!(k >= 4, "audited k = {k}");
+        let dev_line = msg.lines().find(|l| l.contains("deviation")).unwrap();
+        assert!(dev_line.contains("within budget"), "{dev_line}");
     }
 
     #[test]

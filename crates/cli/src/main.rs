@@ -6,7 +6,7 @@
 //! tclose scan      --input FILE [--compliance CONFIG.toml] [--json]
 //! tclose anonymize --input FILE --output FILE --qi COLS --confidential COLS
 //!                  --k N --t F [--algorithm alg1|alg2|alg3] [--report]
-//!                  [--workers N] [--backend auto|flat|kdtree|grid|hybrid]
+//!                  [--workers N] [--backend auto|flat|kdtree|hybrid]
 //!                  [--stream] [--shard-size N]
 //!                  [--compliance CONFIG.toml] [--dry-run]
 //! tclose fit       --input FILE --out MODEL --qi COLS --confidential COLS
@@ -14,7 +14,7 @@
 //!                  [--normalize zscore|minmax|none] [--stream] [--shard-size N]
 //!                  [--compliance CONFIG.toml]
 //! tclose apply     --model MODEL --input FILE --output FILE
-//!                  [--workers N] [--backend auto|flat|kdtree|grid|hybrid]
+//!                  [--workers N] [--backend auto|flat|kdtree|hybrid]
 //!                  [--stream] [--shard-size N] [--compliance CONFIG.toml]
 //! tclose model     inspect MODEL
 //! tclose audit     --input FILE --qi COLS --confidential COLS [--t F] [--workers N]
@@ -46,8 +46,8 @@
 //! output is identical for any value. `--backend` selects the
 //! neighbor-search backend of the clustering hot path: `auto`, `flat`,
 //! and `kdtree` are exact (the release never depends on the choice —
-//! `auto` picks per record set), while `grid` and `hybrid` opt into
-//! *approximate* partitioning for million-row speed; both remain
+//! `auto` picks per record set), while `hybrid` opts into *approximate*
+//! MDAV-family partitioning for million-row speed; it remains
 //! deterministic and every release still passes the t-closeness audit,
 //! but the clustering may differ from the exact one.
 //!
@@ -83,7 +83,7 @@ usage:
   tclose scan      --input FILE [--compliance CONFIG.toml] [--json]
   tclose anonymize --input FILE --output FILE --qi COLS --confidential COLS \\
                    --k N --t F [--algorithm alg1|alg2|alg3] \\
-                   [--workers N] [--backend auto|flat|kdtree|grid|hybrid] \\
+                   [--workers N] [--backend auto|flat|kdtree|hybrid] \\
                    [--stream] [--shard-size N] \\
                    [--compliance CONFIG.toml] [--dry-run]
   tclose fit       --input FILE --out MODEL.json --qi COLS --confidential COLS \\
@@ -91,12 +91,12 @@ usage:
                    [--normalize zscore|minmax|none] [--stream] [--shard-size N] \\
                    [--compliance CONFIG.toml]
   tclose apply     --model MODEL.json --input FILE --output FILE \\
-                   [--workers N] [--backend auto|flat|kdtree|grid|hybrid] \\
+                   [--workers N] [--backend auto|flat|kdtree|hybrid] \\
                    [--stream] [--shard-size N] [--compliance CONFIG.toml]
   tclose model     inspect MODEL.json
   tclose audit     --input FILE --qi COLS --confidential COLS [--t F] [--workers N]
   tclose serve     --registry DIR [--addr HOST:PORT] [--addr-file FILE] \\
-                   [--workers N] [--backend auto|flat|kdtree|grid|hybrid] \\
+                   [--workers N] [--backend auto|flat|kdtree|hybrid] \\
                    [--queue N] [--timeout-ms N] [--drain-timeout-ms N]
   tclose request   --addr HOST:PORT [--op ping|list|anonymize|audit|shutdown] \\
                    [--model ID] [--input FILE] [--output FILE]
@@ -110,8 +110,8 @@ algorithms:
 scaling:
   --workers N     pin the thread count (default: one per core; output identical)
   --backend B     neighbor search: auto|flat|kdtree are exact (identical
-                  output; auto picks per record set); grid|hybrid are
-                  approximate opt-ins for million-row speed (deterministic,
+                  output; auto picks per record set); hybrid is the
+                  approximate opt-in for million-row speed (deterministic,
                   audited t-closeness, but a different clustering)
   --stream        two-pass sharded engine: bounded memory, any file size
   --shard-size N  records per shard in --stream mode (default 10000)

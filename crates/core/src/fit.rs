@@ -408,8 +408,8 @@ impl FittedAnonymizer {
     }
 
     /// Selects the neighbor-search backend. The exact backends
-    /// (`Auto`/`FlatScan`/`KdTree`) produce identical output; `Grid` and
-    /// `Hybrid` opt into an approximate (deterministic, audited)
+    /// (`Auto`/`FlatScan`/`KdTree`) produce identical output; `Hybrid`
+    /// opts into an approximate (deterministic, audited) MDAV-family
     /// clustering for speed.
     pub fn with_backend(mut self, backend: NeighborBackend) -> Self {
         self.backend = backend;

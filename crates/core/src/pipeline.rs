@@ -177,10 +177,11 @@ impl Anonymizer {
     /// set, so each streamed shard picks for its own size). The exact
     /// backends (`Auto`/`FlatScan`/`KdTree`) share one tie-breaking order
     /// and the release is byte-identical across them — only wall-clock
-    /// time changes. `Grid` and `Hybrid` are approximate opt-ins: still
+    /// time changes. `Hybrid` is the approximate opt-in: still
     /// deterministic and still k-anonymous/t-close (every release is
-    /// audited), but they trade a different clustering for million-row
-    /// speed.
+    /// audited), but it trades a different MDAV-family clustering for
+    /// million-row speed. Algorithms 2 and 3 query the working set
+    /// directly, and there `Hybrid` resolves exactly as `Auto` does.
     pub fn with_backend(mut self, backend: NeighborBackend) -> Self {
         self.backend = backend;
         self

@@ -1,21 +1,20 @@
 //! Extension — the approximate-backend speed/utility frontier.
 //!
 //! The exact MDAV family costs `O(n²/k)` distance evaluations; the
-//! `grid` and `hybrid` opt-ins (`NeighborBackend::Grid` /
-//! `NeighborBackend::Hybrid`) buy million-row wall-clock at the price of
-//! a *different* (still valid, still t-close) clustering. This
-//! experiment measures both sides of that bargain:
+//! `hybrid` opt-in (`NeighborBackend::Hybrid`) buys million-row
+//! wall-clock at the price of a *different* (still valid, still t-close)
+//! MDAV clustering. This experiment measures both sides of that bargain:
 //!
-//! * **Utility** — on the pipeline data sets, each approximate backend's
+//! * **Utility** — on the pipeline data sets, the approximate backend's
 //!   release vs the exact one: SSE ratio and achieved-t ratio
 //!   (approximate / exact; 1.0 means no loss). Every cell also re-checks
 //!   that the approximate release satisfies the request.
-//! * **Speed** — partition-only wall-clock of exact kd-tree vs grid vs
-//!   hybrid on the seeded [`frontier_rows`] blobs at the small-`k`
-//!   regime (`k = n/10_000`) where the quadratic exact cost actually
-//!   binds; reported as a speedup over the kd-tree.
+//! * **Speed** — partition-only wall-clock of exact kd-tree vs hybrid on
+//!   the seeded [`frontier_rows`] blobs at the small-`k` regime
+//!   (`k = n/10_000`) where the quadratic exact cost actually binds;
+//!   reported as a speedup over the kd-tree.
 //!
-//! The grid is **not** part of `repro --exp all`: the full-size speed
+//! The frontier is **not** part of `repro --exp all`: the full-size speed
 //! sweep partitions a million rows per backend and is invoked
 //! explicitly (`repro --exp frontier`, with `--quick` shrinking n).
 
@@ -30,11 +29,10 @@ use tclose_microagg::{mdav_partition_with, NeighborBackend};
 use tclose_parallel::Parallelism;
 
 /// The backends the frontier compares: the exact reference first, then
-/// the two approximate opt-ins.
-pub fn frontier_backends() -> [(&'static str, NeighborBackend); 3] {
+/// the approximate opt-in.
+pub fn frontier_backends() -> [(&'static str, NeighborBackend); 2] {
     [
         ("kdtree", NeighborBackend::KdTree),
-        ("grid", NeighborBackend::Grid),
         ("hybrid", NeighborBackend::Hybrid),
     ]
 }
@@ -45,7 +43,7 @@ pub fn frontier_backends() -> [(&'static str, NeighborBackend); 3] {
 pub struct UtilityCell {
     /// Data set measured.
     pub dataset: &'static str,
-    /// Backend measured (`grid` / `hybrid`).
+    /// Backend measured (`hybrid`).
     pub backend: &'static str,
     /// Approximate SSE / exact SSE (≥ 1.0 is a utility loss).
     pub sse_ratio: f64,
@@ -214,10 +212,10 @@ mod tests {
     use crate::experiments::test_support::small_mcd;
 
     #[test]
-    fn utility_cells_compare_both_approximate_backends() {
+    fn utility_cells_compare_the_approximate_backend() {
         let t = small_mcd(120);
         let cells = utility_cells("small-mcd", &t, 3, 0.3);
-        assert_eq!(cells.len(), 2);
+        assert_eq!(cells.len(), 1);
         for c in &cells {
             assert!(
                 c.valid,
@@ -231,11 +229,11 @@ mod tests {
 
     #[test]
     fn speed_cells_cover_every_backend_and_normalize_speedup() {
-        // Tiny n: both approximate paths fall back toward exact work, but
-        // the harness mechanics (timing, validity check, speedup
-        // normalization) are fully exercised.
+        // Tiny n: the hybrid falls back to exact work, but the harness
+        // mechanics (timing, validity check, speedup normalization) are
+        // fully exercised.
         let cells = speed_cells(7, 2_000, 2);
-        assert_eq!(cells.len(), 3);
+        assert_eq!(cells.len(), 2);
         assert_eq!(cells[0].backend, "kdtree");
         assert!((cells[0].speedup - 1.0).abs() < 1e-12);
         assert!(cells.iter().all(|c| c.seconds >= 0.0 && c.k == 10));

@@ -49,150 +49,56 @@
 //! backend and keeps the tree's tombstones in lockstep with the caller's
 //! live-id list.
 //!
-//! ## Approximate backends (opt-in)
+//! ## The approximate `Hybrid` backend (opt-in)
 //!
 //! The exactness contract above covers `FlatScan`, `KdTree`, and `Auto`.
-//! Two further variants deliberately step outside it for million-row
-//! scale — both **opt-in only** (never chosen by `Auto`):
-//!
-//! * [`NeighborBackend::Grid`] — queries run on a uniform cell grid
-//!   ([`GridIndex`]) via expanding-ring candidate scans: near-neighbor
-//!   answers rather than provably nearest ones, but structurally sound
-//!   (`k_nearest` always returns exactly `min(count, live)` live rows),
-//!   deterministic, and worker-count independent.
-//! * [`NeighborBackend::Hybrid`] — a partition-level coreset mode: the
-//!   MDAV-family partitioners intercept it and run sample-MDAV + blocked
-//!   centroid assignment + exact within-group refinement
-//!   (`tclose-microagg`'s `hybrid` module); any *query-level* use (e.g.
-//!   Algorithm 3's direct working-set scans) resolves to the grid.
+//! [`NeighborBackend::Hybrid`] deliberately steps outside it for
+//! million-row scale, and only at the partition level: the MDAV-family
+//! partitioners intercept it and run sample-MDAV + blocked centroid
+//! assignment + exact within-group refinement (`tclose-microagg`'s
+//! `hybrid` module). Any *query-level* use (Algorithms 2 and 3's direct
+//! working-set scans, SABRE) resolves exactly as `Auto` does, so those
+//! queries stay exact. `Hybrid` is opt-in only — `Auto` never picks it.
 //!
 //! Approximation here only ever moves the *partition search*; the
 //! t-closeness refinement and verification layers above remain exact, so
 //! every released table still passes `verify_t_closeness` — see
 //! `docs/ALGORITHMS.md`.
 //!
-//! ## Batched queries
+//! ## Parallel build
 //!
-//! Tree construction parallelizes ([`KdTree::build_with`]) and
-//! multi-query requests amortize traversal ([`KdTree::k_nearest_batch`],
-//! [`KdTree::k_nearest_with_far_candidates`]) — both without leaving the
-//! exactness contract: the parallel build produces a tree equal in every
-//! field to the sequential one, and a batched traversal prunes a subtree
-//! only when *every* constituent query would prune it, so each query sees
-//! a superset of its solo visit set and the total-order candidate
-//! filtering returns exactly the solo answers. [`QueryMode`] keeps the
-//! per-query formulation available as a differential reference
-//! (`TCLOSE_QUERY_MODE=per-query`); `docs/ALGORITHMS.md` walks through
-//! the exactness argument.
+//! Tree construction parallelizes ([`KdTree::build_with`]) without
+//! leaving the exactness contract: the parallel build produces a tree
+//! equal in every field to the sequential one. Queries stay one
+//! traversal each; [`NeighborSet::nearest_batch`] batches only on the
+//! flat backend, where one blocked pass serves every query point.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod grid;
 mod set;
 mod tree;
 
-pub use grid::{GridIndex, MAX_CELLS_PER_DIM, MAX_TOTAL_CELLS, TARGET_CELL_OCCUPANCY};
 pub use set::NeighborSet;
 pub use tree::KdTree;
 
 use std::fmt;
 use std::str::FromStr;
 
-/// Whether a [`NeighborSet`] on the kd-tree backend serves multi-query
-/// requests through the shared/fused traversals
-/// ([`KdTree::k_nearest_batch`], [`KdTree::k_nearest_with_far_candidates`])
-/// or through one from-the-root traversal per query.
-///
-/// Both modes are exact and share one tie-breaking order, so the choice
-/// can never change a partition or a release — only wall-clock time. The
-/// per-query mode exists for differential testing and perf bisection; the
-/// `TCLOSE_QUERY_MODE` environment variable (`batched` | `per-query`,
-/// checked at [`NeighborSet::new`]) forces it process-wide.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum QueryMode {
-    /// Amortize tree traversal across the whole request (default).
-    #[default]
-    Batched,
-    /// One independent traversal per query point (the pre-batching
-    /// formulation, kept as the differential reference).
-    PerQuery,
-}
-
-impl QueryMode {
-    /// The mode an optional `TCLOSE_QUERY_MODE` value requests,
-    /// defaulting to [`QueryMode::Batched`] when unset. A set-but-invalid
-    /// value is an error, never a silent fallback — a misspelled forced
-    /// mode falling back to the default would defeat the differential run
-    /// that set it.
-    pub fn from_env_value(value: Option<&str>) -> Result<QueryMode, String> {
-        match value {
-            None => Ok(QueryMode::default()),
-            Some(s) => s
-                .parse()
-                .map_err(|e| format!("invalid TCLOSE_QUERY_MODE: {e}")),
-        }
-    }
-
-    /// The mode `TCLOSE_QUERY_MODE` requests, defaulting to
-    /// [`QueryMode::Batched`]. Read per call (not cached): the variable
-    /// only steers future [`NeighborSet`] constructions, and both modes
-    /// return identical results anyway.
-    ///
-    /// On an unrecognized value this prints a one-line actionable error
-    /// and exits with status 2, matching the CLI's typed-failure
-    /// convention (see [`QueryMode::from_env_value`] for the pure,
-    /// testable core).
-    pub fn from_env() -> QueryMode {
-        match Self::from_env_value(std::env::var("TCLOSE_QUERY_MODE").ok().as_deref()) {
-            Ok(mode) => mode,
-            Err(e) => {
-                eprintln!("error: {e}");
-                std::process::exit(2);
-            }
-        }
-    }
-}
-
-impl fmt::Display for QueryMode {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(match self {
-            QueryMode::Batched => "batched",
-            QueryMode::PerQuery => "per-query",
-        })
-    }
-}
-
-impl FromStr for QueryMode {
-    type Err = String;
-
-    /// Parses `batched` / `per-query` (also `perquery`, `per_query`),
-    /// case-insensitive.
-    fn from_str(s: &str) -> Result<Self, String> {
-        match s.to_ascii_lowercase().as_str() {
-            "batched" | "batch" => Ok(QueryMode::Batched),
-            "per-query" | "perquery" | "per_query" => Ok(QueryMode::PerQuery),
-            other => Err(format!(
-                "unknown query mode {other:?} (expected batched|per-query)"
-            )),
-        }
-    }
-}
-
 /// Which neighbor-search backend the clustering loops should use.
 ///
 /// `Auto`, `FlatScan`, and `KdTree` are exact and share one tie-breaking
 /// order — switching among them never affects results, only wall-clock
-/// time, so `Auto` (the default) is safe everywhere. `Grid` and `Hybrid`
-/// are the **opt-in approximate** paths for million-row scale: they can
-/// change the partition (never its validity — clusters stay k-anonymous
-/// and releases stay t-close through the exact refinement layers), and
-/// are therefore never chosen by `Auto`.
+/// time, so `Auto` (the default) is safe everywhere. `Hybrid` is the
+/// **opt-in approximate** partitioning mode for million-row scale: it can
+/// change an MDAV or V-MDAV partition (never its validity — clusters stay
+/// k-anonymous and releases stay t-close through the exact refinement
+/// layers), and is therefore never chosen by `Auto`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum NeighborBackend {
     /// Decide per matrix: kd-tree for large, low-dimensional working sets
     /// (`n ≥ `[`AUTO_MIN_ROWS`] and `1 ≤ dims ≤ `[`AUTO_MAX_DIMS`]), flat
-    /// scans otherwise. Never resolves to an approximate backend.
+    /// scans otherwise.
     #[default]
     Auto,
     /// Always the blocked linear-scan kernels of `tclose-metrics` —
@@ -201,14 +107,10 @@ pub enum NeighborBackend {
     /// Always the pruned [`KdTree`] — `O(n log n)` build once, then far
     /// sublinear queries on clustered low-dimensional data.
     KdTree,
-    /// Approximate: uniform-cell [`GridIndex`] with expanding-ring
-    /// candidate scans (near-neighbor answers, structural guarantees
-    /// kept — see the `grid` module docs).
-    Grid,
     /// Approximate: coreset partitioning — sample-MDAV centroids, blocked
     /// nearest-centroid assignment, exact within-group refinement.
     /// Intercepted at the partitioner level by `tclose-microagg`;
-    /// query-level uses resolve to [`ResolvedBackend::Grid`].
+    /// query-level uses resolve exactly as [`NeighborBackend::Auto`].
     Hybrid,
 }
 
@@ -227,30 +129,27 @@ pub const AUTO_MIN_ROWS: usize = 1024;
 pub const AUTO_MAX_DIMS: usize = 8;
 
 /// A [`NeighborBackend`] with `Auto` (and the partition-level `Hybrid`
-/// mode) resolved away to a concrete query engine.
+/// mode) resolved away to a concrete, exact query engine.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ResolvedBackend {
-    /// Blocked linear scans (exact).
+    /// Blocked linear scans.
     FlatScan,
-    /// Pruned kd-tree queries (exact).
+    /// Pruned kd-tree queries.
     KdTree,
-    /// Expanding-ring grid scans (approximate, opt-in only).
-    Grid,
 }
 
 impl NeighborBackend {
     /// Resolves the backend for a matrix of `n_rows` × `n_cols`: explicit
-    /// choices pass through (`Hybrid` resolves to the grid for
-    /// query-level use; its coreset partitioning is intercepted earlier,
-    /// in `tclose-microagg`), `Auto` picks [`ResolvedBackend::KdTree`]
-    /// iff `n_rows ≥ `[`AUTO_MIN_ROWS`] and `1 ≤ n_cols ≤
-    /// `[`AUTO_MAX_DIMS`] — never an approximate backend.
+    /// exact choices pass through, and `Auto` picks
+    /// [`ResolvedBackend::KdTree`] iff `n_rows ≥ `[`AUTO_MIN_ROWS`] and
+    /// `1 ≤ n_cols ≤ `[`AUTO_MAX_DIMS`]. `Hybrid` resolves as `Auto` does:
+    /// its coreset partitioning is intercepted earlier, in
+    /// `tclose-microagg`, and every query-level use stays exact.
     pub fn resolve(self, n_rows: usize, n_cols: usize) -> ResolvedBackend {
         match self {
             NeighborBackend::FlatScan => ResolvedBackend::FlatScan,
             NeighborBackend::KdTree => ResolvedBackend::KdTree,
-            NeighborBackend::Grid | NeighborBackend::Hybrid => ResolvedBackend::Grid,
-            NeighborBackend::Auto => {
+            NeighborBackend::Auto | NeighborBackend::Hybrid => {
                 if n_rows >= AUTO_MIN_ROWS && (1..=AUTO_MAX_DIMS).contains(&n_cols) {
                     ResolvedBackend::KdTree
                 } else {
@@ -258,12 +157,6 @@ impl NeighborBackend {
                 }
             }
         }
-    }
-
-    /// True for the approximate variants (`Grid`, `Hybrid`) — the ones
-    /// allowed to change a partition (never its validity).
-    pub fn is_approximate(self) -> bool {
-        matches!(self, NeighborBackend::Grid | NeighborBackend::Hybrid)
     }
 }
 
@@ -273,7 +166,6 @@ impl fmt::Display for NeighborBackend {
             NeighborBackend::Auto => "auto",
             NeighborBackend::FlatScan => "flat",
             NeighborBackend::KdTree => "kdtree",
-            NeighborBackend::Grid => "grid",
             NeighborBackend::Hybrid => "hybrid",
         })
     }
@@ -283,17 +175,15 @@ impl FromStr for NeighborBackend {
     type Err = String;
 
     /// Parses the CLI spelling: `auto`, `flat`/`flatscan`/`flat-scan`,
-    /// `kd`/`kdtree`/`kd-tree`, `grid`, `hybrid`/`coreset`
-    /// (case-insensitive).
+    /// `kd`/`kdtree`/`kd-tree`, `hybrid`/`coreset` (case-insensitive).
     fn from_str(s: &str) -> Result<Self, String> {
         match s.to_ascii_lowercase().as_str() {
             "auto" => Ok(NeighborBackend::Auto),
             "flat" | "flatscan" | "flat-scan" => Ok(NeighborBackend::FlatScan),
             "kd" | "kdtree" | "kd-tree" => Ok(NeighborBackend::KdTree),
-            "grid" => Ok(NeighborBackend::Grid),
             "hybrid" | "coreset" => Ok(NeighborBackend::Hybrid),
             other => Err(format!(
-                "unknown backend {other:?} (expected auto|flat|kdtree|grid|hybrid)"
+                "unknown backend {other:?} (expected auto|flat|kdtree|hybrid)"
             )),
         }
     }
@@ -323,44 +213,20 @@ mod tests {
         // explicit choices ignore the shape
         assert_eq!(NeighborBackend::KdTree.resolve(2, 100), KdTree);
         assert_eq!(NeighborBackend::FlatScan.resolve(1_000_000, 2), FlatScan);
-        // approximate variants are explicit-only and resolve to the grid
-        assert_eq!(NeighborBackend::Grid.resolve(2, 100), Grid);
-        assert_eq!(NeighborBackend::Hybrid.resolve(10_000_000, 2), Grid);
-        assert!(NeighborBackend::Grid.is_approximate());
-        assert!(NeighborBackend::Hybrid.is_approximate());
-        assert!(!NeighborBackend::Auto.is_approximate());
-    }
-
-    #[test]
-    fn query_mode_env_value_errors_instead_of_panicking() {
-        assert_eq!(QueryMode::from_env_value(None).unwrap(), QueryMode::Batched);
-        assert_eq!(
-            QueryMode::from_env_value(Some("per-query")).unwrap(),
-            QueryMode::PerQuery
-        );
-        let err = QueryMode::from_env_value(Some("warp-speed")).unwrap_err();
-        assert!(
-            err.contains("invalid TCLOSE_QUERY_MODE") && err.contains("batched|per-query"),
-            "error must name the variable and the accepted values: {err}"
-        );
-    }
-
-    #[test]
-    fn query_mode_parse_and_display_round_trip() {
-        for (s, want) in [
-            ("batched", QueryMode::Batched),
-            ("Batch", QueryMode::Batched),
-            ("per-query", QueryMode::PerQuery),
-            ("PerQuery", QueryMode::PerQuery),
-            ("per_query", QueryMode::PerQuery),
+        // Hybrid's query-level uses resolve exactly as Auto does, on both
+        // sides of the row threshold and of the dimension cap
+        for (n, d) in [
+            (AUTO_MIN_ROWS - 1, 4),
+            (AUTO_MIN_ROWS, 4),
+            (10_000_000, 2),
+            (100_000, AUTO_MAX_DIMS + 1),
         ] {
-            assert_eq!(s.parse::<QueryMode>().unwrap(), want, "{s}");
+            assert_eq!(
+                NeighborBackend::Hybrid.resolve(n, d),
+                NeighborBackend::Auto.resolve(n, d),
+                "n={n} d={d}"
+            );
         }
-        assert!("fused".parse::<QueryMode>().is_err());
-        for m in [QueryMode::Batched, QueryMode::PerQuery] {
-            assert_eq!(m.to_string().parse::<QueryMode>().unwrap(), m);
-        }
-        assert_eq!(QueryMode::default(), QueryMode::Batched);
     }
 
     #[test]
@@ -373,19 +239,18 @@ mod tests {
             ("kd", NeighborBackend::KdTree),
             ("KdTree", NeighborBackend::KdTree),
             ("kd-tree", NeighborBackend::KdTree),
-            ("grid", NeighborBackend::Grid),
-            ("Grid", NeighborBackend::Grid),
             ("hybrid", NeighborBackend::Hybrid),
             ("coreset", NeighborBackend::Hybrid),
         ] {
             assert_eq!(s.parse::<NeighborBackend>().unwrap(), want, "{s}");
         }
         assert!("ball-tree".parse::<NeighborBackend>().is_err());
+        let err = "grid".parse::<NeighborBackend>().unwrap_err();
+        assert!(err.contains("auto|flat|kdtree|hybrid"), "{err}");
         for b in [
             NeighborBackend::Auto,
             NeighborBackend::FlatScan,
             NeighborBackend::KdTree,
-            NeighborBackend::Grid,
             NeighborBackend::Hybrid,
         ] {
             assert_eq!(b.to_string().parse::<NeighborBackend>().unwrap(), b);

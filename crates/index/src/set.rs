@@ -1,6 +1,6 @@
 //! The backend-dispatched neighbor working set the clustering loops drive.
 
-use crate::{GridIndex, KdTree, NeighborBackend, QueryMode, ResolvedBackend};
+use crate::{KdTree, NeighborBackend, ResolvedBackend};
 use tclose_metrics::distance::{
     farthest_from_ids, k_nearest_ids, k_nearest_with_far_candidates_ids, min_sq_dist_excluding,
     nearest_to_ids, nearest_to_many_ids, sq_dist_dim,
@@ -16,16 +16,11 @@ use tclose_parallel::Parallelism;
 /// algorithms' index pools) and passes it to every query; the set mirrors
 /// membership via [`remove`](NeighborSet::remove) /
 /// [`insert`](NeighborSet::insert) so the kd-tree backend's tombstone mask
-/// (and the grid backend's buckets) always match. Under the `FlatScan`
-/// backend queries delegate to the deterministic blocked kernels of
-/// [`tclose_metrics::distance`] over the caller's list (honoring the
-/// worker-count policy); under `KdTree` they run pruned tree queries.
-/// **The exact backends return identical results** — same rows, same
-/// order, same tie-breaking by lowest row id. The opt-in `Grid` backend
-/// instead returns *near*-neighbor answers from expanding-ring cell scans
-/// ([`GridIndex`]); its answers are deterministic and structurally sound
-/// (`k_nearest` always returns exactly `min(count, live)` live rows) but
-/// may differ from the exact scans.
+/// always matches. Under the `FlatScan` backend queries delegate to the
+/// deterministic blocked kernels of [`tclose_metrics::distance`] over the
+/// caller's list (honoring the worker-count policy); under `KdTree` they
+/// run pruned tree queries. **Both backends return identical results** —
+/// same rows, same order, same tie-breaking by lowest row id.
 ///
 /// ```
 /// use tclose_index::{NeighborBackend, NeighborSet};
@@ -49,19 +44,9 @@ use tclose_parallel::Parallelism;
 pub struct NeighborSet<'m> {
     m: &'m Matrix,
     par: Parallelism,
-    engine: Engine,
-    mode: QueryMode,
-}
-
-/// The resolved query engine behind a [`NeighborSet`].
-#[derive(Debug)]
-enum Engine {
-    /// No index: every query scans the caller's live list.
-    Flat,
-    /// Exact pruned kd-tree with tombstones.
-    Tree(KdTree),
-    /// Approximate uniform-grid ring scans.
-    Grid(GridIndex),
+    /// `None` on the flat backend: every query scans the caller's live
+    /// list. `Some` holds the exact pruned kd-tree with tombstones.
+    tree: Option<KdTree>,
 }
 
 impl<'m> NeighborSet<'m> {
@@ -69,96 +54,58 @@ impl<'m> NeighborSet<'m> {
     /// backend `backend` resolves to for this matrix shape. `par` bounds
     /// the worker count of the flat-scan kernels and of the kd-tree
     /// *build* (individual tree queries stay sequential; they touch too
-    /// few rows to pay for threads — batching, not threading, is how tree
-    /// queries amortize). The query mode comes from
-    /// [`QueryMode::from_env`]; see [`with_query_mode`](Self::with_query_mode).
+    /// few rows to pay for threads).
     pub fn new(m: &'m Matrix, backend: NeighborBackend, par: Parallelism) -> Self {
-        let engine = match backend.resolve(m.n_rows(), m.n_cols()) {
-            ResolvedBackend::KdTree => Engine::Tree(KdTree::build_with(m, par)),
-            ResolvedBackend::FlatScan => Engine::Flat,
-            ResolvedBackend::Grid => Engine::Grid(GridIndex::build(m)),
+        let tree = match backend.resolve(m.n_rows(), m.n_cols()) {
+            ResolvedBackend::KdTree => Some(KdTree::build_with(m, par)),
+            ResolvedBackend::FlatScan => None,
         };
-        NeighborSet {
-            m,
-            par,
-            engine,
-            mode: QueryMode::from_env(),
-        }
-    }
-
-    /// Overrides the [`QueryMode`] (both modes return identical results;
-    /// this is a differential-testing and perf-bisection hook).
-    pub fn with_query_mode(mut self, mode: QueryMode) -> Self {
-        self.mode = mode;
-        self
+        NeighborSet { m, par, tree }
     }
 
     /// Which backend this set runs on.
     pub fn resolved(&self) -> ResolvedBackend {
-        match &self.engine {
-            Engine::Flat => ResolvedBackend::FlatScan,
-            Engine::Tree(_) => ResolvedBackend::KdTree,
-            Engine::Grid(_) => ResolvedBackend::Grid,
+        match self.tree {
+            None => ResolvedBackend::FlatScan,
+            Some(_) => ResolvedBackend::KdTree,
         }
     }
 
+    /// The kd-tree, checked against the caller's live list in debug
+    /// builds; `None` on the flat backend.
+    fn tree_for<I>(&self, live: &[I]) -> Option<&KdTree> {
+        let t = self.tree.as_ref()?;
+        debug_assert_eq!(t.len(), live.len(), "live list out of sync with the tree");
+        Some(t)
+    }
+
     /// The id among `live` whose row is farthest from `point` (ties toward
-    /// the lowest row id); `None` when `live` is empty. On the grid
-    /// backend: the farthest row of the two outermost populated cell
-    /// rings (a near-extreme, not the provable extreme).
+    /// the lowest row id); `None` when `live` is empty.
     pub fn farthest_from<I: RowIndex>(&self, live: &[I], point: &[f64]) -> Option<I> {
-        match &self.engine {
-            Engine::Flat => farthest_from_ids(self.m, live, point, self.par),
-            Engine::Tree(t) => {
-                debug_assert_eq!(t.len(), live.len(), "live list out of sync with the tree");
-                t.farthest_from(point)
-                    .map(|id| I::from_row_index(id.index()))
-            }
-            Engine::Grid(g) => {
-                debug_assert_eq!(g.len(), live.len(), "live list out of sync with the grid");
-                g.farthest_from(self.m, point, self.par)
-                    .map(|id| I::from_row_index(id.index()))
-            }
+        match self.tree_for(live) {
+            None => farthest_from_ids(self.m, live, point, self.par),
+            Some(t) => t.farthest_from(point).map(from_row_id),
         }
     }
 
     /// The id among `live` whose row is nearest to `point` (ties toward
     /// the lowest row id); `None` when `live` is empty.
     pub fn nearest_to<I: RowIndex>(&self, live: &[I], point: &[f64]) -> Option<I> {
-        match &self.engine {
-            Engine::Flat => nearest_to_ids(self.m, live, point, self.par),
-            Engine::Tree(t) => {
-                debug_assert_eq!(t.len(), live.len(), "live list out of sync with the tree");
-                t.nearest(point).map(|id| I::from_row_index(id.index()))
-            }
-            Engine::Grid(g) => {
-                debug_assert_eq!(g.len(), live.len(), "live list out of sync with the grid");
-                g.nearest(self.m, point, self.par)
-                    .map(|id| I::from_row_index(id.index()))
-            }
+        match self.tree_for(live) {
+            None => nearest_to_ids(self.m, live, point, self.par),
+            Some(t) => t.nearest(point).map(from_row_id),
         }
     }
 
     /// The `count` ids among `live` nearest to `point`, ascending under
     /// the total order (distance, row id). All of `live`, sorted, when
-    /// `count` exceeds the live count. On every backend — including the
-    /// approximate grid — the result holds exactly `min(count, live)`
-    /// distinct live ids; that invariant is what keeps every MDAV-family
-    /// cluster k-anonymous regardless of backend.
+    /// `count` exceeds the live count. The result holds exactly
+    /// `min(count, live)` distinct live ids; that invariant is what keeps
+    /// every MDAV-family cluster k-anonymous.
     pub fn k_nearest<I: RowIndex>(&self, live: &[I], point: &[f64], count: usize) -> Vec<I> {
-        match &self.engine {
-            Engine::Flat => k_nearest_ids(self.m, live, point, count, self.par),
-            Engine::Tree(t) => {
-                debug_assert_eq!(t.len(), live.len(), "live list out of sync with the tree");
-                t.k_nearest(point, count)
-                    .into_iter()
-                    .map(|id| I::from_row_index(id.index()))
-                    .collect()
-            }
-            Engine::Grid(g) => {
-                debug_assert_eq!(g.len(), live.len(), "live list out of sync with the grid");
-                from_row_ids(g.k_nearest(self.m, point, count, self.par))
-            }
+        match self.tree_for(live) {
+            None => k_nearest_ids(self.m, live, point, count, self.par),
+            Some(t) => from_row_ids(t.k_nearest(point, count)),
         }
     }
 
@@ -170,15 +117,13 @@ impl<'m> NeighborSet<'m> {
     ///
     /// On the flat backend both selections share one distance pass — the
     /// fusion win that motivates the API (one read of the matrix instead
-    /// of two). On the kd-tree backend the two halves deliberately run as
-    /// *separate* solo traversals on every [`QueryMode`]: a single fused
-    /// walk ([`KdTree::k_nearest_with_far_candidates`]) is exact but
-    /// measured ~5× slower, because the near half wants min-bound-first
-    /// child order while the far half needs max-bound-first to raise its
-    /// pruning threshold early — one traversal order starves the other
-    /// half's pruning (see `docs/PERFORMANCE.md`). The exact routes
-    /// return identical results; the grid backend answers both halves
-    /// from its ring gathers (near-extremes, same structural invariants).
+    /// of two). On the kd-tree backend the two halves run as separate
+    /// traversals ([`KdTree::k_nearest`], [`KdTree::k_farthest`]): the
+    /// near half wants min-bound-first child order while the far half
+    /// needs max-bound-first to raise its pruning threshold early, so one
+    /// shared walk starves the other half's pruning (a fused walk measured
+    /// ~5× slower, see `docs/PERFORMANCE.md`). Both routes return
+    /// identical results.
     pub fn k_nearest_with_far_candidates<I: RowIndex>(
         &self,
         live: &[I],
@@ -186,105 +131,29 @@ impl<'m> NeighborSet<'m> {
         near_count: usize,
         far_count: usize,
     ) -> (Vec<I>, Vec<I>) {
-        match &self.engine {
-            Engine::Flat => k_nearest_with_far_candidates_ids(
+        match self.tree_for(live) {
+            None => k_nearest_with_far_candidates_ids(
                 self.m, live, point, near_count, far_count, self.par,
             ),
-            Engine::Tree(t) => {
-                debug_assert_eq!(t.len(), live.len(), "live list out of sync with the tree");
-                let (near, far) = (
-                    t.k_nearest(point, near_count),
-                    t.k_farthest(point, far_count),
-                );
-                (from_row_ids(near), from_row_ids(far))
-            }
-            Engine::Grid(g) => {
-                debug_assert_eq!(g.len(), live.len(), "live list out of sync with the grid");
-                let near = g.k_nearest(self.m, point, near_count, self.par);
-                let far = g.k_farthest(self.m, point, far_count);
-                (from_row_ids(near), from_row_ids(far))
-            }
+            Some(t) => (
+                from_row_ids(t.k_nearest(point, near_count)),
+                from_row_ids(t.k_farthest(point, far_count)),
+            ),
         }
     }
 
     /// [`nearest_to`](Self::nearest_to) for a batch of query points
-    /// (V-MDAV's per-member extension scan). Under
-    /// [`QueryMode::Batched`] the flat backend streams the matrix once
-    /// per block instead of once per query, and the kd-tree backend
-    /// shares one traversal across the batch; [`QueryMode::PerQuery`]
-    /// answers one point at a time on both. The grid backend always
-    /// answers per point — each query's candidate rings are already a
-    /// local gather, so there is no shared pass to amortize.
+    /// (V-MDAV's per-member extension scan). The flat backend streams the
+    /// matrix once per block instead of once per query
+    /// ([`nearest_to_many_ids`]); the kd-tree answers each point with its
+    /// own [`KdTree::nearest`] traversal.
     pub fn nearest_batch<I: RowIndex>(&self, live: &[I], points: &[&[f64]]) -> Vec<Option<I>> {
-        match &self.engine {
-            Engine::Flat => match self.mode {
-                QueryMode::Batched => nearest_to_many_ids(self.m, live, points, self.par),
-                QueryMode::PerQuery => points
-                    .iter()
-                    .map(|p| nearest_to_ids(self.m, live, p, self.par))
-                    .collect(),
-            },
-            Engine::Tree(t) => {
-                debug_assert_eq!(t.len(), live.len(), "live list out of sync with the tree");
-                match self.mode {
-                    QueryMode::Batched => t
-                        .nearest_batch(points)
-                        .into_iter()
-                        .map(|o| o.map(|id| I::from_row_index(id.index())))
-                        .collect(),
-                    QueryMode::PerQuery => points
-                        .iter()
-                        .map(|p| t.nearest(p).map(|id| I::from_row_index(id.index())))
-                        .collect(),
-                }
-            }
-            Engine::Grid(g) => {
-                debug_assert_eq!(g.len(), live.len(), "live list out of sync with the grid");
-                points
-                    .iter()
-                    .map(|p| {
-                        g.nearest(self.m, p, self.par)
-                            .map(|id| I::from_row_index(id.index()))
-                    })
-                    .collect()
-            }
-        }
-    }
-
-    /// [`k_nearest`](Self::k_nearest) for a batch of query points; same
-    /// dispatch as [`nearest_batch`](Self::nearest_batch).
-    pub fn k_nearest_batch<I: RowIndex>(
-        &self,
-        live: &[I],
-        points: &[&[f64]],
-        count: usize,
-    ) -> Vec<Vec<I>> {
-        match &self.engine {
-            Engine::Flat => points
+        match self.tree_for(live) {
+            None => nearest_to_many_ids(self.m, live, points, self.par),
+            Some(t) => points
                 .iter()
-                .map(|p| k_nearest_ids(self.m, live, p, count, self.par))
+                .map(|p| t.nearest(p).map(from_row_id))
                 .collect(),
-            Engine::Tree(t) => {
-                debug_assert_eq!(t.len(), live.len(), "live list out of sync with the tree");
-                match self.mode {
-                    QueryMode::Batched => t
-                        .k_nearest_batch(points, count)
-                        .into_iter()
-                        .map(from_row_ids)
-                        .collect(),
-                    QueryMode::PerQuery => points
-                        .iter()
-                        .map(|p| from_row_ids(t.k_nearest(p, count)))
-                        .collect(),
-                }
-            }
-            Engine::Grid(g) => {
-                debug_assert_eq!(g.len(), live.len(), "live list out of sync with the grid");
-                points
-                    .iter()
-                    .map(|p| from_row_ids(g.k_nearest(self.m, p, count, self.par)))
-                    .collect()
-            }
         }
     }
 
@@ -293,38 +162,29 @@ impl<'m> NeighborSet<'m> {
     /// `d_out`. On the kd-tree backend this is a 2-nearest query with the
     /// excluded row filtered out (it can occupy at most one of the two
     /// slots), bit-identical to the flat min-scan: both reduce the same
-    /// [`sq_dist_dim`] values, one by argmin, one by min. The grid
-    /// backend reduces the same way over its (two-candidate) ring gather.
+    /// [`sq_dist_dim`] values, one by argmin, one by min.
     pub fn min_sq_dist_to_other<I: RowIndex>(
         &self,
         live: &[I],
         point: &[f64],
         exclude: usize,
     ) -> f64 {
-        match &self.engine {
-            Engine::Flat => min_sq_dist_excluding(self.m, live, point, exclude, self.par),
-            Engine::Tree(t) => {
-                debug_assert_eq!(t.len(), live.len(), "live list out of sync with the tree");
-                t.k_nearest(point, 2)
-                    .into_iter()
-                    .find(|id| id.index() != exclude)
-                    .map(|id| sq_dist_dim(self.m.row(id.index()), point))
-                    .unwrap_or(f64::INFINITY)
-            }
-            Engine::Grid(g) => {
-                debug_assert_eq!(g.len(), live.len(), "live list out of sync with the grid");
-                g.min_sq_dist_excluding(self.m, point, exclude, self.par)
-            }
+        match self.tree_for(live) {
+            None => min_sq_dist_excluding(self.m, live, point, exclude, self.par),
+            Some(t) => t
+                .k_nearest(point, 2)
+                .into_iter()
+                .find(|id| id.index() != exclude)
+                .map(|id| sq_dist_dim(self.m.row(id.index()), point))
+                .unwrap_or(f64::INFINITY),
         }
     }
 
     /// Mirrors the removal of `id` from the caller's live list. No-op on
     /// the flat backend (the caller's list *is* the state there).
     pub fn remove<I: RowIndex>(&mut self, id: I) {
-        match &mut self.engine {
-            Engine::Flat => {}
-            Engine::Tree(t) => t.remove(RowId::new(id.row_index())),
-            Engine::Grid(g) => g.remove(RowId::new(id.row_index())),
+        if let Some(t) = &mut self.tree {
+            t.remove(RowId::new(id.row_index()));
         }
     }
 
@@ -338,17 +198,18 @@ impl<'m> NeighborSet<'m> {
     /// Mirrors a re-insertion into the caller's live list (Algorithm 2
     /// returns swapped-out records to the unassigned pool).
     pub fn insert<I: RowIndex>(&mut self, id: I) {
-        match &mut self.engine {
-            Engine::Flat => {}
-            Engine::Tree(t) => t.insert(RowId::new(id.row_index())),
-            Engine::Grid(g) => g.insert(RowId::new(id.row_index())),
+        if let Some(t) = &mut self.tree {
+            t.insert(RowId::new(id.row_index()));
         }
     }
 }
 
-/// Converts backend results back into the caller's id type.
+/// Converts a backend result back into the caller's id type.
+fn from_row_id<I: RowIndex>(id: RowId) -> I {
+    I::from_row_index(id.index())
+}
+
+/// [`from_row_id`] over a result list.
 fn from_row_ids<I: RowIndex>(ids: Vec<RowId>) -> Vec<I> {
-    ids.into_iter()
-        .map(|id| I::from_row_index(id.index()))
-        .collect()
+    ids.into_iter().map(from_row_id).collect()
 }

@@ -1,11 +1,12 @@
-//! Property tests of the batched-query and parallel-build contracts:
-//! shared/fused traversals and the multi-threaded build must be exactly
-//! equivalent to their per-query / sequential formulations — same ids,
-//! same order, same tie-breaking — on seeded random matrices, including
-//! heavy duplicate-point ties and shrinking/reinserting working sets.
+//! Property tests of the multi-query and parallel-build contracts: the
+//! multi-threaded build, the fused near+far request and the batched
+//! nearest request must be exactly equivalent to their sequential /
+//! one-query-at-a-time formulations — same ids, same order, same
+//! tie-breaking — on seeded random matrices, including heavy
+//! duplicate-point ties.
 
 use rand::{Rng, SeedableRng};
-use tclose_index::{KdTree, NeighborBackend, NeighborSet, QueryMode};
+use tclose_index::{KdTree, NeighborBackend, NeighborSet};
 use tclose_metrics::matrix::{Matrix, RowId};
 use tclose_parallel::Parallelism;
 
@@ -58,58 +59,21 @@ fn parallel_build_produces_an_equal_tree() {
 }
 
 #[test]
-fn batch_queries_match_per_query_on_shrinking_reinserting_sets() {
-    // Mirror how V-MDAV uses the batch API: remove random batches (with
-    // occasional re-insertions) and require exact agreement between the
-    // shared traversal and one solo traversal per point after every
-    // mutation.
-    let mut rng = rand::rngs::StdRng::seed_from_u64(0xBA7C);
-    let (n, dims, grid) = (260usize, 3usize, 5u64);
-    let m = random_matrix(&mut rng, n, dims, grid);
-    let mut tree = KdTree::build(&m);
-    let mut live: Vec<RowId> = m.row_ids().collect();
-
-    while live.len() > 6 {
-        let batch = rng.gen_range(1..=5.min(live.len() - 1));
-        for _ in 0..batch {
-            let at = rng.gen_range(0..live.len());
-            tree.remove(live.swap_remove(at));
-        }
-        if rng.gen_range(0..3u32) == 0 {
-            // Reinsert a removed row (Algorithm 2 swaps records back).
-            let id = m
-                .row_ids()
-                .find(|id| !live.contains(id))
-                .expect("something was removed");
-            tree.insert(id);
-            live.push(id);
-        }
-        let n_points = rng.gen_range(1..6);
-        let points = random_points(&mut rng, n_points, dims, grid);
-        let refs: Vec<&[f64]> = points.iter().map(Vec::as_slice).collect();
-        let count = rng.gen_range(0..=live.len() + 1);
-        let batched = tree.k_nearest_batch(&refs, count);
-        let solo: Vec<Vec<RowId>> = refs.iter().map(|p| tree.k_nearest(p, count)).collect();
-        assert_eq!(batched, solo, "live={} count={count}", live.len());
-        let nearest_batched = tree.nearest_batch(&refs);
-        let nearest_solo: Vec<Option<RowId>> = refs.iter().map(|p| tree.nearest(p)).collect();
-        assert_eq!(nearest_batched, nearest_solo);
-    }
-}
-
-#[test]
 fn fused_near_far_matches_separate_queries_and_repeated_extraction() {
     let mut rng = rand::rngs::StdRng::seed_from_u64(0xFA2);
+    let par = Parallelism::sequential();
     for &(n, dims, grid) in &[(64usize, 1usize, 3u64), (200, 2, 6), (300, 4, 2)] {
         let m = random_matrix(&mut rng, n, dims, grid);
+        let live: Vec<RowId> = m.row_ids().collect();
         let tree = KdTree::build(&m);
+        let set = NeighborSet::new(&m, NeighborBackend::KdTree, par);
         for _ in 0..12 {
             let point: Vec<f64> = (0..dims)
                 .map(|_| rng.gen_range(0..grid) as f64 * 0.25)
                 .collect();
             let nc = rng.gen_range(0..=n / 2);
             let fc = rng.gen_range(0..=n / 2);
-            let (near, far) = tree.k_nearest_with_far_candidates(&point, nc, fc);
+            let (near, far) = set.k_nearest_with_far_candidates(&live, &point, nc, fc);
             assert_eq!(near, tree.k_nearest(&point, nc), "near n={n} dims={dims}");
             assert_eq!(far, tree.k_farthest(&point, fc), "far n={n} dims={dims}");
             // k_farthest == repeated farthest extraction with removal.
@@ -126,41 +90,31 @@ fn fused_near_far_matches_separate_queries_and_repeated_extraction() {
 }
 
 #[test]
-fn neighbor_set_agrees_across_backends_and_query_modes() {
+fn neighbor_set_agrees_across_backends() {
     let mut rng = rand::rngs::StdRng::seed_from_u64(0x5E7);
     let (n, dims, grid) = (240usize, 3usize, 5u64);
     let m = random_matrix(&mut rng, n, dims, grid);
     let par = Parallelism::sequential();
     let live: Vec<RowId> = m.row_ids().collect();
     let flat = NeighborSet::new(&m, NeighborBackend::FlatScan, par);
-    let sets: Vec<NeighborSet> = vec![
-        NeighborSet::new(&m, NeighborBackend::KdTree, par).with_query_mode(QueryMode::Batched),
-        NeighborSet::new(&m, NeighborBackend::KdTree, par).with_query_mode(QueryMode::PerQuery),
-        NeighborSet::new(&m, NeighborBackend::FlatScan, par).with_query_mode(QueryMode::PerQuery),
-    ];
+    let tree = NeighborSet::new(&m, NeighborBackend::KdTree, par);
     for _ in 0..15 {
         let n_points = rng.gen_range(1..5);
         let points = random_points(&mut rng, n_points, dims, grid);
         let refs: Vec<&[f64]> = points.iter().map(Vec::as_slice).collect();
         let count = rng.gen_range(0..8);
         let exclude = rng.gen_range(0..n);
-        let base_nb = flat.nearest_batch(&live, &refs);
-        let base_kb = flat.k_nearest_batch(&live, &refs, count);
-        let base_nf = flat.k_nearest_with_far_candidates(&live, refs[0], count, count + 1);
-        let base_min = flat.min_sq_dist_to_other(&live, refs[0], exclude);
-        for (i, s) in sets.iter().enumerate() {
-            assert_eq!(s.nearest_batch(&live, &refs), base_nb, "set {i}");
-            assert_eq!(s.k_nearest_batch(&live, &refs, count), base_kb, "set {i}");
-            assert_eq!(
-                s.k_nearest_with_far_candidates(&live, refs[0], count, count + 1),
-                base_nf,
-                "set {i}"
-            );
-            assert_eq!(
-                s.min_sq_dist_to_other(&live, refs[0], exclude).to_bits(),
-                base_min.to_bits(),
-                "set {i}"
-            );
-        }
+        assert_eq!(
+            tree.nearest_batch(&live, &refs),
+            flat.nearest_batch(&live, &refs)
+        );
+        assert_eq!(
+            tree.k_nearest_with_far_candidates(&live, refs[0], count, count + 1),
+            flat.k_nearest_with_far_candidates(&live, refs[0], count, count + 1)
+        );
+        assert_eq!(
+            tree.min_sq_dist_to_other(&live, refs[0], exclude).to_bits(),
+            flat.min_sq_dist_to_other(&live, refs[0], exclude).to_bits()
+        );
     }
 }

@@ -12,11 +12,11 @@
 //!   bit-identical results for 1 or N workers. Ties in the extreme-point
 //!   and k-nearest queries break toward the **lowest row index**, which
 //!   makes the parallel reduction order-free. Inside each block the work
-//!   runs on a multi-lane kernel path (see [`crate::simd`]); all paths
+//!   runs on a multi-lane kernel path (see [`crate::simd`]); both paths
 //!   are bit-identical, so neither the lane width nor the worker count
 //!   can ever change a result. Every kernel has a `*_path` variant taking
 //!   an explicit [`KernelPath`] for differential tests and benches; the
-//!   plain form uses [`KernelPath::active`].
+//!   plain form runs [`KernelPath::Lanes8`].
 //! * The **boxed-rows helpers** over `&[Vec<f64>]` — the seed
 //!   representation, kept as the compatibility/reference path (and as the
 //!   baseline of the `flat_scaling` benchmark).
@@ -93,7 +93,7 @@ pub fn sq_dist_dim(a: &[f64], b: &[f64]) -> f64 {
 /// Returns the zero vector of the matrix's width for an empty selection so
 /// callers do not need a special case.
 pub fn centroid_ids<I: RowIndex>(m: &Matrix, ids: &[I], par: Parallelism) -> Vec<f64> {
-    centroid_ids_path(m, ids, par, KernelPath::active())
+    centroid_ids_path(m, ids, par, KernelPath::Lanes8)
 }
 
 /// [`centroid_ids`] on an explicit kernel path. Every path implements the
@@ -132,7 +132,7 @@ pub fn farthest_from_ids<I: RowIndex>(
     point: &[f64],
     par: Parallelism,
 ) -> Option<I> {
-    extreme_ids(m, ids, point, par, true, KernelPath::active())
+    extreme_ids(m, ids, point, par, true, KernelPath::Lanes8)
 }
 
 /// [`farthest_from_ids`] on an explicit kernel path (bit-identical on
@@ -155,7 +155,7 @@ pub fn nearest_to_ids<I: RowIndex>(
     point: &[f64],
     par: Parallelism,
 ) -> Option<I> {
-    extreme_ids(m, ids, point, par, false, KernelPath::active())
+    extreme_ids(m, ids, point, par, false, KernelPath::Lanes8)
 }
 
 /// [`nearest_to_ids`] on an explicit kernel path (bit-identical on every
@@ -185,7 +185,7 @@ pub fn nearest_to_many_ids<I: RowIndex>(
     points: &[&[f64]],
     par: Parallelism,
 ) -> Vec<Option<I>> {
-    nearest_to_many_ids_path(m, ids, points, par, KernelPath::active())
+    nearest_to_many_ids_path(m, ids, points, par, KernelPath::Lanes8)
 }
 
 /// [`nearest_to_many_ids`] on an explicit kernel path (bit-identical on
@@ -256,7 +256,7 @@ pub fn k_nearest_ids<I: RowIndex>(
     count: usize,
     par: Parallelism,
 ) -> Vec<I> {
-    k_nearest_ids_path(m, ids, point, count, par, KernelPath::active())
+    k_nearest_ids_path(m, ids, point, count, par, KernelPath::Lanes8)
 }
 
 /// [`k_nearest_ids`] on an explicit kernel path (bit-identical on every
@@ -349,7 +349,7 @@ pub fn k_nearest_with_far_candidates_ids<I: RowIndex>(
         near_count,
         far_count,
         par,
-        KernelPath::active(),
+        KernelPath::Lanes8,
     )
 }
 
@@ -404,7 +404,7 @@ pub fn min_sq_dist_excluding<I: RowIndex>(
     exclude: usize,
     par: Parallelism,
 ) -> f64 {
-    min_sq_dist_excluding_path(m, ids, point, exclude, par, KernelPath::active())
+    min_sq_dist_excluding_path(m, ids, point, exclude, par, KernelPath::Lanes8)
 }
 
 /// [`min_sq_dist_excluding`] on an explicit kernel path (bit-identical on

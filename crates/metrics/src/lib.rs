@@ -14,9 +14,9 @@
 //!   k-nearest kernels shared by all microaggregation algorithms (MDAV,
 //!   V-MDAV, Algorithms 1–3), in both a flat-matrix form with optional
 //!   scoped-thread parallelism and a boxed-rows compatibility form.
-//! * [`simd`] — hand-unrolled multi-lane (4/8-wide) implementations of the
-//!   hot per-block kernels with a permanent scalar reference path, selected
-//!   by [`KernelPath`] (`TCLOSE_KERNELS` env var). All paths are
+//! * [`simd`] — hand-unrolled 8-wide implementations of the hot per-block
+//!   kernels with a permanent scalar reference path, named by
+//!   [`KernelPath`]. Both paths are
 //!   bit-identical by construction: comparison kernels keep per-row
 //!   distance sequences unchanged, sum kernels share one canonical 8-lane
 //!   reduction DAG.

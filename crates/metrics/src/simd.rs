@@ -3,18 +3,18 @@
 //! The toolchain is pinned to stable (no `std::simd`), so the lanes are
 //! hand-unrolled: fixed-size `[f64; N]` accumulator arrays over the
 //! contiguous [`Matrix`] buffer that LLVM turns into packed vector code.
-//! Three code paths ship, selected by [`KernelPath`]:
+//! Two code paths exist, selected by [`KernelPath`]:
 //!
 //! * [`KernelPath::Scalar`] — the reference: one lane at a time, simple
 //!   loops. Kept permanently for differential testing, never deleted.
-//! * [`KernelPath::Lanes4`] — two 4-wide accumulator arrays (SSE-shaped).
-//! * [`KernelPath::Lanes8`] — one 8-wide accumulator array (AVX-shaped,
-//!   the default).
+//! * [`KernelPath::Lanes8`] — one 8-wide accumulator array (AVX-shaped).
+//!   The only path that ships: the plain kernels of
+//!   [`crate::distance`] and [`crate::sse`] always call it.
 //!
 //! ## Byte-identity across paths
 //!
-//! Every kernel here produces **bit-identical** results on all three
-//! paths. For the comparison kernels (extreme-point, k-nearest distance
+//! Every kernel here produces **bit-identical** results on both paths.
+//! For the comparison kernels (extreme-point, k-nearest distance
 //! pass, min-distance) this is automatic: each row keeps its own
 //! accumulator, so per-row distances use exactly the
 //! [`sq_dist_dim`](crate::distance::sq_dist_dim) operation sequence and
@@ -27,7 +27,7 @@
 //! to lane `i mod 8` (in ascending `i` per lane), and the eight lane
 //! totals collapse pairwise as `((l0+l1)+(l2+l3)) + ((l4+l5)+(l6+l7))`.
 //! The scalar path walks one element at a time with a rotating lane
-//! index; the laned paths walk 8 elements per step — different code,
+//! index; the laned path walks 8 elements per step — different code,
 //! identical arithmetic tree. Because the DAG depends only on the block
 //! length, and blocks are fixed at [`tclose_parallel::BLOCK`] items
 //! (which 8 divides), results also stay byte-identical across worker
@@ -35,16 +35,12 @@
 //!
 //! ## Selecting a path
 //!
-//! [`KernelPath::active`] reads the `TCLOSE_KERNELS` environment variable
-//! once per process (`scalar` | `lanes4` | `lanes8`; default `lanes8`).
-//! Since all paths are byte-identical the switch can never change a
-//! partition or a release — it exists for differential CI runs and perf
-//! bisection. Tests and benches pass an explicit path to the `*_path`
-//! kernel variants instead of mutating process state.
+//! There is no runtime switch: since both paths are byte-identical, the
+//! choice could never change a partition or a release. Tests and benches
+//! pass an explicit path to the `*_path` kernel variants to compare the
+//! two.
 
 use crate::matrix::{Matrix, RowIndex};
-use std::str::FromStr;
-use std::sync::OnceLock;
 
 /// Number of virtual lanes of the canonical sum-reduction DAG. Every
 /// [`KernelPath`] implements this same 8-lane tree, whatever its physical
@@ -53,80 +49,28 @@ pub const VIRTUAL_LANES: usize = 8;
 
 /// Which kernel implementation the hot scans run on.
 ///
-/// All paths are byte-identical (see the module docs); the choice only
+/// Both paths are byte-identical (see the module docs); the choice only
 /// affects wall-clock time.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum KernelPath {
     /// One-lane reference implementation (differential-testing anchor).
     Scalar,
-    /// Two 4-wide accumulator arrays per step (SSE-shaped).
-    Lanes4,
-    /// One 8-wide accumulator array per step (AVX-shaped, default).
-    #[default]
+    /// One 8-wide accumulator array per step (AVX-shaped, the path the
+    /// plain kernels use).
     Lanes8,
 }
 
 impl KernelPath {
-    /// The path an optional `TCLOSE_KERNELS` value requests, defaulting
-    /// to [`KernelPath::Lanes8`] when unset. A set-but-invalid value is
-    /// an error, never a silent fallback — a misspelled forced path
-    /// falling back to the default would defeat the differential run
-    /// that set it.
-    pub fn from_env_value(value: Option<&str>) -> Result<KernelPath, String> {
-        match value {
-            None => Ok(KernelPath::default()),
-            Some(s) => s
-                .parse()
-                .map_err(|e| format!("invalid TCLOSE_KERNELS: {e}")),
-        }
+    /// Both paths, for equivalence sweeps in tests and benches.
+    pub fn all() -> [KernelPath; 2] {
+        [KernelPath::Scalar, KernelPath::Lanes8]
     }
 
-    /// The process-wide path: `TCLOSE_KERNELS` (`scalar` | `lanes4` |
-    /// `lanes8`), read once, defaulting to [`KernelPath::Lanes8`].
-    ///
-    /// On an unrecognized value this prints a one-line actionable error
-    /// and exits with status 2, matching the CLI's typed-failure
-    /// convention (see [`KernelPath::from_env_value`] for the pure,
-    /// testable core).
-    pub fn active() -> KernelPath {
-        static ACTIVE: OnceLock<KernelPath> = OnceLock::new();
-        *ACTIVE.get_or_init(|| {
-            match Self::from_env_value(std::env::var("TCLOSE_KERNELS").ok().as_deref()) {
-                Ok(path) => path,
-                Err(e) => {
-                    eprintln!("error: {e}");
-                    std::process::exit(2);
-                }
-            }
-        })
-    }
-
-    /// All paths, for equivalence sweeps in tests and benches.
-    pub fn all() -> [KernelPath; 3] {
-        [KernelPath::Scalar, KernelPath::Lanes4, KernelPath::Lanes8]
-    }
-
-    /// Stable lowercase name (`scalar` / `lanes4` / `lanes8`).
+    /// Stable lowercase name (`scalar` / `lanes8`).
     pub fn name(self) -> &'static str {
         match self {
             KernelPath::Scalar => "scalar",
-            KernelPath::Lanes4 => "lanes4",
             KernelPath::Lanes8 => "lanes8",
-        }
-    }
-}
-
-impl FromStr for KernelPath {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, String> {
-        match s.to_ascii_lowercase().as_str() {
-            "scalar" => Ok(KernelPath::Scalar),
-            "lanes4" => Ok(KernelPath::Lanes4),
-            "lanes8" => Ok(KernelPath::Lanes8),
-            other => Err(format!(
-                "unknown kernel path {other:?} (expected scalar|lanes4|lanes8)"
-            )),
         }
     }
 }
@@ -165,27 +109,6 @@ pub fn lane_sum(xs: &[f64], path: KernelPath) -> f64 {
             }
             combine(l)
         }
-        KernelPath::Lanes4 => {
-            let mut a = [0.0f64; 4];
-            let mut b = [0.0f64; 4];
-            let mut it = xs.chunks_exact(8);
-            for c in it.by_ref() {
-                for s in 0..4 {
-                    a[s] += c[s];
-                }
-                for s in 0..4 {
-                    b[s] += c[4 + s];
-                }
-            }
-            for (s, &x) in it.remainder().iter().enumerate() {
-                if s < 4 {
-                    a[s] += x;
-                } else {
-                    b[s - 4] += x;
-                }
-            }
-            combine([a[0], a[1], a[2], a[3], b[0], b[1], b[2], b[3]])
-        }
         KernelPath::Lanes8 => {
             let mut l = [0.0f64; 8];
             let mut it = xs.chunks_exact(8);
@@ -218,28 +141,6 @@ pub fn sq_err_sum(orig: &[f64], anon: &[f64], scale: f64, path: KernelPath) -> f
                 l[i & 7] += err(o, a);
             }
             combine(l)
-        }
-        KernelPath::Lanes4 => {
-            let mut la = [0.0f64; 4];
-            let mut lb = [0.0f64; 4];
-            let mut it_o = orig.chunks_exact(8);
-            let mut it_a = anon.chunks_exact(8);
-            for (co, ca) in it_o.by_ref().zip(it_a.by_ref()) {
-                for s in 0..4 {
-                    la[s] += err(co[s], ca[s]);
-                }
-                for s in 0..4 {
-                    lb[s] += err(co[4 + s], ca[4 + s]);
-                }
-            }
-            for (s, (&o, &a)) in it_o.remainder().iter().zip(it_a.remainder()).enumerate() {
-                if s < 4 {
-                    la[s] += err(o, a);
-                } else {
-                    lb[s - 4] += err(o, a);
-                }
-            }
-            combine([la[0], la[1], la[2], la[3], lb[0], lb[1], lb[2], lb[3]])
         }
         KernelPath::Lanes8 => {
             let mut l = [0.0f64; 8];
@@ -279,26 +180,6 @@ pub fn centroid_sum<I: RowIndex>(m: &Matrix, ids: &[I], path: KernelPath) -> Vec
         KernelPath::Scalar => {
             for (i, &id) in ids.iter().enumerate() {
                 let s = i & 7;
-                for (j, &x) in m.row(id).iter().enumerate() {
-                    lanes[j * 8 + s] += x;
-                }
-            }
-        }
-        KernelPath::Lanes4 => {
-            let mut it = ids.chunks_exact(8);
-            for c in it.by_ref() {
-                let ra: [&[f64]; 4] = std::array::from_fn(|l| m.row(c[l]));
-                let rb: [&[f64]; 4] = std::array::from_fn(|l| m.row(c[4 + l]));
-                for j in 0..dim {
-                    for s in 0..4 {
-                        lanes[j * 8 + s] += ra[s][j];
-                    }
-                    for s in 0..4 {
-                        lanes[j * 8 + 4 + s] += rb[s][j];
-                    }
-                }
-            }
-            for (s, &id) in it.remainder().iter().enumerate() {
                 for (j, &x) in m.row(id).iter().enumerate() {
                     lanes[j * 8 + s] += x;
                 }
@@ -394,18 +275,6 @@ pub fn distances_into<I: RowIndex>(
                 out.push((crate::distance::sq_dist_dim(m.row(id), point), id));
             }
         }
-        KernelPath::Lanes4 => {
-            let mut it = ids.chunks_exact(4);
-            for c in it.by_ref() {
-                let d = dist_lanes::<4, I>(m, c, point);
-                for l in 0..4 {
-                    out.push((d[l], c[l]));
-                }
-            }
-            for &id in it.remainder() {
-                out.push((crate::distance::sq_dist_dim(m.row(id), point), id));
-            }
-        }
         KernelPath::Lanes8 => {
             let mut it = ids.chunks_exact(8);
             for c in it.by_ref() {
@@ -439,18 +308,6 @@ pub fn extreme_scan<I: RowIndex>(
     match path {
         KernelPath::Scalar => {
             for &id in ids {
-                fold(crate::distance::sq_dist_dim(m.row(id), point), id);
-            }
-        }
-        KernelPath::Lanes4 => {
-            let mut it = ids.chunks_exact(4);
-            for c in it.by_ref() {
-                let d = dist_lanes::<4, I>(m, c, point);
-                for l in 0..4 {
-                    fold(d[l], c[l]);
-                }
-            }
-            for &id in it.remainder() {
                 fold(crate::distance::sq_dist_dim(m.row(id), point), id);
             }
         }
@@ -506,23 +363,6 @@ pub fn min_sq_dist_scan<I: RowIndex>(
                 }
             }
         }
-        KernelPath::Lanes4 => {
-            let mut it = ids.chunks_exact(4);
-            for c in it.by_ref() {
-                let mut d = dist_lanes::<4, I>(m, c, point);
-                for l in 0..4 {
-                    if c[l].row_index() == exclude {
-                        d[l] = f64::INFINITY;
-                    }
-                }
-                best = min2(best, min2(min2(d[0], d[1]), min2(d[2], d[3])));
-            }
-            for &id in it.remainder() {
-                if id.row_index() != exclude {
-                    best = best.min(crate::distance::sq_dist_dim(m.row(id), point));
-                }
-            }
-        }
         KernelPath::Lanes8 => {
             let mut it = ids.chunks_exact(8);
             for c in it.by_ref() {
@@ -551,29 +391,9 @@ mod tests {
     use super::*;
 
     #[test]
-    fn kernel_path_parses_and_names() {
-        for p in KernelPath::all() {
-            assert_eq!(p.name().parse::<KernelPath>().unwrap(), p);
-        }
-        assert!("avx512".parse::<KernelPath>().is_err());
-        assert_eq!(KernelPath::default(), KernelPath::Lanes8);
-    }
-
-    #[test]
-    fn kernel_env_value_errors_instead_of_panicking() {
-        assert_eq!(
-            KernelPath::from_env_value(None).unwrap(),
-            KernelPath::Lanes8
-        );
-        assert_eq!(
-            KernelPath::from_env_value(Some("scalar")).unwrap(),
-            KernelPath::Scalar
-        );
-        let err = KernelPath::from_env_value(Some("avx512")).unwrap_err();
-        assert!(
-            err.contains("invalid TCLOSE_KERNELS") && err.contains("scalar|lanes4|lanes8"),
-            "error must name the variable and the accepted values: {err}"
-        );
+    fn kernel_path_names() {
+        let names: Vec<&str> = KernelPath::all().iter().map(|p| p.name()).collect();
+        assert_eq!(names, ["scalar", "lanes8"]);
     }
 
     #[test]
@@ -583,9 +403,8 @@ mod tests {
                 .map(|i| ((i * 2654435761) % 100_003) as f64 * 1e-3 - 40.0)
                 .collect();
             let s = lane_sum(&xs, KernelPath::Scalar);
-            for p in [KernelPath::Lanes4, KernelPath::Lanes8] {
-                assert_eq!(s.to_bits(), lane_sum(&xs, p).to_bits(), "n={n} {p:?}");
-            }
+            let l = lane_sum(&xs, KernelPath::Lanes8);
+            assert_eq!(s.to_bits(), l.to_bits(), "n={n}");
         }
     }
 

@@ -28,7 +28,7 @@ use tclose_parallel::{map_blocks, Parallelism};
 /// the fixed block structure of [`map_blocks`] so the result is
 /// bit-identical for any worker count (and parallel on long columns).
 fn column_sq_err(orig: &[f64], anon: &[f64], scale: f64) -> f64 {
-    column_sq_err_with(orig, anon, scale, Parallelism::auto(), KernelPath::active())
+    column_sq_err_with(orig, anon, scale, Parallelism::auto(), KernelPath::Lanes8)
 }
 
 /// `column_sq_err` with explicit parallelism and kernel path — the SSE

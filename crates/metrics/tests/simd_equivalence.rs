@@ -16,7 +16,7 @@ use tclose_metrics::simd::{lane_sum, sq_err_sum, KernelPath};
 use tclose_metrics::sse::column_sq_err_with;
 use tclose_parallel::Parallelism;
 
-const LANED: [KernelPath; 2] = [KernelPath::Lanes4, KernelPath::Lanes8];
+const LANED: [KernelPath; 1] = [KernelPath::Lanes8];
 
 /// A seeded random matrix. Coordinates snap to a coarse grid so exact
 /// duplicate points (and therefore distance ties) are common.

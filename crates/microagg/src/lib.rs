@@ -56,7 +56,7 @@ pub use hybrid::{hybrid_partition_with, COARSE_GROUP_TARGET, HYBRID_MIN_ROWS};
 pub use mdav::{mdav_partition, mdav_partition_with, Mdav};
 pub use vmdav::{vmdav_partition, vmdav_partition_with, VMdav};
 
-pub use tclose_index::{NeighborBackend, NeighborSet, QueryMode};
+pub use tclose_index::{NeighborBackend, NeighborSet};
 pub use tclose_metrics::matrix::{Matrix, RowId, RowIndex};
 pub use tclose_parallel::Parallelism;
 

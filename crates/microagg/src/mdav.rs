@@ -20,8 +20,8 @@
 //! *after* the removal — provably the same `x_s`, but answered by a
 //! 1-candidate traversal whose pruning threshold is as tight as it gets.
 //! The two backends are exact and share one tie-breaking order, so the
-//! partition is byte-identical for any backend, query mode, *and* worker
-//! count; see [`mdav_partition_with`] for the fully explicit entry point.
+//! partition is byte-identical for any backend *and* worker count; see
+//! [`mdav_partition_with`] for the fully explicit entry point.
 
 use crate::cluster::Clustering;
 use crate::hybrid::hybrid_partition_with;
@@ -76,14 +76,10 @@ pub fn mdav_partition(m: &Matrix, k: usize, par: Parallelism) -> Clustering {
 
 /// [`mdav_partition`] with an explicit neighbor-search backend. Exact
 /// backends (`Auto` / `FlatScan` / `KdTree`) never change the result —
-/// only wall-clock time. The approximate opt-ins do: `Hybrid` reroutes
-/// to [`hybrid_partition_with`] (coreset + exact within-group MDAV), and
-/// `Grid` runs this loop on expanding-ring grid queries with an
-/// incrementally maintained centroid (recomputing the exact blocked
-/// centroid over the pool every round is the `O(n²/k)` term that
-/// dominates at millions of rows; the running sum makes the round cost
-/// query-bound). Both stay deterministic, worker-count independent, and
-/// produce valid `k..2k−1` clusterings.
+/// only wall-clock time. The approximate opt-in `Hybrid` does: it
+/// reroutes to [`hybrid_partition_with`] (coreset + exact within-group
+/// MDAV), which stays deterministic, worker-count independent, and
+/// produces valid `k..2k−1` clusterings.
 ///
 /// # Panics
 /// Panics if `k == 0`.
@@ -105,20 +101,10 @@ pub fn mdav_partition_with(
     // swap-removes instead of an O(n) retain pass, which would otherwise
     // rival the scans themselves once the queries run on the kd-tree.
     let mut remaining = RowPool::full(n);
-    // The approximate grid path swaps the per-round exact centroid
-    // recompute for a running sum (see `CentroidTracker`); the exact
-    // backends keep the canonical blocked kernel, byte-for-byte.
-    let mut tracker = match search.resolved() {
-        ResolvedBackend::Grid => Some(CentroidTracker::new(m)),
-        _ => None,
-    };
     let mut clusters: Vec<Vec<usize>> = Vec::with_capacity(n / k.max(1) + 1);
 
     while remaining.len() >= 3 * k {
-        let c = match &tracker {
-            Some(t) => t.centroid(),
-            None => centroid_ids(m, remaining.items(), par),
-        };
+        let c = centroid_ids(m, remaining.items(), par);
         let xr = search
             .farthest_from(remaining.items(), &c)
             .expect("non-empty");
@@ -131,69 +117,34 @@ pub fn mdav_partition_with(
         // distance scan it already makes, while on the kd-tree a
         // (k+1)-farthest list prunes far more weakly than the single
         // post-removal farthest-point query, so the tree asks afterwards.
-        // The grid takes the post-removal route too: its far gather is a
-        // bucket-directory walk, cheap to repeat.
         let xs = match search.resolved() {
             ResolvedBackend::FlatScan => {
                 let (members, far) =
                     search.k_nearest_with_far_candidates(remaining.items(), m.row(xr), k, k + 1);
-                commit_cluster(
-                    m,
-                    &mut search,
-                    &mut remaining,
-                    &mut tracker,
-                    members,
-                    &mut clusters,
-                );
+                commit_cluster(&mut search, &mut remaining, members, &mut clusters);
                 far.into_iter()
                     .find(|&id| remaining.contains(id))
                     .expect("k+1 far candidates cannot all sit in a k-cluster")
             }
-            ResolvedBackend::KdTree | ResolvedBackend::Grid => {
+            ResolvedBackend::KdTree => {
                 let members = search.k_nearest(remaining.items(), m.row(xr), k);
-                commit_cluster(
-                    m,
-                    &mut search,
-                    &mut remaining,
-                    &mut tracker,
-                    members,
-                    &mut clusters,
-                );
+                commit_cluster(&mut search, &mut remaining, members, &mut clusters);
                 search
                     .farthest_from(remaining.items(), m.row(xr))
                     .expect("pool keeps at least 2k records here")
             }
         };
-        take_cluster(
-            m,
-            &mut search,
-            &mut remaining,
-            &mut tracker,
-            xs,
-            k,
-            &mut clusters,
-        );
+        take_cluster(m, &mut search, &mut remaining, xs, k, &mut clusters);
     }
 
     if remaining.len() >= 2 * k {
         // Between 2k and 3k−1 left: one cluster around the extreme
         // record, the rest (≥ k) forms the final cluster.
-        let c = match &tracker {
-            Some(t) => t.centroid(),
-            None => centroid_ids(m, remaining.items(), par),
-        };
+        let c = centroid_ids(m, remaining.items(), par);
         let xr = search
             .farthest_from(remaining.items(), &c)
             .expect("non-empty");
-        take_cluster(
-            m,
-            &mut search,
-            &mut remaining,
-            &mut tracker,
-            xr,
-            k,
-            &mut clusters,
-        );
+        take_cluster(m, &mut search, &mut remaining, xr, k, &mut clusters);
         clusters.push(remaining.drain().map(RowId::index).collect());
     } else if !remaining.is_empty() {
         // Fewer than 2k left (including the n < k corner): one cluster.
@@ -209,23 +160,20 @@ fn take_cluster(
     m: &Matrix,
     search: &mut NeighborSet<'_>,
     remaining: &mut RowPool,
-    tracker: &mut Option<CentroidTracker>,
     seed: RowId,
     k: usize,
     clusters: &mut Vec<Vec<usize>>,
 ) {
     let members = search.k_nearest(remaining.items(), m.row(seed), k);
     debug_assert!(members.contains(&seed));
-    commit_cluster(m, search, remaining, tracker, members, clusters);
+    commit_cluster(search, remaining, members, clusters);
 }
 
-/// Removes `members` from the pool (and the search set, and the running
-/// centroid when one is kept) and pushes them as a new cluster.
+/// Removes `members` from the pool (and the search set) and pushes them
+/// as a new cluster.
 fn commit_cluster(
-    m: &Matrix,
     search: &mut NeighborSet<'_>,
     remaining: &mut RowPool,
-    tracker: &mut Option<CentroidTracker>,
     members: Vec<RowId>,
     clusters: &mut Vec<Vec<usize>>,
 ) {
@@ -233,52 +181,7 @@ fn commit_cluster(
     for &id in &members {
         remaining.remove(id);
     }
-    if let Some(t) = tracker {
-        t.remove_all(m, &members);
-    }
     clusters.push(members.into_iter().map(RowId::index).collect());
-}
-
-/// Running centroid of the unassigned pool for the approximate grid
-/// path: one full pass at construction, then O(d) subtraction per
-/// removed record. Deterministic (fixed sequential order) and
-/// worker-count independent, but *not* bit-identical to the blocked
-/// [`centroid_ids`] recompute — which is why only the approximate
-/// backend uses it.
-#[derive(Debug)]
-struct CentroidTracker {
-    sums: Vec<f64>,
-    count: usize,
-}
-
-impl CentroidTracker {
-    fn new(m: &Matrix) -> Self {
-        let d = m.n_cols();
-        let mut sums = vec![0.0; d];
-        for i in 0..m.n_rows() {
-            for (s, &x) in sums.iter_mut().zip(m.row(i)) {
-                *s += x;
-            }
-        }
-        CentroidTracker {
-            sums,
-            count: m.n_rows(),
-        }
-    }
-
-    fn remove_all(&mut self, m: &Matrix, ids: &[RowId]) {
-        for &id in ids {
-            for (s, &x) in self.sums.iter_mut().zip(m.row(id)) {
-                *s -= x;
-            }
-        }
-        self.count -= ids.len();
-    }
-
-    fn centroid(&self) -> Vec<f64> {
-        let inv = 1.0 / self.count.max(1) as f64;
-        self.sums.iter().map(|s| s * inv).collect()
-    }
 }
 
 /// O(1)-removal pool of row ids, iterable as a slice.

@@ -20,12 +20,13 @@
 //! search of the extension phase — goes through a [`NeighborSet`] (flat
 //! scans or pruned kd-tree, [`NeighborBackend::Auto`] by default). The
 //! extension phase issues one [`NeighborSet::nearest_batch`] request per
-//! round (each cluster member asks for its nearest unassigned record, the
-//! whole batch sharing a single tree traversal) and combines the answers
-//! under the canonical total order (distance, row id), so the candidate
-//! choice no longer depends on the scrambled order of the `remaining`
-//! vector. [`vmdav_partition_with`] exposes both the worker count and the
-//! backend; the clustering is byte-identical for any choice of either.
+//! round (each cluster member asks for its nearest unassigned record; the
+//! flat backend answers the whole batch in one blocked pass) and combines
+//! the answers under the canonical total order (distance, row id), so the
+//! candidate choice no longer depends on the scrambled order of the
+//! `remaining` vector. [`vmdav_partition_with`] exposes both the worker
+//! count and the backend; the clustering is byte-identical for any choice
+//! of either.
 
 use crate::cluster::Clustering;
 use crate::Microaggregator;
@@ -191,13 +192,14 @@ pub fn vmdav_partition_with(
 /// of `members`, together with that squared distance.
 ///
 /// One batched nearest-neighbor request: each member queries for its
-/// nearest unassigned record (the batch shares a single traversal on the
-/// kd-tree backend), and the per-member winners reduce under the total
-/// order (distance, row id). The winner of that reduction is exactly the
-/// global (distance, row id) minimum over all (candidate, member) pairs:
-/// any strictly smaller pair at some member would have been that member's
-/// answer. Distances are recomputed with [`sq_dist_dim`] so the value fed
-/// to the γ criterion is bit-identical on every backend.
+/// nearest unassigned record (one blocked pass on the flat backend, one
+/// traversal per member on the kd-tree), and the per-member winners
+/// reduce under the total order (distance, row id). The winner of that
+/// reduction is exactly the global (distance, row id) minimum over all
+/// (candidate, member) pairs: any strictly smaller pair at some member
+/// would have been that member's answer. Distances are recomputed with
+/// [`sq_dist_dim`] so the value fed to the γ criterion is bit-identical
+/// on every backend.
 fn nearest_to_cluster(
     m: &Matrix,
     search: &NeighborSet<'_>,

@@ -261,8 +261,8 @@ fn partition_cases(cases: &mut Vec<Case>, workload: &str, rows: &Matrix, include
     }
 }
 
-/// Approximate-backend frontier cases: the exact kd-tree vs the `grid`
-/// and `hybrid` opt-ins on the same seeded blob workload, at the
+/// Approximate-backend frontier cases: the exact kd-tree vs the `hybrid`
+/// opt-in on the same seeded blob workload, at the
 /// small-`k` regime (`k = n/10_000`, min 10) where the exact `O(n²/k)`
 /// cost binds — at the suite's usual `k = n/200` the exact loop runs so
 /// few rounds that approximation has nothing to win. The exact row is
@@ -272,7 +272,6 @@ fn approx_partition_cases(cases: &mut Vec<Case>, workload: &str, rows: &Matrix) 
     let k = (rows.n_rows() / 10_000).max(10);
     for (variant, backend) in [
         ("kdtree", NeighborBackend::KdTree),
-        ("grid", NeighborBackend::Grid),
         ("hybrid", NeighborBackend::Hybrid),
     ] {
         let m = rows.clone();

@@ -1,9 +1,9 @@
-//! Cross-crate guarantees of the *approximate* neighbor backends
-//! (`NeighborBackend::Grid` and `NeighborBackend::Hybrid`).
+//! Cross-crate guarantees of the *approximate* neighbor backend
+//! (`NeighborBackend::Hybrid`).
 //!
-//! Unlike the exact backends, the approximate opt-ins are allowed to
-//! produce a *different* clustering than the flat scan — that is the
-//! whole speed bargain. What they must never give up:
+//! Unlike the exact backends, the approximate opt-in is allowed to
+//! produce a *different* MDAV-family clustering than the flat scan —
+//! that is the whole speed bargain. What it must never give up:
 //!
 //! * **Validity.** Every release is k-anonymous and t-close: the
 //!   partition respects `k ≤ |class| < 3k`, and the released table
@@ -11,16 +11,12 @@
 //!   audits under all three algorithms.
 //! * **Determinism.** The clustering depends on neither the worker
 //!   count nor repetition — approximate, but reproducible.
-//!
-//! The grid's *exactness anchor* — one cell per dimension degrades to
-//! byte-identical flat-scan answers — lives next to the grid itself
-//! (`crates/index/src/grid.rs`); here the sweep stays end-to-end.
 
 use tclose::core::{verify_k_anonymity, verify_t_closeness, Confidential};
 use tclose::microdata::csv::to_csv_string;
 use tclose::prelude::*;
 
-const APPROX: [NeighborBackend; 2] = [NeighborBackend::Grid, NeighborBackend::Hybrid];
+const APPROX: [NeighborBackend; 1] = [NeighborBackend::Hybrid];
 
 #[test]
 fn approximate_releases_are_valid_for_every_algorithm_and_worker_count() {
@@ -70,7 +66,7 @@ fn approximate_releases_are_valid_for_every_algorithm_and_worker_count() {
 #[test]
 fn approximate_partitions_respect_mdav_size_bounds() {
     // Partition-level invariant on data large enough that Hybrid engages
-    // its coarse path (n ≥ HYBRID_MIN_ROWS) and Grid uses many cells.
+    // its coarse path (n ≥ HYBRID_MIN_ROWS).
     let rows: Vec<Vec<f64>> = (0..6000)
         .map(|i| {
             vec![

@@ -6,8 +6,9 @@
 //! data goes through the full pipeline under every combination of
 //! 3 algorithms × 2 normalizations × workers {1, 4} × both explicit
 //! backends, and the serialized CSV releases must be byte-identical.
-//! A second sweep swaps the kd-tree query mode (batched shared traversals
-//! vs one traversal per query, `TCLOSE_QUERY_MODE`) into the grid.
+//! The approximate `Hybrid` backend only changes MDAV-family partitions;
+//! Algorithms 2 and 3 query the working set directly, so under `Hybrid`
+//! they must release exactly what `Auto` releases.
 
 use std::path::PathBuf;
 
@@ -53,58 +54,6 @@ fn releases_are_byte_identical_across_backends_and_worker_counts() {
                 );
                 assert_eq!(emd.to_bits(), base_emd.to_bits());
             }
-        }
-    }
-}
-
-#[test]
-fn releases_are_byte_identical_across_query_modes() {
-    // The batched kd-tree traversals (and the fused near+far requests the
-    // clustering loops now issue) must be invisible in the output: forcing
-    // one-traversal-per-query answers via `TCLOSE_QUERY_MODE` cannot
-    // change a release on any backend at any worker count. The env var is
-    // read per `NeighborSet`, and every mode returns identical results, so
-    // mutating it while sibling tests run concurrently is harmless.
-    let table = tclose::datasets::census_mcd(7);
-    for alg in [
-        Algorithm::Merge,
-        Algorithm::KAnonymityFirst,
-        Algorithm::TClosenessFirst,
-    ] {
-        let mut releases: Vec<(String, String, f64)> = Vec::new();
-        for mode in ["batched", "per-query"] {
-            std::env::set_var("TCLOSE_QUERY_MODE", mode);
-            for backend in [NeighborBackend::FlatScan, NeighborBackend::KdTree] {
-                for workers in [1usize, 4] {
-                    let out = Anonymizer::new(4, 0.2)
-                        .algorithm(alg)
-                        .with_parallelism(Parallelism::workers(workers))
-                        .with_backend(backend)
-                        .anonymize(&table)
-                        .unwrap();
-                    releases.push((
-                        format!("mode={mode} backend={backend:?} workers={workers}"),
-                        to_csv_string(&out.table).unwrap(),
-                        out.report.max_emd,
-                    ));
-                }
-            }
-        }
-        std::env::remove_var("TCLOSE_QUERY_MODE");
-        let (base_label, base_csv, base_emd) = &releases[0];
-        for (label, csv, emd) in &releases[1..] {
-            assert_eq!(
-                csv,
-                base_csv,
-                "{}: release differs between {base_label} and {label}",
-                alg.name()
-            );
-            assert_eq!(
-                emd.to_bits(),
-                base_emd.to_bits(),
-                "{}: max_emd differs between {base_label} and {label}",
-                alg.name()
-            );
         }
     }
 }
@@ -181,4 +130,30 @@ fn streaming_release_is_backend_invariant_end_to_end() {
     }
     assert_eq!(outputs[0], outputs[1], "flat vs kd-tree");
     assert_eq!(outputs[0], outputs[2], "flat vs auto");
+}
+
+#[test]
+fn hybrid_query_level_releases_match_auto() {
+    // Hybrid's coreset mode lives in the MDAV-family partitioners; the
+    // working-set queries of Algorithms 2 and 3 resolve it as `Auto`.
+    let table = tclose::datasets::census_mcd(42);
+    for alg in [Algorithm::KAnonymityFirst, Algorithm::TClosenessFirst] {
+        let release = |backend| {
+            let out = Anonymizer::new(5, 0.25)
+                .algorithm(alg)
+                .with_backend(backend)
+                .anonymize(&table)
+                .unwrap();
+            (
+                to_csv_string(&out.table).unwrap(),
+                out.report.max_emd.to_bits(),
+            )
+        };
+        assert_eq!(
+            release(NeighborBackend::Hybrid),
+            release(NeighborBackend::Auto),
+            "{}: Hybrid release differs from Auto",
+            alg.name()
+        );
+    }
 }
