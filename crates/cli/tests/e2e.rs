@@ -196,6 +196,47 @@ fn anonymize_rejects_missing_input_file() {
         .contains("cannot open"));
 }
 
+#[test]
+fn overflowing_quasi_identifiers_fail_cleanly_under_every_algorithm() {
+    // Finite values whose z-score mean overflows f64: the embedding would
+    // be NaN and the clustering kernels used to panic on it.
+    let input = tmp("overflow_qi.csv");
+    let mut csv = String::from("A,B,C\n");
+    for i in 0..40 {
+        let a = if i % 2 == 0 { "1.7e308" } else { "1.0e308" };
+        csv.push_str(&format!("{a},{},{}\n", i % 7, (i * 13) % 11));
+    }
+    std::fs::write(&input, csv).unwrap();
+    for alg in ["alg1", "alg2", "alg3"] {
+        let output = tmp(&format!("overflow_qi_{alg}.csv"));
+        let out = tclose(&[
+            "anonymize",
+            "--input",
+            input.to_str().unwrap(),
+            "--output",
+            output.to_str().unwrap(),
+            "--qi",
+            "A,B",
+            "--confidential",
+            "C",
+            "--k",
+            "3",
+            "--t",
+            "0.1",
+            "--algorithm",
+            alg,
+        ]);
+        let stderr = String::from_utf8(out.stderr).unwrap();
+        assert_eq!(out.status.code(), Some(1), "{alg}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{alg}: {stderr}");
+        assert_eq!(stderr.trim().lines().count(), 1, "{alg}: {stderr}");
+        assert!(
+            stderr.contains("\"A\"") && stderr.contains("row 0"),
+            "{alg}: {stderr}"
+        );
+    }
+}
+
 /// Fits a model on the fixture and returns the artifact path.
 fn fit_fixture_model(name: &str) -> PathBuf {
     let model = tmp(name);

@@ -21,7 +21,9 @@ use crate::confidential::Confidential;
 use crate::params::TClosenessParams;
 use crate::pool::IndexPool;
 use crate::TCloseClusterer;
-use tclose_metrics::distance::{centroid_ids, sq_dist};
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
+use tclose_metrics::distance::{centroid_ids, distances_to_ids};
 use tclose_microagg::{Clustering, Matrix, NeighborBackend, NeighborSet, Parallelism};
 
 /// How a freshly formed cluster is refined toward t-closeness.
@@ -164,39 +166,42 @@ impl KAnonymityFirst {
             search.remove(r);
         }
 
-        let mut hists = conf.histograms(&members);
-        let mut emd = conf.emd_of_hists(&hists);
+        let mut scorer = conf.scorer(&members);
+        let mut emd = scorer.emd();
         if emd <= params.t {
             return members;
         }
 
-        // Candidate queue: the unclustered records ordered by distance to
-        // the seed. Each candidate is considered once (the paper's
+        // Candidate queue: the unclustered records by (distance to the seed,
+        // id). Each candidate is considered once (the paper's
         // `X' = X' \ {y}`), which guarantees termination; records swapped
-        // *out* stay available for later clusters via `remaining`.
-        let mut queue: Vec<usize> = remaining.items().to_vec();
-        queue.sort_by(|&a, &b| {
-            sq_dist(m.row(a), m.row(seed))
-                .partial_cmp(&sq_dist(m.row(b), m.row(seed)))
-                .expect("finite")
-                .then(a.cmp(&b))
-        });
+        // *out* stay available for later clusters via `remaining` but never
+        // enter this queue, so every queued `y` is still unclustered when
+        // popped. Refinement usually stops after a few dozen candidates, so
+        // the distances are computed once and the queue is a heap consumed
+        // lazily rather than a full sort. Squared distances between finite
+        // rows are never negative, NaN or −0.0, and on such floats the IEEE
+        // bit pattern orders exactly as the value does.
+        let mut queue: BinaryHeap<Reverse<(u64, usize)>> =
+            distances_to_ids(m, remaining.items(), m.row(seed), self.par)
+                .into_iter()
+                .map(|(d, y)| Reverse((d.to_bits(), y)))
+                .collect();
+        let mut scores = vec![0.0; members.len()];
 
-        for y in queue {
-            if emd <= params.t {
+        while emd > params.t {
+            let Some(Reverse((_, y))) = queue.pop() else {
                 break;
-            }
-            // y may have been swapped out by ... no: swapped-out members were
-            // never in this queue (they were removed from `remaining` before
-            // the queue was built). y is always still unclustered here.
+            };
             debug_assert!(remaining.contains(y));
             match self.strategy {
                 RefineStrategy::Swap => {
-                    // Find the member whose replacement by y helps most.
+                    // The member whose replacement by y helps most (the
+                    // first one on ties).
+                    scorer.score_swaps(&members, y, &mut scores);
                     let mut best_i = usize::MAX;
                     let mut best_emd = emd;
-                    for (i, &out) in members.iter().enumerate() {
-                        let e = conf.emd_after_swap(&hists, out, y);
+                    for (i, &e) in scores.iter().enumerate() {
                         if e < best_emd {
                             best_emd = e;
                             best_i = i;
@@ -204,8 +209,7 @@ impl KAnonymityFirst {
                     }
                     if best_i != usize::MAX {
                         let out = members[best_i];
-                        hists.remove(conf, out);
-                        hists.add(conf, y);
+                        scorer.swap(out, y);
                         members[best_i] = y;
                         remaining.remove(y);
                         search.remove(y);
@@ -215,11 +219,9 @@ impl KAnonymityFirst {
                     }
                 }
                 RefineStrategy::Add => {
-                    let mut trial = hists.clone();
-                    trial.add(conf, y);
-                    let e = conf.emd_of_hists(&trial);
+                    let e = scorer.emd_after_add(y);
                     if e < emd {
-                        hists = trial;
+                        scorer.add(y);
                         members.push(y);
                         remaining.remove(y);
                         search.remove(y);
@@ -347,6 +349,150 @@ mod tests {
         // t = 1 never constrains → fixed-size clusters like MDAV
         assert_eq!(c.min_size(), 4);
         assert!(c.max_size() <= 7);
+    }
+
+    /// Algorithm 2's refinement as it ran before the swap scorer and the
+    /// lazy queue: every unclustered record sorted by (distance to the
+    /// seed, id), then one `Confidential::emd_after_swap` per (member,
+    /// candidate) pair. No merge pass.
+    fn reference_clusters(
+        m: &Matrix,
+        conf: &Confidential,
+        params: TClosenessParams,
+        strategy: RefineStrategy,
+    ) -> Clustering {
+        use tclose_metrics::distance::sq_dist;
+        let par = Parallelism::auto();
+        let mut search = NeighborSet::new(m, NeighborBackend::Auto, par);
+        let mut remaining = IndexPool::full(m.n_rows());
+        let generate = |seed: usize, remaining: &mut IndexPool, search: &mut NeighborSet<'_>| {
+            if remaining.len() < 2 * params.k {
+                let members = remaining.items().to_vec();
+                for &r in &members {
+                    remaining.remove(r);
+                    search.remove(r);
+                }
+                return members;
+            }
+            let mut members = search.k_nearest(remaining.items(), m.row(seed), params.k);
+            for &r in &members {
+                remaining.remove(r);
+                search.remove(r);
+            }
+            let mut hists = conf.histograms(&members);
+            let mut emd = conf.emd_of_hists(&hists);
+            let mut queue = remaining.items().to_vec();
+            queue.sort_by(|&a, &b| {
+                sq_dist(m.row(a), m.row(seed))
+                    .partial_cmp(&sq_dist(m.row(b), m.row(seed)))
+                    .unwrap()
+                    .then(a.cmp(&b))
+            });
+            for y in queue {
+                if emd <= params.t {
+                    break;
+                }
+                match strategy {
+                    RefineStrategy::Swap => {
+                        let mut best = None;
+                        let mut best_emd = emd;
+                        for (i, &out) in members.iter().enumerate() {
+                            let e = conf.emd_after_swap(&hists, out, y);
+                            if e < best_emd {
+                                (best, best_emd) = (Some(i), e);
+                            }
+                        }
+                        if let Some(i) = best {
+                            let out = members[i];
+                            hists.remove(conf, out);
+                            hists.add(conf, y);
+                            members[i] = y;
+                            remaining.remove(y);
+                            search.remove(y);
+                            remaining.insert(out);
+                            search.insert(out);
+                            emd = best_emd;
+                        }
+                    }
+                    RefineStrategy::Add => {
+                        let mut trial = hists.clone();
+                        trial.add(conf, y);
+                        let e = conf.emd_of_hists(&trial);
+                        if e < emd {
+                            hists = trial;
+                            members.push(y);
+                            remaining.remove(y);
+                            search.remove(y);
+                            emd = e;
+                        }
+                    }
+                }
+            }
+            members
+        };
+        let mut clusters = Vec::new();
+        while !remaining.is_empty() {
+            let xa = centroid_ids(m, remaining.items(), par);
+            let x0 = search.farthest_from(remaining.items(), &xa).unwrap();
+            clusters.push(generate(x0, &mut remaining, &mut search));
+            if !remaining.is_empty() {
+                let x1 = search.farthest_from(remaining.items(), m.row(x0)).unwrap();
+                clusters.push(generate(x1, &mut remaining, &mut search));
+            }
+        }
+        Clustering::new(clusters, m.n_rows()).unwrap()
+    }
+
+    #[test]
+    fn refinement_matches_the_pairwise_sorted_reference() {
+        use crate::fit::GlobalFit;
+        use tclose_microdata::NormalizeMethod;
+        // census_table keeps two confidential attributes (FEDTAX, FICA).
+        // The first 300 rows of each table keep the unoptimized reference
+        // affordable in debug builds; at k = 2, t = 0.1 (below
+        // Proposition 1's bound) every cluster exhausts its queue. The twin
+        // set holds every QI point twice, so every candidate ties with its
+        // twin and the queue's id tie-break decides the order.
+        let rows: Vec<usize> = (0..300).collect();
+        let twins: Vec<Vec<f64>> = (0..60).map(|i| vec![(i / 2) as f64]).collect();
+        let twin_conf: Vec<f64> = (0..60).map(|i| ((i * 7) % 11) as f64).collect();
+        let mut cases = vec![
+            correlated(60),
+            (
+                Matrix::from_rows(&twins),
+                Confidential::single(OrderedEmd::new(&twin_conf)),
+            ),
+        ];
+        for table in [
+            tclose_datasets::census_mcd(5),
+            tclose_datasets::census_table(6),
+        ] {
+            let table = table.take_rows(&rows).unwrap();
+            let fit = GlobalFit::fit(&table, NormalizeMethod::ZScore).unwrap();
+            let m = fit.embedding().embed(&table, fit.qi()).unwrap();
+            cases.push((m, fit.confidential().clone()));
+        }
+        for (m, conf) in &cases {
+            for k in [2, 5, 9] {
+                for t in [0.1, 0.2] {
+                    let params = TClosenessParams::new(k, t).unwrap();
+                    for strategy in [RefineStrategy::Swap, RefineStrategy::Add] {
+                        let got = KAnonymityFirst::new()
+                            .with_strategy(strategy)
+                            .with_merge_fallback(false)
+                            .cluster(m, conf, params);
+                        let want = reference_clusters(m, conf, params, strategy);
+                        assert_eq!(
+                            got,
+                            want,
+                            "{} rows, {} confidential attribute(s), k={k} t={t} {strategy:?}",
+                            m.n_rows(),
+                            conf.n_attributes()
+                        );
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -12,7 +12,7 @@
 //! are rejected with a clear error.
 
 use crate::error::{Error, Result};
-use tclose_metrics::emd::{ClusterHistogram, OrderedEmd};
+use tclose_metrics::emd::{ClusterHistogram, OrderedEmd, SwapScorer, SWAP_LANES};
 use tclose_microdata::{AttributeKind, Table};
 
 /// Fitted evaluators for all confidential attributes of a table.
@@ -218,6 +218,83 @@ impl Confidential {
             .map(|(e, h)| e.emd_after_swap(h, out, inn))
             .fold(0.0, f64::max)
     }
+
+    /// A [`ClusterScorer`] over the cluster of the given records.
+    pub(crate) fn scorer(&self, records: &[usize]) -> ClusterScorer<'_> {
+        ClusterScorer {
+            emds: &self.emds,
+            scorers: self
+                .emds
+                .iter()
+                .map(|e| SwapScorer::new(e, ClusterHistogram::of_records(e, records)))
+                .collect(),
+        }
+    }
+}
+
+/// One [`SwapScorer`] per confidential attribute over one cluster, for
+/// Algorithm 2's refinement. Each cluster-level value is the maximum across
+/// attributes folded in attribute order, exactly as
+/// [`Confidential::emd_of_hists`] and [`Confidential::emd_after_swap`]
+/// fold, so every value is bit-identical to theirs.
+#[derive(Debug, Clone)]
+pub(crate) struct ClusterScorer<'a> {
+    emds: &'a [OrderedEmd],
+    scorers: Vec<SwapScorer<'a>>,
+}
+
+impl ClusterScorer<'_> {
+    /// Maximum EMD across attributes of the current cluster.
+    pub fn emd(&self) -> f64 {
+        self.scorers.iter().map(SwapScorer::emd).fold(0.0, f64::max)
+    }
+
+    /// Sets `scores[i]` to the maximum EMD across attributes after swapping
+    /// `members[i]` out for record `inn`, scoring [`SWAP_LANES`] members
+    /// per walk of each attribute's domain.
+    pub fn score_swaps(&self, members: &[usize], inn: usize, scores: &mut [f64]) {
+        assert_eq!(members.len(), scores.len(), "one score per member");
+        for (chunk, out) in members
+            .chunks(SWAP_LANES)
+            .zip(scores.chunks_mut(SWAP_LANES))
+        {
+            let mut worst = [0.0f64; SWAP_LANES];
+            for (e, s) in self.emds.iter().zip(&self.scorers) {
+                let mut bins = [0usize; SWAP_LANES];
+                for (b, &r) in bins.iter_mut().zip(chunk) {
+                    *b = e.bin_of(r);
+                }
+                let lanes = s.score_lanes(&bins[..chunk.len()], e.bin_of(inn));
+                for (w, x) in worst.iter_mut().zip(lanes) {
+                    *w = w.max(x);
+                }
+            }
+            out.copy_from_slice(&worst[..chunk.len()]);
+        }
+    }
+
+    /// Swaps member `out` for record `inn`.
+    pub fn swap(&mut self, out: usize, inn: usize) {
+        for (e, s) in self.emds.iter().zip(&mut self.scorers) {
+            s.swap(e.bin_of(out), e.bin_of(inn));
+        }
+    }
+
+    /// Maximum EMD across attributes after adding record `inn`.
+    pub fn emd_after_add(&self, inn: usize) -> f64 {
+        self.emds
+            .iter()
+            .zip(&self.scorers)
+            .map(|(e, s)| s.emd_after_add(e.bin_of(inn)))
+            .fold(0.0, f64::max)
+    }
+
+    /// Adds record `inn` to the cluster.
+    pub fn add(&mut self, inn: usize) {
+        for (e, s) in self.emds.iter().zip(&mut self.scorers) {
+            s.add(e.bin_of(inn));
+        }
+    }
 }
 
 /// One [`ClusterHistogram`] per confidential attribute, kept in sync by the
@@ -388,6 +465,50 @@ mod tests {
         h.add(&conf, 5);
         assert!((conf.emd_of_hists(&h) - preview).abs() < 1e-12);
         assert!((conf.emd_of_hists(&h) - conf.emd_of_records(&[1, 5])).abs() < 1e-12);
+    }
+
+    #[test]
+    fn cluster_scorer_matches_the_histogram_evaluators_bit_for_bit() {
+        let schema = Schema::new(vec![
+            AttributeDef::numeric("qi", AttributeRole::QuasiIdentifier),
+            AttributeDef::numeric("c1", AttributeRole::Confidential),
+            AttributeDef::ordinal("c2", AttributeRole::Confidential, ["a", "b", "c", "d", "e"]),
+        ])
+        .unwrap();
+        let mut t = Table::new(schema);
+        for i in 0..40u32 {
+            t.push_row(&[
+                Value::Number(i as f64),
+                Value::Number(((i * 7) % 13) as f64),
+                Value::Category((i * 3) % 5),
+            ])
+            .unwrap();
+        }
+        let conf = Confidential::from_table(&t).unwrap();
+        // 14 members: two walks of up to 8 lanes per attribute
+        let mut members: Vec<usize> = (0..40).step_by(3).collect();
+        let mut scorer = conf.scorer(&members);
+        let mut hists = conf.histograms(&members);
+        let mut scores = vec![0.0; members.len()];
+        for inn in (1..40).step_by(3) {
+            assert_eq!(scorer.emd().to_bits(), conf.emd_of_hists(&hists).to_bits());
+            scorer.score_swaps(&members, inn, &mut scores);
+            for (&score, &out) in scores.iter().zip(&members) {
+                let expected = conf.emd_after_swap(&hists, out, inn);
+                assert_eq!(score.to_bits(), expected.to_bits(), "out {out} in {inn}");
+            }
+            let mut grown = hists.clone();
+            grown.add(&conf, inn);
+            assert_eq!(
+                scorer.emd_after_add(inn).to_bits(),
+                conf.emd_of_hists(&grown).to_bits()
+            );
+            let i = inn % members.len();
+            scorer.swap(members[i], inn);
+            hists.remove(&conf, members[i]);
+            hists.add(&conf, inn);
+            members[i] = inn;
+        }
     }
 
     #[test]

@@ -16,6 +16,14 @@ pub enum Error {
     Microdata(tclose_microdata::Error),
     /// Propagated clustering invariant violation.
     Clustering(tclose_microagg::ClusteringError),
+    /// A quasi-identifier value embeds to NaN or ±∞: the column's values
+    /// overflow `f64` under the fitted normalization.
+    NonFiniteEmbedding {
+        /// Name of the quasi-identifier attribute.
+        attribute: String,
+        /// Row index, within the embedded table, of the offending value.
+        row: usize,
+    },
 }
 
 impl fmt::Display for Error {
@@ -25,6 +33,11 @@ impl fmt::Display for Error {
             Error::UnsupportedData(d) => write!(f, "unsupported data: {d}"),
             Error::Microdata(e) => write!(f, "microdata error: {e}"),
             Error::Clustering(e) => write!(f, "clustering error: {e}"),
+            Error::NonFiniteEmbedding { attribute, row } => write!(
+                f,
+                "quasi-identifier {attribute:?} at row {row} normalizes to a non-finite \
+                 value; its values overflow f64 under the normalization (rescale the column)"
+            ),
         }
     }
 }

@@ -112,6 +112,11 @@ impl QiEmbedding {
 
     /// Embeds the QI columns of `table` (a shard or the fitting table) as
     /// a flat row-major [`Matrix`] of normalized vectors.
+    ///
+    /// Errors with [`Error::NonFiniteEmbedding`] when a value normalizes to
+    /// NaN or ±∞ (finite values can overflow: a mean, range or difference
+    /// of values near `f64::MAX`), so the clustering kernels only ever see
+    /// finite distances.
     pub fn embed(&self, table: &Table, qi: &[usize]) -> Result<Matrix> {
         if qi.len() != self.params.len() {
             return Err(Error::UnsupportedData(format!(
@@ -127,7 +132,14 @@ impl QiEmbedding {
             let raw = qi_column(table, a)?;
             let (shift, scale) = self.params[j];
             for (r, &x) in raw.iter().enumerate() {
-                data[r * width + j] = (x - shift) / scale;
+                let v = (x - shift) / scale;
+                if !v.is_finite() {
+                    return Err(Error::NonFiniteEmbedding {
+                        attribute: table.schema().attribute(a)?.name.clone(),
+                        row: r,
+                    });
+                }
+                data[r * width + j] = v;
             }
         }
         Ok(Matrix::new(data, n, width))
@@ -711,6 +723,60 @@ mod tests {
         assert_eq!(
             out.report.max_emd.to_bits(),
             direct.report.max_emd.to_bits()
+        );
+    }
+
+    #[test]
+    fn embed_rejects_values_that_normalize_to_non_finite() {
+        let schema = Schema::new(vec![
+            AttributeDef::numeric("a", AttributeRole::QuasiIdentifier),
+            AttributeDef::numeric("b", AttributeRole::QuasiIdentifier),
+            AttributeDef::numeric("c", AttributeRole::Confidential),
+        ])
+        .unwrap();
+        let mut t = Table::new(schema);
+        for i in 0..6 {
+            let big = if i % 2 == 0 { 1.7e308 } else { 1.0e308 };
+            t.push_row(&[
+                Value::Number(i as f64),
+                Value::Number(big),
+                Value::Number(i as f64),
+            ])
+            .unwrap();
+        }
+        let qi = t.schema().quasi_identifiers();
+        // The z-score mean of column b overflows: every b value is NaN.
+        let fitted = QiEmbedding::fit(&t, &qi, NormalizeMethod::ZScore).unwrap();
+        assert_eq!(
+            fitted.embed(&t, &qi).unwrap_err(),
+            Error::NonFiniteEmbedding {
+                attribute: "b".into(),
+                row: 0
+            }
+        );
+        // A finite fit whose shift overflows one row only names that row.
+        let shifted =
+            QiEmbedding::from_params(NormalizeMethod::ZScore, vec![(0.0, 1.0), (-1e308, 1.0)]);
+        let err = shifted.embed(&t, &qi).unwrap_err();
+        assert_eq!(
+            err,
+            Error::NonFiniteEmbedding {
+                attribute: "b".into(),
+                row: 0
+            }
+        );
+        assert!(err.to_string().contains("\"b\" at row 0"), "{err}");
+        let mut fixed_first = t.clone();
+        fixed_first.set_numeric(1, 0, 1.0).unwrap();
+        assert!(matches!(
+            shifted.embed(&fixed_first, &qi).unwrap_err(),
+            Error::NonFiniteEmbedding { row: 1, .. }
+        ));
+        // Unaffected inputs still embed.
+        assert!(
+            QiEmbedding::from_params(NormalizeMethod::None, vec![(0.0, 1.0); 2])
+                .embed(&t, &qi)
+                .is_ok()
         );
     }
 

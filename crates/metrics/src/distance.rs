@@ -286,6 +286,18 @@ pub fn k_nearest_ids_path<I: RowIndex>(
     with_d.into_iter().map(|(_, id)| id).collect()
 }
 
+/// `(squared distance to point, id)` for every id, in id-list order — the
+/// distance pass of [`k_nearest_ids`], for callers that rank the ids
+/// themselves. Each distance has the exact [`sq_dist`] bit pattern.
+pub fn distances_to_ids<I: RowIndex>(
+    m: &Matrix,
+    ids: &[I],
+    point: &[f64],
+    par: Parallelism,
+) -> Vec<(f64, I)> {
+    collect_distances(m, ids, point, par, KernelPath::Lanes8)
+}
+
 /// One blocked (and laned) distance pass: `(squared distance, id)` per id,
 /// in id-list order.
 fn collect_distances<I: RowIndex>(

@@ -335,19 +335,52 @@ impl OrderedEmd {
             self.m(),
             "histogram fitted on another domain"
         );
+        self.cumulative_emd(cluster, cluster.size, &[])
+    }
+
+    /// A bin's term `c/|C| − g/N` of the cumulative sum: the bin holds
+    /// `count` of the cluster's `cn` records and `global` of the data set's.
+    /// Every evaluator here forms its terms through this one expression, so
+    /// they round alike.
+    #[inline]
+    fn term(&self, count: u32, global: u32, cn: f64) -> f64 {
+        count as f64 / cn - global as f64 / self.n as f64
+    }
+
+    /// The ordered EMD of a cluster of `size` records with `cluster`'s
+    /// counts, except at the bins of `changed` (ascending), which hold the
+    /// paired counts instead: one cumulative pass over the bins.
+    fn cumulative_emd(
+        &self,
+        cluster: &ClusterHistogram,
+        size: usize,
+        changed: &[(usize, u32)],
+    ) -> f64 {
         let m = self.m();
-        if m <= 1 || cluster.size == 0 {
+        if m <= 1 || size == 0 {
             return 0.0;
         }
-        let cn = cluster.size as f64;
-        let tn = self.n as f64;
+        let cn = size as f64;
+        let (counts, global) = (&cluster.counts[..m], &self.global_counts[..m]);
         let mut cum = 0.0f64;
         let mut total = 0.0f64;
-        // The i = m term contributes |cum_m| = 0 for true distributions; we
-        // include all m terms to match the formula literally.
-        for i in 0..m {
-            cum += cluster.counts[i] as f64 / cn - self.global_counts[i] as f64 / tn;
+        let mut add = |count: u32, g: u32| {
+            cum += self.term(count, g, cn);
             total += cum.abs();
+        };
+        // The i = m term contributes |cum_m| = 0 for true distributions; we
+        // include all m terms to match the formula literally. Plain runs
+        // between the changed bins keep the loop free of per-bin tests.
+        let mut next = 0;
+        for &(bin, count) in changed {
+            for (&c, &g) in counts[next..bin].iter().zip(&global[next..bin]) {
+                add(c, g);
+            }
+            add(count, global[bin]);
+            next = bin + 1;
+        }
+        for (&c, &g) in counts[next..].iter().zip(&global[next..]) {
+            add(c, g);
         }
         total / (m as f64 - 1.0)
     }
@@ -396,17 +429,240 @@ impl OrderedEmd {
     }
 
     /// The EMD obtained after hypothetically swapping record `out` for
-    /// record `inn` in `cluster`, without mutating it. `O(m)`.
+    /// record `inn` in `cluster`, without mutating or copying it: one
+    /// `O(m)` pass with the two adjusted counts read inline.
+    ///
+    /// # Panics
+    /// Panics if `out`'s bin is empty in `cluster` (histogram underflow).
     pub fn emd_after_swap(&self, cluster: &ClusterHistogram, out: usize, inn: usize) -> f64 {
         let bin_out = self.bin_of(out);
         let bin_in = self.bin_of(inn);
         if bin_out == bin_in {
             return self.emd(cluster);
         }
-        let mut scratch = cluster.clone();
-        scratch.remove(bin_out);
-        scratch.add(bin_in);
-        self.emd(&scratch)
+        let out = (bin_out, cluster.count_after_removal(bin_out));
+        let inn = (bin_in, cluster.counts[bin_in] + 1);
+        let changed = if bin_out < bin_in {
+            [out, inn]
+        } else {
+            [inn, out]
+        };
+        self.cumulative_emd(cluster, cluster.size, &changed)
+    }
+}
+
+/// Number of outgoing bins one [`SwapScorer::score_lanes`] walk scores.
+pub const SWAP_LANES: usize = 8;
+
+/// A cluster's ordered-EMD state kept ready for scoring single-record
+/// changes — the inner loop of Algorithm 2's refinement.
+///
+/// Besides the histogram it caches every bin's term `c_i/|C| − g_i/N` and
+/// the running `(cum, total)` prefix of [`OrderedEmd::emd`]'s summation.
+/// Swapping a record out of bin `a` for one in bin `b` keeps `|C|`, so it
+/// changes only terms `a` and `b`: the swapped cluster's summation equals
+/// the cached prefix up to bin `min(a, b) − 1` and from there adds the
+/// cached term at every other bin. [`SwapScorer::score_lanes`] runs that
+/// continuation for up to [`SWAP_LANES`] outgoing bins in one walk, each
+/// lane with its own `(cum, total)`. Every lane therefore performs exactly
+/// the f64 operations, in the same order, that
+/// [`OrderedEmd::emd_after_swap`] performs on the swapped histogram, and
+/// returns the same bits.
+#[derive(Debug, Clone)]
+pub struct SwapScorer<'a> {
+    emd: &'a OrderedEmd,
+    hist: ClusterHistogram,
+    /// `terms[i]` = bin `i`'s term `c_i/|C| − g_i/N` at the current counts.
+    terms: Vec<f64>,
+    /// `(cum, total)` of the summation after bin `i`.
+    prefix: Vec<(f64, f64)>,
+}
+
+impl<'a> SwapScorer<'a> {
+    /// Scorer for the cluster with histogram `hist` under `emd`'s domain.
+    pub fn new(emd: &'a OrderedEmd, hist: ClusterHistogram) -> Self {
+        debug_assert_eq!(
+            hist.counts.len(),
+            emd.m(),
+            "histogram fitted on another domain"
+        );
+        let m = emd.m();
+        let mut scorer = SwapScorer {
+            emd,
+            hist,
+            terms: vec![0.0; m],
+            prefix: vec![(0.0, 0.0); m],
+        };
+        scorer.refresh_all();
+        scorer
+    }
+
+    /// The cluster's histogram.
+    pub fn histogram(&self) -> &ClusterHistogram {
+        &self.hist
+    }
+
+    /// `EMD(C, T)` of the current cluster; bit-identical to
+    /// [`OrderedEmd::emd`] on [`SwapScorer::histogram`].
+    pub fn emd(&self) -> f64 {
+        let m = self.terms.len();
+        if m <= 1 || self.hist.size == 0 {
+            return 0.0;
+        }
+        self.prefix[m - 1].1 / (m as f64 - 1.0)
+    }
+
+    /// Lane `l` of the result is the EMD after swapping one record of bin
+    /// `out_bins[l]` for one record of bin `in_bin` — bit-identical to
+    /// [`OrderedEmd::emd_after_swap`] for such a pair. Lanes past
+    /// `out_bins.len()` hold the unswapped [`SwapScorer::emd`].
+    ///
+    /// One walk, allocation-free, from the lowest bin any lane changes.
+    ///
+    /// # Panics
+    /// Panics if `out_bins` has more than [`SWAP_LANES`] entries, or if an
+    /// outgoing bin other than `in_bin` is empty (histogram underflow).
+    pub fn score_lanes(&self, out_bins: &[usize], in_bin: usize) -> [f64; SWAP_LANES] {
+        assert!(
+            out_bins.len() <= SWAP_LANES,
+            "at most {SWAP_LANES} outgoing bins per walk"
+        );
+        // Lane l rewrites bin outs[l] to out_terms[l] and bin in_bin to
+        // in_term; a lane whose member already sits in in_bin (or that is
+        // unused) keeps every cached term, exactly as emd_after_swap
+        // returns the unswapped EMD for a same-bin pair.
+        const KEEP: usize = usize::MAX;
+        let cn = self.hist.size as f64;
+        let mut outs = [KEEP; SWAP_LANES];
+        let mut out_terms = [0.0f64; SWAP_LANES];
+        for (l, &b) in out_bins.iter().enumerate() {
+            if b != in_bin {
+                outs[l] = b;
+                out_terms[l] = self.term(b, self.hist.count_after_removal(b), cn);
+            }
+        }
+        let Some(lo) = outs
+            .iter()
+            .filter(|&&b| b != KEEP)
+            .min()
+            .map(|&b| b.min(in_bin))
+        else {
+            return [self.emd(); SWAP_LANES];
+        };
+        let in_term = self.term(in_bin, self.hist.counts[in_bin] + 1, cn);
+
+        let (cum0, total0) = if lo == 0 {
+            (0.0, 0.0)
+        } else {
+            self.prefix[lo - 1]
+        };
+        let mut cum = [cum0; SWAP_LANES];
+        let mut total = [total0; SWAP_LANES];
+        // The changed bins ascending (duplicates are skipped below); between
+        // them every lane adds the same cached term.
+        let mut marks = [in_bin; SWAP_LANES + 1];
+        for (mark, &b) in marks.iter_mut().zip(&outs) {
+            if b != KEEP {
+                *mark = b;
+            }
+        }
+        marks.sort_unstable();
+        let mut next = lo;
+        for &s in &marks {
+            if s < next {
+                continue;
+            }
+            add_terms(&mut cum, &mut total, &self.terms[next..s]);
+            for l in 0..SWAP_LANES {
+                let t = if s == outs[l] {
+                    out_terms[l]
+                } else if s == in_bin && outs[l] != KEEP {
+                    in_term
+                } else {
+                    self.terms[s]
+                };
+                cum[l] += t;
+                total[l] += cum[l].abs();
+            }
+            next = s + 1;
+        }
+        add_terms(&mut cum, &mut total, &self.terms[next..]);
+        let denom = self.terms.len() as f64 - 1.0;
+        total.map(|t| t / denom)
+    }
+
+    /// Applies the swap of one record of bin `out_bin` for one of bin
+    /// `in_bin`: two terms change and the prefix is re-summed from
+    /// `min(out_bin, in_bin)`.
+    ///
+    /// # Panics
+    /// Panics if `out_bin` is empty (histogram underflow).
+    pub fn swap(&mut self, out_bin: usize, in_bin: usize) {
+        if out_bin == in_bin {
+            return;
+        }
+        self.hist.remove(out_bin);
+        self.hist.add(in_bin);
+        let cn = self.hist.size as f64;
+        for b in [out_bin, in_bin] {
+            self.terms[b] = self.term(b, self.hist.counts[b], cn);
+        }
+        self.sum_from(out_bin.min(in_bin));
+    }
+
+    /// The EMD after adding one record of bin `in_bin` (the cluster grows,
+    /// so every term changes: one full pass). Bit-identical to
+    /// [`OrderedEmd::emd`] on the grown histogram.
+    pub fn emd_after_add(&self, in_bin: usize) -> f64 {
+        let grown = (in_bin, self.hist.counts[in_bin] + 1);
+        self.emd
+            .cumulative_emd(&self.hist, self.hist.size + 1, &[grown])
+    }
+
+    /// Adds one record of bin `in_bin` and recomputes every term.
+    pub fn add(&mut self, in_bin: usize) {
+        self.hist.add(in_bin);
+        self.refresh_all();
+    }
+
+    /// Bin `b`'s term when it holds `count` of the cluster's `cn` records.
+    fn term(&self, b: usize, count: u32, cn: f64) -> f64 {
+        self.emd.term(count, self.emd.global_counts[b], cn)
+    }
+
+    fn refresh_all(&mut self) {
+        let cn = self.hist.size as f64;
+        for (b, &count) in self.hist.counts.iter().enumerate() {
+            self.terms[b] = self.term(b, count, cn);
+        }
+        self.sum_from(0);
+    }
+
+    /// Re-runs [`OrderedEmd::emd`]'s summation from bin `lo` on.
+    fn sum_from(&mut self, lo: usize) {
+        let (mut cum, mut total) = if lo == 0 {
+            (0.0, 0.0)
+        } else {
+            self.prefix[lo - 1]
+        };
+        for (&t, p) in self.terms[lo..].iter().zip(&mut self.prefix[lo..]) {
+            cum += t;
+            total += cum.abs();
+            *p = (cum, total);
+        }
+    }
+}
+
+/// Continues every lane's summation over `terms`, which no lane changes.
+/// Kept out of line: compiled on its own, the lane loop becomes packed
+/// vector code, which it does not when inlined into the walk.
+#[inline(never)]
+fn add_terms(cum: &mut [f64; SWAP_LANES], total: &mut [f64; SWAP_LANES], terms: &[f64]) {
+    for &t in terms {
+        for l in 0..SWAP_LANES {
+            cum[l] += t;
+            total[l] += cum[l].abs();
+        }
     }
 }
 
@@ -583,6 +839,16 @@ impl ClusterHistogram {
         self.counts[bin] -= 1;
         self.size -= 1;
         Ok(())
+    }
+
+    /// `bin`'s count after removing one record from it, without mutating
+    /// the histogram. Panics like [`ClusterHistogram::remove`] when `bin`
+    /// is empty.
+    fn count_after_removal(&self, bin: usize) -> u32 {
+        match self.counts.get(bin) {
+            Some(&c) if c > 0 => c - 1,
+            _ => panic!("{}", EmdError::Underflow { bin }),
+        }
     }
 
     /// Merges another histogram into this one (cluster union).
