@@ -16,7 +16,7 @@ pub struct Parsed {
 }
 
 /// Options that are flags (no value follows them).
-const FLAGS: &[&str] = &["help", "report", "stream", "dry-run", "json"];
+const FLAGS: &[&str] = &["help", "stream", "dry-run", "json"];
 
 /// The options each command accepts (`--help` is accepted everywhere).
 /// `validate_options` rejects anything else with a "did you mean"
@@ -38,7 +38,6 @@ const COMMAND_OPTIONS: &[(&str, &[&str])] = &[
             "backend",
             "stream",
             "shard-size",
-            "report",
             "compliance",
             "dry-run",
         ],
@@ -223,11 +222,11 @@ mod tests {
 
     #[test]
     fn parses_command_and_options() {
-        let p = parse(&argv("anonymize --k 5 --t 0.1 --input data.csv --report")).unwrap();
+        let p = parse(&argv("anonymize --k 5 --t 0.1 --input data.csv --stream")).unwrap();
         assert_eq!(p.command, "anonymize");
         assert_eq!(p.require("k").unwrap(), "5");
         assert_eq!(p.get_parsed::<f64>("t", 0.0).unwrap(), 0.1);
-        assert!(p.flag("report"));
+        assert!(p.flag("stream"));
         assert!(!p.flag("verbose"));
     }
 

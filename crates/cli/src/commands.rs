@@ -2,39 +2,27 @@
 
 use std::fs::File;
 use std::io::{BufReader, BufWriter};
-use std::path::Path;
+use std::path::{Path, PathBuf};
+use std::time::{Duration, Instant};
 
 use crate::args::Parsed;
-use tclose_compliance::{write_audit_log, AuditRecord, ComplianceConfig, ComplianceEngine};
+use tclose_compliance::{write_audit_log, ComplianceConfig, ComplianceEngine};
 use tclose_core::{
-    Algorithm, Anonymizer, Confidential, FittedAnonymizer, ModelArtifact, NeighborBackend,
+    Algorithm, Anonymizer, FittedAnonymizer, ModelArtifact, NeighborBackend, TClosenessParams,
 };
 use tclose_datasets::{census_hcd, census_mcd, patient_discharge, pii_patients, PATIENT_N, PII_N};
-use tclose_microdata::csv::{read_csv_auto, write_csv};
-use tclose_microdata::{AttributeRole, NormalizeMethod, Schema, Table};
+use tclose_microdata::csv::write_csv;
+use tclose_microdata::{NormalizeMethod, Table};
 use tclose_parallel::Parallelism;
-use tclose_stream::{ShardedAnonymizer, DEFAULT_SHARD_ROWS};
+use tclose_serve::AuditReport;
+use tclose_stream::{
+    read_with_roles, release_shard, Roles, ShardedAnonymizer, StreamReport, DEFAULT_SHARD_ROWS,
+};
 
-/// Loads a CSV with inferred types and applies role assignments.
-pub fn load_with_roles(
-    path: &Path,
-    qi: &[String],
-    confidential: &[String],
-) -> Result<Table, String> {
+/// Reads a CSV into memory with inferred types and `roles` assigned.
+fn load(path: &Path, roles: Roles) -> Result<Table, String> {
     let file = File::open(path).map_err(|e| format!("cannot open {}: {e}", path.display()))?;
-    let mut table = read_csv_auto(BufReader::new(file)).map_err(|e| e.to_string())?;
-    let mut roles: Vec<(&str, AttributeRole)> = Vec::new();
-    for name in qi {
-        roles.push((name.as_str(), AttributeRole::QuasiIdentifier));
-    }
-    for name in confidential {
-        roles.push((name.as_str(), AttributeRole::Confidential));
-    }
-    table
-        .schema_mut()
-        .set_roles(&roles)
-        .map_err(|e| e.to_string())?;
-    Ok(table)
+    read_with_roles(BufReader::new(file), roles).map_err(|e| e.to_string())
 }
 
 /// Writes a table as CSV to `path`.
@@ -97,25 +85,21 @@ pub fn parse_compliance(p: &Parsed) -> Result<Option<ComplianceEngine>, String> 
 }
 
 /// Writes the policy's audit log (when enabled and given a path) and
-/// returns the summary lines appended to a command's report.
-fn compliance_summary(
-    engine: &ComplianceEngine,
-    cells: usize,
-    audits: &[AuditRecord],
-) -> Result<String, String> {
+/// returns the summary lines appended to a release report.
+fn compliance_summary(engine: &ComplianceEngine, r: &StreamReport) -> Result<String, String> {
     let cfg = engine.config();
     let mut msg = format!(
         "\ncompliance          profile {} / strategy {} ({} cells scrubbed, {} audit records)\n\
          compliance fp       {}",
         cfg.profile.name(),
         cfg.strategy.name(),
-        cells,
-        audits.len(),
+        r.scrubbed_cells,
+        r.compliance_audits.len(),
         engine.fingerprint(),
     );
     if cfg.audit_enabled {
         if let Some(path) = &cfg.audit_path {
-            write_audit_log(Path::new(path), audits).map_err(|e| e.to_string())?;
+            write_audit_log(Path::new(path), &r.compliance_audits).map_err(|e| e.to_string())?;
             msg.push_str(&format!("\naudit log           {path}"));
         }
     }
@@ -133,9 +117,13 @@ pub fn cmd_scan(p: &Parsed) -> Result<String, String> {
         // Scanning without a policy file uses the default HIPAA profile.
         None => ComplianceEngine::new(ComplianceConfig::default()).map_err(|e| e.to_string())?,
     };
-    let file = File::open(input).map_err(|e| format!("cannot open {}: {e}", input.display()))?;
-    let table = read_csv_auto(BufReader::new(file)).map_err(|e| e.to_string())?;
-    let report = engine.scan_table(&table).map_err(|e| e.to_string())?;
+    let no_roles = Roles::Named {
+        qi: &[],
+        confidential: &[],
+    };
+    let report = engine
+        .scan_table(&load(input, no_roles)?)
+        .map_err(|e| e.to_string())?;
     if p.flag("json") {
         Ok(report.to_json().to_string_pretty())
     } else {
@@ -186,162 +174,276 @@ pub fn cmd_generate(p: &Parsed) -> Result<String, String> {
     ))
 }
 
-/// `tclose anonymize`: k-anonymous t-close release of a CSV file.
-pub fn cmd_anonymize(p: &Parsed) -> Result<String, String> {
-    let input = Path::new(p.require("input")?);
-    let output = Path::new(p.require("output")?);
-    let qi = p.get_list("qi");
-    let confidential = p.get_list("confidential");
-    if qi.is_empty() {
-        return Err("--qi must list at least one quasi-identifier column".into());
-    }
-    if confidential.is_empty() {
-        return Err("--confidential must list at least one column".into());
-    }
-    let k: usize = p.get_parsed("k", 0)?;
-    if k == 0 {
-        return Err("missing or invalid --k (must be ≥ 1)".into());
-    }
-    let t: f64 = p.get_parsed("t", f64::NAN)?;
-    if !t.is_finite() {
-        return Err("missing or invalid --t (must be in (0, 1])".into());
-    }
-    let algorithm = algorithm_by_name(p.get("algorithm").unwrap_or("alg3"))?;
-    let workers = parse_workers(p)?;
-    let backend = parse_backend(p)?;
-    let compliance = parse_compliance(p)?;
-
-    // Dry run: report what the policy would do, write nothing.
-    if let Some(engine) = &compliance {
-        if engine.config().dry_run {
-            let table = load_with_roles(input, &qi, &confidential)?;
-            let report = engine.scan_table(&table).map_err(|e| e.to_string())?;
-            return Ok(format!(
-                "{}\ndry run: no release or audit log written",
-                report.render()
-            ));
-        }
-    }
-
-    if p.flag("stream") {
-        return cmd_anonymize_stream(
-            p,
-            input,
-            output,
-            &qi,
-            &confidential,
-            k,
-            t,
-            algorithm,
-            workers,
-            backend,
-            compliance,
-        );
-    }
-
-    let table = load_with_roles(input, &qi, &confidential)?;
-    // Compliance pre-pass: scrub direct identifiers before clustering —
-    // same order as the streaming engine, so the two paths agree.
-    let (table, scrub) = match &compliance {
-        Some(engine) => {
-            let s = engine.scrub_table(&table, 0).map_err(|e| e.to_string())?;
-            (s.table, Some((s.cells, s.audits)))
-        }
-        None => (table, None),
-    };
-    let mut anonymizer = Anonymizer::new(k, t)
-        .algorithm(algorithm)
-        .with_backend(backend);
-    if let Some(par) = workers {
-        anonymizer = anonymizer.with_parallelism(par);
-    }
-    let out = anonymizer.anonymize(&table).map_err(|e| e.to_string())?;
-    let mut released = out.table.drop_identifiers().map_err(|e| e.to_string())?;
-    if let Some(engine) = &compliance {
-        released = engine
-            .drop_release_columns(&released)
-            .map_err(|e| e.to_string())?;
-    }
-    save(&released, output)?;
-
-    let r = &out.report;
-    let mut msg = format!(
-        "released {} records to {}\n\
-         algorithm           {}\n\
-         requested (k, t)    ({}, {})\n\
-         achieved k          {}\n\
-         achieved t (EMD)    {:.5}\n\
-         equivalence classes {} (sizes min {} / mean {:.1} / max {})\n\
-         normalized SSE      {:.6}\n\
-         clustering time     {:?}",
-        r.n_records,
-        output.display(),
-        r.algorithm,
-        r.k_requested,
-        r.t_requested,
-        r.min_cluster_size,
-        r.max_emd,
-        r.n_clusters,
-        r.min_cluster_size,
-        r.mean_cluster_size,
-        r.max_cluster_size,
-        r.sse,
-        r.clustering_time,
-    );
-    if let (Some(engine), Some((cells, audits))) = (&compliance, &scrub) {
-        msg.push_str(&compliance_summary(engine, *cells, audits)?);
-    }
-    if !r.satisfies_request() {
-        msg.push_str("\nwarning: the release does NOT meet the requested levels");
-    }
-    Ok(msg)
+/// The fit options `anonymize` and `fit` share, validated before any
+/// input is opened.
+struct FitFlags {
+    qi: Vec<String>,
+    confidential: Vec<String>,
+    params: TClosenessParams,
+    algorithm: Algorithm,
+    normalize: NormalizeMethod,
 }
 
-/// `tclose anonymize --stream`: the two-pass sharded out-of-core engine.
-#[allow(clippy::too_many_arguments)]
-fn cmd_anonymize_stream(
-    p: &Parsed,
-    input: &Path,
-    output: &Path,
-    qi: &[String],
-    confidential: &[String],
-    k: usize,
-    t: f64,
-    algorithm: Algorithm,
-    workers: Option<Parallelism>,
-    backend: NeighborBackend,
-    compliance: Option<ComplianceEngine>,
-) -> Result<String, String> {
-    let shard_rows: usize = p.get_parsed("shard-size", DEFAULT_SHARD_ROWS)?;
-    let mut engine = ShardedAnonymizer::new(k, t)
-        .algorithm(algorithm)
-        .shard_rows(shard_rows)
-        .with_backend(backend);
-    if let Some(par) = workers {
-        engine = engine.with_parallelism(par);
+impl FitFlags {
+    /// Validates `--qi`, `--confidential`, `--k`, `--t`, `--algorithm`
+    /// and `--normalize` (which only `fit` accepts).
+    fn parse(p: &Parsed) -> Result<FitFlags, String> {
+        let qi = p.get_list("qi");
+        let confidential = p.get_list("confidential");
+        if qi.is_empty() {
+            return Err("--qi must list at least one quasi-identifier column".into());
+        }
+        if confidential.is_empty() {
+            return Err("--confidential must list at least one column".into());
+        }
+        p.require("k")?;
+        p.require("t")?;
+        let params = TClosenessParams::new(p.get_parsed("k", 0)?, p.get_parsed("t", 0.0)?)
+            .map_err(|e| e.to_string())?;
+        let normalize = match p.get("normalize") {
+            None => NormalizeMethod::ZScore,
+            Some(v) => NormalizeMethod::parse(v).ok_or_else(|| {
+                format!("--normalize: unknown method {v:?} (expected zscore|minmax|none)")
+            })?,
+        };
+        Ok(FitFlags {
+            qi,
+            confidential,
+            params,
+            algorithm: algorithm_by_name(p.get("algorithm").unwrap_or("alg3"))?,
+            normalize,
+        })
     }
-    if let Some(ce) = &compliance {
-        engine = engine.with_compliance(ce.clone());
-    }
-    let r = engine
-        .anonymize_file(input, output, qi, confidential)
-        .map_err(|e| e.to_string())?;
 
+    fn roles(&self) -> Roles<'_> {
+        Roles::Named {
+            qi: &self.qi,
+            confidential: &self.confidential,
+        }
+    }
+
+    /// Fits in memory on `table`, or with the bounded-memory streaming
+    /// fit pass over `input` when there is no table. Either way the
+    /// statistics match the fused `anonymize` run of the same mode.
+    fn fit(
+        &self,
+        input: &Path,
+        table: Option<&Table>,
+        shard_rows: usize,
+    ) -> Result<FittedAnonymizer, String> {
+        let TClosenessParams { k, t } = self.params;
+        let anonymizer = Anonymizer::new(k, t)
+            .algorithm(self.algorithm)
+            .normalization(self.normalize);
+        let fitted = match table {
+            Some(table) => anonymizer.fit(table),
+            None => {
+                let fit = ShardedAnonymizer::new(k, t)
+                    .normalization(self.normalize)
+                    .shard_rows(shard_rows)
+                    .fit_file(input, &self.qi, &self.confidential)
+                    .map_err(|e| e.to_string())?;
+                anonymizer.with_fit(fit)
+            }
+        };
+        fitted.map_err(|e| e.to_string())
+    }
+}
+
+/// Where a release's fit comes from.
+enum Fit {
+    /// Fitted on the input itself, from the fit flags.
+    Flags(FitFlags),
+    /// A saved model artifact and the path it was loaded from.
+    Model(PathBuf, Box<ModelArtifact>),
+}
+
+/// `tclose anonymize`: k-anonymous t-close release of a CSV file.
+pub fn cmd_anonymize(p: &Parsed) -> Result<String, String> {
+    release(p, Fit::Flags(FitFlags::parse(p)?))
+}
+
+/// `tclose apply`: anonymize with a saved model, skipping the fit pass.
+pub fn cmd_apply(p: &Parsed) -> Result<String, String> {
+    let path = PathBuf::from(p.require("model")?);
+    let artifact = ModelArtifact::load(&path).map_err(|e| e.to_string())?;
+    release(p, Fit::Model(path, Box::new(artifact)))
+}
+
+/// Runs `anonymize` and `apply`, with or without `--stream`: fit (or
+/// load a fit), then release through `release_shard` — once on the
+/// whole table in memory, or once per shard in the streaming engine.
+fn release(p: &Parsed, fit: Fit) -> Result<String, String> {
+    let input = Path::new(p.require("input")?);
+    let output = Path::new(p.require("output")?);
+    let workers = parse_workers(p)?;
+    let backend = parse_backend(p)?;
+    let shard_rows: usize = p.get_parsed("shard-size", DEFAULT_SHARD_ROWS)?;
+    let compliance = parse_compliance(p)?;
+    let (roles, model) = match &fit {
+        Fit::Flags(flags) => (flags.roles(), None),
+        Fit::Model(path, artifact) => {
+            check_policy_binding(path, artifact, compliance.as_ref())?;
+            (
+                Roles::Model(artifact.global_fit().schema()),
+                Some(path.as_path()),
+            )
+        }
+    };
+
+    // Dry run: report what the policy would do, write nothing.
+    if let Some(engine) = compliance.as_ref().filter(|e| e.config().dry_run) {
+        let scan = engine
+            .scan_table(&load(input, roles)?)
+            .map_err(|e| e.to_string())?;
+        return Ok(format!(
+            "{}\ndry run: no release or audit log written",
+            scan.render()
+        ));
+    }
+
+    // In memory, the input is read once for both the fit and the release.
+    let streamed = p.flag("stream");
+    let table = if streamed {
+        None
+    } else {
+        Some(load(input, roles)?)
+    };
+    let started = Instant::now();
+    let (fitted, fit_time) = match &fit {
+        Fit::Flags(flags) => (
+            flags.fit(input, table.as_ref(), shard_rows)?,
+            started.elapsed(),
+        ),
+        Fit::Model(_, artifact) => (FittedAnonymizer::from_artifact(artifact), Duration::ZERO),
+    };
+    let fitted = fitted.with_backend(backend);
+
+    let started = Instant::now();
+    let mut report = match &table {
+        // Workers go across shards and the kernels inside each shard run
+        // sequentially, as in `ShardedAnonymizer::anonymize_file`.
+        None => {
+            let TClosenessParams { k, t } = fitted.params();
+            let mut engine = ShardedAnonymizer::new(k, t).shard_rows(shard_rows);
+            if let Some(par) = workers {
+                engine = engine.with_parallelism(par);
+            }
+            if let Some(ce) = &compliance {
+                engine = engine.with_compliance(ce.clone());
+            }
+            let fitted = fitted.with_parallelism(Parallelism::sequential());
+            engine
+                .apply_file_with(&fitted, input, output)
+                .map_err(|e| e.to_string())?
+        }
+        Some(table) => {
+            let fitted = match workers {
+                Some(par) => fitted.with_parallelism(par),
+                None => fitted,
+            };
+            let shard =
+                release_shard(&fitted, compliance.as_ref(), table, 0).map_err(|e| e.to_string())?;
+            save(&shard.table, output)?;
+            let mut r = StreamReport::merge(
+                vec![shard.report],
+                table.n_rows(),
+                Duration::ZERO,
+                started.elapsed(),
+            );
+            r.scrubbed_cells = shard.scrubbed_cells;
+            r.compliance_audits = shard.audits;
+            r
+        }
+    };
+    report.fit_time = fit_time;
+    render(&report, output, model, streamed, compliance.as_ref())
+}
+
+/// Policy binding: a model fitted under a compliance policy may only be
+/// applied under the *same* policy — otherwise a release could silently
+/// skip the scrub (or scrub with different rules/keys) that the model's
+/// provenance promises.
+fn check_policy_binding(
+    path: &Path,
+    artifact: &ModelArtifact,
+    compliance: Option<&ComplianceEngine>,
+) -> Result<(), String> {
+    match (artifact.compliance_fingerprint(), compliance) {
+        (None, None) => Ok(()),
+        (Some(fp), Some(engine)) => {
+            let got = engine.fingerprint();
+            if got == fp {
+                return Ok(());
+            }
+            Err(format!(
+                "compliance policy mismatch: model {} was fitted under policy {fp} but \
+                 --compliance resolves to {got}; pass the policy the model was fitted with",
+                path.display()
+            ))
+        }
+        (Some(fp), None) => Err(format!(
+            "model {} is bound to compliance policy {fp}; pass --compliance with the \
+             same policy file",
+            path.display()
+        )),
+        (None, Some(_)) => Err(format!(
+            "model {} was fitted without a compliance policy; refit with \
+             `tclose fit --compliance` to bind one",
+            path.display()
+        )),
+    }
+}
+
+/// Renders a release report (one shard for an in-memory run) and writes
+/// the compliance policy's audit log. `model` is the artifact of a
+/// pre-fitted run.
+fn render(
+    r: &StreamReport,
+    output: &Path,
+    model: Option<&Path>,
+    streamed: bool,
+    compliance: Option<&ComplianceEngine>,
+) -> Result<String, String> {
+    let source = if model.is_some() {
+        "pre-fitted model"
+    } else {
+        "streaming"
+    };
+    let mode = match (model, streamed) {
+        (_, true) => format!(
+            " ({source}, {} shards × ≤{} rows)",
+            r.n_shards, r.shard_rows
+        ),
+        (Some(_), false) => format!(" ({source})"),
+        (None, false) => String::new(),
+    };
     let mut msg = format!(
-        "released {} records to {} (streaming, {} shards × ≤{} rows)\n\
-         algorithm           {}\n\
+        "released {} records to {}{mode}",
+        r.n_records,
+        output.display()
+    );
+    if let Some(path) = model {
+        msg.push_str(&format!("\nmodel               {}", path.display()));
+    }
+    let (worst_k, worst_t) = match streamed {
+        true => (" (worst shard)", " (worst shard, vs global distribution)"),
+        false => ("", ""),
+    };
+    let fit_pass = match model {
+        Some(_) => "skipped (pre-fitted model)".to_string(),
+        None => format!("{:?}", r.fit_time),
+    };
+    msg.push_str(&format!(
+        "\nalgorithm           {}\n\
          requested (k, t)    ({}, {})\n\
-         achieved k          {} (worst shard)\n\
-         achieved t (EMD)    {:.5} (worst shard, vs global distribution)\n\
+         achieved k          {}{worst_k}\n\
+         achieved t (EMD)    {:.5}{worst_t}\n\
          t budget spent      {:.1}% (worst EMD / requested t)\n\
          equivalence classes {} (sizes min {} / mean {:.1} / max {})\n\
          normalized SSE      {:.6}\n\
-         fit pass            {:?}\n\
+         fit pass            {fit_pass}\n\
          anonymize pass      {:?}",
-        r.n_records,
-        output.display(),
-        r.n_shards,
-        r.shard_rows,
         r.algorithm,
         r.k_requested,
         r.t_requested,
@@ -353,15 +455,10 @@ fn cmd_anonymize_stream(
         r.mean_cluster_size,
         r.max_cluster_size,
         r.sse,
-        r.fit_time,
         r.apply_time,
-    );
-    if let Some(ce) = &compliance {
-        msg.push_str(&compliance_summary(
-            ce,
-            r.scrubbed_cells,
-            &r.compliance_audits,
-        )?);
+    ));
+    if let Some(engine) = compliance {
+        msg.push_str(&compliance_summary(engine, r)?);
     }
     if !r.satisfies_request() {
         msg.push_str("\nwarning: the release does NOT meet the requested levels");
@@ -369,90 +466,24 @@ fn cmd_anonymize_stream(
     Ok(msg)
 }
 
-/// Loads a CSV with inferred types and applies every role a fitted
-/// model's schema declares — the `apply` path, where roles come from the
-/// artifact instead of `--qi`/`--confidential` flags.
-fn load_with_schema_roles(path: &Path, schema: &Schema) -> Result<Table, String> {
-    let file = File::open(path).map_err(|e| format!("cannot open {}: {e}", path.display()))?;
-    let mut table = read_csv_auto(BufReader::new(file)).map_err(|e| e.to_string())?;
-    let roles: Vec<(&str, AttributeRole)> = schema
-        .attributes()
-        .iter()
-        .map(|a| (a.name.as_str(), a.role))
-        .collect();
-    table
-        .schema_mut()
-        .set_roles(&roles)
-        .map_err(|e| format!("input does not match the model's schema: {e}"))?;
-    Ok(table)
-}
-
-/// Parses the `--normalize` option (fit-time only; apply reads the
-/// method back from the artifact).
-fn parse_normalize(p: &Parsed) -> Result<NormalizeMethod, String> {
-    match p.get("normalize") {
-        None => Ok(NormalizeMethod::ZScore),
-        Some(v) => NormalizeMethod::parse(v).ok_or_else(|| {
-            format!("--normalize: unknown method {v:?} (expected zscore|minmax|none)")
-        }),
-    }
-}
-
 /// `tclose fit`: freeze the global state into a versioned model artifact.
 pub fn cmd_fit(p: &Parsed) -> Result<String, String> {
     let input = Path::new(p.require("input")?);
     let out_path = Path::new(p.require("out")?);
-    let qi = p.get_list("qi");
-    let confidential = p.get_list("confidential");
-    if qi.is_empty() {
-        return Err("--qi must list at least one quasi-identifier column".into());
-    }
-    if confidential.is_empty() {
-        return Err("--confidential must list at least one column".into());
-    }
-    let k: usize = p.get_parsed("k", 0)?;
-    if k == 0 {
-        return Err("missing or invalid --k (must be ≥ 1)".into());
-    }
-    let t: f64 = p.get_parsed("t", f64::NAN)?;
-    if !t.is_finite() {
-        return Err("missing or invalid --t (must be in (0, 1])".into());
-    }
-    let algorithm = algorithm_by_name(p.get("algorithm").unwrap_or("alg3"))?;
-    let normalize = parse_normalize(p)?;
-
-    let fitted = if p.flag("stream") {
-        // Streaming fit: bounded memory, same accumulators as
-        // `anonymize --stream`'s pass 1 — apply --stream of this model is
-        // byte-identical to the fused streaming run.
-        let shard_rows: usize = p.get_parsed("shard-size", DEFAULT_SHARD_ROWS)?;
-        let fit = ShardedAnonymizer::new(k, t)
-            .algorithm(algorithm)
-            .normalization(normalize)
-            .shard_rows(shard_rows)
-            .fit_file(input, &qi, &confidential)
-            .map_err(|e| e.to_string())?;
-        Anonymizer::new(k, t)
-            .algorithm(algorithm)
-            .normalization(normalize)
-            .with_fit(fit)
-            .map_err(|e| e.to_string())?
-    } else {
-        // In-memory fit: identical statistics to the fused `anonymize`
-        // path, so apply of this model is byte-identical to it.
-        let table = load_with_roles(input, &qi, &confidential)?;
-        Anonymizer::new(k, t)
-            .algorithm(algorithm)
-            .normalization(normalize)
-            .fit(&table)
-            .map_err(|e| e.to_string())?
-    };
-
+    let flags = FitFlags::parse(p)?;
+    let shard_rows: usize = p.get_parsed("shard-size", DEFAULT_SHARD_ROWS)?;
     // A fit under a compliance policy binds the model to it: `apply`
     // refuses to run under a different policy (or none). The fit itself
     // only reads QI / confidential columns, which the scrub never
     // touches, so the statistics are identical either way.
     let compliance = parse_compliance(p)?;
+    let table = if p.flag("stream") {
+        None
+    } else {
+        Some(load(input, flags.roles())?)
+    };
+    let fitted = flags.fit(input, table.as_ref(), shard_rows)?;
+
     let mut artifact = ModelArtifact::from_fitted(&fitted);
     if let Some(engine) = &compliance {
         artifact = artifact.with_compliance_fingerprint(engine.fingerprint());
@@ -472,160 +503,11 @@ pub fn cmd_fit(p: &Parsed) -> Result<String, String> {
         artifact.params().algorithm.name(),
         artifact.params().k,
         artifact.params().t,
-        qi.join(","),
-        confidential.join(","),
+        flags.qi.join(","),
+        flags.confidential.join(","),
     );
     if let Some(fp) = artifact.compliance_fingerprint() {
         msg.push_str(&format!("\ncompliance fp       {fp}"));
-    }
-    Ok(msg)
-}
-
-/// `tclose apply`: anonymize with a saved model, skipping the fit pass.
-pub fn cmd_apply(p: &Parsed) -> Result<String, String> {
-    let model_path = Path::new(p.require("model")?);
-    let input = Path::new(p.require("input")?);
-    let output = Path::new(p.require("output")?);
-    let workers = parse_workers(p)?;
-    let backend = parse_backend(p)?;
-    let artifact = ModelArtifact::load(model_path).map_err(|e| e.to_string())?;
-    let mp = artifact.params();
-
-    // Policy binding: a model fitted under a compliance policy may only
-    // be applied under the *same* policy — otherwise a release could
-    // silently skip the scrub (or scrub with different rules/keys) that
-    // the model's provenance promises.
-    let compliance = parse_compliance(p)?;
-    match (artifact.compliance_fingerprint(), &compliance) {
-        (None, None) => {}
-        (Some(fp), Some(engine)) => {
-            let got = engine.fingerprint();
-            if got != fp {
-                return Err(format!(
-                    "compliance policy mismatch: model {} was fitted under policy {fp} but \
-                     --compliance resolves to {got}; pass the policy the model was fitted with",
-                    model_path.display()
-                ));
-            }
-        }
-        (Some(fp), None) => {
-            return Err(format!(
-                "model {} is bound to compliance policy {fp}; pass --compliance with the \
-                 same policy file",
-                model_path.display()
-            ));
-        }
-        (None, Some(_)) => {
-            return Err(format!(
-                "model {} was fitted without a compliance policy; refit with \
-                 `tclose fit --compliance` to bind one",
-                model_path.display()
-            ));
-        }
-    }
-
-    if p.flag("stream") {
-        let shard_rows: usize = p.get_parsed("shard-size", DEFAULT_SHARD_ROWS)?;
-        // Mirror the fused streaming engine's parallelism split: workers
-        // across shards, sequential kernels inside each shard.
-        let fitted = FittedAnonymizer::from_artifact(&artifact)
-            .with_backend(backend)
-            .with_parallelism(Parallelism::sequential());
-        let mut engine = ShardedAnonymizer::new(mp.k, mp.t).shard_rows(shard_rows);
-        if let Some(par) = workers {
-            engine = engine.with_parallelism(par);
-        }
-        if let Some(ce) = &compliance {
-            engine = engine.with_compliance(ce.clone());
-        }
-        let r = engine
-            .apply_file_with(&fitted, input, output)
-            .map_err(|e| e.to_string())?;
-        let mut msg = format!(
-            "released {} records to {} (pre-fitted model, {} shards × ≤{} rows)\n\
-             model               {}\n\
-             algorithm           {}\n\
-             requested (k, t)    ({}, {})\n\
-             achieved k          {} (worst shard)\n\
-             achieved t (EMD)    {:.5} (worst shard, vs global distribution)\n\
-             fit pass            skipped (pre-fitted model)\n\
-             anonymize pass      {:?}",
-            r.n_records,
-            output.display(),
-            r.n_shards,
-            r.shard_rows,
-            model_path.display(),
-            r.algorithm,
-            r.k_requested,
-            r.t_requested,
-            r.min_cluster_size,
-            r.max_emd,
-            r.apply_time,
-        );
-        if let Some(ce) = &compliance {
-            msg.push_str(&compliance_summary(
-                ce,
-                r.scrubbed_cells,
-                &r.compliance_audits,
-            )?);
-        }
-        if !r.satisfies_request() {
-            msg.push_str("\nwarning: the release does NOT meet the requested levels");
-        }
-        return Ok(msg);
-    }
-
-    let mut fitted = FittedAnonymizer::from_artifact(&artifact).with_backend(backend);
-    if let Some(par) = workers {
-        fitted = fitted.with_parallelism(par);
-    }
-    let table = load_with_schema_roles(input, artifact.global_fit().schema())?;
-    let (table, scrub) = match &compliance {
-        Some(engine) => {
-            let s = engine.scrub_table(&table, 0).map_err(|e| e.to_string())?;
-            (s.table, Some((s.cells, s.audits)))
-        }
-        None => (table, None),
-    };
-    let out = fitted.apply_shard(&table).map_err(|e| e.to_string())?;
-    let mut released = out.table.drop_identifiers().map_err(|e| e.to_string())?;
-    if let Some(engine) = &compliance {
-        released = engine
-            .drop_release_columns(&released)
-            .map_err(|e| e.to_string())?;
-    }
-    save(&released, output)?;
-    let r = &out.report;
-    let mut msg = format!(
-        "released {} records to {} (pre-fitted model)\n\
-         model               {}\n\
-         algorithm           {}\n\
-         requested (k, t)    ({}, {})\n\
-         achieved k          {}\n\
-         achieved t (EMD)    {:.5}\n\
-         equivalence classes {} (sizes min {} / mean {:.1} / max {})\n\
-         normalized SSE      {:.6}\n\
-         clustering time     {:?}",
-        r.n_records,
-        output.display(),
-        model_path.display(),
-        r.algorithm,
-        r.k_requested,
-        r.t_requested,
-        r.min_cluster_size,
-        r.max_emd,
-        r.n_clusters,
-        r.min_cluster_size,
-        r.mean_cluster_size,
-        r.max_cluster_size,
-        r.sse,
-        r.clustering_time,
-    );
-    if let (Some(engine), Some((cells, audits))) = (&compliance, &scrub) {
-        msg.push_str(&compliance_summary(engine, *cells, audits)?);
-    }
-    if !r.satisfies_request() {
-        msg.push_str("\nwarning: the release does NOT meet the requested levels");
     }
     Ok(msg)
 }
@@ -715,35 +597,27 @@ pub fn cmd_audit(p: &Parsed) -> Result<String, String> {
         return Err("--qi and --confidential are both required".into());
     }
     let par = parse_workers(p)?.unwrap_or_else(Parallelism::auto);
-    let table = load_with_roles(input, &qi, &confidential)?;
-    let achieved_k = tclose_core::verify_k_anonymity(&table).map_err(|e| e.to_string())?;
-    let conf = Confidential::from_table(&table).map_err(|e| e.to_string())?;
-    let achieved_t =
-        tclose_core::verify_t_closeness_with(&table, &conf, par).map_err(|e| e.to_string())?;
-    let achieved_l = tclose_core::verify_l_diversity(&table).map_err(|e| e.to_string())?;
-    let mut msg = format!(
-        "audited {} records from {}\nachieved k (min class size) {}\nachieved t (max class EMD)  {:.5}\nachieved l (min distinct)   {}",
-        table.n_rows(),
-        input.display(),
-        achieved_k,
-        achieved_t,
-        achieved_l,
-    );
     // With `--t` the audit also grades the release against a requested
     // level: deviation ≤ 1.0 means the t-budget holds. This is the check
     // to run after an approximate-backend (`hybrid`) release.
-    if let Some(v) = p.get("t") {
-        let t: f64 = v
-            .parse()
-            .map_err(|e| format!("--t: {e}"))
-            .and_then(|t: f64| {
-                if t.is_finite() && t > 0.0 {
-                    Ok(t)
-                } else {
-                    Err("--t must be a finite value > 0".into())
-                }
-            })?;
-        let deviation = achieved_t / t;
+    let requested_t = p.get("t").map(str::parse::<f64>).transpose();
+    let requested_t = match requested_t.map_err(|e| format!("--t: {e}"))? {
+        Some(t) if !(t.is_finite() && t > 0.0) => {
+            return Err("--t must be a finite value > 0".into())
+        }
+        t => t,
+    };
+    let table = load(
+        input,
+        Roles::Named {
+            qi: &qi,
+            confidential: &confidential,
+        },
+    )?;
+    let report = AuditReport::measure(&table, par)?;
+    let mut msg = report.render(&input.display().to_string());
+    if let Some(t) = requested_t {
+        let deviation = report.achieved_t / t;
         msg.push_str(&format!(
             "\nachieved t deviation        {deviation:.4} (achieved / requested {t}{})",
             if deviation <= 1.0 {

@@ -5,7 +5,7 @@
 //!                  [--seed N] [--n N]
 //! tclose scan      --input FILE [--compliance CONFIG.toml] [--json]
 //! tclose anonymize --input FILE --output FILE --qi COLS --confidential COLS
-//!                  --k N --t F [--algorithm alg1|alg2|alg3] [--report]
+//!                  --k N --t F [--algorithm alg1|alg2|alg3]
 //!                  [--workers N] [--backend auto|flat|kdtree|hybrid]
 //!                  [--stream] [--shard-size N]
 //!                  [--compliance CONFIG.toml] [--dry-run]

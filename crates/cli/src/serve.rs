@@ -120,10 +120,7 @@ pub fn cmd_request(p: &Parsed) -> Result<String, String> {
             let csv =
                 std::fs::read_to_string(input).map_err(|e| format!("cannot read {input}: {e}"))?;
             let report = client.audit(model, &csv).map_err(|e| e.to_string())?;
-            Ok(format!(
-                "audited {} records\nachieved k (min class size) {}\nachieved t (max class EMD)  {:.5}\nachieved l (min distinct)   {}",
-                report.n_records, report.achieved_k, report.achieved_t, report.achieved_l
-            ))
+            Ok(report.render(input))
         }
         "shutdown" => {
             client.shutdown_server().map_err(|e| e.to_string())?;

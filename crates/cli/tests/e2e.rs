@@ -730,6 +730,225 @@ fn apply_refuses_a_model_under_the_wrong_policy() {
     assert!(text.contains("TOK_EMAIL_"), "no tokens in bound release");
 }
 
+/// Runs the binary and returns its stdout, failing the test with both
+/// streams on a nonzero exit.
+fn tclose_ok(args: &[&str]) -> String {
+    let out = tclose(args);
+    let stdout = String::from_utf8(out.stdout).unwrap();
+    let stderr = String::from_utf8(out.stderr).unwrap();
+    assert!(
+        out.status.success(),
+        "tclose {args:?} failed:\n{stdout}\n{stderr}"
+    );
+    stdout
+}
+
+/// The planted-PII fixture at `--seed 2` (the cross-mode tests' input).
+fn pii_seed2(name: &str) -> PathBuf {
+    let data = tmp(name);
+    tclose_ok(&[
+        "generate",
+        "--dataset",
+        "pii",
+        "--n",
+        "400",
+        "--seed",
+        "2",
+        "--output",
+        data.to_str().unwrap(),
+    ]);
+    data
+}
+
+/// A tokenize policy dropping RECORD_ID, auditing to `audit`, with
+/// `extra` appended to its `[compliance]` table.
+fn tokenize_policy(name: &str, audit: &Path, extra: &str) -> PathBuf {
+    write_policy(
+        name,
+        &format!(
+            "[compliance]\nprofile = \"hipaa\"\nstrategy = \"tokenize\"\nkey = \"mode-key\"\n\
+             drop_columns = [\"RECORD_ID\"]\n{extra}\n\
+             [compliance.audit]\nenabled = true\npath = \"{}\"\nsalt = \"mode-salt\"\n",
+            audit.display()
+        ),
+    )
+}
+
+const PII_ROLES: [&str; 8] = [
+    "--qi",
+    "AGE,ZIP,STAY_DAYS",
+    "--confidential",
+    "CHARGE",
+    "--k",
+    "4",
+    "--t",
+    "0.35",
+];
+
+/// Reads a file and removes it, so the next run must write it afresh.
+fn take(path: &Path) -> Vec<u8> {
+    let bytes = std::fs::read(path).unwrap_or_else(|e| panic!("{}: {e}", path.display()));
+    std::fs::remove_file(path).unwrap();
+    bytes
+}
+
+#[test]
+fn fused_and_fit_apply_releases_agree_under_a_policy() {
+    let data = pii_seed2("pii_modes.csv");
+    let input = data.to_str().unwrap();
+    let audit = tmp("pii_modes_audit.jsonl");
+    let _ = std::fs::remove_file(&audit);
+    let policy = tokenize_policy("pii_modes_policy.toml", &audit, "");
+    let policy = policy.to_str().unwrap();
+    let model = tmp("pii_modes_model.json");
+    let model = model.to_str().unwrap();
+
+    for stream in [&[][..], &["--stream", "--shard-size", "150"][..]] {
+        let fused = tmp("pii_modes_fused.csv");
+        let fused = fused.to_str().unwrap();
+        let mut args = vec!["anonymize", "--input", input, "--output", fused];
+        args.extend(PII_ROLES);
+        args.extend(stream);
+        args.extend(["--compliance", policy]);
+        tclose_ok(&args);
+        let (fused_release, fused_audit) = (take(Path::new(fused)), take(&audit));
+
+        let mut args = vec!["fit", "--input", input, "--out", model];
+        args.extend(PII_ROLES);
+        args.extend(stream);
+        args.extend(["--compliance", policy]);
+        tclose_ok(&args);
+        assert!(!audit.exists(), "fit wrote an audit log");
+
+        let applied = tmp("pii_modes_applied.csv");
+        let applied = applied.to_str().unwrap();
+        let mut args = vec![
+            "apply", "--model", model, "--input", input, "--output", applied,
+        ];
+        args.extend(stream);
+        args.extend(["--compliance", policy]);
+        tclose_ok(&args);
+
+        assert!(
+            take(Path::new(applied)) == fused_release,
+            "{stream:?}: fit + apply release differs from anonymize"
+        );
+        assert!(
+            take(&audit) == fused_audit,
+            "{stream:?}: fit + apply audit log differs from anonymize"
+        );
+    }
+}
+
+#[test]
+fn apply_honours_a_dry_run_policy_in_both_modes() {
+    let data = pii_seed2("pii_apply_dry.csv");
+    let input = data.to_str().unwrap();
+    let audit = tmp("pii_apply_dry_audit.jsonl");
+    let dry = tokenize_policy("pii_apply_dry.toml", &audit, "dry_run = true");
+    let wet = tokenize_policy("pii_apply_wet.toml", &audit, "");
+    let model = tmp("pii_apply_dry_model.json");
+    let model = model.to_str().unwrap();
+    let released = tmp("pii_apply_dry_out.csv");
+    let _ = std::fs::remove_file(&released);
+    let _ = std::fs::remove_file(&audit);
+
+    let mut args = vec!["fit", "--input", input, "--out", model];
+    args.extend(PII_ROLES);
+    args.extend(["--compliance", dry.to_str().unwrap()]);
+    tclose_ok(&args);
+
+    // `dry_run = true` in the file, and the environment override on a
+    // policy without it: both preview, neither writes.
+    for (policy, env_dry_run) in [(&dry, false), (&wet, true)] {
+        for stream in [&[][..], &["--stream", "--shard-size", "150"][..]] {
+            let mut args = vec![
+                "apply",
+                "--model",
+                model,
+                "--input",
+                input,
+                "--output",
+                released.to_str().unwrap(),
+                "--compliance",
+                policy.to_str().unwrap(),
+            ];
+            args.extend(stream);
+            let mut cmd = Command::new(env!("CARGO_BIN_EXE_tclose"));
+            if env_dry_run {
+                cmd.env("TCLOSE_COMPLIANCE_DRY_RUN", "1");
+            }
+            let out = cmd.args(&args).output().unwrap();
+            let stdout = String::from_utf8(out.stdout).unwrap();
+            let stderr = String::from_utf8(out.stderr).unwrap();
+            assert!(out.status.success(), "{args:?}:\n{stdout}\n{stderr}");
+            assert!(
+                stdout.contains("dry run: no release or audit log written"),
+                "{args:?}:\n{stdout}"
+            );
+            assert!(stdout.contains("cells pending transform 2000"), "{stdout}");
+            assert!(!released.exists(), "{args:?} wrote the release");
+            assert!(!audit.exists(), "{args:?} wrote the audit log");
+        }
+    }
+}
+
+#[test]
+fn bad_parameters_and_policies_fail_before_the_input_is_opened() {
+    let policy = write_policy("bad_profile.toml", "[compliance]\nprofile = \"nope\"\n");
+    let policy = policy.to_str().unwrap();
+    let missing = ["--input", "/nonexistent/nope.csv"];
+    let roles = ["--qi", "age", "--confidential", "income", "--k", "2"];
+    let cases: [(&[&str], &str); 4] = [
+        (
+            &["anonymize", "--output", "/nonexistent/o.csv", "--t", "1.5"],
+            "t must lie in (0, 1]",
+        ),
+        (
+            &[
+                "anonymize",
+                "--output",
+                "/nonexistent/o.csv",
+                "--t",
+                "1.5",
+                "--stream",
+            ],
+            "t must lie in (0, 1]",
+        ),
+        (
+            &[
+                "fit",
+                "--out",
+                "/nonexistent/m.json",
+                "--t",
+                "1.5",
+                "--stream",
+            ],
+            "t must lie in (0, 1]",
+        ),
+        (
+            &[
+                "fit",
+                "--out",
+                "/nonexistent/m.json",
+                "--t",
+                "0.3",
+                "--compliance",
+                policy,
+            ],
+            "unknown compliance profile",
+        ),
+    ];
+    for (args, expected) in cases {
+        let args: Vec<&str> = args.iter().chain(&missing).chain(&roles).copied().collect();
+        let out = tclose(&args);
+        assert!(!out.status.success(), "{args:?}");
+        let stderr = String::from_utf8(out.stderr).unwrap();
+        assert!(stderr.contains(expected), "{args:?}: {stderr}");
+        assert!(!stderr.contains("cannot open"), "{args:?}: {stderr}");
+    }
+}
+
 #[test]
 fn bench_subcommand_mounts_the_perf_harness() {
     // Help comes from the perf harness, not the anonymizer usage text.

@@ -31,10 +31,10 @@ use tclose_metrics::KernelPath;
 use tclose_microagg::{
     mdav_partition_with, vmdav_partition_with, Matrix, NeighborBackend, Parallelism,
 };
-use tclose_microdata::csv::{read_csv_auto, to_csv_string, write_csv};
-use tclose_microdata::{AttributeRole, Table};
+use tclose_microdata::csv::{to_csv_string, write_csv};
+use tclose_microdata::Table;
 use tclose_serve::TestServer;
-use tclose_stream::ShardedAnonymizer;
+use tclose_stream::{read_with_roles, Roles, ShardedAnonymizer};
 
 use crate::fingerprint;
 use crate::report::{CaseResult, Report, SCHEMA_VERSION};
@@ -336,15 +336,11 @@ fn stream_cases(
         format!("stream/monolithic/{workload}"),
         move || {
             let file = std::fs::File::open(&input_mono).expect("benchmark input exists");
-            let mut table = read_csv_auto(std::io::BufReader::new(file)).expect("valid CSV");
-            let mut roles: Vec<(&str, AttributeRole)> = Vec::new();
-            for name in &qi_mono {
-                roles.push((name.as_str(), AttributeRole::QuasiIdentifier));
-            }
-            for name in &conf_mono {
-                roles.push((name.as_str(), AttributeRole::Confidential));
-            }
-            table.schema_mut().set_roles(&roles).expect("known columns");
+            let roles = Roles::Named {
+                qi: &qi_mono,
+                confidential: &conf_mono,
+            };
+            let table = read_with_roles(std::io::BufReader::new(file), roles).expect("valid CSV");
             let out = Anonymizer::new(5, 0.3)
                 .algorithm(Algorithm::TClosenessFirst)
                 .with_parallelism(Parallelism::sequential())

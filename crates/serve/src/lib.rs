@@ -15,17 +15,20 @@
 //! - [`protocol`]: length-prefixed JSON frames; the cap on the length
 //!   prefix is enforced *before* allocation.
 //! - [`server`]: bounded-queue batching through
-//!   [`FittedAnonymizer::apply_shard`](tclose_core::FittedAnonymizer::apply_shard)
-//!   workers, arrival-order responses, explicit `busy` backpressure,
-//!   queue-wait timeouts, and drain-on-shutdown.
+//!   [`release_shard`](tclose_stream::release_shard) workers,
+//!   arrival-order responses, explicit `busy` backpressure, queue-wait
+//!   timeouts, and drain-on-shutdown.
 //! - [`client`]: a blocking client with pipelining support.
 //! - [`testing`]: the [`TestServer`] fixture used by the unit,
 //!   property, and e2e suites (ephemeral port, temp registry,
 //!   deterministic `sleep` test op).
 //!
 //! Anonymize responses are **byte-identical** to offline
-//! `tclose apply` on the same artifact and input — the server runs the
-//! exact same parse → apply → drop-identifiers → render pipeline.
+//! `tclose apply` on the same artifact and input by construction: both
+//! read the records with [`tclose_stream::read_with_roles`] and release
+//! them with one call to [`tclose_stream::release_shard`]. The daemon
+//! passes no compliance policy, so the registry rejects models bound to
+//! one; those are applied offline with `tclose apply --compliance`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -14,6 +14,9 @@
 
 use std::io::{self, Read, Write};
 
+use tclose_core::{verify_k_anonymity, verify_l_diversity, verify_t_closeness_with, Confidential};
+use tclose_microdata::Table;
+use tclose_parallel::Parallelism;
 use tclose_ser::Json;
 
 /// Default maximum frame payload size: 64 MiB.
@@ -342,6 +345,33 @@ pub struct AuditReport {
 }
 
 impl AuditReport {
+    /// Audits a released table: k-anonymity, t-closeness against the
+    /// table's own confidential distribution, and l-diversity. `tclose
+    /// audit` and the daemon's audit op both run this.
+    pub fn measure(table: &Table, par: Parallelism) -> Result<AuditReport, String> {
+        let achieved_k = verify_k_anonymity(table).map_err(|e| e.to_string())?;
+        let conf = Confidential::from_table(table).map_err(|e| e.to_string())?;
+        let achieved_t = verify_t_closeness_with(table, &conf, par).map_err(|e| e.to_string())?;
+        let achieved_l = verify_l_diversity(table).map_err(|e| e.to_string())?;
+        Ok(AuditReport {
+            n_records: table.n_rows(),
+            achieved_k,
+            achieved_t,
+            achieved_l,
+        })
+    }
+
+    /// The audit as text, naming the audited `source`.
+    pub fn render(&self, source: &str) -> String {
+        format!(
+            "audited {} records from {source}\n\
+             achieved k (min class size) {}\n\
+             achieved t (max class EMD)  {:.5}\n\
+             achieved l (min distinct)   {}",
+            self.n_records, self.achieved_k, self.achieved_t, self.achieved_l
+        )
+    }
+
     fn to_json(&self) -> Json {
         Json::Obj(vec![
             ("n_records".to_string(), num_u64(self.n_records as u64)),

@@ -33,10 +33,10 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use tclose_core::NeighborBackend;
-use tclose_core::{verify_k_anonymity, verify_l_diversity, verify_t_closeness_with, Confidential};
-use tclose_microdata::csv::{read_csv_auto, to_csv_string};
-use tclose_microdata::{AttributeRole, Table};
+use tclose_microdata::csv::to_csv_string;
+use tclose_microdata::Table;
 use tclose_parallel::{parallel_map_with, Parallelism};
+use tclose_stream::{read_with_roles, release_shard, Roles};
 
 use crate::protocol::{
     read_frame, write_frame, ApplyReport, AuditReport, FrameError, Request, Response,
@@ -621,7 +621,9 @@ fn process(shared: &Shared, req: &Request, model: Option<Arc<LoadedModel>>) -> R
             let Some(model) = model else {
                 return unknown_model(shared, *id, name);
             };
-            match audit_csv(&model, csv) {
+            match model_table(&model, csv)
+                .and_then(|table| AuditReport::measure(&table, Parallelism::sequential()))
+            {
                 Ok(report) => Response::Audited { id: *id, report },
                 Err(detail) => Response::Error { id: *id, detail },
             }
@@ -641,63 +643,33 @@ fn unknown_model(shared: &Shared, id: u64, name: &str) -> Response {
     Response::Error { id, detail }
 }
 
-/// Parses the request CSV with the model's schema roles, applies the
-/// resident fitted anonymizer, and renders the release — the exact
-/// pipeline of `tclose apply` (non-stream), so responses are
-/// byte-identical to the offline path.
+/// Releases the request CSV under the resident model: the model's
+/// roles, then [`release_shard`] without a compliance policy — the call
+/// `tclose apply` makes, so responses are byte-identical to it.
 fn anonymize_csv(model: &LoadedModel, csv: &str) -> Result<(String, ApplyReport), String> {
-    let table = table_with_model_roles(model, csv)?;
-    let out = model
-        .fitted
-        .apply_shard(&table)
+    let shard = release_shard(&model.fitted, None, &model_table(model, csv)?, 0)
         .map_err(|e| e.to_string())?;
-    let released = out.table.drop_identifiers().map_err(|e| e.to_string())?;
-    let rendered = to_csv_string(&released).map_err(|e| e.to_string())?;
+    let rendered = to_csv_string(&shard.table).map_err(|e| e.to_string())?;
+    let r = shard.report;
     Ok((
         rendered,
         ApplyReport {
-            n_records: out.report.n_records,
-            n_clusters: out.report.n_clusters,
-            achieved_k: out.report.min_cluster_size,
-            max_emd: out.report.max_emd,
-            sse: out.report.sse,
+            n_records: r.n_records,
+            n_clusters: r.n_clusters,
+            achieved_k: r.min_cluster_size,
+            max_emd: r.max_emd,
+            sse: r.sse,
         },
     ))
 }
 
-/// Audits a released CSV against the model's roles — the same checks
-/// as `tclose audit` (k-anonymity, t-closeness vs the release's own
-/// global distribution, l-diversity).
-fn audit_csv(model: &LoadedModel, csv: &str) -> Result<AuditReport, String> {
-    let table = table_with_model_roles(model, csv)?;
-    let achieved_k = verify_k_anonymity(&table).map_err(|e| e.to_string())?;
-    let conf = Confidential::from_table(&table).map_err(|e| e.to_string())?;
-    let achieved_t = verify_t_closeness_with(&table, &conf, Parallelism::sequential())
-        .map_err(|e| e.to_string())?;
-    let achieved_l = verify_l_diversity(&table).map_err(|e| e.to_string())?;
-    Ok(AuditReport {
-        n_records: table.n_rows(),
-        achieved_k,
-        achieved_t,
-        achieved_l,
-    })
-}
-
-fn table_with_model_roles(model: &LoadedModel, csv: &str) -> Result<Table, String> {
-    let mut table = read_csv_auto(csv.as_bytes()).map_err(|e| e.to_string())?;
-    let roles: Vec<(&str, AttributeRole)> = model
-        .artifact
-        .global_fit()
-        .schema()
-        .attributes()
-        .iter()
-        .map(|a| (a.name.as_str(), a.role))
-        .collect();
-    table
-        .schema_mut()
-        .set_roles(&roles)
-        .map_err(|e| format!("input does not match the model's schema: {e}"))?;
-    Ok(table)
+/// Reads a request CSV with the roles the model's schema declares.
+fn model_table(model: &LoadedModel, csv: &str) -> Result<Table, String> {
+    read_with_roles(
+        csv.as_bytes(),
+        Roles::Model(model.fitted.global_fit().schema()),
+    )
+    .map_err(|e| e.to_string())
 }
 
 fn log_scan(report: &ScanReport) {

@@ -20,19 +20,21 @@
 //!    [`GlobalFit`]. Memory is bounded by the
 //!    number of *distinct* values per column, never the record count.
 //! 2. **Apply** — re-read the file in shards of `shard_rows` records
-//!    through [`CsvChunks`], anonymize
-//!    up to `workers` shards concurrently with
-//!    [`FittedAnonymizer::apply_shard`](tclose_core::FittedAnonymizer),
-//!    and append the masked shards to the output **in input order**
+//!    through [`CsvChunks`], release
+//!    up to `workers` shards concurrently with [`release_shard`],
+//!    and append the released shards to the output **in input order**
 //!    through [`CsvAppendWriter`].
 //!    Peak residency is `O(workers × shard_rows)` records.
 //!
-//! With a compliance policy installed
-//! ([`ShardedAnonymizer::with_compliance`]), each shard is additionally
-//! scrubbed of direct identifiers (SSNs, emails, phone numbers, …)
-//! *before* anonymization. The scrub is a pure per-cell function of the
-//! policy, so the release stays invariant to shard size and worker count,
-//! and byte-identical to scrubbing the file monolithically.
+//! [`release_shard`] is the one release path of the workspace: the
+//! in-memory `tclose anonymize` and `tclose apply` call it once on the
+//! whole table, and the serving daemon once per request. With a
+//! compliance policy installed ([`ShardedAnonymizer::with_compliance`]),
+//! it scrubs each shard of direct identifiers (SSNs, emails, phone
+//! numbers, …) *before* anonymization. The scrub is a pure per-cell
+//! function of the policy, so the release stays invariant to shard size
+//! and worker count, and byte-identical to scrubbing the file
+//! monolithically.
 //!
 //! Every shard is audited against the **global** confidential
 //! distribution, so each released equivalence class is t-close in the
@@ -67,22 +69,24 @@
 
 mod error;
 mod fit_pass;
+mod release;
 mod report;
 
 pub use error::{Error, Result};
 pub use fit_pass::{fit_auto, fit_with_schema};
+pub use release::{release_shard, ReleasedShard};
 pub use report::StreamReport;
 
 use std::fs::File;
-use std::io::{BufReader, BufWriter};
+use std::io::{BufReader, BufWriter, Read};
 use std::path::Path;
 use std::time::{Duration, Instant};
 
-use tclose_compliance::{AuditRecord, ComplianceEngine};
+use tclose_compliance::ComplianceEngine;
 use tclose_core::{
-    Algorithm, AnonymizationReport, Anonymizer, FittedAnonymizer, GlobalFit, NeighborBackend,
+    Algorithm, Anonymizer, FittedAnonymizer, GlobalFit, NeighborBackend, TClosenessParams,
 };
-use tclose_microdata::csv::{CsvAppendWriter, CsvChunks};
+use tclose_microdata::csv::{read_csv_auto, CsvAppendWriter, CsvChunks};
 use tclose_microdata::{AttributeRole, NormalizeMethod, Schema, Table};
 use tclose_parallel::{parallel_map_with, Parallelism};
 
@@ -193,11 +197,14 @@ impl ShardedAnonymizer {
         qi: &[String],
         confidential: &[String],
     ) -> Result<GlobalFit> {
+        self.check_shard_rows()?;
         let file = open(input)?;
         match &self.schema {
             Some(schema) => {
                 let mut schema = schema.clone();
-                apply_roles(&mut schema, qi, confidential)?;
+                Roles::Named { qi, confidential }
+                    .assign(&mut schema)
+                    .map_err(|e| Error::Config(e.to_string()))?;
                 fit_pass::fit_with_schema(
                     BufReader::new(file),
                     schema,
@@ -214,7 +221,8 @@ impl ShardedAnonymizer {
     /// `qi` / `confidential` name the quasi-identifier and confidential
     /// columns (a name in both lists is treated as confidential, matching
     /// sequential role assignment). Identifier columns of an explicit
-    /// schema are dropped from the release.
+    /// schema are dropped from the release. The `(k, t)` pair and the
+    /// shard size are checked before the input is opened.
     pub fn anonymize_file(
         &self,
         input: &Path,
@@ -222,31 +230,24 @@ impl ShardedAnonymizer {
         qi: &[String],
         confidential: &[String],
     ) -> Result<StreamReport> {
-        if self.shard_rows == 0 {
-            return Err(Error::Config("shard size must be at least 1".into()));
-        }
-
+        TClosenessParams::new(self.k, self.t)?;
         let fit_started = Instant::now();
-        let fit = self.fit_file(input, qi, confidential)?;
-        let fit_time = fit_started.elapsed();
-
-        let apply_started = Instant::now();
-        // Parallelism is spent *across* shards (parallel_map_with below);
-        // inside each shard the kernels run sequentially so `workers`
-        // shards never oversubscribe the machine. Either split yields
-        // bit-identical output — kernels are worker-count independent.
+        // Parallelism is spent *across* shards (parallel_map_with in
+        // pass 2); inside each shard the kernels run sequentially so
+        // `workers` shards never oversubscribe the machine. Either split
+        // yields bit-identical output — kernels are worker-count
+        // independent.
         let fitted = Anonymizer::new(self.k, self.t)
             .algorithm(self.algorithm)
             .normalization(self.normalize)
             .with_parallelism(Parallelism::sequential())
             .with_backend(self.backend)
-            .with_fit(fit)?;
+            .with_fit(self.fit_file(input, qi, confidential)?)?;
+        let fit_time = fit_started.elapsed();
 
-        let pass2 = self.apply_file(&fitted, input, output)?;
-        let apply_time = apply_started.elapsed();
-        let mut report = StreamReport::merge(pass2.reports, self.shard_rows, fit_time, apply_time);
-        report.scrubbed_cells = pass2.scrubbed_cells;
-        report.compliance_audits = pass2.audits;
+        let mut report = self.apply_file_with(&fitted, input, output)?;
+        report.fit_time = fit_time;
+        report.prefitted = false;
         Ok(report)
     }
 
@@ -257,156 +258,159 @@ impl ShardedAnonymizer {
     /// — to `input`, skipping the fit pass entirely.
     ///
     /// The privacy parameters, algorithm, and schema all come from
-    /// `fitted`; of this engine's own configuration only `shard_rows` and
-    /// the worker count are used. The returned report has
-    /// [`StreamReport::prefitted`] set, [`StreamReport::fit_time`] zero,
-    /// and output byte-identical to [`ShardedAnonymizer::anonymize_file`]
-    /// with the same fit. For the engine's usual parallelism split
-    /// (workers across shards, sequential kernels inside each — either
-    /// choice is output-invariant), build `fitted` with
-    /// `Parallelism::sequential()`.
+    /// `fitted`; of this engine's own configuration only `shard_rows`,
+    /// the worker count and the compliance policy are used. The returned
+    /// report has [`StreamReport::prefitted`] set,
+    /// [`StreamReport::fit_time`] zero, and output byte-identical to
+    /// [`ShardedAnonymizer::anonymize_file`] with the same fit. For the
+    /// engine's usual parallelism split (workers across shards,
+    /// sequential kernels inside each — either choice is
+    /// output-invariant), build `fitted` with `Parallelism::sequential()`.
+    ///
+    /// Each shard goes through [`release_shard`] inside the worker pool;
+    /// the released shards are appended to `output` in input order.
     pub fn apply_file_with(
         &self,
         fitted: &FittedAnonymizer,
         input: &Path,
         output: &Path,
     ) -> Result<StreamReport> {
-        if self.shard_rows == 0 {
-            return Err(Error::Config("shard size must be at least 1".into()));
-        }
-        let apply_started = Instant::now();
-        let pass2 = self.apply_file(fitted, input, output)?;
-        let apply_time = apply_started.elapsed();
-        let mut report =
-            StreamReport::merge(pass2.reports, self.shard_rows, Duration::ZERO, apply_time);
-        report.prefitted = true;
-        report.scrubbed_cells = pass2.scrubbed_cells;
-        report.compliance_audits = pass2.audits;
-        Ok(report)
-    }
-
-    /// Pass 2: chunked re-read, per-shard compliance scrub (when a policy
-    /// is installed), parallel per-shard anonymization, ordered appends.
-    fn apply_file(&self, fitted: &FittedAnonymizer, input: &Path, output: &Path) -> Result<Pass2> {
+        self.check_shard_rows()?;
+        let started = Instant::now();
         let schema = fitted.global_fit().schema().clone();
         let reader = BufReader::new(open(input)?);
-        let chunks = CsvChunks::new(reader, schema.clone(), self.shard_rows)?;
+        let chunks = CsvChunks::new(reader, schema, self.shard_rows)?;
         // Never hand a too-small final shard to the clusterer: below
         // max(2k, shard/2) records it merges into its predecessor. k comes
-        // from the fitted anonymizer, which in the pre-fitted path may
-        // differ from this builder's own `k`.
+        // from the fitted anonymizer, which may differ from this
+        // builder's own `k`.
         let tail_min = (2 * fitted.params().k).max(self.shard_rows / 2);
         let mut shards = MergeTail::new(chunks, self.shard_rows, tail_min);
 
-        let release_schema = self.released_schema(&schema)?;
-        let out = File::create(output)
-            .map_err(|e| Error::Io(format!("cannot create {}: {e}", output.display())))?;
-        let mut writer = CsvAppendWriter::new(BufWriter::new(out), &release_schema)?;
+        let mut sink = Some(BufWriter::new(File::create(output).map_err(|e| {
+            Error::Io(format!("cannot create {}: {e}", output.display()))
+        })?));
+        // The header comes from the first released shard, so it names
+        // exactly the columns `release_shard` keeps.
+        let mut writer = None;
 
         // Process up to `workers` shards at a time: bounded residency,
         // input-order writes. Each shard carries its global starting row
         // so compliance audits report input-file row numbers.
         let workers = self.par.worker_count().max(1);
         let mut reports = Vec::new();
-        let mut audits: Vec<AuditRecord> = Vec::new();
-        let mut scrubbed_cells = 0usize;
-        let mut next_row = 0usize;
+        let mut audits = Vec::new();
+        let mut scrubbed_cells = 0;
+        let mut next_row = 0;
         loop {
             let mut batch: Vec<(Table, usize)> = Vec::with_capacity(workers);
             while batch.len() < workers {
-                match shards.next()? {
-                    Some(t) => {
-                        let offset = next_row;
-                        next_row += t.n_rows();
-                        batch.push((t, offset));
-                    }
-                    None => break,
-                }
+                let Some(t) = shards.next()? else { break };
+                let first_row = next_row;
+                next_row += t.n_rows();
+                batch.push((t, first_row));
             }
             if batch.is_empty() {
                 break;
             }
-            let outs = parallel_map_with(batch, self.par, |(shard, offset)| {
-                self.scrub_and_apply(fitted, shard, *offset)
+            let released = parallel_map_with(batch, self.par, |(shard, first_row)| {
+                release_shard(fitted, self.compliance.as_ref(), shard, *first_row)
             });
-            for anon in outs {
-                let (anon, shard_audits, cells) = anon?;
-                let mut released = anon.table.drop_identifiers()?;
-                if let Some(engine) = &self.compliance {
-                    released = engine.drop_release_columns(&released)?;
-                }
-                writer.append(&released)?;
-                reports.push(anon.report);
-                audits.extend(shard_audits);
-                scrubbed_cells += cells;
+            for shard in released {
+                let shard = shard?;
+                let writer = match &mut writer {
+                    Some(w) => w,
+                    None => writer.insert(CsvAppendWriter::new(
+                        sink.take().expect("the sink is opened once"),
+                        shard.table.schema(),
+                    )?),
+                };
+                writer.append(&shard.table)?;
+                reports.push(shard.report);
+                audits.extend(shard.audits);
+                scrubbed_cells += shard.scrubbed_cells;
             }
         }
-        if reports.is_empty() {
+        let Some(writer) = writer else {
             return Err(Error::Data {
                 line: None,
                 detail: "input has a header but no data records".into(),
             });
-        }
+        };
         writer.finish()?;
-        Ok(Pass2 {
-            reports,
-            audits,
-            scrubbed_cells,
-        })
+        let mut report =
+            StreamReport::merge(reports, self.shard_rows, Duration::ZERO, started.elapsed());
+        report.prefitted = true;
+        report.scrubbed_cells = scrubbed_cells;
+        report.compliance_audits = audits;
+        Ok(report)
     }
 
-    /// Scrubs one shard through the compliance policy (if any), then
-    /// anonymizes it. Pure per shard, so it runs inside the worker pool;
-    /// shards arrive with their global starting row for audit numbering.
-    fn scrub_and_apply(
-        &self,
-        fitted: &FittedAnonymizer,
-        shard: &Table,
-        offset: usize,
-    ) -> Result<(tclose_core::Anonymized, Vec<AuditRecord>, usize)> {
-        match &self.compliance {
-            Some(engine) => {
-                let scrubbed = engine.scrub_table(shard, offset)?;
-                let anon = fitted.apply_shard(&scrubbed.table)?;
-                Ok((anon, scrubbed.audits, scrubbed.cells))
-            }
-            None => Ok((fitted.apply_shard(shard)?, Vec::new(), 0)),
+    fn check_shard_rows(&self) -> Result<()> {
+        if self.shard_rows == 0 {
+            return Err(Error::Config("shard size must be at least 1".into()));
         }
-    }
-
-    /// The release schema: every non-identifier attribute, minus the
-    /// compliance policy's dropped columns, in order.
-    fn released_schema(&self, schema: &Schema) -> Result<Schema> {
-        let keep: Vec<usize> = (0..schema.n_attributes())
-            .filter(|&i| {
-                schema
-                    .attribute(i)
-                    .map(|a| {
-                        a.role != AttributeRole::Identifier
-                            && self
-                                .compliance
-                                .as_ref()
-                                .map(|e| !e.config().drop_columns.contains(&a.name))
-                                .unwrap_or(true)
-                    })
-                    .unwrap_or(true)
-            })
-            .collect();
-        Ok(schema.project(&keep)?)
+        Ok(())
     }
 }
 
-/// Everything pass 2 produces besides the output file itself.
-struct Pass2 {
-    reports: Vec<AnonymizationReport>,
-    audits: Vec<AuditRecord>,
-    scrubbed_cells: usize,
+/// Where the column roles of a table read by [`read_with_roles`] come
+/// from.
+#[derive(Debug, Clone, Copy)]
+pub enum Roles<'a> {
+    /// Quasi-identifier and confidential column names; a name in both
+    /// lists is confidential.
+    Named {
+        /// Quasi-identifier columns.
+        qi: &'a [String],
+        /// Confidential columns.
+        confidential: &'a [String],
+    },
+    /// Every role a fitted model's schema declares.
+    Model(&'a Schema),
+}
+
+impl Roles<'_> {
+    /// Assigns the roles to `schema` by column name.
+    fn assign(self, schema: &mut Schema) -> tclose_microdata::Result<()> {
+        match self {
+            Roles::Named { qi, confidential } => {
+                let qi = qi
+                    .iter()
+                    .map(|n| (n.as_str(), AttributeRole::QuasiIdentifier));
+                let conf = confidential
+                    .iter()
+                    .map(|n| (n.as_str(), AttributeRole::Confidential));
+                schema.set_roles(&qi.chain(conf).collect::<Vec<_>>())
+            }
+            Roles::Model(model) => {
+                let roles: Vec<_> = model
+                    .attributes()
+                    .iter()
+                    .map(|a| (a.name.as_str(), a.role))
+                    .collect();
+                schema.set_roles(&roles).map_err(|e| {
+                    tclose_microdata::Error::InvalidSchema(format!(
+                        "input does not match the model's schema: {e}"
+                    ))
+                })
+            }
+        }
+    }
+}
+
+/// Reads a whole CSV into memory, inferring column kinds, and assigns
+/// `roles`.
+pub fn read_with_roles<R: Read>(reader: R, roles: Roles<'_>) -> Result<Table> {
+    let mut table = read_csv_auto(reader)?;
+    roles.assign(table.schema_mut())?;
+    Ok(table)
 }
 
 /// One-chunk-lookahead adapter merging a too-small final chunk into its
 /// predecessor. Every chunk before the last has exactly `chunk_rows`
 /// records, so a short chunk is always the last one.
-struct MergeTail<R: std::io::Read> {
+struct MergeTail<R: Read> {
     chunks: CsvChunks<R>,
     pending: Option<Table>,
     chunk_rows: usize,
@@ -414,7 +418,7 @@ struct MergeTail<R: std::io::Read> {
     started: bool,
 }
 
-impl<R: std::io::Read> MergeTail<R> {
+impl<R: Read> MergeTail<R> {
     fn new(chunks: CsvChunks<R>, chunk_rows: usize, tail_min: usize) -> Self {
         MergeTail {
             chunks,
@@ -469,21 +473,6 @@ fn concat(a: &Table, b: &Table) -> Result<Table> {
         out.push_row(&row)?;
     }
     Ok(out)
-}
-
-/// Applies QI / confidential roles by column name (confidential wins on a
-/// double listing).
-fn apply_roles(schema: &mut Schema, qi: &[String], confidential: &[String]) -> Result<()> {
-    let mut roles: Vec<(&str, AttributeRole)> = Vec::new();
-    for name in qi {
-        roles.push((name.as_str(), AttributeRole::QuasiIdentifier));
-    }
-    for name in confidential {
-        roles.push((name.as_str(), AttributeRole::Confidential));
-    }
-    schema
-        .set_roles(&roles)
-        .map_err(|e| Error::Config(e.to_string()))
 }
 
 fn open(path: &Path) -> Result<File> {
@@ -664,6 +653,17 @@ mod tests {
             ),
             Err(Error::Io(_))
         ));
+    }
+
+    #[test]
+    fn bad_privacy_parameters_fail_before_the_input_is_opened() {
+        let missing = tmp("params_never_there.csv");
+        let output = tmp("params_out.csv");
+        let err = ShardedAnonymizer::new(3, 1.5)
+            .anonymize_file(&missing, &output, &qi(), &conf())
+            .unwrap_err();
+        assert!(matches!(err, Error::Core(_)), "{err:?}");
+        assert!(err.to_string().contains("t must lie in (0, 1]"), "{err}");
     }
 
     #[test]

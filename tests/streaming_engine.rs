@@ -160,12 +160,16 @@ fn streaming_release_is_worker_invariant_and_every_class_audits_clean() {
 
 #[test]
 fn streaming_matches_monolithic_when_one_shard_covers_the_file() {
-    // With shard_rows ≥ n the engine runs fit + one apply — the release
-    // must be identical to the in-memory pipeline on the same data (the
-    // streaming fit's moments differ only in the Welford vs batch mean
-    // path, which agree exactly for the whole-file pass... so compare the
-    // *audits*, not bytes: both releases must satisfy the same levels and
-    // have identical class structure sizes).
+    // With shard_rows ≥ n the engine runs fit + one apply, but the
+    // release is not byte-identical to the in-memory pipeline in general:
+    // the streaming fit's Welford moments differ from the batch moments in
+    // the last bits (on `patient --n 5000 --seed 3` the AGE shift is
+    // 62.82379999999998 streamed vs 62.8238 in memory), and that moves
+    // records between classes — at k 5, t 0.25, 10 of 5,000 release rows
+    // differ under Alg. 3, 1,216 under Alg. 1 and 1,530 under Alg. 2.
+    // census-mcd --seed 3 happens to match byte for byte. So compare the
+    // *audits*: both releases satisfy the same levels with the same class
+    // structure sizes.
     let table = tclose::datasets::census_mcd(3);
     let input = tmp("mono_in.csv");
     write_csv(&table, std::fs::File::create(&input).unwrap()).unwrap();
