@@ -70,6 +70,8 @@
 //! (Soria-Comas et al., ICDE 2016): microaggregation + merging,
 //! k-anonymity-first refinement, and t-closeness-first stratification.
 
+#![forbid(unsafe_code)]
+
 mod args;
 mod commands;
 mod serve;

@@ -12,7 +12,7 @@ use std::path::Path;
 use tclose_ser::Json;
 
 use crate::config::Strategy;
-use crate::sha256::sha256_hex;
+use crate::sha256::{hex, Sha256};
 use crate::ComplianceError;
 
 /// One transformed cell.
@@ -72,10 +72,15 @@ impl AuditRecord {
 /// `sha256(salt ‖ original)` as lowercase hex — the only form of the
 /// original value that ever leaves the scrub engine.
 pub fn salted_hash(salt: &str, original: &str) -> String {
-    let mut buf = Vec::with_capacity(salt.len() + original.len());
-    buf.extend_from_slice(salt.as_bytes());
-    buf.extend_from_slice(original.as_bytes());
-    sha256_hex(&buf)
+    hex(&salted_digest(salt, original))
+}
+
+/// The digest behind [`salted_hash`].
+pub(crate) fn salted_digest(salt: &str, original: &str) -> [u8; 32] {
+    let mut h = Sha256::new();
+    h.update(salt.as_bytes());
+    h.update(original.as_bytes());
+    h.finish()
 }
 
 /// Writes records as JSONL, one line each, in the given order.

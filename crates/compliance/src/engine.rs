@@ -10,15 +10,20 @@
 //!
 //! Scan and scrub share one per-cell detection pass, so a scan's
 //! "cells pending transform" count is exactly the number of audit
-//! records a scrub of the same table produces.
+//! records a scrub of the same table produces. Because the scrub of a
+//! cell depends on its label alone, a scrub detects, rewrites, interns
+//! and audit-hashes each distinct label of a column once.
+
+use std::borrow::Cow;
+use std::ops::Range;
 
 use tclose_microdata::{AttributeDef, AttributeRole, Column, Dictionary, Schema, Table};
 use tclose_ser::Json;
 
-use crate::audit::AuditRecord;
+use crate::audit::{salted_digest, AuditRecord};
 use crate::config::{ComplianceConfig, Strategy};
 use crate::rules::Rule;
-use crate::sha256::{hex, hmac_sha256};
+use crate::sha256::{hex, push_hex, HmacKey};
 use crate::ComplianceError;
 
 /// Max sampled matches per (column, rule) in scan reports.
@@ -29,6 +34,11 @@ const MAX_SAMPLES: usize = 3;
 pub struct ComplianceEngine {
     config: ComplianceConfig,
     rules: Vec<Rule>,
+    /// The tokenize/hash key, padded key blocks precompressed.
+    hmac: HmacKey,
+    /// Per rule, the replacement text ahead of the keyed hex tail
+    /// (`TOK_<RULE>_`, `HASH_`), or all of it (`[REDACTED:<id>]`).
+    heads: Vec<String>,
 }
 
 /// Hit counts for one rule in one column.
@@ -91,11 +101,54 @@ struct CellHits {
     by_rule: Vec<(usize, Vec<(usize, usize)>)>,
 }
 
+/// Buffers reused across the cells of one scan or scrub.
+#[derive(Default)]
+struct CellBuffers {
+    /// The cell last passed to `detect_cell`, decoded.
+    chars: Vec<char>,
+    /// Chars already inside an earlier rule's accepted span.
+    claimed: Vec<bool>,
+    /// One matched span: the input of a keyed token.
+    span: String,
+    /// The rewritten cell.
+    out: String,
+}
+
+/// The scrub of one distinct label, shared by every row holding it.
+/// It owns no heap memory: a per-label allocation that outlived the
+/// label's scrub would scatter the output dictionary's strings across
+/// the heap and slow every later pass over the released table.
+struct Scrubbed {
+    /// Code of the scrubbed label in the output dictionary.
+    code: u32,
+    /// The rules that fired, in rule order, as a range of the column's
+    /// `fired` list; empty when the label passes.
+    fired: Range<usize>,
+    /// `sha256(salt ‖ original label)` for the audit log.
+    hash: [u8; 32],
+}
+
+/// `slot_of` entry for an input code not seen yet.
+const NO_SLOT: u32 = u32::MAX;
+
 impl ComplianceEngine {
     /// Builds an engine, compiling the config's active rules.
     pub fn new(config: ComplianceConfig) -> Result<ComplianceEngine, ComplianceError> {
         let rules = config.compile_rules()?;
-        Ok(ComplianceEngine { config, rules })
+        let heads = rules
+            .iter()
+            .map(|rule| match config.strategy {
+                Strategy::Redact => format!("[REDACTED:{}]", rule.id),
+                Strategy::Tokenize => format!("TOK_{}_", rule.id.to_uppercase()),
+                Strategy::Hash => "HASH_".to_owned(),
+            })
+            .collect();
+        Ok(ComplianceEngine {
+            hmac: HmacKey::new(config.key.as_bytes()),
+            heads,
+            config,
+            rules,
+        })
     }
 
     /// The policy this engine enforces.
@@ -113,11 +166,29 @@ impl ComplianceEngine {
         self.config.fingerprint()
     }
 
-    /// True when `cell` is the output of a previous scrub — such cells
-    /// are skipped by both scan and scrub, which is what makes
-    /// scrubbing idempotent.
+    /// True when the whole of `cell` is one token a scrub writes —
+    /// `TOK_<ID>_<hex16>`, `HASH_<hex16>` or `[REDACTED:<id>]`, with ids
+    /// from `[A-Za-z0-9_-]+` and lowercase hex. Such cells are skipped
+    /// by both scan and scrub, which is what makes scrubbing idempotent.
+    /// A cell that only starts like a token is scanned like any other.
     pub fn is_scrub_output(cell: &str) -> bool {
-        cell.starts_with("TOK_") || cell.starts_with("[REDACTED:") || cell.starts_with("HASH_")
+        let id = |s: &str| {
+            !s.is_empty()
+                && s.bytes()
+                    .all(|b| b.is_ascii_alphanumeric() || b == b'_' || b == b'-')
+        };
+        let hex16 =
+            |s: &str| s.len() == 16 && s.bytes().all(|b| matches!(b, b'0'..=b'9' | b'a'..=b'f'));
+        if let Some(rest) = cell.strip_prefix("TOK_") {
+            rest.rsplit_once('_')
+                .is_some_and(|(rule, tail)| id(rule) && hex16(tail))
+        } else if let Some(rest) = cell.strip_prefix("HASH_") {
+            hex16(rest)
+        } else if let Some(rest) = cell.strip_prefix("[REDACTED:") {
+            rest.strip_suffix(']').is_some_and(id)
+        } else {
+            false
+        }
     }
 
     /// True when a scrub would rewrite the column: categorical, and the
@@ -130,37 +201,40 @@ impl ComplianceEngine {
             )
     }
 
-    /// Detects matches in one cell: whole-cell rules win outright;
-    /// otherwise span rules claim non-overlapping spans in rule order.
-    fn detect_cell(&self, applicable: &[usize], chars: &[char]) -> Option<CellHits> {
-        if chars.is_empty() {
+    /// Detects matches in one cell, decoding it into `buf.chars`: whole-
+    /// cell rules win outright; otherwise span rules claim
+    /// non-overlapping spans in rule order.
+    fn detect_cell(
+        &self,
+        applicable: &[usize],
+        cell: &str,
+        buf: &mut CellBuffers,
+    ) -> Option<CellHits> {
+        buf.chars.clear();
+        if cell.is_empty() || Self::is_scrub_output(cell) {
             return None;
         }
-        let cell: String = chars.iter().collect();
-        if Self::is_scrub_output(&cell) {
-            return None;
-        }
+        buf.chars.extend(cell.chars());
+        let chars = &buf.chars;
         for &ri in applicable {
             let rule = &self.rules[ri];
-            if rule.whole_cell && rule.pattern.is_match(&cell) {
+            if rule.whole_cell && rule.pattern.is_match_chars(chars) {
                 return Some(CellHits {
                     by_rule: vec![(ri, vec![(0, chars.len())])],
                 });
             }
         }
-        let mut claimed = vec![false; chars.len()];
+        let claimed = &mut buf.claimed;
+        claimed.clear();
+        claimed.resize(chars.len(), false);
         let mut by_rule = Vec::new();
         for &ri in applicable {
             let rule = &self.rules[ri];
             if rule.whole_cell {
                 continue;
             }
-            let spans: Vec<(usize, usize)> = rule
-                .pattern
-                .find_all_chars(chars)
-                .into_iter()
-                .filter(|&(s, e)| !claimed[s..e].iter().any(|&c| c))
-                .collect();
+            let mut spans = rule.pattern.find_all_chars(chars);
+            spans.retain(|&(s, e)| !claimed[s..e].contains(&true));
             if spans.is_empty() {
                 continue;
             }
@@ -185,14 +259,12 @@ impl ComplianceEngine {
 
     /// Cell text for scanning: categorical label, or the CSV rendering
     /// of a numeric value.
-    fn cell_text(attr: &AttributeDef, column: &Column, row: usize) -> String {
+    fn cell_text<'a>(attr: &'a AttributeDef, column: &Column, row: usize) -> Cow<'a, str> {
         match column {
-            Column::F64(values) => format_numeric(values[row]),
-            Column::Cat(codes) => attr
-                .dictionary
-                .label(codes[row])
-                .unwrap_or_default()
-                .to_owned(),
+            Column::F64(values) => Cow::Owned(format_numeric(values[row])),
+            Column::Cat(codes) => {
+                Cow::Borrowed(attr.dictionary.label(codes[row]).unwrap_or_default())
+            }
         }
     }
 
@@ -200,6 +272,7 @@ impl ComplianceEngine {
     /// transforming anything.
     pub fn scan_table(&self, table: &Table) -> Result<ScanReport, ComplianceError> {
         let mut columns = Vec::with_capacity(table.n_cols());
+        let mut buf = CellBuffers::default();
         for c in 0..table.n_cols() {
             let attr = table.schema().attribute(c).map_err(data_err)?;
             let column = table.column(c).map_err(data_err)?;
@@ -208,8 +281,8 @@ impl ComplianceEngine {
             let mut matched_cells = 0;
             if !applicable.is_empty() {
                 for r in 0..table.n_rows() {
-                    let chars: Vec<char> = Self::cell_text(attr, column, r).chars().collect();
-                    let Some(cell_hits) = self.detect_cell(&applicable, &chars) else {
+                    let text = Self::cell_text(attr, column, r);
+                    let Some(cell_hits) = self.detect_cell(&applicable, &text, &mut buf) else {
                         continue;
                     };
                     matched_cells += 1;
@@ -233,7 +306,7 @@ impl ComplianceEngine {
                             if entry.samples.len() >= MAX_SAMPLES {
                                 break;
                             }
-                            entry.samples.push(chars[s..e].iter().collect());
+                            entry.samples.push(buf.chars[s..e].iter().collect());
                         }
                     }
                 }
@@ -262,53 +335,58 @@ impl ComplianceEngine {
         table: &Table,
         row_offset: usize,
     ) -> Result<ScrubOutcome, ComplianceError> {
-        let mut attrs: Vec<AttributeDef> = table.schema().attributes().to_vec();
+        let mut attrs: Vec<AttributeDef> = Vec::with_capacity(table.n_cols());
         let mut columns: Vec<Column> = Vec::with_capacity(table.n_cols());
         let mut audits: Vec<AuditRecord> = Vec::new();
         let mut cells = 0;
+        let mut buf = CellBuffers::default();
 
-        for (c, attr_slot) in attrs.iter_mut().enumerate() {
-            let attr = table.schema().attribute(c).map_err(data_err)?;
+        for (c, attr) in table.schema().attributes().iter().enumerate() {
             let column = table.column(c).map_err(data_err)?;
             let applicable = self.applicable(&attr.name);
-            if !Self::transformable(attr) || applicable.is_empty() {
-                columns.push(column.clone());
-                continue;
-            }
             let codes = match column {
-                Column::Cat(codes) => codes,
-                Column::F64(_) => unreachable!("transformable implies categorical"),
+                Column::Cat(codes) if Self::transformable(attr) && !applicable.is_empty() => codes,
+                _ => {
+                    attrs.push(attr.clone());
+                    columns.push(column.clone());
+                    continue;
+                }
             };
+            // Input code → index into `memo`, filled on first sight.
+            let mut slot_of = vec![NO_SLOT; attr.dictionary.len()];
+            let mut memo: Vec<Scrubbed> = Vec::new();
+            let mut fired: Vec<usize> = Vec::new();
             let mut dict = Dictionary::new();
             let mut new_codes = Vec::with_capacity(codes.len());
             for (r, &code) in codes.iter().enumerate() {
-                let label = attr.dictionary.label(code).unwrap_or_default();
-                let chars: Vec<char> = label.chars().collect();
-                match self.detect_cell(&applicable, &chars) {
-                    None => new_codes.push(dict.intern(label)),
-                    Some(cell_hits) => {
-                        cells += 1;
-                        let scrubbed = self.rewrite(&chars, &cell_hits);
-                        new_codes.push(dict.intern(&scrubbed));
-                        for (ri, _) in &cell_hits.by_rule {
-                            audits.push(AuditRecord::new(
-                                row_offset + r,
-                                &attr.name,
-                                &self.rules[*ri].id,
-                                self.config.strategy,
-                                &self.config.salt,
-                                label,
-                            ));
-                        }
-                    }
+                let slot = &mut slot_of[code as usize];
+                if *slot == NO_SLOT {
+                    *slot = memo.len() as u32;
+                    let label = attr.dictionary.label(code).unwrap_or_default();
+                    let scrubbed =
+                        self.scrub_label(&applicable, label, &mut dict, &mut fired, &mut buf);
+                    memo.push(scrubbed);
                 }
+                let scrubbed = &memo[*slot as usize];
+                new_codes.push(scrubbed.code);
+                if scrubbed.fired.is_empty() {
+                    continue;
+                }
+                cells += 1;
+                audits.extend(fired[scrubbed.fired.clone()].iter().map(|&ri| AuditRecord {
+                    row: row_offset + r,
+                    column: attr.name.clone(),
+                    rule: self.rules[ri].id.clone(),
+                    strategy: self.config.strategy,
+                    hash: hex(&scrubbed.hash),
+                }));
             }
-            *attr_slot = AttributeDef {
+            attrs.push(AttributeDef {
                 name: attr.name.clone(),
                 kind: attr.kind,
                 role: attr.role,
                 dictionary: dict,
-            };
+            });
             columns.push(Column::Cat(new_codes));
         }
 
@@ -322,38 +400,64 @@ impl ComplianceEngine {
         })
     }
 
-    /// Rewrites one cell, replacing accepted spans (right-to-left so
-    /// earlier indices stay valid) with the configured strategy's text.
-    fn rewrite(&self, chars: &[char], hits: &CellHits) -> String {
+    /// Scrubs one distinct label: detects, rewrites, interns the result
+    /// into `dict`, appends the rules that fired to `fired` and hashes
+    /// the original for the audit log.
+    fn scrub_label(
+        &self,
+        applicable: &[usize],
+        label: &str,
+        dict: &mut Dictionary,
+        fired: &mut Vec<usize>,
+        buf: &mut CellBuffers,
+    ) -> Scrubbed {
+        let start = fired.len();
+        let Some(hits) = self.detect_cell(applicable, label, buf) else {
+            return Scrubbed {
+                code: dict.intern(label),
+                fired: start..start,
+                hash: [0; 32],
+            };
+        };
+        self.rewrite(&hits, buf);
+        fired.extend(hits.by_rule.iter().map(|&(ri, _)| ri));
+        Scrubbed {
+            code: dict.intern(&buf.out),
+            fired: start..fired.len(),
+            hash: salted_digest(&self.config.salt, label),
+        }
+    }
+
+    /// Rewrites the cell in `buf.chars` into `buf.out`, replacing
+    /// accepted spans (in span order) with the configured strategy's
+    /// text.
+    fn rewrite(&self, hits: &CellHits, buf: &mut CellBuffers) {
         let mut spans: Vec<(usize, usize, usize)> = hits
             .by_rule
             .iter()
             .flat_map(|(ri, spans)| spans.iter().map(move |&(s, e)| (s, e, *ri)))
             .collect();
         spans.sort_by_key(|&(s, ..)| s);
-        let mut out = String::new();
+        let chars = &buf.chars;
+        buf.out.clear();
         let mut pos = 0;
         for (s, e, ri) in spans {
-            out.extend(&chars[pos..s]);
-            let matched: String = chars[s..e].iter().collect();
-            out.push_str(&self.replacement(&self.rules[ri], &matched));
+            buf.out.extend(&chars[pos..s]);
+            buf.span.clear();
+            buf.span.extend(&chars[s..e]);
+            self.push_replacement(ri, &buf.span, &mut buf.out);
             pos = e;
         }
-        out.extend(&chars[pos..]);
-        out
+        buf.out.extend(&chars[pos..]);
     }
 
-    /// The replacement text for one matched span under the configured
-    /// strategy.
-    fn replacement(&self, rule: &Rule, matched: &str) -> String {
-        match self.config.strategy {
-            Strategy::Redact => format!("[REDACTED:{}]", rule.id),
-            Strategy::Tokenize => format!(
-                "TOK_{}_{}",
-                rule.id.to_uppercase(),
-                keyed_hex16(&self.config.key, matched)
-            ),
-            Strategy::Hash => format!("HASH_{}", keyed_hex16(&self.config.key, matched)),
+    /// Appends the replacement text for one span of rule `ri` matching
+    /// `matched` under the configured strategy.
+    fn push_replacement(&self, ri: usize, matched: &str, out: &mut String) {
+        out.push_str(&self.heads[ri]);
+        if self.config.strategy != Strategy::Redact {
+            // The first 16 hex chars of HMAC-SHA256(key, matched).
+            push_hex(out, &self.hmac.mac(matched.as_bytes())[..8]);
         }
     }
 
@@ -384,12 +488,6 @@ impl ComplianceEngine {
             .filter(|n| !self.config.drop_columns.iter().any(|d| d == n))
             .collect()
     }
-}
-
-/// First 16 hex chars of HMAC-SHA256(key, text) — the token/hash tail.
-fn keyed_hex16(key: &str, text: &str) -> String {
-    let mac = hmac_sha256(key.as_bytes(), text.as_bytes());
-    hex(&mac[..8])
 }
 
 /// Numeric cell rendering matching the CSV writer: integral values have
@@ -584,6 +682,13 @@ mod tests {
         ComplianceEngine::new(cfg).unwrap()
     }
 
+    /// The replacement `e` writes for `matched` under its first rule.
+    fn token(e: &ComplianceEngine, matched: &str) -> String {
+        let mut out = String::new();
+        e.push_replacement(0, matched, &mut out);
+        out
+    }
+
     #[test]
     fn scan_counts_and_report_shape() {
         let e = engine(ComplianceConfig::default());
@@ -653,12 +758,14 @@ mod tests {
             key: "different".into(),
             ..ComplianceConfig::default()
         });
-        let rule = &e1.rules()[0];
-        let t1 = e1.replacement(rule, "123-45-6789");
-        assert_eq!(t1, e2.replacement(rule, "123-45-6789"));
-        assert_ne!(t1, e3.replacement(rule, "123-45-6789"));
+        let t1 = token(&e1, "123-45-6789");
+        assert_eq!(t1, token(&e2, "123-45-6789"));
+        assert_ne!(t1, token(&e3, "123-45-6789"));
         // same input in two different cells yields the same token: joins survive
-        assert_eq!(t1, e1.replacement(rule, "123-45-6789"));
+        assert_eq!(t1, token(&e1, "123-45-6789"));
+        // the tail is the one-shot HMAC under the configured key
+        let mac = crate::sha256::hmac_sha256(b"tclose-compliance-key", b"123-45-6789");
+        assert_eq!(t1, format!("TOK_SSN_{}", crate::sha256::hex(&mac[..8])));
     }
 
     #[test]
@@ -749,12 +856,96 @@ mod tests {
     #[test]
     fn tokens_do_not_collide_over_10k_distinct_inputs() {
         let e = engine(ComplianceConfig::default());
-        let rule = &e.rules()[0];
         let mut seen = std::collections::HashSet::new();
         for i in 0..10_000 {
-            let token = e.replacement(rule, &format!("input-{i}"));
-            assert!(seen.insert(token), "collision at input {i}");
+            assert!(
+                seen.insert(token(&e, &format!("input-{i}"))),
+                "collision at input {i}"
+            );
         }
+    }
+
+    #[test]
+    fn only_a_whole_cell_token_counts_as_scrub_output() {
+        for cell in [
+            "TOK_SSN_0123456789abcdef",
+            "TOK_CREDIT_CARD_0123456789abcdef",
+            "TOK_my-rule_0123456789abcdef",
+            "HASH_0123456789abcdef",
+            "[REDACTED:ssn]",
+            "[REDACTED:credit_card]",
+        ] {
+            assert!(ComplianceEngine::is_scrub_output(cell), "{cell}");
+        }
+        for cell in [
+            "TOK_ref 123-45-6789",
+            "TOK__0123456789abcdef",
+            "TOK_SSN_0123456789ABCDEF",
+            "TOK_SSN_0123456789abcdef ",
+            "TOK_SSN_0123456789abcdeg",
+            "TOK_S.N_0123456789abcdef",
+            "TOK_0123456789abcdef",
+            "HASH_0123456789abcde",
+            "HASH_note ssn 123-45-6789",
+            "[REDACTED:]",
+            "[REDACTED:x] mail a.b@example.com",
+            "[REDACTED:a b]",
+            "",
+        ] {
+            assert!(!ComplianceEngine::is_scrub_output(cell), "{cell:?}");
+        }
+    }
+
+    #[test]
+    fn cells_that_only_start_like_a_token_are_scanned_and_scrubbed() {
+        let notes = [
+            "TOK_ref 123-45-6789 call (555) 210-4477",
+            "HASH_note ssn 123-45-6789",
+            "[REDACTED:x] mail a.b@example.com",
+            "TOK_SSN_0123456789abcdef",
+        ];
+        let attrs = vec![AttributeDef::nominal(
+            "NOTES",
+            AttributeRole::NonConfidential,
+            notes,
+        )];
+        let table = Table::from_columns(
+            Schema::new(attrs).unwrap(),
+            vec![Column::Cat(vec![0, 1, 2, 3])],
+        )
+        .unwrap();
+        let e = engine(ComplianceConfig::default());
+        let report = e.scan_table(&table).unwrap();
+        assert_eq!(
+            report.rule_totals(),
+            vec![
+                ("email".to_owned(), 1),
+                ("phone".to_owned(), 1),
+                ("ssn".to_owned(), 2),
+            ]
+        );
+        assert_eq!(report.total_matched_cells(), 3);
+
+        let out = e.scrub_table(&table, 0).unwrap();
+        assert_eq!(out.cells, 3);
+        assert_eq!(out.audits.len(), 4);
+        let dict = &out.table.schema().attributes()[0].dictionary;
+        let cells: Vec<&str> = out
+            .table
+            .categorical_column(0)
+            .unwrap()
+            .iter()
+            .map(|&k| dict.label(k).unwrap())
+            .collect();
+        for (cell, plain) in cells
+            .iter()
+            .zip(["123-45-6789", "123-45-6789", "a.b@example.com"])
+        {
+            assert!(!cell.contains(plain), "{cell:?} leaks {plain}");
+        }
+        assert!(cells[0].starts_with("TOK_ref TOK_SSN_"), "{}", cells[0]);
+        // a whole-cell token is still left alone
+        assert_eq!(cells[3], "TOK_SSN_0123456789abcdef");
     }
 
     #[test]

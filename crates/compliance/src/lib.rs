@@ -25,6 +25,7 @@
 //! streaming engine without breaking worker-invariance: a shard-by-shard
 //! scrub is byte-identical to a whole-table scrub.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod audit;

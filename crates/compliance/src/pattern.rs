@@ -14,9 +14,29 @@
 //! Matching is leftmost-first with greedy quantifiers (the usual
 //! backtracking semantics). Spans are **char indices**, not byte offsets
 //! — the scrub engine rebuilds cells from `Vec<char>`, so char spans
-//! compose without UTF-8 bookkeeping. Patterns are authored in the rule
-//! registry or user config and are a few dozen chars long; cells are
-//! short; no attempt is made to guard against pathological backtracking.
+//! compose without UTF-8 bookkeeping.
+//!
+//! [`Regex::parse`] does all per-pattern work once:
+//!
+//! * every single-char element — a literal, `.`, a perl class or a
+//!   `[…]` class — gets a 128-bit ASCII membership bitmap; a non-ASCII
+//!   char still goes through the element's own test;
+//! * a quantified single-char element takes its greedy run in one loop,
+//!   then offers the rest of the pattern each run length, longest first,
+//!   down to its minimum — the order a one-char-per-step backtracker
+//!   tries them in;
+//! * three prefilters come from the syntax tree: the chars a non-empty
+//!   match can start with, whether every alternative opens with `\b`,
+//!   and the literal chars every match must contain. `find_all_chars`
+//!   skips start positions that fail them; `is_match_chars` uses them
+//!   only when the pattern cannot match the empty string.
+//!
+//! Matching is still backtracking: patterns are authored in the rule
+//! registry or user config and cells are short, but nothing guards
+//! against a pathological pattern (a linear-time matcher is ROADMAP
+//! item 5). The one-continuation-per-char matcher this engine grew out
+//! of is kept, test-only, in `pattern/reference.rs`; a seeded
+//! differential test holds the two equal.
 
 use std::fmt;
 
@@ -52,6 +72,37 @@ impl PerlClass {
             PerlClass::Word => c.is_ascii_alphanumeric() || c == '_',
             PerlClass::Space => c.is_whitespace(),
         }
+    }
+
+    /// The ASCII members, as a bitmap (`char::is_whitespace` accepts
+    /// `\t`..=`\r` and the space below 128).
+    fn ascii(self) -> u128 {
+        let digits = ascii_range('0', '9');
+        match self {
+            PerlClass::Digit => digits,
+            PerlClass::Word => {
+                digits | ascii_range('A', 'Z') | ascii_range('a', 'z') | ascii_range('_', '_')
+            }
+            PerlClass::Space => ascii_range('\t', '\r') | ascii_range(' ', ' '),
+        }
+    }
+}
+
+/// Bits `lo..=hi` of an ASCII bitmap; chars above 127 have no bit.
+fn ascii_range(lo: char, hi: char) -> u128 {
+    let (lo, hi) = (u32::from(lo), u32::from(hi).min(127));
+    if lo > hi {
+        return 0;
+    }
+    (u128::MAX >> (127 - hi)) & (u128::MAX << lo)
+}
+
+/// `bits`, complemented when `negated`.
+fn negate_if(bits: u128, negated: bool) -> u128 {
+    if negated {
+        !bits
+    } else {
+        bits
     }
 }
 
@@ -92,6 +143,21 @@ struct Piece {
     elem: Elem,
     min: u32,
     max: Option<u32>, // None = unbounded
+    /// A single-char element's ASCII members as a bitmap, built once at
+    /// parse time (0 for zero-width elements and groups).
+    ascii: u128,
+}
+
+impl Piece {
+    /// The test of a single-char element: the bitmap for ASCII, the
+    /// element's own test for every other char.
+    #[inline]
+    fn accepts(&self, c: char) -> bool {
+        match u32::from(c) {
+            u @ 0..128 => self.ascii >> u & 1 == 1,
+            _ => elem_accepts(&self.elem, c),
+        }
+    }
 }
 
 /// Alternation of concatenations.
@@ -100,23 +166,148 @@ struct Ast {
     alts: Vec<Vec<Piece>>,
 }
 
+/// ASCII members of a single-char element as a bitmap; 0 for
+/// zero-width elements and groups.
+fn ascii_bits(elem: &Elem) -> u128 {
+    match elem {
+        Elem::Char(c) => ascii_range(*c, *c),
+        Elem::Any => u128::MAX,
+        Elem::Perl(p, neg) => negate_if(p.ascii(), *neg),
+        Elem::Class(cc) => {
+            let singles = cc.singles.iter().map(|&c| ascii_range(c, c));
+            let ranges = cc.ranges.iter().map(|&(lo, hi)| ascii_range(lo, hi));
+            let perl = cc.perl.iter().map(|&(p, neg)| negate_if(p.ascii(), neg));
+            let hit = singles.chain(ranges).chain(perl).fold(0, |a, b| a | b);
+            negate_if(hit, cc.negated)
+        }
+        Elem::Boundary(_) | Elem::Start | Elem::End | Elem::Group(_) => 0,
+    }
+}
+
+/// The test a single-char element applies to one char.
+fn elem_accepts(elem: &Elem, c: char) -> bool {
+    match elem {
+        Elem::Char(l) => c == *l,
+        Elem::Any => true,
+        Elem::Perl(p, neg) => p.matches(c) != *neg,
+        Elem::Class(cc) => cc.matches(c),
+        Elem::Boundary(_) | Elem::Start | Elem::End | Elem::Group(_) => {
+            unreachable!("not a single-char element")
+        }
+    }
+}
+
+/// Facts about every match of a pattern, derived once from its syntax
+/// tree, that rule out start positions without running the search.
+#[derive(Debug, Clone, PartialEq)]
+struct Prefilter {
+    /// ASCII chars a non-empty match can start with. Non-ASCII chars are
+    /// never ruled out.
+    first: u128,
+    /// Every alternative opens with `\b`.
+    boundary: bool,
+    /// Literal chars every match contains, sorted.
+    required: Vec<char>,
+    /// The pattern cannot match the empty string.
+    non_empty: bool,
+}
+
+impl Prefilter {
+    fn new(alts: &[Vec<Piece>]) -> Prefilter {
+        let mut first = 0;
+        let mut nullable = false;
+        for seq in alts {
+            nullable |= first_of_seq(seq, &mut first);
+        }
+        Prefilter {
+            first,
+            boundary: alts
+                .iter()
+                .all(|seq| seq.first().is_some_and(|p| p.elem == Elem::Boundary(true))),
+            required: required_of_alts(alts),
+            non_empty: !nullable,
+        }
+    }
+
+    /// The last position a match can start at: every required char must
+    /// occur at or after it. `None` when nothing can match.
+    fn last_start(&self, chars: &[char]) -> Option<usize> {
+        let mut last = chars.len().checked_sub(1)?;
+        for &c in &self.required {
+            last = last.min(chars.iter().rposition(|&x| x == c)?);
+        }
+        Some(last)
+    }
+
+    /// Whether a non-empty match can start at `pos < chars.len()`.
+    #[inline]
+    fn may_start(&self, chars: &[char], pos: usize) -> bool {
+        let c = u32::from(chars[pos]);
+        (c >= 128 || self.first >> c & 1 == 1) && (!self.boundary || at_word_boundary(chars, pos))
+    }
+}
+
+/// Adds to `first` the ASCII chars a non-empty match of `seq` can start
+/// with, and returns whether `seq` may match the empty string. Both
+/// over-approximate, which only ever widens `first`.
+fn first_of_seq(seq: &[Piece], first: &mut u128) -> bool {
+    seq.iter().all(|piece| match &piece.elem {
+        Elem::Boundary(_) | Elem::Start | Elem::End => true,
+        _ if piece.max == Some(0) => true,
+        Elem::Group(ast) => {
+            let mut nullable = piece.min == 0;
+            for alt in &ast.alts {
+                nullable |= first_of_seq(alt, first);
+            }
+            nullable
+        }
+        _ => {
+            *first |= piece.ascii;
+            piece.min == 0
+        }
+    })
+}
+
+/// Literal chars every match of one of `alts` contains: what each
+/// alternative requires, intersected.
+fn required_of_alts(alts: &[Vec<Piece>]) -> Vec<char> {
+    let mut each = alts.iter().map(|seq| required_of_seq(seq));
+    let first = each.next().unwrap_or_default();
+    each.fold(first, |acc, req| {
+        acc.into_iter().filter(|c| req.contains(c)).collect()
+    })
+}
+
+/// Literal chars every match of `seq` contains: those of its mandatory
+/// literals and mandatory groups.
+fn required_of_seq(seq: &[Piece]) -> Vec<char> {
+    let mut req = Vec::new();
+    for piece in seq.iter().filter(|p| p.min > 0) {
+        match &piece.elem {
+            Elem::Char(c) => req.push(*c),
+            Elem::Group(ast) => req.extend(required_of_alts(&ast.alts)),
+            _ => {}
+        }
+    }
+    req.sort_unstable();
+    req.dedup();
+    req
+}
+
 /// A compiled pattern.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Regex {
     ast: Ast,
+    prefilter: Prefilter,
     source: String,
 }
 
 impl Regex {
     /// Compiles `pattern`.
     pub fn parse(pattern: &str) -> Result<Regex, PatternError> {
-        let chars: Vec<char> = pattern.chars().collect();
-        let mut p = Parser { chars, pos: 0 };
-        let ast = p.alternation()?;
-        if p.pos != p.chars.len() {
-            return Err(p.err("unbalanced ')'"));
-        }
+        let ast = parse_ast(pattern)?;
         Ok(Regex {
+            prefilter: Prefilter::new(&ast.alts),
             ast,
             source: pattern.to_owned(),
         })
@@ -130,7 +321,19 @@ impl Regex {
     /// True when the pattern matches anywhere in `text`.
     pub fn is_match(&self, text: &str) -> bool {
         let chars: Vec<char> = text.chars().collect();
-        (0..=chars.len()).any(|start| self.match_end(&chars, start).is_some())
+        self.is_match_chars(&chars)
+    }
+
+    /// [`Regex::is_match`] over an already-decoded char buffer.
+    pub fn is_match_chars(&self, chars: &[char]) -> bool {
+        let pre = &self.prefilter;
+        if !pre.non_empty {
+            return (0..=chars.len()).any(|start| self.match_end(chars, start).is_some());
+        }
+        pre.last_start(chars).is_some_and(|last| {
+            (0..=last)
+                .any(|start| pre.may_start(chars, start) && self.match_end(chars, start).is_some())
+        })
     }
 
     /// All non-overlapping matches in `text`, leftmost-first, as
@@ -144,15 +347,19 @@ impl Regex {
     /// [`Regex::find_all`] over an already-decoded char buffer.
     pub fn find_all_chars(&self, chars: &[char]) -> Vec<(usize, usize)> {
         let mut spans = Vec::new();
+        let Some(last) = self.prefilter.last_start(chars) else {
+            return spans;
+        };
         let mut start = 0;
-        while start < chars.len() {
-            match self.match_end(chars, start) {
-                Some(end) if end > start => {
+        while start <= last {
+            if self.prefilter.may_start(chars, start) {
+                if let Some(end) = self.match_end(chars, start).filter(|&end| end > start) {
                     spans.push((start, end));
                     start = end;
+                    continue;
                 }
-                _ => start += 1,
             }
+            start += 1;
         }
         spans
     }
@@ -160,72 +367,117 @@ impl Regex {
     /// End (exclusive, char index) of the leftmost-first match starting
     /// exactly at `start`, if any.
     fn match_end(&self, chars: &[char], start: usize) -> Option<usize> {
-        let mut end = None;
-        match_ast(&self.ast, chars, start, &mut |e| {
-            end = Some(e);
-            true
-        });
-        end
+        match_alts(&self.ast.alts, chars, start, &Cont::Accept)
     }
 }
 
-/// Matches the alternation at `pos`, invoking `k` with the end position
-/// of each candidate parse (preferred order) until `k` returns true.
-fn match_ast(ast: &Ast, chars: &[char], pos: usize, k: &mut dyn FnMut(usize) -> bool) -> bool {
-    for seq in &ast.alts {
-        if match_seq(seq, chars, pos, k) {
-            return true;
+/// What the search must still match after the current piece: a
+/// continuation, kept on the stack.
+enum Cont<'a> {
+    /// Nothing — the pattern has matched.
+    Accept,
+    /// The rest of a sequence, then `next`.
+    Seq(&'a [Piece], &'a Cont<'a>),
+    /// An iteration of the group `piece` (alternatives `alts`) that
+    /// began at `start` has ended, after `count` earlier iterations.
+    Iter {
+        piece: &'a Piece,
+        alts: &'a [Vec<Piece>],
+        count: u32,
+        start: usize,
+        next: &'a Cont<'a>,
+    },
+}
+
+/// End of the first (preferred-order) parse of one of `alts` at `pos`
+/// that `k` accepts.
+fn match_alts(alts: &[Vec<Piece>], chars: &[char], pos: usize, k: &Cont) -> Option<usize> {
+    alts.iter().find_map(|seq| match_seq(seq, chars, pos, k))
+}
+
+fn match_seq(seq: &[Piece], chars: &[char], pos: usize, k: &Cont) -> Option<usize> {
+    let Some((piece, rest)) = seq.split_first() else {
+        return resume(k, chars, pos);
+    };
+    let holds = match &piece.elem {
+        Elem::Group(ast) => {
+            return match_group(piece, &ast.alts, 0, chars, pos, &Cont::Seq(rest, k))
         }
+        Elem::Boundary(want) => at_word_boundary(chars, pos) == *want,
+        Elem::Start => pos == 0,
+        Elem::End => pos == chars.len(),
+        // Greedy: take the whole run, then back off one char at a time.
+        _ => {
+            let avail = &chars[pos..];
+            let cap = piece
+                .max
+                .map_or(avail.len(), |m| avail.len().min(m as usize));
+            let run = avail[..cap]
+                .iter()
+                .take_while(|&&c| piece.accepts(c))
+                .count();
+            return (piece.min as usize..=run)
+                .rev()
+                .find_map(|n| match_seq(rest, chars, pos + n, k));
+        }
+    };
+    // A zero-width assertion (never quantified).
+    if holds {
+        match_seq(rest, chars, pos, k)
+    } else {
+        None
     }
-    false
 }
 
-fn match_seq(seq: &[Piece], chars: &[char], pos: usize, k: &mut dyn FnMut(usize) -> bool) -> bool {
-    match seq.split_first() {
-        None => k(pos),
-        Some((piece, rest)) => match_piece(piece, 0, chars, pos, &mut |end| {
-            match_seq(rest, chars, end, k)
-        }),
-    }
-}
-
-/// Greedy quantified match: consume as many repetitions as possible
-/// first, backing off one at a time on failure.
-fn match_piece(
+/// Greedy group repetition: one more iteration first, then hand over.
+fn match_group(
     piece: &Piece,
+    alts: &[Vec<Piece>],
     count: u32,
     chars: &[char],
     pos: usize,
-    k: &mut dyn FnMut(usize) -> bool,
-) -> bool {
-    let can_repeat = piece.max.is_none_or(|m| count < m);
-    if can_repeat {
-        let matched = match_elem(&piece.elem, chars, pos, &mut |end| {
-            if end == pos {
-                // Zero-width repetition makes no progress; accept the
-                // minimum and hand over rather than recursing forever.
-                count + 1 >= piece.min && k(end)
-            } else {
-                match_piece(piece, count + 1, chars, end, k)
-            }
-        });
-        if matched {
-            return true;
+    k: &Cont,
+) -> Option<usize> {
+    if piece.max.is_none_or(|m| count < m) {
+        let iter = Cont::Iter {
+            piece,
+            alts,
+            count,
+            start: pos,
+            next: k,
+        };
+        if let Some(end) = match_alts(alts, chars, pos, &iter) {
+            return Some(end);
         }
     }
-    count >= piece.min && k(pos)
+    if count >= piece.min {
+        resume(k, chars, pos)
+    } else {
+        None
+    }
 }
 
-fn match_elem(elem: &Elem, chars: &[char], pos: usize, k: &mut dyn FnMut(usize) -> bool) -> bool {
-    match elem {
-        Elem::Char(c) => pos < chars.len() && chars[pos] == *c && k(pos + 1),
-        Elem::Any => pos < chars.len() && k(pos + 1),
-        Elem::Perl(p, neg) => pos < chars.len() && (p.matches(chars[pos]) != *neg) && k(pos + 1),
-        Elem::Class(cc) => pos < chars.len() && cc.matches(chars[pos]) && k(pos + 1),
-        Elem::Boundary(want) => (at_word_boundary(chars, pos) == *want) && k(pos),
-        Elem::Start => pos == 0 && k(pos),
-        Elem::End => pos == chars.len() && k(pos),
-        Elem::Group(ast) => match_ast(ast, chars, pos, k),
+fn resume(k: &Cont, chars: &[char], pos: usize) -> Option<usize> {
+    match *k {
+        Cont::Accept => Some(pos),
+        Cont::Seq(rest, next) => match_seq(rest, chars, pos, next),
+        Cont::Iter {
+            piece,
+            alts,
+            count,
+            start,
+            next,
+        } => {
+            if pos > start {
+                match_group(piece, alts, count + 1, chars, pos, next)
+            } else if count + 1 >= piece.min {
+                // A zero-width iteration makes no progress; accept the
+                // minimum and hand over rather than repeating forever.
+                resume(next, chars, pos)
+            } else {
+                None
+            }
+        }
     }
 }
 
@@ -237,6 +489,17 @@ fn at_word_boundary(chars: &[char], pos: usize) -> bool {
     let before = pos > 0 && is_word(chars[pos - 1]);
     let after = pos < chars.len() && is_word(chars[pos]);
     before != after
+}
+
+/// Parses `pattern` into its syntax tree.
+fn parse_ast(pattern: &str) -> Result<Ast, PatternError> {
+    let chars: Vec<char> = pattern.chars().collect();
+    let mut p = Parser { chars, pos: 0 };
+    let ast = p.alternation()?;
+    if p.pos != p.chars.len() {
+        return Err(p.err("unbalanced ')'"));
+    }
+    Ok(ast)
 }
 
 struct Parser {
@@ -281,7 +544,13 @@ impl Parser {
             }
             let elem = self.atom()?;
             let (min, max) = self.quantifier(&elem)?;
-            pieces.push(Piece { elem, min, max });
+            let ascii = ascii_bits(&elem);
+            pieces.push(Piece {
+                elem,
+                min,
+                max,
+                ascii,
+            });
         }
         Ok(pieces)
     }
@@ -461,6 +730,9 @@ impl Parser {
 }
 
 #[cfg(test)]
+mod reference;
+
+#[cfg(test)]
 mod tests {
     use super::*;
 
@@ -574,6 +846,46 @@ mod tests {
         assert_eq!(matched("a*", "baab"), vec!["aa"]);
         // zero-width-capable group under an unbounded quantifier terminates
         assert_eq!(matched("(a?)*b", "aab"), vec!["aab"]);
+    }
+
+    /// Every single-char element's bitmap agrees with the element's own
+    /// test on all 128 ASCII chars.
+    #[test]
+    fn ascii_bitmaps_equal_the_element_tests() {
+        let sources = [
+            "a",
+            "é",
+            ".",
+            r"\d",
+            r"\D",
+            r"\w",
+            r"\W",
+            r"\s",
+            r"\S",
+            r"\t",
+            "[a-c]",
+            "[^a-c]",
+            "[]a]",
+            "[a-]",
+            r"[\d.-]",
+            r"[^\W_]",
+            r"[\s\S]",
+            "[ -~]",
+            "[\u{7f}-\u{ff}]",
+            r"[A-Za-z0-9._%+-]",
+            "[é-ü]",
+        ];
+        for source in sources {
+            let piece = &parse_ast(source).unwrap().alts[0][0];
+            for b in 0..128u8 {
+                let c = char::from(b);
+                assert_eq!(
+                    piece.accepts(c),
+                    elem_accepts(&piece.elem, c),
+                    "{source:?} on {c:?}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -12,7 +12,11 @@
 #      with zero planted identifiers (grep for emails, SSN/phone shapes,
 #      planted surnames) and drop the RECORD_ID column;
 #   5. the audit log must hold exactly one JSONL line per cell the scan
-#      counted as pending, and never plaintext.
+#      counted as pending, and never plaintext;
+#   6. cells that merely start like scrub output (`TOK_`, `HASH_`,
+#      `[REDACTED:`) must still be scanned: a small extra CSV carries an
+#      SSN, a phone number and an email behind those prefixes, and
+#      `tclose scan` must count all three.
 #   Writes COMPLIANCE_SCAN.txt / COMPLIANCE_SCAN.json /
 #   COMPLIANCE_DRYRUN.txt / COMPLIANCE_AUDIT.jsonl to the repository
 #   root (CI uploads them as artifacts).
@@ -120,6 +124,21 @@ EOF
         || fail "audit lines=$lines, scan pending=$pending"
     ! grep -q "@example.com" "$audit" || fail "plaintext in audit log"
     cp "$audit" COMPLIANCE_AUDIT.jsonl
+
+    # --- token-prefixed cells are not exempt from the scan ------------
+    local prefixed="$work/prefixed.csv"
+    cat > "$prefixed" <<'EOF'
+ID,NOTES
+1,TOK_ref 123-45-6789 on file
+2,HASH_note call (555) 210-4477
+3,[REDACTED:x] mail a.b@example.com
+EOF
+    "$bin" scan --input "$prefixed" --compliance "$policy" \
+        > "$work/prefixed_scan.txt"
+    for rule in ssn phone email; do
+        grep -qFx "  $rule: 1" "$work/prefixed_scan.txt" \
+            || fail "scan skipped a token-prefixed cell ($rule)"
+    done
 
     echo "compliance gate passed: $pending cells scrubbed and audited" \
         "across $rows records"

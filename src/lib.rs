@@ -33,6 +33,8 @@
 //! See `README.md` for a quickstart, `DESIGN.md` for the system map, and
 //! `docs/PERFORMANCE.md` for the hot-path layout and thread-scaling model.
 
+#![forbid(unsafe_code)]
+
 pub use tclose_baselines as baselines;
 pub use tclose_compliance as compliance;
 pub use tclose_core as core;

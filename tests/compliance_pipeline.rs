@@ -14,14 +14,17 @@
 //!    to the monolithic scrub for any chunk size.
 //! 4. The policy fingerprint survives the model-artifact JSON round trip
 //!    and separates policies, so `apply` can refuse a mismatch.
+//! 5. The scrubbed bytes and audit log of every strategy are pinned by
+//!    digest, on the fixture and on a table of repeated labels.
 
 use std::path::PathBuf;
 
-use tclose::compliance::{write_audit_log, ComplianceConfig, ComplianceEngine};
+use tclose::compliance::sha256::sha256_hex;
+use tclose::compliance::{write_audit_log, ComplianceConfig, ComplianceEngine, Strategy};
 use tclose::core::{verify_k_anonymity, verify_t_closeness, Confidential};
 use tclose::datasets::{pii_patients, PII_N};
 use tclose::microdata::csv::{read_csv_auto, write_csv};
-use tclose::microdata::AttributeRole;
+use tclose::microdata::{AttributeDef, AttributeRole, Column, Schema, Table};
 use tclose::prelude::*;
 use tclose::ser::Json;
 
@@ -220,4 +223,88 @@ fn policy_fingerprint_round_trips_through_the_model_artifact() {
         ModelArtifact::load(&path).unwrap().compliance_fingerprint(),
         None
     );
+}
+
+/// SHA-256 of (scrubbed CSV ‖ audit JSONL) for one scrub.
+fn scrub_digest(engine: &ComplianceEngine, table: &Table, row_offset: usize) -> String {
+    let out = engine.scrub_table(table, row_offset).unwrap();
+    let mut bytes = Vec::new();
+    write_csv(&out.table, &mut bytes).unwrap();
+    for record in &out.audits {
+        bytes.extend_from_slice(record.to_jsonl().as_bytes());
+        bytes.push(b'\n');
+    }
+    sha256_hex(&bytes)
+}
+
+/// 2,000 rows over a 30-label identifier dictionary of which rows use
+/// 20, out of dictionary order — a scrub meets each label many times.
+fn repeated_labels_table() -> Table {
+    let contacts: Vec<String> = (0..30)
+        .map(|j| match j {
+            0..=14 => {
+                format!("ref {j}: {j:03}-45-67{j:02} or (555) 210-44{j:02}, u{j}@example.com")
+            }
+            _ => format!("no contact on file ({j})"),
+        })
+        .collect();
+    let names: Vec<String> = (0..20).map(|j| format!("Patient Number {j}")).collect();
+    let attrs = vec![
+        AttributeDef::nominal("CONTACT", AttributeRole::Identifier, contacts),
+        AttributeDef::nominal("PATIENT_NAME", AttributeRole::NonConfidential, names),
+        AttributeDef::numeric("AGE", AttributeRole::QuasiIdentifier),
+    ];
+    let n = 2_000u32;
+    let columns = vec![
+        Column::Cat((0..n).map(|i| (i * 7 + 3) % 20).collect()),
+        Column::Cat((0..n).map(|i| (i * 13) % 20).collect()),
+        Column::F64((0..n).map(|i| f64::from(20 + i % 60)).collect()),
+    ];
+    Table::from_columns(Schema::new(attrs).unwrap(), columns).unwrap()
+}
+
+/// Digests of the scrub of `pii_patients(5, 3_000)` and of the
+/// repeated-label table, measured before the scrub was memoized per
+/// distinct label and the matcher and HMAC were precompiled.
+#[test]
+fn scrub_bytes_and_audit_log_are_pinned() {
+    let pii = pii_patients(5, 3_000);
+    let repeated = repeated_labels_table();
+    for (strategy, want_pii, want_repeated) in [
+        (
+            Strategy::Tokenize,
+            "d0f43dd3a5a918e21c1bb4de4a8c64c6e48f6ae85f0f211f5581acc6ca338b60",
+            "4585c36ba3fc8ebcf7852667e50cca5090aeb0c4aee80156182173f14e37f005",
+        ),
+        (
+            Strategy::Redact,
+            "385e455b839d8db9dbfdd9116bfc4e83f0352061dc6beeee48ae23de1960fd85",
+            "81673e0b6dec91d7ce1c1f780fdb4e7a4c9a333d70851e0e832dd127e0b0ebb7",
+        ),
+        (
+            Strategy::Hash,
+            "d6233f73eb21faa5e1a97ffb493b749d55dc9313ce214e3bbc1896910b5ce6ac",
+            "6b022ada84517cee7159f9724a513b03bc4ae7633bd1445776cb35e0b12f792d",
+        ),
+    ] {
+        let engine = ComplianceEngine::new(ComplianceConfig {
+            strategy,
+            ..ComplianceConfig::default()
+        })
+        .unwrap();
+        assert_eq!(scrub_digest(&engine, &pii, 0), want_pii, "{strategy:?}");
+        assert_eq!(
+            scrub_digest(&engine, &repeated, 1_000),
+            want_repeated,
+            "{strategy:?}"
+        );
+    }
+    // The repeated table is not vacuous: 15 of its 20 labels carry PII.
+    let out = ComplianceEngine::new(ComplianceConfig::default())
+        .unwrap()
+        .scrub_table(&repeated, 0)
+        .unwrap();
+    let contacts = out.table.schema().attributes()[0].dictionary.len();
+    assert_eq!(contacts, 20);
+    assert!(out.cells > 2_000 + 1_000, "{} cells", out.cells);
 }
