@@ -575,8 +575,7 @@ fn schema_to_json(schema: &Schema) -> Json {
                         Json::Arr(
                             a.dictionary
                                 .labels()
-                                .iter()
-                                .map(|l| Json::Str(l.clone()))
+                                .map(|l| Json::Str(l.to_owned()))
                                 .collect(),
                         ),
                     ));

@@ -339,16 +339,15 @@ impl GlobalFit {
                 AttributeRole::QuasiIdentifier | AttributeRole::Confidential
             );
             if x.kind.is_categorical() && interpreted {
-                let fit_labels = x.dictionary.labels();
-                let shard_labels = y.dictionary.labels();
-                let prefix_ok = shard_labels.len() <= fit_labels.len()
-                    && shard_labels.iter().zip(fit_labels).all(|(s, f)| s == f);
+                let (fit, shard) = (&x.dictionary, &y.dictionary);
+                let prefix_ok = shard.len() <= fit.len()
+                    && shard.labels().zip(fit.labels()).all(|(s, f)| s == f);
                 if !prefix_ok {
                     return Err(Error::UnsupportedData(format!(
                         "shard attribute {:?} interned labels in a different order \
                          than the fit (shard {:?} vs fitted {:?}); shard codes would \
                          be misinterpreted — build shards from the fitted schema",
-                        y.name, shard_labels, fit_labels
+                        y.name, shard, fit
                     )));
                 }
             }

@@ -1,6 +1,9 @@
 //! Attribute definitions: kinds, disclosure roles and category dictionaries.
 
 use std::collections::HashMap;
+use std::fmt;
+use std::hash::{BuildHasher, RandomState};
+use std::sync::Arc;
 
 /// Disclosure-oriented classification of an attribute (Hundepool et al.,
 /// *Statistical Disclosure Control*, 2012).
@@ -76,10 +79,64 @@ impl AttributeKind {
 ///
 /// For [`AttributeKind::OrdinalCategorical`] attributes the insertion order
 /// of labels defines the semantic order of the categories.
-#[derive(Debug, Clone, Default, PartialEq)]
+///
+/// A dictionary is a shared copy-on-write value: cloning it (and so any
+/// [`Schema`](crate::Schema) or [`Table`](crate::Table) holding it) shares
+/// the labels, and [`Dictionary::intern`] copies them only when it adds a
+/// label to a dictionary that another clone still shares.
+#[derive(Clone, Default)]
 pub struct Dictionary {
-    labels: Vec<String>,
-    index: HashMap<String, u32>,
+    shared: Arc<Labels>,
+}
+
+/// The storage behind a [`Dictionary`]: every label back to back in one
+/// buffer, and an index from each label's keyed hash to its code.
+#[derive(Clone, Default)]
+struct Labels {
+    /// The labels in code order, back to back.
+    text: String,
+    /// End of each label in `text`.
+    ends: Vec<usize>,
+    /// Keyed hash of a label → its code. A label whose hash is taken by
+    /// another label takes the next free key, so a lookup walks the keys
+    /// from the label's hash until it meets the label or a free key.
+    /// Labels are never removed, so no walk is ever cut short.
+    index: HashMap<u64, u32>,
+    /// std's randomly keyed hasher: input cannot choose colliding labels.
+    hasher: RandomState,
+}
+
+impl Labels {
+    fn label(&self, code: usize) -> Option<&str> {
+        let end = *self.ends.get(code)?;
+        let start = code.checked_sub(1).map_or(0, |prev| self.ends[prev]);
+        Some(&self.text[start..end])
+    }
+
+    /// The code of `label`, or the free index key it would take.
+    fn find(&self, label: &str) -> Result<u32, u64> {
+        let mut key = self.hasher.hash_one(label);
+        loop {
+            match self.index.get(&key) {
+                None => return Err(key),
+                Some(&code) if self.label(code as usize) == Some(label) => return Ok(code),
+                Some(_) => key = key.wrapping_add(1),
+            }
+        }
+    }
+}
+
+impl PartialEq for Dictionary {
+    fn eq(&self, other: &Self) -> bool {
+        let (a, b) = (&self.shared, &other.shared);
+        Arc::ptr_eq(a, b) || (a.ends == b.ends && a.text == b.text)
+    }
+}
+
+impl fmt::Debug for Dictionary {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_list().entries(self.labels()).finish()
+    }
 }
 
 impl Dictionary {
@@ -102,40 +159,45 @@ impl Dictionary {
         d
     }
 
-    /// Returns the code for `label`, inserting it if absent.
+    /// Returns the code for `label`, inserting it if absent. Only an
+    /// insertion into storage that another clone shares copies the labels.
     pub fn intern(&mut self, label: &str) -> u32 {
-        if let Some(&c) = self.index.get(label) {
-            return c;
-        }
-        let code = self.labels.len() as u32;
-        self.labels.push(label.to_owned());
-        self.index.insert(label.to_owned(), code);
+        let key = match self.shared.find(label) {
+            Ok(code) => return code,
+            Err(key) => key,
+        };
+        // A copy keeps the hasher, so `key` is still the label's free key.
+        let labels = Arc::make_mut(&mut self.shared);
+        let code = labels.ends.len() as u32;
+        labels.text.push_str(label);
+        labels.ends.push(labels.text.len());
+        labels.index.insert(key, code);
         code
     }
 
     /// Code of an existing label.
     pub fn code(&self, label: &str) -> Option<u32> {
-        self.index.get(label).copied()
+        self.shared.find(label).ok()
     }
 
     /// Label of an existing code.
     pub fn label(&self, code: u32) -> Option<&str> {
-        self.labels.get(code as usize).map(String::as_str)
+        self.shared.label(code as usize)
     }
 
     /// Number of distinct categories.
     pub fn len(&self) -> usize {
-        self.labels.len()
+        self.shared.ends.len()
     }
 
     /// True when no categories have been interned.
     pub fn is_empty(&self) -> bool {
-        self.labels.is_empty()
+        self.shared.ends.is_empty()
     }
 
     /// All labels in code order.
-    pub fn labels(&self) -> &[String] {
-        &self.labels
+    pub fn labels(&self) -> impl ExactSizeIterator<Item = &str> + '_ {
+        (0..self.len()).map(|code| self.shared.label(code).expect("code below len"))
     }
 }
 
@@ -236,6 +298,69 @@ mod tests {
         assert_eq!(d.code("mid"), Some(1));
         assert_eq!(d.code("high"), None);
         assert_eq!(d.label(9), None);
+    }
+
+    #[test]
+    fn dictionary_clone_shares_storage() {
+        let a = Dictionary::from_labels(["low", "mid", "high"]);
+        let b = a.clone();
+        assert!(Arc::ptr_eq(&a.shared, &b.shared));
+        assert_eq!(a, b);
+        assert!(b.labels().eq(a.labels()));
+    }
+
+    #[test]
+    fn interning_a_known_label_into_a_shared_clone_copies_nothing() {
+        let a = Dictionary::from_labels(["low", "mid", "high"]);
+        let mut b = a.clone();
+        assert_eq!(b.intern("mid"), 1);
+        assert!(Arc::ptr_eq(&a.shared, &b.shared));
+        assert_eq!(Arc::strong_count(&a.shared), 2);
+    }
+
+    #[test]
+    fn interning_a_new_label_changes_only_that_clone() {
+        let a = Dictionary::from_labels(["low", "mid"]);
+        let mut b = a.clone();
+        assert_eq!(b.intern("high"), 2);
+        assert!(!Arc::ptr_eq(&a.shared, &b.shared));
+        assert!(a.labels().eq(["low", "mid"]));
+        assert_eq!(a.code("high"), None);
+        assert!(b.labels().eq(["low", "mid", "high"]));
+        assert_eq!(b.code("high"), Some(2));
+        assert_ne!(a, b);
+        // The copy is now b's alone: further interning stays in place.
+        let before = Arc::as_ptr(&b.shared);
+        b.intern("top");
+        assert_eq!(Arc::as_ptr(&b.shared), before);
+    }
+
+    #[test]
+    fn labels_whose_hashes_collide_keep_their_own_codes() {
+        let mut d = Dictionary::from_labels(["a"]);
+        // Occupy the key of "b" and the one after it, as labels whose
+        // hashes collide with it would.
+        let labels = Arc::make_mut(&mut d.shared);
+        let key = labels.hasher.hash_one("b");
+        labels.index.insert(key, 0);
+        labels.index.insert(key.wrapping_add(1), 0);
+        assert_eq!(d.code("b"), None);
+        assert_eq!(d.intern("b"), 1);
+        assert_eq!(d.intern("b"), 1);
+        assert_eq!(d.code("b"), Some(1));
+        assert_eq!(d.code("a"), Some(0));
+        assert_eq!(d.label(1), Some("b"));
+        assert!(d.labels().eq(["a", "b"]));
+    }
+
+    #[test]
+    fn dictionaries_compare_by_their_labels_in_order() {
+        let ab = Dictionary::from_labels(["a", "b"]);
+        assert_eq!(ab, Dictionary::from_labels(["a", "b"]));
+        assert_ne!(ab, Dictionary::from_labels(["b", "a"]));
+        assert_ne!(ab, Dictionary::from_labels(["ab"]));
+        assert_ne!(ab, Dictionary::from_labels(["a", "c"]));
+        assert_eq!(format!("{ab:?}"), r#"["a", "b"]"#);
     }
 
     #[test]

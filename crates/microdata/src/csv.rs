@@ -7,112 +7,157 @@
 //! * [`read_csv`] — parse against a known [`Schema`]; categorical labels not
 //!   yet in the attribute dictionary are interned on the fly.
 //! * [`read_csv_auto`] — infer each column's kind (numeric if every value
-//!   parses as `f64`, nominal otherwise); all roles default to
-//!   [`AttributeRole::NonConfidential`] and should be assigned afterwards via
-//!   [`Schema::set_roles`].
+//!   parses as `f64`, nominal otherwise, see [`ColumnInference`]); all
+//!   roles default to [`AttributeRole::NonConfidential`] and should be
+//!   assigned afterwards via [`Schema::set_roles`].
 //! * [`CsvChunks`] — the bounded-memory path: an iterator of [`Table`]
 //!   shards of at most `chunk_rows` records each, parsed against an
 //!   explicit schema. Paired with [`CsvAppendWriter`] (header once, then
 //!   shard-by-shard appends) it is the I/O substrate of the streaming
 //!   anonymization engine.
 //!
+//! All three sit on one record reader, [`CsvRecords`], which reads each
+//! line into a reused buffer and lends its fields out as `&str`; the
+//! writer likewise renders each record into one reused buffer.
+//!
 //! Every parse error carries the 1-based line number of the offending
 //! record in the *file* (blank lines and the header included), so a
-//! malformed cell deep in a multi-gigabyte export is locatable.
+//! malformed cell deep in a multi-gigabyte export is locatable. A line
+//! that is not valid UTF-8 is such an error too.
 
-use std::io::{BufRead, BufReader, Lines, Read, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 
-use crate::attribute::{AttributeDef, AttributeKind, AttributeRole};
+use crate::attribute::{AttributeDef, AttributeKind, AttributeRole, Dictionary};
+use crate::column::Column;
 use crate::error::{Error, Result};
 use crate::schema::Schema;
 use crate::table::Table;
-use crate::value::Value;
 
-/// Splits one CSV record that is known to be fully contained in `line`.
-fn split_line(line: &str, lineno: usize) -> Result<Vec<String>> {
-    let mut fields = Vec::new();
-    let mut cur = String::new();
-    let mut chars = line.chars().peekable();
-    let mut in_quotes = false;
-    while let Some(c) = chars.next() {
-        if in_quotes {
-            match c {
-                '"' => {
-                    if chars.peek() == Some(&'"') {
-                        cur.push('"');
-                        chars.next();
-                    } else {
-                        in_quotes = false;
-                    }
-                }
-                _ => cur.push(c),
-            }
-        } else {
-            match c {
-                '"' => {
-                    if cur.is_empty() {
-                        in_quotes = true;
-                    } else {
-                        return Err(Error::Csv {
-                            line: lineno,
-                            detail: "quote inside unquoted field".into(),
-                        });
-                    }
-                }
-                ',' => {
-                    fields.push(std::mem::take(&mut cur));
-                }
-                _ => cur.push(c),
-            }
+#[cfg(test)]
+mod reference;
+
+/// Splits one CSV record that is known to be fully contained in `line`
+/// into `text`, field after field, ending field `i` at byte `ends[i]`.
+///
+/// A quote opens a quoted field only at the start of a field; text after
+/// the closing quote joins the field.
+fn split_record(line: &str, lineno: usize, text: &mut String, ends: &mut Vec<usize>) -> Result<()> {
+    text.clear();
+    ends.clear();
+    let mut rest = line;
+    let mut field_start = 0;
+    // Every cut below falls on an ASCII `,` or `"`, so on a char boundary.
+    while let Some(p) = rest.bytes().position(|b| b == b',' || b == b'"') {
+        text.push_str(&rest[..p]);
+        let quote = rest.as_bytes()[p] == b'"';
+        rest = &rest[p + 1..];
+        if !quote {
+            ends.push(text.len());
+            field_start = text.len();
+            continue;
         }
-    }
-    if in_quotes {
-        return Err(Error::Csv {
-            line: lineno,
-            detail: "unterminated quoted field".into(),
-        });
-    }
-    fields.push(cur);
-    Ok(fields)
-}
-
-/// Quotes a field if needed for RFC-4180 output.
-fn quote_field(field: &str) -> String {
-    if field.contains(',') || field.contains('"') || field.contains('\n') || field.contains('\r') {
-        format!("\"{}\"", field.replace('"', "\"\""))
-    } else {
-        field.to_owned()
-    }
-}
-
-/// Formats a numeric cell without trailing `.0` noise for integral values.
-fn format_number(x: f64) -> String {
-    if x.fract() == 0.0 && x.abs() < 1e15 {
-        format!("{}", x as i64)
-    } else {
-        format!("{x}")
-    }
-}
-
-/// Writes the data rows of `table` (no header) as CSV.
-fn write_rows<W: Write>(table: &Table, w: &mut W) -> Result<()> {
-    for r in 0..table.n_rows() {
-        let mut fields = Vec::with_capacity(table.n_cols());
-        for c in 0..table.n_cols() {
-            let attr = table.schema().attribute(c)?;
-            let v = table.column(c)?.get(r).expect("in-bounds");
-            let s = match v {
-                Value::Number(x) => format_number(x),
-                Value::Category(code) => attr.dictionary.label(code).map(str::to_owned).ok_or(
-                    Error::UnknownCategory {
-                        attribute: attr.name.clone(),
-                        code,
-                    },
-                )?,
+        if text.len() != field_start {
+            return Err(Error::Csv {
+                line: lineno,
+                detail: "quote inside unquoted field".into(),
+            });
+        }
+        loop {
+            let Some(q) = rest.find('"') else {
+                return Err(Error::Csv {
+                    line: lineno,
+                    detail: "unterminated quoted field".into(),
+                });
             };
-            fields.push(quote_field(&s));
+            text.push_str(&rest[..q]);
+            rest = &rest[q + 1..];
+            match rest.strip_prefix('"') {
+                Some(after) => {
+                    text.push('"');
+                    rest = after;
+                }
+                None => break,
+            }
         }
-        writeln!(w, "{}", fields.join(","))?;
+    }
+    text.push_str(rest);
+    ends.push(text.len());
+    Ok(())
+}
+
+/// Appends `field` to `out`, quoted if needed for RFC-4180 output.
+fn push_field(out: &mut Vec<u8>, field: &str) {
+    if !field
+        .bytes()
+        .any(|b| matches!(b, b',' | b'"' | b'\n' | b'\r'))
+    {
+        out.extend_from_slice(field.as_bytes());
+        return;
+    }
+    out.push(b'"');
+    for (i, part) in field.split('"').enumerate() {
+        if i > 0 {
+            out.extend_from_slice(b"\"\"");
+        }
+        out.extend_from_slice(part.as_bytes());
+    }
+    out.push(b'"');
+}
+
+/// Appends a numeric cell without trailing `.0` noise for integral values.
+fn push_number(out: &mut Vec<u8>, x: f64) {
+    let written = if x.fract() == 0.0 && x.abs() < 1e15 {
+        write!(out, "{}", x as i64)
+    } else {
+        write!(out, "{x}")
+    };
+    written.expect("writing to a Vec cannot fail");
+}
+
+/// Writes one header line naming `names`.
+fn write_header<'a, W: Write>(w: &mut W, names: impl Iterator<Item = &'a str>) -> Result<()> {
+    let mut line = Vec::new();
+    for (i, name) in names.enumerate() {
+        if i > 0 {
+            line.push(b',');
+        }
+        push_field(&mut line, name);
+    }
+    line.push(b'\n');
+    w.write_all(&line)?;
+    Ok(())
+}
+
+/// Writes the data rows of `table` (no header) as CSV, one reused line
+/// buffer and one `write_all` per record.
+fn write_rows<W: Write>(table: &Table, w: &mut W) -> Result<()> {
+    let columns = (0..table.n_cols())
+        .map(|c| Ok((table.schema().attribute(c)?, table.column(c)?)))
+        .collect::<Result<Vec<(&AttributeDef, &Column)>>>()?;
+    let mut line = Vec::new();
+    for r in 0..table.n_rows() {
+        line.clear();
+        for (c, &(attr, column)) in columns.iter().enumerate() {
+            if c > 0 {
+                line.push(b',');
+            }
+            match column {
+                Column::F64(values) => push_number(&mut line, values[r]),
+                Column::Cat(codes) => {
+                    let code = codes[r];
+                    let label =
+                        attr.dictionary
+                            .label(code)
+                            .ok_or_else(|| Error::UnknownCategory {
+                                attribute: attr.name.clone(),
+                                code,
+                            })?;
+                    push_field(&mut line, label);
+                }
+            }
+        }
+        line.push(b'\n');
+        w.write_all(&line)?;
     }
     Ok(())
 }
@@ -121,13 +166,8 @@ fn write_rows<W: Write>(table: &Table, w: &mut W) -> Result<()> {
 ///
 /// Categorical cells are written as their dictionary labels.
 pub fn write_csv<W: Write>(table: &Table, mut w: W) -> Result<()> {
-    let header: Vec<String> = table
-        .schema()
-        .attributes()
-        .iter()
-        .map(|a| quote_field(&a.name))
-        .collect();
-    writeln!(w, "{}", header.join(","))?;
+    let names = table.schema().attributes().iter().map(|a| a.name.as_str());
+    write_header(&mut w, names)?;
     write_rows(table, &mut w)
 }
 
@@ -150,8 +190,7 @@ impl<W: Write> CsvAppendWriter<W> {
     /// Opens the writer and emits the header row for `schema`.
     pub fn new(mut w: W, schema: &Schema) -> Result<Self> {
         let names: Vec<String> = schema.attributes().iter().map(|a| a.name.clone()).collect();
-        let header: Vec<String> = names.iter().map(|n| quote_field(n)).collect();
-        writeln!(w, "{}", header.join(","))?;
+        write_header(&mut w, names.iter().map(String::as_str))?;
         Ok(CsvAppendWriter {
             w,
             names,
@@ -192,68 +231,136 @@ impl<W: Write> CsvAppendWriter<W> {
     }
 }
 
-/// Iterator over the raw records of a CSV stream: the header row is read
-/// and validated for well-formedness at construction, then each `next()`
-/// yields one `(line_number, fields)` pair — 1-based *file* line numbers
-/// (header and blank lines included), the substrate of every error this
-/// module reports. Blank lines are skipped; ragged records (field count ≠
-/// header count) error out with their line number.
+/// Reader of the raw records of a CSV stream: the header row is read and
+/// validated for well-formedness at construction, then each
+/// [`CsvRecords::next_record`] lends out one [`Record`] — its fields as
+/// `&str` plus its 1-based *file* line number (header and blank lines
+/// included), the substrate of every error this module reports.
+///
+/// Lines end at `\n`; trailing `\r`s are dropped, so CRLF input reads like
+/// LF input. Blank lines are skipped; a line that is not valid UTF-8 and
+/// a ragged record (field count ≠ header count) error out with their line
+/// number. The line and its fields live in buffers reused from record to
+/// record.
 #[derive(Debug)]
 pub struct CsvRecords<R: Read> {
-    lines: std::iter::Enumerate<Lines<BufReader<R>>>,
+    reader: BufReader<R>,
     header: Vec<String>,
+    /// Raw bytes of the current line.
+    line: Vec<u8>,
+    /// Fields of the current record, back to back.
+    text: String,
+    /// End of each field in `text`.
+    ends: Vec<usize>,
+    lineno: usize,
+}
+
+/// One record lent out by [`CsvRecords::next_record`].
+#[derive(Debug, Clone, Copy)]
+pub struct Record<'a> {
+    line: usize,
+    text: &'a str,
+    ends: &'a [usize],
+}
+
+impl<'a> Record<'a> {
+    /// 1-based line number of the record in the file.
+    pub fn line(&self) -> usize {
+        self.line
+    }
+
+    /// The fields, in column order.
+    pub fn fields(&self) -> impl Iterator<Item = &'a str> + 'a {
+        let text = self.text;
+        self.ends.iter().scan(0, move |start, &end| {
+            let field = &text[*start..end];
+            *start = end;
+            Some(field)
+        })
+    }
 }
 
 impl<R: Read> CsvRecords<R> {
     /// Opens the stream and consumes its header row.
     pub fn new(reader: R) -> Result<Self> {
-        let mut lines = BufReader::new(reader).lines().enumerate();
-        let (_, first) = lines.next().ok_or(Error::Csv {
-            line: 1,
-            detail: "empty input: missing header".into(),
-        })?;
-        let first = first.map_err(Error::from)?;
-        let header = split_line(first.trim_end_matches('\r'), 1)?;
-        Ok(CsvRecords { lines, header })
+        let mut records = CsvRecords {
+            reader: BufReader::new(reader),
+            header: Vec::new(),
+            line: Vec::new(),
+            text: String::new(),
+            ends: Vec::new(),
+            lineno: 0,
+        };
+        if !records.next_line()? {
+            return Err(Error::Csv {
+                line: 1,
+                detail: "empty input: missing header".into(),
+            });
+        }
+        records.split()?;
+        records.header = records.current().fields().map(str::to_owned).collect();
+        Ok(records)
     }
 
     /// The header fields (column names).
     pub fn header(&self) -> &[String] {
         &self.header
     }
-}
 
-impl<R: Read> Iterator for CsvRecords<R> {
-    type Item = Result<(usize, Vec<String>)>;
-
-    fn next(&mut self) -> Option<Self::Item> {
+    /// Reads the next non-blank record; `Ok(None)` at the end of the input.
+    pub fn next_record(&mut self) -> Result<Option<Record<'_>>> {
         loop {
-            let (idx, line) = self.lines.next()?;
-            let lineno = idx + 1;
-            let line = match line {
-                Ok(l) => l,
-                Err(e) => return Some(Err(e.into())),
-            };
-            let line = line.trim_end_matches('\r');
-            if line.is_empty() {
+            if !self.next_line()? {
+                return Ok(None);
+            }
+            if self.line.is_empty() {
                 continue;
             }
-            let fields = match split_line(line, lineno) {
-                Ok(f) => f,
-                Err(e) => return Some(Err(e)),
-            };
-            if fields.len() != self.header.len() {
-                return Some(Err(Error::Csv {
-                    line: lineno,
+            self.split()?;
+            if self.ends.len() != self.header.len() {
+                return Err(Error::Csv {
+                    line: self.lineno,
                     detail: format!(
                         "record has {} fields, expected {}",
-                        fields.len(),
+                        self.ends.len(),
                         self.header.len()
                     ),
-                }));
+                });
             }
-            return Some(Ok((lineno, fields)));
+            return Ok(Some(self.current()));
         }
+    }
+
+    fn current(&self) -> Record<'_> {
+        Record {
+            line: self.lineno,
+            text: &self.text,
+            ends: &self.ends,
+        }
+    }
+
+    /// Reads the next line into `line`, without its `\n` and trailing
+    /// `\r`s; `Ok(false)` at the end of the input.
+    fn next_line(&mut self) -> Result<bool> {
+        self.line.clear();
+        if self.reader.read_until(b'\n', &mut self.line)? == 0 {
+            return Ok(false);
+        }
+        self.lineno += 1;
+        // `read_until` stops at the first `\n`, so it can only be last.
+        while let Some(b'\n' | b'\r') = self.line.last() {
+            self.line.pop();
+        }
+        Ok(true)
+    }
+
+    /// Splits the current line into `text`/`ends`.
+    fn split(&mut self) -> Result<()> {
+        let line = std::str::from_utf8(&self.line).map_err(|e| Error::Csv {
+            line: self.lineno,
+            detail: format!("line is not valid UTF-8 ({e})"),
+        })?;
+        split_record(line, self.lineno, &mut self.text, &mut self.ends)
     }
 }
 
@@ -282,34 +389,32 @@ fn validate_header(names: &[String], schema: &Schema) -> Result<()> {
     Ok(())
 }
 
-/// Parses one raw record against `schema` (interning unseen categorical
-/// labels), reporting any failure at the record's file line.
-fn parse_record(schema: &mut Schema, fields: &[String], lineno: usize) -> Result<Vec<Value>> {
-    let mut row = Vec::with_capacity(fields.len());
-    for (i, field) in fields.iter().enumerate() {
-        let kind = schema.attribute(i)?.kind;
-        let v = match kind {
-            AttributeKind::Numeric => {
-                let x: f64 = field.trim().parse().map_err(|_| Error::Csv {
-                    line: lineno,
-                    detail: format!("cannot parse {field:?} as a number (column {i})"),
-                })?;
-                if !x.is_finite() {
-                    return Err(Error::Csv {
-                        line: lineno,
-                        detail: format!("non-finite number {field:?} (column {i})"),
-                    });
-                }
-                Value::Number(x)
-            }
-            AttributeKind::OrdinalCategorical | AttributeKind::NominalCategorical => {
-                let code = schema.attribute_mut(i)?.dictionary.intern(field);
-                Value::Category(code)
-            }
-        };
-        row.push(v);
+/// Parses a numeric cell of column `column`; it must be finite.
+fn parse_number(field: &str, line: usize, column: usize) -> Result<f64> {
+    let x: f64 = field.trim().parse().map_err(|_| Error::Csv {
+        line,
+        detail: format!("cannot parse {field:?} as a number (column {column})"),
+    })?;
+    if !x.is_finite() {
+        return Err(Error::Csv {
+            line,
+            detail: format!("non-finite number {field:?} (column {column})"),
+        });
     }
-    Ok(row)
+    Ok(x)
+}
+
+/// Appends one record to the typed `columns` of `schema`, interning
+/// unseen categorical labels, and reports any failure at the record's
+/// file line.
+fn push_record(schema: &mut Schema, columns: &mut [Column], record: Record<'_>) -> Result<()> {
+    for (i, (column, field)) in columns.iter_mut().zip(record.fields()).enumerate() {
+        match column {
+            Column::F64(values) => values.push(parse_number(field, record.line(), i)?),
+            Column::Cat(codes) => codes.push(schema.attribute_mut(i)?.dictionary.intern(field)),
+        }
+    }
+    Ok(())
 }
 
 /// Bounded-memory chunked CSV reader: an iterator of [`Table`] shards of at
@@ -320,8 +425,11 @@ fn parse_record(schema: &mut Schema, fields: &[String], lineno: usize) -> Result
 /// Categorical labels not yet in a dictionary are interned in file order as
 /// they appear, so codes are consistent *across* chunks of one pass; each
 /// yielded table carries a schema snapshot whose dictionaries cover every
-/// label seen so far. After a parse error the iterator fuses (yields
-/// `None` forever).
+/// label seen so far. Snapshots share their dictionaries with the reader
+/// (see [`Dictionary`]): the labels are stored once, however many chunks
+/// are alive, and are copied only when a later chunk interns a label the
+/// schema did not hold while an earlier chunk is still alive. After a
+/// parse error the iterator fuses (yields `None` forever).
 #[derive(Debug)]
 pub struct CsvChunks<R: Read> {
     records: CsvRecords<R>,
@@ -361,6 +469,29 @@ impl<R: Read> CsvChunks<R> {
     pub fn rows_read(&self) -> usize {
         self.rows_read
     }
+
+    /// Parses up to `chunk_rows` records straight into typed columns.
+    fn read_chunk(&mut self) -> Result<Option<Table>> {
+        let mut columns: Vec<Column> = self
+            .schema
+            .attributes()
+            .iter()
+            .map(|a| Column::empty(a.kind.is_categorical()))
+            .collect();
+        let mut n = 0;
+        while n < self.chunk_rows {
+            let Some(record) = self.records.next_record()? else {
+                break;
+            };
+            push_record(&mut self.schema, &mut columns, record)?;
+            n += 1;
+        }
+        if n == 0 {
+            return Ok(None);
+        }
+        self.rows_read += n;
+        Table::from_columns(self.schema.clone(), columns).map(Some)
+    }
 }
 
 impl<R: Read> Iterator for CsvChunks<R> {
@@ -370,41 +501,9 @@ impl<R: Read> Iterator for CsvChunks<R> {
         if self.done {
             return None;
         }
-        let mut rows: Vec<(usize, Vec<Value>)> = Vec::new();
-        while rows.len() < self.chunk_rows {
-            match self.records.next() {
-                None => break,
-                Some(Err(e)) => {
-                    self.done = true;
-                    return Some(Err(e));
-                }
-                Some(Ok((lineno, fields))) => {
-                    match parse_record(&mut self.schema, &fields, lineno) {
-                        Ok(row) => rows.push((lineno, row)),
-                        Err(e) => {
-                            self.done = true;
-                            return Some(Err(e));
-                        }
-                    }
-                }
-            }
-        }
-        if rows.is_empty() {
-            self.done = true;
-            return None;
-        }
-        self.rows_read += rows.len();
-        let mut table = Table::new(self.schema.clone());
-        for (lineno, row) in &rows {
-            if let Err(e) = table.push_row(row) {
-                self.done = true;
-                return Some(Err(Error::Csv {
-                    line: *lineno,
-                    detail: e.to_string(),
-                }));
-            }
-        }
-        Some(Ok(table))
+        let chunk = self.read_chunk();
+        self.done = !matches!(chunk, Ok(Some(_)));
+        chunk.transpose()
     }
 }
 
@@ -420,83 +519,130 @@ pub fn to_csv_string(table: &Table) -> Result<String> {
 /// The header must contain exactly the schema's attribute names in order.
 /// Categorical labels missing from the dictionary are interned.
 pub fn read_csv<R: Read>(reader: R, schema: Schema) -> Result<Table> {
-    let mut schema = schema;
-    let records = CsvRecords::new(reader)?;
-    validate_header(records.header(), &schema)?;
-
-    let mut rows: Vec<(usize, Vec<Value>)> = Vec::new();
-    for record in records {
-        let (lineno, fields) = record?;
-        rows.push((lineno, parse_record(&mut schema, &fields, lineno)?));
+    let mut chunks = CsvChunks::new(reader, schema, usize::MAX)?;
+    match chunks.next() {
+        Some(table) => table,
+        None => Ok(Table::new(chunks.schema)),
     }
-
-    let mut table = Table::new(schema);
-    for (lineno, row) in &rows {
-        table.push_row(row).map_err(|e| Error::Csv {
-            line: *lineno,
-            detail: e.to_string(),
-        })?;
-    }
-    Ok(table)
 }
 
-/// Reads CSV inferring each column's kind from its values.
+/// Kind inference for one CSV column over a whole scan — the rule of
+/// [`read_csv_auto`] and of the streaming engine's schema-less fit.
 ///
-/// A column is numeric when every non-empty field parses as `f64`; otherwise
-/// it is nominal categorical. Roles default to non-confidential.
-pub fn read_csv_auto<R: Read>(reader: R) -> Result<Table> {
-    let records = CsvRecords::new(reader)?;
-    let names = records.header().to_vec();
-    let mut rows: Vec<(usize, Vec<String>)> = Vec::new();
-    for record in records {
-        rows.push(record?);
+/// A column is numeric when every field parses as `f64` (after trimming
+/// whitespace), and nominal otherwise. Every field is interned as it is
+/// scanned, so a column that stops looking numeric at any record already
+/// holds its dictionary in first-appearance order. A column that ends
+/// numeric must be finite throughout: [`ColumnInference::first_non_finite`]
+/// names its first `inf`/`nan` field, which a nominal column keeps as a
+/// label.
+#[derive(Debug, Clone, Default)]
+pub struct ColumnInference {
+    dictionary: Dictionary,
+    non_numeric: bool,
+    first_non_finite: Option<(usize, String)>,
+}
+
+impl ColumnInference {
+    /// Empty inference state.
+    pub fn new() -> Self {
+        Self::default()
     }
 
-    let n_cols = names.len();
-    let mut is_numeric = vec![true; n_cols];
-    for (_, row) in &rows {
-        for (i, field) in row.iter().enumerate() {
-            if is_numeric[i] && field.trim().parse::<f64>().is_err() {
-                is_numeric[i] = false;
+    /// Scans the column's next field, found on file line `line`: interns
+    /// it and returns its code, plus its value while every field so far
+    /// has parsed as a number.
+    pub fn push(&mut self, field: &str, line: usize) -> (u32, Option<f64>) {
+        let code = self.dictionary.intern(field);
+        if self.non_numeric {
+            return (code, None);
+        }
+        let Ok(x) = field.trim().parse::<f64>() else {
+            self.non_numeric = true;
+            return (code, None);
+        };
+        if !x.is_finite() && self.first_non_finite.is_none() {
+            self.first_non_finite = Some((line, field.to_owned()));
+        }
+        (code, Some(x))
+    }
+
+    /// True while every field scanned so far parsed as a number.
+    pub fn is_numeric(&self) -> bool {
+        !self.non_numeric
+    }
+
+    /// File line and text of the first field that parsed as a non-finite
+    /// number.
+    pub fn first_non_finite(&self) -> Option<(usize, &str)> {
+        self.first_non_finite
+            .as_ref()
+            .map(|(line, field)| (*line, field.as_str()))
+    }
+
+    /// The column's labels in first-appearance order.
+    pub fn into_dictionary(self) -> Dictionary {
+        self.dictionary
+    }
+}
+
+/// Reads CSV inferring each column's kind from its values (see
+/// [`ColumnInference`]) in one scan. Roles default to non-confidential.
+///
+/// A non-finite number in a column that ends numeric fails at the first
+/// such record.
+pub fn read_csv_auto<R: Read>(reader: R) -> Result<Table> {
+    let mut records = CsvRecords::new(reader)?;
+    let names = records.header().to_vec();
+    // Per column: its inference, its codes, and its numbers while every
+    // field so far parsed as one.
+    let mut scans = vec![(ColumnInference::new(), Vec::new(), Vec::new()); names.len()];
+    while let Some(record) = records.next_record()? {
+        for ((kind, codes, values), field) in scans.iter_mut().zip(record.fields()) {
+            let (code, value) = kind.push(field, record.line());
+            codes.push(code);
+            if let Some(x) = value {
+                values.push(x);
             }
         }
     }
 
-    let attrs: Vec<AttributeDef> = names
-        .iter()
-        .enumerate()
-        .map(|(i, name)| {
-            if is_numeric[i] {
-                AttributeDef::numeric(name.clone(), AttributeRole::NonConfidential)
-            } else {
-                AttributeDef::nominal(
-                    name.clone(),
-                    AttributeRole::NonConfidential,
-                    Vec::<String>::new(),
-                )
+    let mut attrs = Vec::with_capacity(names.len());
+    let mut columns = Vec::with_capacity(names.len());
+    let mut first_error: Option<(usize, usize, String)> = None;
+    for (i, (name, (kind, codes, values))) in names.into_iter().zip(scans).enumerate() {
+        if !kind.is_numeric() {
+            attrs.push(AttributeDef {
+                name,
+                kind: AttributeKind::NominalCategorical,
+                role: AttributeRole::NonConfidential,
+                dictionary: kind.into_dictionary(),
+            });
+            columns.push(Column::Cat(codes));
+            continue;
+        }
+        if let Some((line, field)) = kind.first_non_finite() {
+            if first_error.as_ref().is_none_or(|(l, ..)| line < *l) {
+                first_error = Some((line, i, field.to_owned()));
             }
-        })
-        .collect();
-    let mut schema = Schema::new(attrs)?;
-
-    let mut table_rows: Vec<(usize, Vec<Value>)> = Vec::with_capacity(rows.len());
-    for (lineno, row) in &rows {
-        table_rows.push((*lineno, parse_record(&mut schema, row, *lineno)?));
+        }
+        attrs.push(AttributeDef::numeric(name, AttributeRole::NonConfidential));
+        columns.push(Column::F64(values));
     }
-
-    let mut table = Table::new(schema);
-    for (lineno, row) in &table_rows {
-        table.push_row(row).map_err(|e| Error::Csv {
-            line: *lineno,
-            detail: e.to_string(),
-        })?;
+    let schema = Schema::new(attrs)?;
+    if let Some((line, i, field)) = first_error {
+        return Err(Error::Csv {
+            line,
+            detail: format!("non-finite number {field:?} (column {i})"),
+        });
     }
-    Ok(table)
+    Table::from_columns(schema, columns)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::value::Value;
 
     fn demo_schema() -> Schema {
         Schema::new(vec![
@@ -737,17 +883,76 @@ mod tests {
     }
 
     #[test]
+    fn invalid_utf8_fails_at_its_file_line() {
+        let data = b"age,city,income\n30,rome,100\n\n31,p\xffris,200\n";
+        let want = |e: Error| match e {
+            Error::Csv { line, detail } => {
+                assert_eq!(line, 4);
+                assert!(detail.contains("UTF-8"), "{detail}");
+            }
+            other => panic!("expected CSV error, got {other}"),
+        };
+        want(read_csv(&data[..], demo_schema()).unwrap_err());
+        want(read_csv_auto(&data[..]).unwrap_err());
+        let mut chunks = CsvChunks::new(&data[..], demo_schema(), 1).unwrap();
+        assert_eq!(chunks.next().unwrap().unwrap().n_rows(), 1);
+        want(chunks.next().unwrap().unwrap_err());
+        assert!(chunks.next().is_none());
+        // in the header too
+        match CsvRecords::new(&b"a\xc3,b\n1,2\n"[..]).unwrap_err() {
+            Error::Csv { line, .. } => assert_eq!(line, 1),
+            other => panic!("expected CSV error, got {other}"),
+        }
+    }
+
+    #[test]
+    fn crlf_input_reads_like_lf_input() {
+        let lf = "age,city,income\n30,rome,100\n\n31,\"par,is\",200\n";
+        let crlf = lf.replace('\n', "\r\n");
+        assert_eq!(
+            read_csv(crlf.as_bytes(), demo_schema()).unwrap(),
+            read_csv(lf.as_bytes(), demo_schema()).unwrap()
+        );
+        assert_eq!(
+            read_csv_auto(crlf.as_bytes()).unwrap(),
+            read_csv_auto(lf.as_bytes()).unwrap()
+        );
+    }
+
+    #[test]
     fn split_line_errors() {
-        assert!(split_line("\"unterminated", 1).is_err());
-        assert!(split_line("ab\"cd", 1).is_err());
-        assert_eq!(split_line("a,,b", 1).unwrap(), vec!["a", "", "b"]);
-        assert_eq!(split_line("", 1).unwrap(), vec![""]);
+        let split = |line: &str| {
+            let (mut text, mut ends) = (String::new(), Vec::new());
+            split_record(line, 1, &mut text, &mut ends)?;
+            let record = Record {
+                line: 1,
+                text: &text,
+                ends: &ends,
+            };
+            Ok::<_, Error>(record.fields().map(str::to_owned).collect::<Vec<_>>())
+        };
+        assert!(split("\"unterminated").is_err());
+        assert!(split("ab\"cd").is_err());
+        assert_eq!(split("a,,b").unwrap(), vec!["a", "", "b"]);
+        assert_eq!(split("").unwrap(), vec![""]);
+        assert_eq!(split("\"a\"\"b\",\"\"x").unwrap(), vec!["a\"b", "x"]);
+        for line in ["\"unterminated", "ab\"cd", "a,,b", "", "\"a\"\"b\",\"\"x"] {
+            assert_eq!(split(line), reference::split_line(line, 1), "{line:?}");
+        }
     }
 
     #[test]
     fn number_formatting() {
-        assert_eq!(format_number(3.0), "3");
-        assert_eq!(format_number(3.25), "3.25");
-        assert_eq!(format_number(-7.0), "-7");
+        let format = |x: f64| {
+            let mut out = Vec::new();
+            push_number(&mut out, x);
+            String::from_utf8(out).unwrap()
+        };
+        assert_eq!(format(3.0), "3");
+        assert_eq!(format(3.25), "3.25");
+        assert_eq!(format(-7.0), "-7");
+        for x in [3.0, 3.25, -7.0, -0.0, 1e15, 1e15 - 1.0, 1e-7, 0.1 + 0.2] {
+            assert_eq!(format(x), reference::format_number(x), "{x}");
+        }
     }
 }

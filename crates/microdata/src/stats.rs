@@ -197,34 +197,6 @@ pub fn correlation(xs: &[f64], ys: &[f64]) -> f64 {
     sxy / (sxx.sqrt() * syy.sqrt())
 }
 
-/// Ranks of the elements (average rank for ties), 0-based.
-///
-/// Used to build rank-order statistics and Spearman correlations.
-pub fn ranks(xs: &[f64]) -> Vec<f64> {
-    let n = xs.len();
-    let mut idx: Vec<usize> = (0..n).collect();
-    idx.sort_by(|&a, &b| xs[a].partial_cmp(&xs[b]).expect("finite values"));
-    let mut out = vec![0.0; n];
-    let mut i = 0;
-    while i < n {
-        let mut j = i;
-        while j + 1 < n && xs[idx[j + 1]] == xs[idx[i]] {
-            j += 1;
-        }
-        let avg = (i + j) as f64 / 2.0;
-        for &k in &idx[i..=j] {
-            out[k] = avg;
-        }
-        i = j + 1;
-    }
-    out
-}
-
-/// Spearman rank correlation.
-pub fn spearman(xs: &[f64], ys: &[f64]) -> f64 {
-    correlation(&ranks(xs), &ranks(ys))
-}
-
 /// Sample `p`-quantile (linear interpolation), `p ∈ [0,1]`.
 ///
 /// Returns `None` for an empty slice.
@@ -347,20 +319,6 @@ mod tests {
     #[should_panic(expected = "equally long")]
     fn correlation_length_mismatch_panics() {
         correlation(&[1.0], &[1.0, 2.0]);
-    }
-
-    #[test]
-    fn ranks_with_ties() {
-        // values:  10 20 20 30 → ranks 0, 1.5, 1.5, 3
-        let r = ranks(&[10.0, 20.0, 20.0, 30.0]);
-        assert_eq!(r, vec![0.0, 1.5, 1.5, 3.0]);
-    }
-
-    #[test]
-    fn spearman_monotone_transform_invariance() {
-        let x = [1.0, 2.0, 3.0, 4.0, 5.0];
-        let y: Vec<f64> = x.iter().map(|v: &f64| v.exp()).collect(); // monotone
-        assert!((spearman(&x, &y) - 1.0).abs() < EPS);
     }
 
     #[test]

@@ -15,66 +15,41 @@
 //!   QI/confidential attributes, which inference cannot produce) and the
 //!   accumulators are fed whole columns at a time.
 
-use std::collections::HashSet;
 use std::io::Read;
 
 use crate::error::{Error, Result};
 use tclose_core::{Confidential, GlobalFit, QiEmbedding};
 use tclose_metrics::emd::DomainAccumulator;
-use tclose_microdata::csv::{CsvChunks, CsvRecords};
+use tclose_microdata::csv::{ColumnInference, CsvChunks, CsvRecords};
 use tclose_microdata::{
     AttributeDef, AttributeKind, AttributeRole, NormalizeMethod, RunningStats, Schema,
 };
 
-/// Role of a column during the inference scan.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum ScanRole {
-    Qi,
-    Confidential,
-    Other,
+#[cfg(test)]
+mod reference;
+
+/// What the inference scan accumulates for one column, by its role.
+enum Accumulator {
+    /// Moments of a quasi-identifier.
+    Qi(RunningStats),
+    /// Domain and counts of a confidential attribute.
+    Confidential(DomainAccumulator),
+    /// Kind inference and dictionary of a pass-through column.
+    Other(ColumnInference),
 }
 
-/// Per-column accumulation state of the inference scan.
+/// Per-column state of the inference scan.
 struct ColumnScan {
     name: String,
-    role: ScanRole,
-    /// Still true while every value parsed as `f64` (pass-through columns
-    /// only; QI/confidential columns error out on the first failure).
-    numeric: bool,
-    /// Line of the first value that parsed as a non-finite `f64` ("inf",
-    /// "nan"). If the column *ends up* numeric this is a hard error —
-    /// matching the in-memory reader, which also rejects non-finite cells
-    /// of numeric columns — while a column that turns nominal absorbs the
-    /// value as a label in both modes.
-    first_non_finite: Option<usize>,
-    /// Distinct labels in first-appearance order — becomes the dictionary
-    /// if the column ends up nominal.
-    labels: Vec<String>,
-    seen: HashSet<String>,
-    stats: RunningStats,
-    domain: DomainAccumulator,
+    acc: Accumulator,
 }
 
 impl ColumnScan {
-    fn new(name: &str, role: ScanRole) -> Self {
-        ColumnScan {
-            name: name.to_owned(),
-            role,
-            numeric: true,
-            first_non_finite: None,
-            labels: Vec::new(),
-            seen: HashSet::new(),
-            stats: RunningStats::new(),
-            domain: DomainAccumulator::new(),
-        }
-    }
-
     fn scan(&mut self, field: &str, row: usize, lineno: usize) -> Result<()> {
-        let parsed = field.trim().parse::<f64>().ok();
-        let finite = parsed.filter(|x| x.is_finite());
-        match self.role {
-            ScanRole::Qi => {
-                let x = finite.ok_or_else(|| Error::Data {
+        let finite = || field.trim().parse::<f64>().ok().filter(|x| x.is_finite());
+        match &mut self.acc {
+            Accumulator::Qi(stats) => {
+                let x = finite().ok_or_else(|| Error::Data {
                     line: Some(lineno),
                     detail: format!(
                         "quasi-identifier {:?} has non-numeric or non-finite value \
@@ -84,10 +59,10 @@ impl ColumnScan {
                         self.name
                     ),
                 })?;
-                self.stats.push(x);
+                stats.push(x);
             }
-            ScanRole::Confidential => {
-                let x = finite.ok_or_else(|| Error::Data {
+            Accumulator::Confidential(domain) => {
+                let x = finite().ok_or_else(|| Error::Data {
                     line: Some(lineno),
                     detail: format!(
                         "confidential attribute {:?} has non-numeric or non-finite \
@@ -95,26 +70,13 @@ impl ColumnScan {
                         self.name
                     ),
                 })?;
-                self.domain.add(x, row).map_err(|e| Error::Data {
+                domain.add(x, row).map_err(|e| Error::Data {
                     line: Some(lineno),
                     detail: e.to_string(),
                 })?;
             }
-            ScanRole::Other => {
-                match parsed {
-                    None => self.numeric = false,
-                    Some(x) if !x.is_finite() && self.first_non_finite.is_none() => {
-                        self.first_non_finite = Some(lineno);
-                    }
-                    Some(_) => {}
-                }
-                // Collect the dictionary unconditionally: the column may
-                // stop looking numeric at any later record, and interning
-                // order must be first-appearance order either way.
-                if !self.seen.contains(field) {
-                    self.seen.insert(field.to_owned());
-                    self.labels.push(field.to_owned());
-                }
+            Accumulator::Other(kind) => {
+                kind.push(field, lineno);
             }
         }
         Ok(())
@@ -123,8 +85,8 @@ impl ColumnScan {
     /// Post-scan validation of a pass-through column: a column that ends
     /// numeric must be finite throughout (parity with `read_csv_auto`).
     fn check_finite(&self) -> Result<()> {
-        if self.role == ScanRole::Other && self.numeric {
-            if let Some(line) = self.first_non_finite {
+        if let Accumulator::Other(kind) = &self.acc {
+            if let (true, Some((line, _))) = (kind.is_numeric(), kind.first_non_finite()) {
                 return Err(Error::Data {
                     line: Some(line),
                     detail: format!("non-finite number in numeric column {:?}", self.name),
@@ -135,14 +97,14 @@ impl ColumnScan {
     }
 }
 
-/// Resolves each header column's scan role from the requested QI /
+/// Resolves each header column's accumulator from the requested QI /
 /// confidential name lists (confidential wins when a name is listed twice,
 /// mirroring sequential `Schema::set_roles` assignment).
 fn resolve_roles(
     header: &[String],
     qi: &[String],
     confidential: &[String],
-) -> Result<Vec<ScanRole>> {
+) -> Result<Vec<ColumnScan>> {
     for name in qi.iter().chain(confidential) {
         if !header.contains(name) {
             return Err(Error::Config(format!(
@@ -152,14 +114,15 @@ fn resolve_roles(
     }
     Ok(header
         .iter()
-        .map(|name| {
-            if confidential.contains(name) {
-                ScanRole::Confidential
+        .map(|name| ColumnScan {
+            name: name.clone(),
+            acc: if confidential.contains(name) {
+                Accumulator::Confidential(DomainAccumulator::new())
             } else if qi.contains(name) {
-                ScanRole::Qi
+                Accumulator::Qi(RunningStats::new())
             } else {
-                ScanRole::Other
-            }
+                Accumulator::Other(ColumnInference::new())
+            },
         })
         .collect())
 }
@@ -185,20 +148,13 @@ pub fn fit_auto<R: Read>(
             "at least one confidential column is required".into(),
         ));
     }
-    let records = CsvRecords::new(reader)?;
-    let roles = resolve_roles(records.header(), qi, confidential)?;
-    let mut cols: Vec<ColumnScan> = records
-        .header()
-        .iter()
-        .zip(&roles)
-        .map(|(name, &role)| ColumnScan::new(name, role))
-        .collect();
+    let mut records = CsvRecords::new(reader)?;
+    let mut cols = resolve_roles(records.header(), qi, confidential)?;
 
     let mut n = 0usize;
-    for record in records {
-        let (lineno, fields) = record?;
-        for (col, field) in cols.iter_mut().zip(&fields) {
-            col.scan(field, n, lineno)?;
+    while let Some(record) = records.next_record()? {
+        for (col, field) in cols.iter_mut().zip(record.fields()) {
+            col.scan(field, n, record.line())?;
         }
         n += 1;
     }
@@ -212,38 +168,39 @@ pub fn fit_auto<R: Read>(
         col.check_finite()?;
     }
 
-    let attrs: Vec<AttributeDef> = cols
-        .iter()
-        .map(|c| match c.role {
-            ScanRole::Qi => AttributeDef::numeric(c.name.clone(), AttributeRole::QuasiIdentifier),
-            ScanRole::Confidential => {
-                AttributeDef::numeric(c.name.clone(), AttributeRole::Confidential)
+    let mut attrs = Vec::with_capacity(cols.len());
+    let mut stats = Vec::new();
+    let mut domains = Vec::new();
+    for ColumnScan { name, acc } in cols {
+        attrs.push(match acc {
+            Accumulator::Qi(s) => {
+                stats.push(s);
+                AttributeDef::numeric(name, AttributeRole::QuasiIdentifier)
             }
-            ScanRole::Other if c.numeric => {
-                AttributeDef::numeric(c.name.clone(), AttributeRole::NonConfidential)
+            Accumulator::Confidential(domain) => {
+                domains.push((name.clone(), domain));
+                AttributeDef::numeric(name, AttributeRole::Confidential)
             }
-            ScanRole::Other => AttributeDef::nominal(
-                c.name.clone(),
-                AttributeRole::NonConfidential,
-                c.labels.clone(),
-            ),
-        })
-        .collect();
+            Accumulator::Other(kind) if kind.is_numeric() => {
+                AttributeDef::numeric(name, AttributeRole::NonConfidential)
+            }
+            Accumulator::Other(kind) => AttributeDef {
+                name,
+                kind: AttributeKind::NominalCategorical,
+                role: AttributeRole::NonConfidential,
+                dictionary: kind.into_dictionary(),
+            },
+        });
+    }
     let schema = Schema::new(attrs)?;
 
-    let stats: Vec<RunningStats> = cols
-        .iter()
-        .filter(|c| c.role == ScanRole::Qi)
-        .map(|c| c.stats)
-        .collect();
     let embedding = QiEmbedding::from_stats(normalize, &stats);
-    let emds = cols
+    let emds = domains
         .iter()
-        .filter(|c| c.role == ScanRole::Confidential)
-        .map(|c| {
-            c.domain.finalize().map_err(|e| Error::Data {
+        .map(|(name, domain)| {
+            domain.finalize().map_err(|e| Error::Data {
                 line: None,
-                detail: format!("confidential attribute {:?}: {e}", c.name),
+                detail: format!("confidential attribute {name:?}: {e}"),
             })
         })
         .collect::<Result<Vec<_>>>()?;
@@ -384,7 +341,10 @@ mod tests {
                                                          // city inferred nominal with first-appearance dictionary
         let city = fit.schema().attribute(1).unwrap();
         assert_eq!(city.kind, AttributeKind::NominalCategorical);
-        assert_eq!(city.dictionary.labels(), &["rome", "paris", "oslo"]);
+        assert_eq!(
+            city.dictionary.labels().collect::<Vec<_>>(),
+            ["rome", "paris", "oslo"]
+        );
         // z-score params match the batch statistics
         let (shift, scale) = fit.embedding().params()[0];
         let ages = [30.0, 34.0, 41.0, 29.0];
@@ -450,6 +410,23 @@ mod tests {
     }
 
     #[test]
+    fn invalid_utf8_fails_at_its_file_line() {
+        let data = b"age,city,wage\n30,rome,100\n\n34,p\xc3ris,200\n";
+        match fit_auto(
+            &data[..],
+            &names(&["age"]),
+            &names(&["wage"]),
+            NormalizeMethod::ZScore,
+        ) {
+            Err(Error::Microdata(tclose_microdata::Error::Csv { line, detail })) => {
+                assert_eq!(line, 4);
+                assert!(detail.contains("UTF-8"), "{detail}");
+            }
+            other => panic!("expected a CSV error, got {other:?}"),
+        }
+    }
+
+    #[test]
     fn non_finite_passthrough_matches_the_in_memory_reader() {
         // A numeric-looking pass-through column containing "inf" fails in
         // both ingestion modes (parity with read_csv_auto + parse_record)…
@@ -483,8 +460,13 @@ mod tests {
             AttributeKind::NominalCategorical
         );
         assert_eq!(
-            fit.schema().attribute(1).unwrap().dictionary.labels(),
-            &["x", "inf", "y"]
+            fit.schema()
+                .attribute(1)
+                .unwrap()
+                .dictionary
+                .labels()
+                .collect::<Vec<_>>(),
+            ["x", "inf", "y"]
         );
     }
 

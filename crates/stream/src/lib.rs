@@ -24,7 +24,12 @@
 //!    up to `workers` shards concurrently with [`release_shard`],
 //!    and append the released shards to the output **in input order**
 //!    through [`CsvAppendWriter`].
-//!    Peak residency is `O(workers × shard_rows)` records.
+//!    Peak residency is `O(workers × shard_rows)` records plus one copy of
+//!    the fit's whole-file dictionaries, which every in-flight shard
+//!    shares (a [`Dictionary`](tclose_microdata::Dictionary) is
+//!    copy-on-write). Only a label the fit never saw, as when a model is
+//!    applied to another file, makes the reader copy a dictionary that an
+//!    earlier shard still holds.
 //!
 //! [`release_shard`] is the one release path of the workspace: the
 //! in-memory `tclose anonymize` and `tclose apply` call it once on the
@@ -653,6 +658,53 @@ mod tests {
             ),
             Err(Error::Io(_))
         ));
+    }
+
+    #[test]
+    fn invalid_utf8_fails_at_its_file_line_in_either_pass() {
+        let good = tmp("utf8_good.csv");
+        let bad = tmp("utf8_bad.csv");
+        let output = tmp("utf8_out.csv");
+        write_input(&good, 60);
+        // File line 40 (the header is line 1) gets a byte that is not UTF-8.
+        let mut lines: Vec<Vec<u8>> = std::fs::read(&good)
+            .unwrap()
+            .split(|&b| b == b'\n')
+            .map(<[u8]>::to_vec)
+            .collect();
+        lines[39].push(0xff);
+        std::fs::write(&bad, lines.join(&b'\n')).unwrap();
+        let at_line_40 = |e: Error| match e {
+            Error::Microdata(tclose_microdata::Error::Csv { line, detail }) => {
+                assert_eq!(line, 40);
+                assert!(detail.contains("UTF-8"), "{detail}");
+            }
+            other => panic!("expected a CSV error, got {other:?}"),
+        };
+
+        // The fit pass meets it first…
+        let engine = ShardedAnonymizer::new(3, 0.4).shard_rows(20);
+        at_line_40(
+            engine
+                .anonymize_file(&bad, &output, &qi(), &conf())
+                .unwrap_err(),
+        );
+        // …and pass 2 when a fit of the good file is applied to it.
+        let fitted = Anonymizer::new(3, 0.4)
+            .with_fit(engine.fit_file(&good, &qi(), &conf()).unwrap())
+            .unwrap();
+        at_line_40(engine.apply_file_with(&fitted, &bad, &output).unwrap_err());
+        // The in-memory loader names the line too.
+        at_line_40(
+            read_with_roles(
+                std::fs::File::open(&bad).unwrap(),
+                Roles::Named {
+                    qi: &qi(),
+                    confidential: &conf(),
+                },
+            )
+            .unwrap_err(),
+        );
     }
 
     #[test]

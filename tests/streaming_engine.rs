@@ -13,6 +13,7 @@
 
 use std::path::PathBuf;
 
+use tclose::compliance::sha256::sha256_hex;
 use tclose::core::{equivalence_classes, verify_k_anonymity, verify_t_closeness, Confidential};
 use tclose::microdata::csv::{read_csv_auto, to_csv_string, write_csv};
 use tclose::microdata::{AttributeRole, NormalizeMethod};
@@ -202,4 +203,79 @@ fn streaming_matches_monolithic_when_one_shard_covers_the_file() {
     assert_eq!(report.n_clusters, mono.report.n_clusters);
     assert_eq!(report.min_cluster_size, mono.report.min_cluster_size);
     assert_eq!(report.max_cluster_size, mono.report.max_cluster_size);
+}
+
+/// SHA-256 of (release CSV ‖ audit JSONL) of one streamed run over
+/// `input` in 1,000-row shards, with the hipaa/tokenize policy or none.
+fn stream_digest(input: &std::path::Path, workers: usize, policy: bool) -> String {
+    let output = tmp(&format!("pinned_out_w{workers}_{policy}.csv"));
+    let mut engine = ShardedAnonymizer::new(5, 0.2)
+        .shard_rows(1_000)
+        .with_parallelism(Parallelism::workers(workers));
+    if policy {
+        engine =
+            engine.with_compliance(ComplianceEngine::new(ComplianceConfig::default()).unwrap());
+    }
+    let report = engine
+        .anonymize_file(
+            input,
+            &output,
+            &["AGE".into(), "ZIP".into(), "STAY_DAYS".into()],
+            &["CHARGE".into()],
+        )
+        .unwrap();
+    assert_eq!(report.n_shards, 3);
+    assert_eq!(report.compliance_audits.is_empty(), !policy);
+    let mut bytes = std::fs::read(&output).unwrap();
+    for record in &report.compliance_audits {
+        bytes.extend_from_slice(record.to_jsonl().as_bytes());
+        bytes.push(b'\n');
+    }
+    sha256_hex(&bytes)
+}
+
+/// Release and audit-log digests of `pii_patients(5, 3_000)` streamed at
+/// 1 and 2 workers, with and without the policy, measured before the CSV
+/// reader, the writer and the dictionaries stopped copying. A CRLF copy
+/// of the input with blank lines inserted releases the same bytes.
+#[test]
+fn streamed_release_and_audit_bytes_are_pinned() {
+    let lf = tmp("pinned_lf.csv");
+    write_csv(
+        &tclose::datasets::pii_patients(5, 3_000),
+        std::fs::File::create(&lf).unwrap(),
+    )
+    .unwrap();
+    let mut crlf_text = String::new();
+    for (i, line) in std::fs::read_to_string(&lf).unwrap().lines().enumerate() {
+        crlf_text.push_str(line);
+        crlf_text.push_str("\r\n");
+        if i % 700 == 1 {
+            crlf_text.push_str("\r\n\n");
+        }
+    }
+    let crlf = tmp("pinned_crlf.csv");
+    std::fs::write(&crlf, crlf_text).unwrap();
+
+    for (policy, want) in [
+        (
+            false,
+            "b4d15381a5443e29caec066c7c5bff937f0922973f6301788cd6bf6f76bb028e",
+        ),
+        (
+            true,
+            "2e200244c5c8b21201be05c08169aa288c6ce5204f686e0c89c0890948ff476d",
+        ),
+    ] {
+        for workers in [1usize, 2] {
+            for input in [&lf, &crlf] {
+                assert_eq!(
+                    stream_digest(input, workers, policy),
+                    want,
+                    "policy {policy}, {workers} workers, {}",
+                    input.display()
+                );
+            }
+        }
+    }
 }
