@@ -23,7 +23,6 @@
 //!                  [--timeout-ms N] [--drain-timeout-ms N]
 //! tclose request   --addr HOST:PORT [--op ping|list|anonymize|audit|shutdown]
 //!                  [--model ID] [--input FILE] [--output FILE]
-//! tclose bench     [run|gate|bless|selftest] [--suite smoke|full] …
 //! ```
 //!
 //! `COLS` are comma-separated column names. `anonymize` releases a
@@ -61,11 +60,6 @@
 //! scrub. `fit --compliance` binds the model to the policy fingerprint,
 //! and `apply` refuses to run under a different policy (or none).
 //!
-//! `bench` mounts the `tclose-perf` harness (machine-readable benchmark
-//! suite plus the noise-aware regression gate); everything after `bench`
-//! follows that tool's grammar — see `tclose bench --help` and
-//! `docs/PERFORMANCE.md` for the methodology.
-//!
 //! The three `--algorithm` choices are Algorithms 1–3 of the source paper
 //! (Soria-Comas et al., ICDE 2016): microaggregation + merging,
 //! k-anonymity-first refinement, and t-closeness-first stratification.
@@ -102,7 +96,6 @@ usage:
                    [--queue N] [--timeout-ms N] [--drain-timeout-ms N]
   tclose request   --addr HOST:PORT [--op ping|list|anonymize|audit|shutdown] \\
                    [--model ID] [--input FILE] [--output FILE]
-  tclose bench     [run|gate|bless|selftest] [--suite smoke|full] [...]
 
 algorithms:
   alg1  microaggregation + merging          (guaranteed t-close)
@@ -148,20 +141,10 @@ model artifacts:
   any file against a saved artifact, skipping the fit pass — output is
   byte-identical to the fused anonymize run on the fitted file. tclose
   model inspect prints an artifact's provenance (version, fingerprint,
-  domains) without reading any data.
-
-benchmarking:
-  tclose bench runs the machine-readable perf suite and regression gate
-  (the tclose-perf harness); see `tclose bench --help`";
+  domains) without reading any data.";
 
 fn main() -> ExitCode {
     let argv: Vec<String> = std::env::args().skip(1).collect();
-    // `bench` has its own grammar (subcommands, flags unknown to this
-    // parser); hand the rest of the argv straight to the perf harness.
-    if argv.first().map(String::as_str) == Some("bench") {
-        let code = tclose_perf::cli::run(&argv[1..]);
-        return ExitCode::from(code.clamp(0, u8::MAX as i32) as u8);
-    }
     let parsed = match args::parse(&argv) {
         Ok(p) => p,
         Err(e) => {

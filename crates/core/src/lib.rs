@@ -75,7 +75,7 @@ pub use artifact::{ArtifactError, ModelArtifact, ModelParams, ARTIFACT_SCHEMA_VE
 pub use confidential::Confidential;
 pub use error::{Error, Result};
 pub use fit::{FittedAnonymizer, GlobalFit, QiEmbedding};
-pub use models::{verify_l_diversity, verify_p_sensitive};
+pub use models::verify_l_diversity;
 pub use params::TClosenessParams;
 pub use pipeline::{Algorithm, AnonymizationReport, Anonymized, Anonymizer};
 pub use tclose_microagg::NeighborBackend;

@@ -1,11 +1,13 @@
-//! Auditors for the related k-anonymity refinements the paper discusses
-//! (Section 2.2): **distinct l-diversity** (Machanavajjhala et al. 2007)
-//! and **p-sensitive k-anonymity** (Truta & Vinay 2006).
+//! Auditor for a related k-anonymity refinement the paper discusses
+//! (Section 2.2): **distinct l-diversity** (Machanavajjhala et al. 2007).
+//! Its count is also the `p` of **p-sensitive k-anonymity** (Truta &
+//! Vinay 2006), which pairs it with the `k` of
+//! [`crate::verify_k_anonymity`].
 //!
 //! t-Closeness subsumes both in spirit — it constrains the *whole*
 //! within-class distribution rather than counting distinct values — but
 //! real deployments often need to report all three levels for one release.
-//! These auditors recompute equivalence classes from the released table,
+//! The auditor recomputes equivalence classes from the released table,
 //! exactly like [`crate::verify`].
 //!
 //! A structural relation worth knowing (and tested below): a class
@@ -59,16 +61,6 @@ pub fn verify_l_diversity(table: &Table) -> Result<usize> {
     Ok(worst)
 }
 
-/// Audits **p-sensitive k-anonymity**: returns `(k, p)` where `k` is the
-/// minimum class size and `p` the minimum number of distinct confidential
-/// values per class (identical to the l-diversity audit; the model differs
-/// only in requiring both thresholds simultaneously).
-pub fn verify_p_sensitive(table: &Table) -> Result<(usize, usize)> {
-    let k = crate::verify::verify_k_anonymity(table)?;
-    let p = verify_l_diversity(table)?;
-    Ok((k, p))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -98,7 +90,6 @@ mod tests {
             (2.0, &[10.0, 10.0, 20.0]), // 2 distinct
         ]);
         assert_eq!(verify_l_diversity(&t).unwrap(), 2);
-        assert_eq!(verify_p_sensitive(&t).unwrap(), (3, 2));
     }
 
     #[test]

@@ -1,5 +1,3 @@
-//! # tclose-baselines
-//!
 //! Generalization-based baselines the paper positions microaggregation
 //! against (Sections 3–4):
 //!
@@ -20,15 +18,8 @@
 //! Both implement [`TCloseClusterer`], so they slot into the same
 //! experiment harness as the paper's algorithms.
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-
-pub mod generalize;
-pub mod mondrian;
-pub mod sabre;
-
-pub use generalize::generalize_columns;
-pub use mondrian::MondrianTClose;
-pub use sabre::SabreLite;
+pub use crate::generalize::generalize_columns;
+pub use crate::mondrian::MondrianTClose;
+pub use crate::sabre::SabreLite;
 
 pub use tclose_core::TCloseClusterer;

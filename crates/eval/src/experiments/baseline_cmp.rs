@@ -5,10 +5,10 @@
 //! ranges (midpoints), microaggregation releases use centroids; SSE then
 //! quantifies the utility advantage the paper claims for perturbation.
 
+use crate::baselines::{generalize_columns, MondrianTClose, SabreLite};
 use crate::render::{fmt_f, Grid};
 use crate::runner::parallel_map;
 use crate::{Context, Dataset};
-use tclose_baselines::{generalize_columns, MondrianTClose, SabreLite};
 use tclose_core::pipeline::qi_matrix;
 use tclose_core::{Algorithm, Confidential, TCloseClusterer, TClosenessParams};
 use tclose_metrics::sse::normalized_sse;

@@ -1,7 +1,7 @@
 //! One module per paper artifact (plus extensions). Every experiment
 //! exposes (a) a *cells* function returning raw measurements — what the
-//! tests and benches consume — and (b) a *grid* function rendering them in
-//! the paper's layout.
+//! tests consume — and (b) a *grid* function rendering them in the
+//! paper's layout.
 
 pub mod ablation;
 pub mod approx_frontier;

@@ -10,7 +10,8 @@
 //! This module is where the paper's Section 4 critique becomes measurable:
 //! the midpoint of a *range* is dragged by outliers, whereas the *mean*
 //! used by microaggregation is not — so generalized releases show a higher
-//! SSE on skewed data (tested below and benchmarked in the harness).
+//! SSE on skewed data (tested below and measured by the `baselines`
+//! experiment).
 
 use tclose_microagg::Clustering;
 use tclose_microdata::{AttributeKind, Error, Result, Table};

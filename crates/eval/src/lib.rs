@@ -28,9 +28,15 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod baselines;
 pub mod experiments;
 pub mod render;
 pub mod runner;
+
+// The baseline implementations; `baselines` is their public face.
+mod generalize;
+mod mondrian;
+mod sabre;
 
 use tclose_datasets::{
     census_hcd, census_mcd, census_tied_hcd, census_tied_mcd, patient_discharge,

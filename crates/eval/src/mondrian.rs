@@ -10,9 +10,10 @@
 //! resulting classes are t-close by induction.
 //!
 //! Mondrian is a *global recoding* method: each class is released as a
-//! hyper-rectangle of QI ranges (see [`crate::generalize_columns`]). Its
-//! per-class ranges are what the paper's Section 4 critique targets:
-//! coarse granularity, outlier sensitivity, discretized numeric values.
+//! hyper-rectangle of QI ranges (see
+//! [`crate::baselines::generalize_columns`]). Its per-class ranges are
+//! what the paper's Section 4 critique targets: coarse granularity,
+//! outlier sensitivity, discretized numeric values.
 
 use tclose_core::{Confidential, TCloseClusterer, TClosenessParams};
 use tclose_microagg::{Clustering, Matrix};

@@ -116,10 +116,10 @@ pub enum NeighborBackend {
 
 /// Minimum row count at which `Auto` switches to the kd-tree (below this
 /// the `O(n log n)` build costs more than the scans it saves). The
-/// `backend_crossover` benchmark (`docs/PERFORMANCE.md`) measures the
-/// tree ≥ 3× ahead from ~512 rows on; 1024 keeps a safety margin for
-/// degenerate shapes while catching every working set where the win is
-/// more than microseconds.
+/// recorded crossover table in `docs/PERFORMANCE.md` ("Backend
+/// crossover", d = 4) has the tree ≥ 3× ahead from ~512 rows on; 1024
+/// keeps a safety margin for degenerate shapes while catching every
+/// working set where the win is more than microseconds.
 pub const AUTO_MIN_ROWS: usize = 1024;
 
 /// Maximum dimensionality at which `Auto` uses the kd-tree. Bounding-box

@@ -1,25 +1,20 @@
 //! Record-space distances and geometric helpers.
 //!
 //! All microaggregation algorithms operate on records embedded as
-//! normalized quasi-identifier vectors (see [`tclose_microdata::Normalizer`]).
-//! Two kernel families live here:
-//!
-//! * The **flat kernels** (`*_ids`) over a contiguous [`Matrix`] — the hot
-//!   path of MDAV / V-MDAV and Algorithms 1–3. Each scan walks fixed-size
-//!   blocks of the index list ([`tclose_parallel::map_blocks`]) and can
-//!   distribute whole blocks over scoped threads; because the block
-//!   structure never depends on the worker count, every kernel returns
-//!   bit-identical results for 1 or N workers. Ties in the extreme-point
-//!   and k-nearest queries break toward the **lowest row index**, which
-//!   makes the parallel reduction order-free. Inside each block the work
-//!   runs on a multi-lane kernel path (see [`crate::simd`]); both paths
-//!   are bit-identical, so neither the lane width nor the worker count
-//!   can ever change a result. Every kernel has a `*_path` variant taking
-//!   an explicit [`KernelPath`] for differential tests and benches; the
-//!   plain form runs [`KernelPath::Lanes8`].
-//! * The **boxed-rows helpers** over `&[Vec<f64>]` — the seed
-//!   representation, kept as the compatibility/reference path (and as the
-//!   baseline of the `flat_scaling` benchmark).
+//! normalized quasi-identifier vectors (see `tclose_core::QiEmbedding`).
+//! The kernels here (`*_ids`) run over a contiguous [`Matrix`] — the hot
+//! path of MDAV / V-MDAV and Algorithms 1–3. Each scan walks fixed-size
+//! blocks of the index list ([`tclose_parallel::map_blocks`]) and can
+//! distribute whole blocks over scoped threads; because the block
+//! structure never depends on the worker count, every kernel returns
+//! bit-identical results for 1 or N workers. Ties in the extreme-point
+//! and k-nearest queries break toward the **lowest row index**, which
+//! makes the parallel reduction order-free. Inside each block the work
+//! runs on a multi-lane kernel path (see [`crate::simd`]); both paths
+//! are bit-identical, so neither the lane width nor the worker count can
+//! ever change a result. Every kernel has a `*_path` variant taking an
+//! explicit [`KernelPath`] for differential tests and benches; the plain
+//! form runs [`KernelPath::Lanes8`].
 
 use crate::matrix::{Matrix, RowIndex};
 use crate::simd::{self, KernelPath};
@@ -38,12 +33,6 @@ pub fn sq_dist(a: &[f64], b: &[f64]) -> f64 {
         acc += d * d;
     }
     acc
-}
-
-/// Euclidean distance.
-#[inline]
-pub fn dist(a: &[f64], b: &[f64]) -> f64 {
-    sq_dist(a, b).sqrt()
 }
 
 /// Fully unrolled squared distance for a compile-time dimension; the
@@ -437,76 +426,79 @@ pub fn min_sq_dist_excluding_path<I: RowIndex>(
     .fold(f64::INFINITY, f64::min)
 }
 
-/// Component-wise mean of the rows at `indices`.
-///
-/// Returns the zero vector of the right dimension for an empty selection so
-/// callers do not need a special case (the paper's algorithms never query
-/// the centroid of an empty set on a live path).
-pub fn centroid(rows: &[Vec<f64>], indices: &[usize]) -> Vec<f64> {
-    let dim = rows.first().map(Vec::len).unwrap_or(0);
-    let mut c = vec![0.0; dim];
-    if indices.is_empty() {
-        return c;
-    }
-    for &i in indices {
-        for (acc, x) in c.iter_mut().zip(&rows[i]) {
-            *acc += x;
-        }
-    }
-    let n = indices.len() as f64;
-    for acc in &mut c {
-        *acc /= n;
-    }
-    c
-}
-
-/// Index (into `indices`' *values*) of the record farthest from `point`.
-///
-/// Ties break toward the earliest index for determinism. `None` when
-/// `indices` is empty.
-pub fn farthest_from(rows: &[Vec<f64>], indices: &[usize], point: &[f64]) -> Option<usize> {
-    let mut best: Option<(usize, f64)> = None;
-    for &i in indices {
-        let d = sq_dist(&rows[i], point);
-        match best {
-            Some((_, bd)) if d <= bd => {}
-            _ => best = Some((i, d)),
-        }
-    }
-    best.map(|(i, _)| i)
-}
-
-/// Index of the record nearest to `point` among `indices`.
-pub fn nearest_to(rows: &[Vec<f64>], indices: &[usize], point: &[f64]) -> Option<usize> {
-    let mut best: Option<(usize, f64)> = None;
-    for &i in indices {
-        let d = sq_dist(&rows[i], point);
-        match best {
-            Some((_, bd)) if d >= bd => {}
-            _ => best = Some((i, d)),
-        }
-    }
-    best.map(|(i, _)| i)
-}
-
-/// The `count` indices among `indices` nearest to `point`, ascending by
-/// distance (ties by index). `count` may exceed `indices.len()`, in which
-/// case all indices are returned sorted by distance.
-pub fn k_nearest(rows: &[Vec<f64>], indices: &[usize], point: &[f64], count: usize) -> Vec<usize> {
-    let mut with_d: Vec<(usize, f64)> = indices
-        .iter()
-        .map(|&i| (i, sq_dist(&rows[i], point)))
-        .collect();
-    // Partial selection would do, but a full sort keeps ties deterministic
-    // and the selection is not the bottleneck of any algorithm here.
-    with_d.sort_by(|a, b| a.1.partial_cmp(&b.1).expect("finite").then(a.0.cmp(&b.0)));
-    with_d.truncate(count);
-    with_d.into_iter().map(|(i, _)| i).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    // The boxed-rows helpers of the seed representation, kept as the
+    // reference the flat kernels are checked against.
+
+    /// Component-wise mean of the rows at `indices`.
+    ///
+    /// Returns the zero vector of the right dimension for an empty selection so
+    /// callers do not need a special case (the paper's algorithms never query
+    /// the centroid of an empty set on a live path).
+    fn centroid(rows: &[Vec<f64>], indices: &[usize]) -> Vec<f64> {
+        let dim = rows.first().map(Vec::len).unwrap_or(0);
+        let mut c = vec![0.0; dim];
+        if indices.is_empty() {
+            return c;
+        }
+        for &i in indices {
+            for (acc, x) in c.iter_mut().zip(&rows[i]) {
+                *acc += x;
+            }
+        }
+        let n = indices.len() as f64;
+        for acc in &mut c {
+            *acc /= n;
+        }
+        c
+    }
+
+    /// Index (into `indices`' *values*) of the record farthest from `point`.
+    ///
+    /// Ties break toward the earliest index for determinism. `None` when
+    /// `indices` is empty.
+    fn farthest_from(rows: &[Vec<f64>], indices: &[usize], point: &[f64]) -> Option<usize> {
+        let mut best: Option<(usize, f64)> = None;
+        for &i in indices {
+            let d = sq_dist(&rows[i], point);
+            match best {
+                Some((_, bd)) if d <= bd => {}
+                _ => best = Some((i, d)),
+            }
+        }
+        best.map(|(i, _)| i)
+    }
+
+    /// Index of the record nearest to `point` among `indices`.
+    fn nearest_to(rows: &[Vec<f64>], indices: &[usize], point: &[f64]) -> Option<usize> {
+        let mut best: Option<(usize, f64)> = None;
+        for &i in indices {
+            let d = sq_dist(&rows[i], point);
+            match best {
+                Some((_, bd)) if d >= bd => {}
+                _ => best = Some((i, d)),
+            }
+        }
+        best.map(|(i, _)| i)
+    }
+
+    /// The `count` indices among `indices` nearest to `point`, ascending by
+    /// distance (ties by index). `count` may exceed `indices.len()`, in which
+    /// case all indices are returned sorted by distance.
+    fn k_nearest(rows: &[Vec<f64>], indices: &[usize], point: &[f64], count: usize) -> Vec<usize> {
+        let mut with_d: Vec<(usize, f64)> = indices
+            .iter()
+            .map(|&i| (i, sq_dist(&rows[i], point)))
+            .collect();
+        // Partial selection would do, but a full sort keeps ties deterministic
+        // and the selection is not the bottleneck of any algorithm here.
+        with_d.sort_by(|a, b| a.1.partial_cmp(&b.1).expect("finite").then(a.0.cmp(&b.0)));
+        with_d.truncate(count);
+        with_d.into_iter().map(|(i, _)| i).collect()
+    }
 
     fn rows() -> Vec<Vec<f64>> {
         vec![
@@ -520,7 +512,6 @@ mod tests {
     #[test]
     fn distances() {
         assert_eq!(sq_dist(&[0.0, 0.0], &[3.0, 4.0]), 25.0);
-        assert_eq!(dist(&[0.0, 0.0], &[3.0, 4.0]), 5.0);
         assert_eq!(sq_dist(&[1.0], &[1.0]), 0.0);
     }
 

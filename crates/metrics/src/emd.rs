@@ -308,14 +308,6 @@ impl OrderedEmd {
         self.record_bins[r] as usize
     }
 
-    /// Global distribution (probability of each bin over the data set).
-    pub fn global_distribution(&self) -> Vec<f64> {
-        self.global_counts
-            .iter()
-            .map(|&c| c as f64 / self.n as f64)
-            .collect()
-    }
-
     /// `EMD(C, T)` for the cluster given by record indices (duplicates
     /// would bias the distribution and are the caller's responsibility).
     pub fn emd_of_records(&self, records: &[usize]) -> f64 {
@@ -865,30 +857,6 @@ impl ClusterHistogram {
     }
 }
 
-/// EMD with *equal* ground distance (distance 1 between any two distinct
-/// categories) for nominal attributes, which reduces to total variation
-/// distance: `EMD = ½ Σᵢ |pᵢ − qᵢ|`.
-///
-/// `p_counts` / `q_counts` are per-category record counts of the cluster and
-/// of the whole data set; categories are matched by key.
-pub fn nominal_emd(p_counts: &HashMap<u32, u32>, q_counts: &HashMap<u32, u32>) -> f64 {
-    let pn: u32 = p_counts.values().sum();
-    let qn: u32 = q_counts.values().sum();
-    if pn == 0 || qn == 0 {
-        return 0.0;
-    }
-    let mut keys: Vec<u32> = p_counts.keys().chain(q_counts.keys()).copied().collect();
-    keys.sort_unstable();
-    keys.dedup();
-    let mut total = 0.0;
-    for k in keys {
-        let p = *p_counts.get(&k).unwrap_or(&0) as f64 / pn as f64;
-        let q = *q_counts.get(&k).unwrap_or(&0) as f64 / qn as f64;
-        total += (p - q).abs();
-    }
-    total / 2.0
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1244,18 +1212,5 @@ mod tests {
         assert_eq!(acc.n(), 3);
         let emd = acc.finalize().unwrap();
         assert_eq!(emd.values(), &[0.0, 2.0]);
-    }
-
-    #[test]
-    fn nominal_emd_is_total_variation() {
-        let mut p = HashMap::new();
-        p.insert(0u32, 2u32); // cluster: 2×A
-        let mut q = HashMap::new();
-        q.insert(0u32, 2u32); // dataset: 2×A, 2×B
-        q.insert(1u32, 2u32);
-        // p = (1,0), q = (.5,.5) → TV = .5
-        assert!((nominal_emd(&p, &q) - 0.5).abs() < EPS);
-        assert_eq!(nominal_emd(&HashMap::new(), &q), 0.0);
-        assert!((nominal_emd(&q, &q)).abs() < EPS);
     }
 }

@@ -5,15 +5,14 @@
 //! * [`emd`] — the Earth Mover's Distance with the *ordered* ground distance
 //!   used by t-closeness (Li et al. 2007; Section 2.2 of Soria-Comas et al.,
 //!   ICDE 2016), with an incremental evaluator for algorithms that mutate
-//!   clusters record by record (the inner loop of the paper's Algorithm 2);
-//!   plus the equal-ground-distance EMD for nominal attributes.
+//!   clusters record by record (the inner loop of the paper's Algorithm 2).
 //! * [`matrix`] — the flat row-major [`Matrix`] record representation (with
 //!   typed [`RowId`] indices) that every hot kernel operates on.
 //! * [`distance`] — record-space distances (squared Euclidean over
 //!   normalized quasi-identifier vectors) and the centroid / extreme-point /
 //!   k-nearest kernels shared by all microaggregation algorithms (MDAV,
-//!   V-MDAV, Algorithms 1–3), in both a flat-matrix form with optional
-//!   scoped-thread parallelism and a boxed-rows compatibility form.
+//!   V-MDAV, Algorithms 1–3), over the flat matrix with optional
+//!   scoped-thread parallelism.
 //! * [`simd`] — hand-unrolled 8-wide implementations of the hot per-block
 //!   kernels with a permanent scalar reference path, named by
 //!   [`KernelPath`]. Both paths are
@@ -22,10 +21,7 @@
 //!   reduction DAG.
 //! * [`sse`] — the paper's utility metric: normalized Sum of Squared Errors
 //!   (Eq. 5) between an original and an anonymized table.
-//! * [`loss`] — additional utility diagnostics (mean/variance/correlation
-//!   preservation).
-//! * [`risk`] — disclosure-risk estimators (distance-based record linkage,
-//!   within-class confidential variance ratio).
+//! * [`risk`] — identity-disclosure risk (distance-based record linkage).
 //!
 //! All parallel kernels reduce over the fixed block structure of
 //! [`tclose_parallel::map_blocks`], so results are bit-identical for any
@@ -36,15 +32,13 @@
 
 pub mod distance;
 pub mod emd;
-pub mod loss;
 pub mod matrix;
 pub mod risk;
 pub mod simd;
 pub mod sse;
 
-pub use distance::{centroid, dist, farthest_from, nearest_to, sq_dist};
-pub use distance::{centroid_ids, farthest_from_ids, k_nearest_ids, nearest_to_ids};
-pub use emd::{nominal_emd, ClusterHistogram, DomainAccumulator, EmdError, OrderedEmd};
+pub use distance::{centroid_ids, farthest_from_ids, k_nearest_ids, nearest_to_ids, sq_dist};
+pub use emd::{ClusterHistogram, DomainAccumulator, EmdError, OrderedEmd};
 pub use matrix::{Matrix, RowId, RowIndex};
 pub use simd::KernelPath;
 pub use sse::{normalized_sse, sse_absolute};

@@ -234,12 +234,6 @@ impl Matrix {
     pub fn row_ids(&self) -> impl ExactSizeIterator<Item = RowId> {
         (0..self.n_rows as u32).map(RowId)
     }
-
-    /// Copies the matrix back out as boxed rows (compatibility path for
-    /// code still speaking `Vec<Vec<f64>>`).
-    pub fn to_rows(&self) -> Vec<Vec<f64>> {
-        (0..self.n_rows).map(|i| self.row(i).to_vec()).collect()
-    }
 }
 
 #[cfg(test)]
@@ -256,7 +250,6 @@ mod tests {
         assert_eq!(m.row(RowId::new(1)), &[3.0, 4.0]);
         assert_eq!(m.row(2usize), &[5.0, 6.0]);
         assert_eq!(m.get(0usize, 1), 2.0);
-        assert_eq!(m.to_rows(), rows);
         assert_eq!(m.data(), &[1.0, 2.0, 3.0, 4.0, 5.0, 6.0]);
     }
 

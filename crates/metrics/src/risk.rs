@@ -1,26 +1,15 @@
-//! Disclosure-risk estimators.
+//! Identity-disclosure risk: can an intruder who knows a subject's
+//! quasi-identifiers locate that subject's record in the release?
 //!
-//! Two complementary risks are quantified:
-//!
-//! * **Identity disclosure** — can an intruder who knows a subject's
-//!   quasi-identifiers locate that subject's record in the release?
-//!   [`record_linkage_risk`] performs distance-based record linkage, the
-//!   standard empirical re-identification attack in the SDC literature
-//!   (Winkler et al. 2002): link each original record to its nearest
-//!   anonymized record; with ties (as k-anonymity produces by design) a
-//!   correct link among `s` equidistant candidates counts `1/s`.
-//!   For a k-anonymous release the risk is at most `1/k`.
-//!
-//! * **Attribute disclosure** — even without re-identification, learning
-//!   the equivalence class of a subject reveals the within-class
-//!   distribution of the confidential attribute.
-//!   [`attribute_disclosure_risk`] reports `1 − within/global` variance
-//!   ratio: 1 when every class is constant (full disclosure), near 0 when
-//!   classes mirror the global spread (what t-closeness enforces).
+//! [`record_linkage_risk`] performs distance-based record linkage, the
+//! standard empirical re-identification attack in the SDC literature
+//! (Winkler et al. 2002): link each original record to its nearest
+//! anonymized record; with ties (as k-anonymity produces by design) a
+//! correct link among `s` equidistant candidates counts `1/s`. For a
+//! k-anonymous release the risk is at most `1/k`.
 
 use crate::distance::sq_dist;
 use crate::matrix::Matrix;
-use tclose_microdata::stats;
 
 /// Distance-based record-linkage re-identification risk.
 ///
@@ -69,35 +58,6 @@ pub fn record_linkage_risk(original: &Matrix, anonymized: &Matrix) -> f64 {
     expected_links / n as f64
 }
 
-/// Attribute-disclosure risk of a partition w.r.t. one confidential column.
-///
-/// `clusters` is a partition of record indices; `confidential` holds the
-/// attribute value per record. Returns
-/// `1 − (record-weighted mean within-cluster variance) / (global variance)`,
-/// clamped to `[0, 1]`; 0 when the global variance is zero (nothing to
-/// disclose).
-pub fn attribute_disclosure_risk(confidential: &[f64], clusters: &[Vec<usize>]) -> f64 {
-    let global_var = stats::population_variance(confidential);
-    if global_var <= 0.0 {
-        return 0.0;
-    }
-    let mut weighted = 0.0;
-    let mut total = 0usize;
-    for c in clusters {
-        if c.is_empty() {
-            continue;
-        }
-        let vals: Vec<f64> = c.iter().map(|&r| confidential[r]).collect();
-        weighted += stats::population_variance(&vals) * c.len() as f64;
-        total += c.len();
-    }
-    if total == 0 {
-        return 0.0;
-    }
-    let within = weighted / total as f64;
-    (1.0 - within / global_var).clamp(0.0, 1.0)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -132,35 +92,5 @@ mod tests {
     #[should_panic(expected = "one-to-one")]
     fn mismatched_lengths_panic() {
         record_linkage_risk(&Matrix::from_rows(&[vec![0.0]]), &Matrix::from_rows(&[]));
-    }
-
-    #[test]
-    fn constant_clusters_fully_disclose() {
-        let conf = [1.0, 1.0, 5.0, 5.0];
-        let clusters = vec![vec![0, 1], vec![2, 3]];
-        assert!((attribute_disclosure_risk(&conf, &clusters) - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn globally_representative_clusters_disclose_little() {
-        // Each cluster contains one low and one high value → within-variance
-        // equals global variance.
-        let conf = [0.0, 10.0, 0.0, 10.0];
-        let clusters = vec![vec![0, 1], vec![2, 3]];
-        assert!(attribute_disclosure_risk(&conf, &clusters) < 1e-12);
-    }
-
-    #[test]
-    fn constant_attribute_has_no_risk() {
-        let conf = [3.0, 3.0, 3.0];
-        let clusters = vec![vec![0, 1, 2]];
-        assert_eq!(attribute_disclosure_risk(&conf, &clusters), 0.0);
-    }
-
-    #[test]
-    fn empty_clusters_are_skipped() {
-        let conf = [0.0, 10.0];
-        let clusters = vec![vec![], vec![0, 1]];
-        assert!(attribute_disclosure_risk(&conf, &clusters) < 1e-12);
     }
 }

@@ -32,8 +32,8 @@ fn column_sq_err(orig: &[f64], anon: &[f64], scale: f64) -> f64 {
 }
 
 /// `column_sq_err` with explicit parallelism and kernel path — the SSE
-/// inner loop, exposed for differential tests and the `kernel_scaling`
-/// bench. Bit-identical on every path and worker count.
+/// inner loop, exposed for differential tests and the perf suite's
+/// `kernel/sse/*` cases. Bit-identical on every path and worker count.
 pub fn column_sq_err_with(
     orig: &[f64],
     anon: &[f64],

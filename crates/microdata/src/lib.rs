@@ -59,7 +59,7 @@ pub mod value;
 pub use attribute::{AttributeDef, AttributeKind, AttributeRole, Dictionary};
 pub use column::Column;
 pub use error::{Error, Result};
-pub use normalize::{NormalizeMethod, Normalizer};
+pub use normalize::NormalizeMethod;
 pub use schema::Schema;
 pub use stats::{correlation, mean, population_variance, range, std_dev, RunningStats};
 pub use table::Table;

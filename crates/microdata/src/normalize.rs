@@ -2,14 +2,9 @@
 //!
 //! Microaggregation clusters records by distance over the quasi-identifier
 //! space; attributes with large numeric ranges would otherwise dominate.
-//! A [`Normalizer`] is *fitted* on a reference table (learning each numeric
-//! attribute's statistics) and then applied to produce normalized row
-//! vectors. Categorical attributes pass through as their codes — distance
-//! functions decide how to compare them.
-
-use crate::error::Result;
-use crate::stats;
-use crate::table::Table;
+//! [`NormalizeMethod`] names how each numeric attribute is rescaled; the
+//! fitted transform itself is `tclose_core::QiEmbedding`, frozen once on
+//! the global data.
 
 /// Normalization method for numeric attributes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -41,172 +36,5 @@ impl NormalizeMethod {
             "none" => Some(NormalizeMethod::None),
             _ => None,
         }
-    }
-}
-
-/// Per-attribute affine transform `x ↦ (x − shift) / scale` fitted on a
-/// reference table.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Normalizer {
-    method: NormalizeMethod,
-    /// One `(shift, scale)` pair per *selected* attribute.
-    params: Vec<(f64, f64)>,
-    /// The attribute indices the normalizer was fitted for, in order.
-    attributes: Vec<usize>,
-}
-
-impl Normalizer {
-    /// Fits the transform on the given numeric attributes of `table`.
-    pub fn fit(table: &Table, attributes: &[usize], method: NormalizeMethod) -> Result<Self> {
-        let mut params = Vec::with_capacity(attributes.len());
-        for &a in attributes {
-            let col = table.numeric_column(a)?;
-            let (shift, scale) = match method {
-                NormalizeMethod::ZScore => {
-                    let s = stats::std_dev(col);
-                    (stats::mean(col), if s > 0.0 { s } else { 1.0 })
-                }
-                NormalizeMethod::MinMax => {
-                    let lo = stats::min(col).unwrap_or(0.0);
-                    let r = stats::range(col);
-                    (lo, if r > 0.0 { r } else { 1.0 })
-                }
-                NormalizeMethod::None => (0.0, 1.0),
-            };
-            params.push((shift, scale));
-        }
-        Ok(Normalizer {
-            method,
-            params,
-            attributes: attributes.to_vec(),
-        })
-    }
-
-    /// The method this normalizer applies.
-    pub fn method(&self) -> NormalizeMethod {
-        self.method
-    }
-
-    /// The attribute indices the normalizer was fitted for.
-    pub fn attributes(&self) -> &[usize] {
-        &self.attributes
-    }
-
-    /// Normalizes a single value of the `i`-th *selected* attribute.
-    pub fn transform_value(&self, i: usize, x: f64) -> f64 {
-        let (shift, scale) = self.params[i];
-        (x - shift) / scale
-    }
-
-    /// Inverse transform of the `i`-th selected attribute.
-    pub fn inverse_value(&self, i: usize, z: f64) -> f64 {
-        let (shift, scale) = self.params[i];
-        z * scale + shift
-    }
-
-    /// Normalized row-major matrix of the fitted attributes of `table`
-    /// (which may be the fitting table or any table with compatible schema).
-    pub fn transform(&self, table: &Table) -> Result<Vec<Vec<f64>>> {
-        let mut cols = Vec::with_capacity(self.attributes.len());
-        for &a in &self.attributes {
-            cols.push(table.numeric_column(a)?);
-        }
-        let n = table.n_rows();
-        let mut out = Vec::with_capacity(n);
-        for r in 0..n {
-            out.push(
-                cols.iter()
-                    .enumerate()
-                    .map(|(i, c)| self.transform_value(i, c[r]))
-                    .collect(),
-            );
-        }
-        Ok(out)
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::attribute::{AttributeDef, AttributeRole};
-    use crate::schema::Schema;
-    use crate::value::Value;
-
-    fn table() -> Table {
-        let schema = Schema::new(vec![
-            AttributeDef::numeric("a", AttributeRole::QuasiIdentifier),
-            AttributeDef::numeric("b", AttributeRole::QuasiIdentifier),
-        ])
-        .unwrap();
-        let mut t = Table::new(schema);
-        for (a, b) in [(0.0, 10.0), (2.0, 10.0), (4.0, 10.0)] {
-            t.push_row(&[Value::Number(a), Value::Number(b)]).unwrap();
-        }
-        t
-    }
-
-    #[test]
-    fn zscore_centers_and_scales() {
-        let t = table();
-        let nz = Normalizer::fit(&t, &[0, 1], NormalizeMethod::ZScore).unwrap();
-        let m = nz.transform(&t).unwrap();
-        // column a: mean 2, std sqrt(8/3)
-        let std = (8.0f64 / 3.0).sqrt();
-        assert!((m[0][0] - (0.0 - 2.0) / std).abs() < 1e-12);
-        assert!((m[2][0] - (4.0 - 2.0) / std).abs() < 1e-12);
-        // constant column maps to 0 (scale forced to 1)
-        assert_eq!(m[0][1], 0.0);
-        assert_eq!(m[1][1], 0.0);
-    }
-
-    #[test]
-    fn minmax_maps_to_unit_interval() {
-        let t = table();
-        let nz = Normalizer::fit(&t, &[0], NormalizeMethod::MinMax).unwrap();
-        let m = nz.transform(&t).unwrap();
-        assert_eq!(
-            m.iter().map(|r| r[0]).collect::<Vec<_>>(),
-            vec![0.0, 0.5, 1.0]
-        );
-    }
-
-    #[test]
-    fn none_is_identity() {
-        let t = table();
-        let nz = Normalizer::fit(&t, &[0], NormalizeMethod::None).unwrap();
-        let m = nz.transform(&t).unwrap();
-        assert_eq!(
-            m.iter().map(|r| r[0]).collect::<Vec<_>>(),
-            vec![0.0, 2.0, 4.0]
-        );
-    }
-
-    #[test]
-    fn inverse_round_trips() {
-        let t = table();
-        for method in [
-            NormalizeMethod::ZScore,
-            NormalizeMethod::MinMax,
-            NormalizeMethod::None,
-        ] {
-            let nz = Normalizer::fit(&t, &[0], method).unwrap();
-            for x in [-3.0, 0.0, 2.5, 4.0] {
-                let z = nz.transform_value(0, x);
-                assert!((nz.inverse_value(0, z) - x).abs() < 1e-12);
-            }
-        }
-    }
-
-    #[test]
-    fn fit_on_categorical_errors() {
-        let schema = Schema::new(vec![AttributeDef::nominal(
-            "c",
-            AttributeRole::QuasiIdentifier,
-            ["x", "y"],
-        )])
-        .unwrap();
-        let mut t = Table::new(schema);
-        t.push_row(&[Value::Category(0)]).unwrap();
-        assert!(Normalizer::fit(&t, &[0], NormalizeMethod::ZScore).is_err());
     }
 }

@@ -325,20 +325,6 @@ impl Table {
         })
     }
 
-    /// Row-major matrix of the numeric attributes at `indices` — the record
-    /// representation used by clustering (one `Vec<f64>` per record).
-    pub fn numeric_rows(&self, indices: &[usize]) -> Result<Vec<Vec<f64>>> {
-        let mut cols = Vec::with_capacity(indices.len());
-        for &i in indices {
-            cols.push(self.numeric_column(i)?);
-        }
-        let mut rows = Vec::with_capacity(self.n_rows);
-        for r in 0..self.n_rows {
-            rows.push(cols.iter().map(|c| c[r]).collect());
-        }
-        Ok(rows)
-    }
-
     /// Drops identifier attributes, returning the release-ready projection.
     pub fn drop_identifiers(&self) -> Result<Table> {
         let keep: Vec<usize> = (0..self.n_cols())
@@ -463,17 +449,6 @@ mod tests {
         assert_eq!(s.n_rows(), 2);
         assert_eq!(s.numeric_column(0).unwrap(), &[50.0, 30.0]);
         assert!(t.take_rows(&[9]).is_err());
-    }
-
-    #[test]
-    fn numeric_rows_matrix() {
-        let t = demo();
-        let m = t.numeric_rows(&[0, 1]).unwrap();
-        assert_eq!(
-            m,
-            vec![vec![30.0, 100.0], vec![40.0, 200.0], vec![50.0, 300.0]]
-        );
-        assert!(t.numeric_rows(&[2]).is_err());
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! The `tclose-perf` command line (also reachable as `tclose bench`).
+//! The `tclose-perf` command line.
 //!
 //! ```text
 //! tclose-perf [run]   --suite smoke|full [--out DIR] [--iters N] [--warmup N]
@@ -265,8 +265,8 @@ fn cmd_bless(p: &Parsed) -> Result<String, String> {
     ))
 }
 
-/// Entry point shared by the `tclose-perf` binary and the `tclose
-/// bench` subcommand. Returns the process exit code.
+/// Entry point of the `tclose-perf` binary. Returns the process exit
+/// code.
 pub fn run(args: &[String]) -> i32 {
     let parsed = match parse(args) {
         Ok(p) => p,
@@ -378,12 +378,15 @@ mod tests {
     fn help_exits_zero() {
         assert_eq!(run(&argv("--help")), 0);
         assert_eq!(run(&argv("help")), 0);
+        for needle in ["tclose-perf", "gate", "bless", "selftest", "BENCH_"] {
+            assert!(HELP.contains(needle), "help missing {needle:?}:\n{HELP}");
+        }
     }
 
     #[test]
     fn gate_with_synthetic_files_end_to_end() {
-        let dir = std::env::temp_dir().join(format!("tclose_perf_cli_{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
+        let scratch = crate::ScratchDir::new("tclose_perf_cli").unwrap();
+        let dir = scratch.path();
         let baseline_path = dir.join("baseline_smoke.json");
         let current_path = dir.join("current_smoke.json");
         let out_dir = dir.join("out");

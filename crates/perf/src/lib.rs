@@ -11,7 +11,8 @@
 //! | [`report`] | the schema-versioned `BENCH_<suite>.json` document: per-case medians/min/IQR plus raw samples, an environment [`fingerprint`], and a calibration time |
 //! | [`mod@gate`] | baseline comparison: fails when a case's median regresses past a threshold (default 1.25×) *and* its min-of-runs confirms, with calibration-based rescaling so baselines survive hardware changes |
 //! | [`selftest`] | proves the gate on synthetic data (2× injected slowdown must fail; unchanged must pass) |
-//! | [`cli`] | the `tclose-perf` binary, also mounted as `tclose bench` |
+//! | [`scratch`] | per-run temp directories, removed when the run ends |
+//! | [`cli`] | the `tclose-perf` binary |
 //!
 //! The suite is driven end to end by the seeded generators in
 //! `tclose-datasets`, so the measured work is bit-identical across runs
@@ -32,6 +33,7 @@
 pub mod cli;
 pub mod gate;
 pub mod report;
+pub mod scratch;
 pub mod selftest;
 pub mod stats;
 pub mod suite;
@@ -44,6 +46,7 @@ pub use tclose_ser::{fingerprint, json};
 
 pub use gate::{gate, CaseDelta, DeltaStatus, GateConfig, GateOutcome};
 pub use report::{bench_file_name, CaseResult, Report, SCHEMA_VERSION};
+pub use scratch::ScratchDir;
 pub use stats::{summarize, Summary};
 pub use suite::{measure, run_suite, RunConfig, Suite};
 pub use tclose_ser::{Fingerprint, Json};

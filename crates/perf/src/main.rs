@@ -1,6 +1,5 @@
 //! `tclose-perf` — machine-readable benchmark suite and regression
-//! gate. See [`tclose_perf::cli`] for the command grammar; the same
-//! entry point is mounted as `tclose bench`.
+//! gate. See [`tclose_perf::cli`] for the command grammar.
 
 use std::process::ExitCode;
 

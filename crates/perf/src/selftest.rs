@@ -6,11 +6,10 @@
 //! CI runs this on every push (`tclose-perf selftest`), so the gate
 //! itself is regression-tested by the same pipeline it guards.
 
-use std::path::PathBuf;
-
 use crate::fingerprint;
 use crate::gate::{gate, GateConfig};
 use crate::report::{CaseResult, Report, SCHEMA_VERSION};
+use crate::scratch::ScratchDir;
 use crate::stats::summarize;
 
 /// Builds a deterministic synthetic report whose case times are
@@ -43,12 +42,6 @@ pub fn synthetic_report(scale: f64) -> Report {
     }
 }
 
-fn scratch_file(name: &str) -> Result<PathBuf, String> {
-    let dir = std::env::temp_dir().join(format!("tclose_perf_selftest_{}", std::process::id()));
-    std::fs::create_dir_all(&dir).map_err(|e| format!("cannot create {}: {e}", dir.display()))?;
-    Ok(dir.join(name))
-}
-
 /// Runs the self-test; returns a human-readable transcript on success
 /// and the first failed check on error.
 pub fn run() -> Result<String, String> {
@@ -71,7 +64,8 @@ pub fn run() -> Result<String, String> {
     log.push_str("injected 2x slowdown -> gate fails\n");
 
     // 3. The schema round-trips through a real file.
-    let path = scratch_file("selftest_report.json")?;
+    let scratch = ScratchDir::new("tclose_perf_selftest")?;
+    let path = scratch.path().join("selftest_report.json");
     baseline.save(&path)?;
     let loaded = Report::load(&path)?;
     if loaded != baseline {
@@ -81,7 +75,7 @@ pub fn run() -> Result<String, String> {
 
     // 4. Bless is idempotent: writing the same report twice produces
     //    identical bytes.
-    let bless_path = scratch_file("selftest_baseline.json")?;
+    let bless_path = scratch.path().join("selftest_baseline.json");
     baseline.save(&bless_path)?;
     let first = std::fs::read(&bless_path).map_err(|e| e.to_string())?;
     Report::load(&bless_path)?.save(&bless_path)?;

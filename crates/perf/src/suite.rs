@@ -6,20 +6,21 @@
 //! baseline-breaking change and should come with a `bless`.
 //!
 //! Every workload is driven by the seeded generators in
-//! `tclose-datasets` (through the `tclose-bench` [`Problem`] type and
-//! the `tclose-eval` dataset catalog), so the measured work is
-//! identical from run to run and machine to machine; only the clock
-//! varies. All cases pin a single worker thread: the suite tracks
-//! single-thread algorithmic cost, the quantity the paper's complexity
-//! analysis speaks about, while thread-scaling stays with the criterion
-//! benches (`docs/PERFORMANCE.md`).
+//! `tclose-datasets` (directly and through the `tclose-eval` dataset
+//! catalog), so the measured work is identical from run to run and
+//! machine to machine; only the clock varies. All cases pin a single
+//! worker thread: the suite tracks single-thread algorithmic cost, the
+//! quantity the paper's complexity analysis speaks about.
+//!
+//! File-based cases write into one [`ScratchDir`] per suite run, removed
+//! when the run ends.
 
 use std::hint::black_box;
-use std::path::PathBuf;
+use std::path::Path;
 use std::str::FromStr;
 use std::time::Instant;
 
-use tclose_bench::{data, Problem};
+use tclose_core::pipeline::qi_matrix;
 use tclose_core::{
     verify_t_closeness_with, Algorithm, Anonymizer, Confidential, FittedAnonymizer, ModelArtifact,
 };
@@ -32,12 +33,13 @@ use tclose_microagg::{
     mdav_partition_with, vmdav_partition_with, Matrix, NeighborBackend, Parallelism,
 };
 use tclose_microdata::csv::{to_csv_string, write_csv};
-use tclose_microdata::Table;
+use tclose_microdata::{NormalizeMethod, Table};
 use tclose_serve::TestServer;
 use tclose_stream::{read_with_roles, Roles, ShardedAnonymizer};
 
 use crate::fingerprint;
 use crate::report::{CaseResult, Report, SCHEMA_VERSION};
+use crate::scratch::ScratchDir;
 use crate::stats::summarize;
 
 /// The two measurement tiers.
@@ -145,9 +147,8 @@ impl Case {
     }
 }
 
-/// Deterministic synthetic rows for the large partition cases (same
-/// integer-hash construction as the `index_scaling` criterion bench, so
-/// the two measurement paths agree on the workload).
+/// Deterministic synthetic rows for the large partition cases (an
+/// integer-hash construction, identical on every machine).
 fn synthetic_matrix(n: usize, dims: usize) -> Matrix {
     let data: Vec<f64> = (0..n * dims)
         .map(|i| ((i * 2654435761 + (i % dims) * 40503) % 100_003) as f64 * 1e-3)
@@ -156,14 +157,22 @@ fn synthetic_matrix(n: usize, dims: usize) -> Matrix {
 }
 
 /// The seeded blob workload of the approximate-backend frontier (shared
-/// with `tclose-eval`'s `frontier` experiment and the `approx_frontier`
-/// criterion bench, so all three measurement paths time the same data).
+/// with `tclose-eval`'s `frontier` experiment, so both measurement paths
+/// time the same data).
 fn frontier_matrix(n: usize, dims: usize) -> Matrix {
     Matrix::new(
         tclose_datasets::synthetic::frontier_rows(42, n, dims),
         n,
         dims,
     )
+}
+
+/// The z-scored quasi-identifier matrix of the seeded patient-discharge
+/// table, the partition workload closest to real data.
+fn patient_matrix(n: usize) -> Matrix {
+    let table = patient_discharge(42, n);
+    let qi = table.schema().quasi_identifiers();
+    qi_matrix(&table, &qi, NormalizeMethod::ZScore).expect("patient QIs are numeric")
 }
 
 /// Kernel-scaling cases: the two hottest flat scans (the MDAV-family
@@ -218,13 +227,12 @@ fn kernel_cases(cases: &mut Vec<Case>) {
 }
 
 /// Partition cases: MDAV (and optionally V-MDAV) over `rows`, flat
-/// scan vs kd-tree, single-threaded, `k = n/200` (the `index_scaling`
-/// convention: the outer loop does ~200 clusters at every size, so
-/// sizes differ only in per-query cost). V-MDAV's extension search is
-/// an order of magnitude costlier than MDAV at the same size, so the
-/// largest workloads track MDAV only — V-MDAV stays covered at the
-/// mid-size tiers, which is where a regression in its gain-factor loop
-/// would show anyway.
+/// scan vs kd-tree, single-threaded, `k = n/200` (the outer loop does
+/// ~200 clusters at every size, so sizes differ only in per-query
+/// cost). V-MDAV's extension search is an order of magnitude costlier
+/// than MDAV at the same size, so the largest workloads track MDAV
+/// only — V-MDAV stays covered at the mid-size tiers, which is where a
+/// regression in its gain-factor loop would show anyway.
 fn partition_cases(cases: &mut Vec<Case>, workload: &str, rows: &Matrix, include_vmdav: bool) {
     let k = (rows.n_rows() / 200).max(5);
     for (variant, backend) in [
@@ -310,14 +318,14 @@ const PATIENT_CONF: &str = "CHARGE";
 
 /// Streaming cases: the monolithic in-memory pipeline vs the two-pass
 /// sharded engine, both end-to-end from CSV to CSV through real files
-/// (a scratch directory under the system temp dir).
+/// in `dir`.
 fn stream_cases(
     cases: &mut Vec<Case>,
+    dir: &Path,
     workload: &str,
     n: usize,
     shard_rows: usize,
 ) -> Result<(), String> {
-    let dir = scratch_dir()?;
     let input = dir.join(format!("stream_{workload}_in.csv"));
     let table = patient_discharge(42, n);
     let file = std::fs::File::create(&input)
@@ -376,8 +384,12 @@ fn stream_cases(
 /// numbers is the committed fused-vs-amortized comparison; tracked as
 /// its own case so a regression in artifact parsing or the
 /// rebind-on-apply path can't hide inside fit-time noise.
-fn fit_apply_case(cases: &mut Vec<Case>, workload: &str, table: Table) -> Result<(), String> {
-    let dir = scratch_dir()?;
+fn fit_apply_case(
+    cases: &mut Vec<Case>,
+    dir: &Path,
+    workload: &str,
+    table: Table,
+) -> Result<(), String> {
     let path = dir.join(format!("fit_apply_{workload}.json"));
     let fitted = Anonymizer::new(5, 0.2)
         .algorithm(Algorithm::TClosenessFirst)
@@ -452,28 +464,17 @@ fn verify_case(cases: &mut Vec<Case>, workload: &str, table: Table) {
     ));
 }
 
-/// Per-process scratch directory for the file-based cases.
-fn scratch_dir() -> Result<PathBuf, String> {
-    let dir = std::env::temp_dir().join(format!("tclose_perf_{}", std::process::id()));
-    std::fs::create_dir_all(&dir).map_err(|e| format!("cannot create {}: {e}", dir.display()))?;
-    Ok(dir)
-}
-
 /// Builds the case catalog for a suite. Setup work (data generation,
-/// scratch files, the one-off anonymization the verify case audits)
-/// happens here, outside the timed region.
-pub fn catalog(suite: Suite) -> Result<Vec<Case>, String> {
+/// scratch files under `dir`, the one-off anonymization the verify case
+/// audits) happens here, outside the timed region; the file-based cases
+/// need `dir` for as long as they run.
+pub fn catalog(suite: Suite, dir: &Path) -> Result<Vec<Case>, String> {
     let mut cases = Vec::new();
     let ctx = Context::default();
     match suite {
         Suite::Smoke => {
             kernel_cases(&mut cases);
-            partition_cases(
-                &mut cases,
-                "patient4k_d7",
-                &Problem::from_table(&data::patient(4_000)).rows,
-                true,
-            );
+            partition_cases(&mut cases, "patient4k_d7", &patient_matrix(4_000), true);
             e2e_case(
                 &mut cases,
                 Algorithm::Merge,
@@ -496,18 +497,13 @@ pub fn catalog(suite: Suite) -> Result<Vec<Case>, String> {
                 0.2,
             );
             approx_partition_cases(&mut cases, "blobs30k_d2", &frontier_matrix(30_000, 2));
-            stream_cases(&mut cases, "patient6k", 6_000, 2_000)?;
-            fit_apply_case(&mut cases, "census-mcd", Dataset::Mcd.table(&ctx))?;
+            stream_cases(&mut cases, dir, "patient6k", 6_000, 2_000)?;
+            fit_apply_case(&mut cases, dir, "census-mcd", Dataset::Mcd.table(&ctx))?;
             serve_request_case(&mut cases, "census-mcd", Dataset::Mcd.table(&ctx))?;
             verify_case(&mut cases, "patient6k", patient_discharge(42, 6_000));
         }
         Suite::Full => {
-            partition_cases(
-                &mut cases,
-                "patient20k_d7",
-                &Problem::from_table(&data::patient(20_000)).rows,
-                true,
-            );
+            partition_cases(&mut cases, "patient20k_d7", &patient_matrix(20_000), true);
             partition_cases(
                 &mut cases,
                 "synth100k_d4",
@@ -544,9 +540,10 @@ pub fn catalog(suite: Suite) -> Result<Vec<Case>, String> {
                 patient_discharge(42, tclose_datasets::PATIENT_N),
                 0.2,
             );
-            stream_cases(&mut cases, "patient50k", 50_000, 10_000)?;
+            stream_cases(&mut cases, dir, "patient50k", 50_000, 10_000)?;
             fit_apply_case(
                 &mut cases,
+                dir,
                 "patient23k",
                 patient_discharge(42, tclose_datasets::PATIENT_N),
             )?;
@@ -572,8 +569,9 @@ pub fn run_suite(
         black_box(calibration_spin());
     }));
 
+    let scratch = ScratchDir::new("tclose_perf")?;
     let mut results = Vec::new();
-    for mut case in catalog(suite)? {
+    for mut case in catalog(suite, scratch.path())? {
         progress(&case.name);
         let samples = measure(cfg.warmup, cfg.iters, &mut case.run);
         results.push(CaseResult {

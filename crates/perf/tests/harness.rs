@@ -1,23 +1,23 @@
 //! Integration coverage for the perf harness itself, through the public
 //! API only: the JSON schema round-trips byte-exactly, the gate fires on
-//! an injected 2× slowdown (and only then), `bless` is idempotent, and
-//! the environment fingerprint is stable under re-run.
+//! an injected 2× slowdown (and only then), `bless` is idempotent, the
+//! environment fingerprint is stable under re-run, and the self-test
+//! cleans up after itself.
 
-use std::path::PathBuf;
+use std::process::Command;
 
 use tclose_perf::selftest::synthetic_report;
-use tclose_perf::{gate, DeltaStatus, Fingerprint, GateConfig, Report};
+use tclose_perf::{gate, DeltaStatus, Fingerprint, GateConfig, Report, ScratchDir};
 
-fn scratch(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("tclose_perf_harness_{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    dir.join(name)
+fn scratch() -> ScratchDir {
+    ScratchDir::new("tclose_perf_harness").unwrap()
 }
 
 #[test]
 fn schema_round_trip_through_disk_is_byte_exact() {
     let report = synthetic_report(1.0);
-    let path = scratch("roundtrip.json");
+    let dir = scratch();
+    let path = dir.path().join("roundtrip.json");
     report.save(&path).unwrap();
     let loaded = Report::load(&path).unwrap();
     assert_eq!(loaded, report, "all fields survive the disk round trip");
@@ -74,7 +74,8 @@ fn gate_threshold_is_respected_at_the_margin() {
 #[test]
 fn bless_is_idempotent() {
     let report = synthetic_report(1.0);
-    let path = scratch("baseline_bless.json");
+    let dir = scratch();
+    let path = dir.path().join("baseline_bless.json");
 
     report.save(&path).unwrap();
     let first = std::fs::read(&path).unwrap();
@@ -116,4 +117,22 @@ fn selftest_binary_contract() {
     assert!(transcript.contains("gate passes"));
     assert!(transcript.contains("gate fails"));
     assert!(transcript.contains("self-test passed"));
+}
+
+#[test]
+fn selftest_leaves_no_directory_behind() {
+    // Point the binary's temp dir at an empty directory of our own; the
+    // self-test writes its files there and must remove them on exit.
+    let tmp = scratch();
+    let out = Command::new(env!("CARGO_BIN_EXE_tclose-perf"))
+        .arg("selftest")
+        .env("TMPDIR", tmp.path())
+        .output()
+        .unwrap();
+    assert!(out.status.success(), "{out:?}");
+    let left: Vec<_> = std::fs::read_dir(tmp.path())
+        .unwrap()
+        .map(|e| e.unwrap().path())
+        .collect();
+    assert!(left.is_empty(), "selftest left {left:?}");
 }

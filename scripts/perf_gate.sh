@@ -28,8 +28,4 @@ if [ ! -f "$baseline" ]; then
     exit 1
 fi
 
-# The kernel-scaling bench target backs the kernel/* gate cases; keep it
-# compiling so the on-demand lane-width sweep never rots.
-cargo build -p tclose-bench --bench kernel_scaling
-
 "$bin" gate --suite "$suite" --baseline "$baseline"

@@ -25,27 +25,25 @@
 //!   registry with hot-reload, bounded-queue request batching over a
 //!   length-prefixed socket protocol, and the `TestServer` harness.
 //! * [`datasets`] — synthetic evaluation data sets (Census MCD/HCD, Patient).
-//! * [`baselines`] — generalization-based baselines (Mondrian, SABRE).
+//! * [`baselines`] — generalization-based baselines (Mondrian, SABRE),
+//!   part of [`eval`].
 //! * [`eval`] — the experiment harness regenerating every table and figure.
-//! * [`perf`] — the machine-readable benchmark suite and the noise-aware
-//!   perf regression gate (`tclose bench` / `tclose-perf`).
 //!
 //! See `README.md` for a quickstart, `DESIGN.md` for the system map, and
 //! `docs/PERFORMANCE.md` for the hot-path layout and thread-scaling model.
 
 #![forbid(unsafe_code)]
 
-pub use tclose_baselines as baselines;
 pub use tclose_compliance as compliance;
 pub use tclose_core as core;
 pub use tclose_datasets as datasets;
 pub use tclose_eval as eval;
+pub use tclose_eval::baselines;
 pub use tclose_index as index;
 pub use tclose_metrics as metrics;
 pub use tclose_microagg as microagg;
 pub use tclose_microdata as microdata;
 pub use tclose_parallel as parallel;
-pub use tclose_perf as perf;
 pub use tclose_ser as ser;
 pub use tclose_serve as serve;
 pub use tclose_stream as stream;
