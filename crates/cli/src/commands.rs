@@ -338,10 +338,7 @@ fn release(p: &Parsed, fit: Fit) -> Result<String, String> {
                 .map_err(|e| e.to_string())?
         }
         Some(table) => {
-            let fitted = match workers {
-                Some(par) => fitted.with_parallelism(par),
-                None => fitted,
-            };
+            let fitted = fitted.with_parallelism(workers.unwrap_or_else(Parallelism::auto));
             let shard =
                 release_shard(&fitted, compliance.as_ref(), table, 0).map_err(|e| e.to_string())?;
             save(&shard.table, output)?;

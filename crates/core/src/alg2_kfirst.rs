@@ -19,10 +19,10 @@
 use crate::alg1_merge::{merge_until_t_close_with, MergePartner};
 use crate::confidential::Confidential;
 use crate::params::TClosenessParams;
-use crate::pool::IndexPool;
 use crate::TCloseClusterer;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
+use tclose_index::IndexPool;
 use tclose_metrics::distance::{centroid_ids, distances_to_ids};
 use tclose_microagg::{Clustering, Matrix, NeighborBackend, NeighborSet, Parallelism};
 

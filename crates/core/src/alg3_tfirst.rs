@@ -42,8 +42,8 @@
 use crate::bounds::tfirst_cluster_size;
 use crate::confidential::Confidential;
 use crate::params::TClosenessParams;
-use crate::pool::IndexPool;
 use crate::TCloseClusterer;
+use tclose_index::IndexPool;
 use tclose_metrics::distance::{centroid_ids, sq_dist};
 use tclose_microagg::{Clustering, Matrix, NeighborBackend, NeighborSet, Parallelism};
 

@@ -368,7 +368,7 @@ pub struct FittedAnonymizer {
     fit: GlobalFit,
     params: TClosenessParams,
     algorithm: Algorithm,
-    par: Option<Parallelism>,
+    par: Parallelism,
     backend: NeighborBackend,
 }
 
@@ -377,7 +377,7 @@ impl FittedAnonymizer {
         fit: GlobalFit,
         params: TClosenessParams,
         algorithm: Algorithm,
-        par: Option<Parallelism>,
+        par: Parallelism,
         backend: NeighborBackend,
     ) -> Self {
         FittedAnonymizer {
@@ -406,7 +406,7 @@ impl FittedAnonymizer {
             fit: artifact.global_fit().clone(),
             params: TClosenessParams { k: p.k, t: p.t },
             algorithm: p.algorithm,
-            par: None,
+            par: Parallelism::auto(),
             backend: NeighborBackend::Auto,
         }
     }
@@ -414,7 +414,7 @@ impl FittedAnonymizer {
     /// Pins the parallelism of [`FittedAnonymizer::apply_shard`]'s
     /// kernels. Output is identical for any value.
     pub fn with_parallelism(mut self, par: Parallelism) -> Self {
-        self.par = Some(par);
+        self.par = par;
         self
     }
 
@@ -489,8 +489,7 @@ impl FittedAnonymizer {
         // Audit the *release*, not the clustering: the report's achieved
         // levels are what an external auditor would measure.
         let achieved_k = verify_k_anonymity(&released)?;
-        let achieved_t =
-            verify_t_closeness_with(&released, &conf, self.par.unwrap_or_else(Parallelism::auto))?;
+        let achieved_t = verify_t_closeness_with(&released, &conf, self.par)?;
         let sse = normalized_sse(shard, &released, &self.fit.qi)?;
 
         let report = AnonymizationReport {
@@ -708,7 +707,7 @@ mod tests {
             fit,
             TClosenessParams::new(3, 0.25).unwrap(),
             Algorithm::TClosenessFirst,
-            None,
+            Parallelism::auto(),
             NeighborBackend::Auto,
         );
         let out = fitted.apply_shard(&table).unwrap();

@@ -65,7 +65,6 @@ pub mod fit;
 pub mod models;
 pub mod params;
 pub mod pipeline;
-mod pool;
 pub mod verify;
 
 pub use alg1_merge::MergeAlgorithm;

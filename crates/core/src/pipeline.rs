@@ -131,6 +131,9 @@ pub struct Anonymizer {
     t: f64,
     algorithm: Algorithm,
     normalize: NormalizeMethod,
+    /// `None` until pinned; fitting resolves it to [`Parallelism::auto`].
+    /// Building an anonymizer thus never queries the core count, which
+    /// reads the affinity mask and cgroup quota on every call.
     par: Option<Parallelism>,
     backend: NeighborBackend,
 }
@@ -199,7 +202,7 @@ impl Anonymizer {
             fit,
             params,
             self.algorithm,
-            self.par,
+            self.par.unwrap_or_else(Parallelism::auto),
             self.backend,
         ))
     }
@@ -213,7 +216,7 @@ impl Anonymizer {
             fit,
             params,
             self.algorithm,
-            self.par,
+            self.par.unwrap_or_else(Parallelism::auto),
             self.backend,
         ))
     }
@@ -226,25 +229,20 @@ impl Anonymizer {
 
     pub(crate) fn run_clusterer(
         algorithm: Algorithm,
-        par: Option<Parallelism>,
+        par: Parallelism,
         backend: NeighborBackend,
         m: &Matrix,
         conf: &Confidential,
         params: TClosenessParams,
     ) -> Clustering {
-        // `None` leaves every algorithm on its default (auto) parallelism —
-        // the exact construction the fused pipeline always used. The
-        // backend is resolved against `m` inside each algorithm, so every
-        // shard of a sharded run picks for its own size.
+        // The backend is resolved against `m` inside each algorithm, so
+        // every shard of a sharded run picks for its own size.
         macro_rules! run {
             ($builder:expr) => {
-                match par {
-                    None => $builder.with_backend(backend).cluster(m, conf, params),
-                    Some(p) => $builder
-                        .with_backend(backend)
-                        .with_parallelism(p)
-                        .cluster(m, conf, params),
-                }
+                $builder
+                    .with_backend(backend)
+                    .with_parallelism(par)
+                    .cluster(m, conf, params)
             };
         }
         match algorithm {

@@ -47,7 +47,7 @@
 //! [`NeighborBackend::resolve`]). [`NeighborSet`] is the working-set type
 //! the clustering loops drive; it dispatches every query to the resolved
 //! backend and keeps the tree's tombstones in lockstep with the caller's
-//! live-id list.
+//! live-id list, an O(1)-removal [`IndexPool`].
 //!
 //! ## The approximate `Hybrid` backend (opt-in)
 //!
@@ -65,20 +65,23 @@
 //! every released table still passes `verify_t_closeness` — see
 //! `docs/ALGORITHMS.md`.
 //!
-//! ## Parallel build
+//! ## Threads
 //!
-//! Tree construction parallelizes ([`KdTree::build_with`]) without
-//! leaving the exactness contract: the parallel build produces a tree
-//! equal in every field to the sequential one. Queries stay one
-//! traversal each; [`NeighborSet::nearest_batch`] batches only on the
-//! flat backend, where one blocked pass serves every query point.
+//! The tree is built and queried on the calling thread; the worker count
+//! a [`NeighborSet`] takes bounds the flat kernels only. A parallel build
+//! saved under 1% of any run that could reach it (`docs/PERFORMANCE.md`).
+//! Queries stay one traversal each; [`NeighborSet::nearest_batch`]
+//! batches only on the flat backend, where one blocked pass serves every
+//! query point.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod pool;
 mod set;
 mod tree;
 
+pub use pool::IndexPool;
 pub use set::NeighborSet;
 pub use tree::KdTree;
 

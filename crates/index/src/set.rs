@@ -2,8 +2,8 @@
 
 use crate::{KdTree, NeighborBackend, ResolvedBackend};
 use tclose_metrics::distance::{
-    farthest_from_ids, k_nearest_ids, k_nearest_with_far_candidates_ids, min_sq_dist_excluding,
-    nearest_to_ids, nearest_to_many_ids, sq_dist_dim,
+    farthest_from_ids, k_nearest_ids, min_sq_dist_excluding, nearest_to_ids, nearest_to_many_ids,
+    sq_dist_dim,
 };
 use tclose_metrics::matrix::{Matrix, RowId, RowIndex};
 use tclose_parallel::Parallelism;
@@ -12,8 +12,9 @@ use tclose_parallel::Parallelism;
 /// of the MDAV-family clustering loops, through whichever backend
 /// [`NeighborBackend::resolve`] picked.
 ///
-/// The caller keeps its own live-id list (MDAV's `remaining` vector, the
-/// algorithms' index pools) and passes it to every query; the set mirrors
+/// The caller keeps its own live-id list (an
+/// [`IndexPool`](crate::IndexPool) in MDAV and Algorithms 2 and 3) and
+/// passes it to every query; the set mirrors
 /// membership via [`remove`](NeighborSet::remove) /
 /// [`insert`](NeighborSet::insert) so the kd-tree backend's tombstone mask
 /// always matches. Under the `FlatScan` backend queries delegate to the
@@ -52,12 +53,11 @@ pub struct NeighborSet<'m> {
 impl<'m> NeighborSet<'m> {
     /// A working set initially containing **every** row of `m`, on the
     /// backend `backend` resolves to for this matrix shape. `par` bounds
-    /// the worker count of the flat-scan kernels and of the kd-tree
-    /// *build* (individual tree queries stay sequential; they touch too
-    /// few rows to pay for threads).
+    /// the worker count of the flat-scan kernels; the kd-tree is built and
+    /// queried on the calling thread.
     pub fn new(m: &'m Matrix, backend: NeighborBackend, par: Parallelism) -> Self {
         let tree = match backend.resolve(m.n_rows(), m.n_cols()) {
-            ResolvedBackend::KdTree => Some(KdTree::build_with(m, par)),
+            ResolvedBackend::KdTree => Some(KdTree::build(m)),
             ResolvedBackend::FlatScan => None,
         };
         NeighborSet { m, par, tree }
@@ -105,40 +105,11 @@ impl<'m> NeighborSet<'m> {
     pub fn k_nearest<I: RowIndex>(&self, live: &[I], point: &[f64], count: usize) -> Vec<I> {
         match self.tree_for(live) {
             None => k_nearest_ids(self.m, live, point, count, self.par),
-            Some(t) => from_row_ids(t.k_nearest(point, count)),
-        }
-    }
-
-    /// One fused request answering both halves of an MDAV round over the
-    /// live set: the `near_count` nearest ids (ascending by (distance,
-    /// row id)) and the `far_count` farthest ids (descending by distance,
-    /// ties toward the lowest row id — the sequence repeated
-    /// [`farthest_from`](Self::farthest_from) + removal would extract).
-    ///
-    /// On the flat backend both selections share one distance pass — the
-    /// fusion win that motivates the API (one read of the matrix instead
-    /// of two). On the kd-tree backend the two halves run as separate
-    /// traversals ([`KdTree::k_nearest`], [`KdTree::k_farthest`]): the
-    /// near half wants min-bound-first child order while the far half
-    /// needs max-bound-first to raise its pruning threshold early, so one
-    /// shared walk starves the other half's pruning (a fused walk measured
-    /// ~5× slower, see `docs/PERFORMANCE.md`). Both routes return
-    /// identical results.
-    pub fn k_nearest_with_far_candidates<I: RowIndex>(
-        &self,
-        live: &[I],
-        point: &[f64],
-        near_count: usize,
-        far_count: usize,
-    ) -> (Vec<I>, Vec<I>) {
-        match self.tree_for(live) {
-            None => k_nearest_with_far_candidates_ids(
-                self.m, live, point, near_count, far_count, self.par,
-            ),
-            Some(t) => (
-                from_row_ids(t.k_nearest(point, near_count)),
-                from_row_ids(t.k_farthest(point, far_count)),
-            ),
+            Some(t) => t
+                .k_nearest(point, count)
+                .into_iter()
+                .map(from_row_id)
+                .collect(),
         }
     }
 
@@ -207,9 +178,4 @@ impl<'m> NeighborSet<'m> {
 /// Converts a backend result back into the caller's id type.
 fn from_row_id<I: RowIndex>(id: RowId) -> I {
     I::from_row_index(id.index())
-}
-
-/// [`from_row_id`] over a result list.
-fn from_row_ids<I: RowIndex>(ids: Vec<RowId>) -> Vec<I> {
-    ids.into_iter().map(from_row_id).collect()
 }

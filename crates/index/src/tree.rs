@@ -14,15 +14,6 @@
 //!   a single point (duplicate-heavy data) become leaves regardless of
 //!   size; their members are tied anyway, and every query resolves ties by
 //!   row id.
-//! * **Parallel build.** [`KdTree::build_with`] distributes the build over
-//!   scoped threads and still produces a tree **equal in every field** to
-//!   the sequential build: the top of the tree is expanded sequentially
-//!   into a skeleton (median splits partition the permutation into
-//!   disjoint ranges, so their results never depend on execution order),
-//!   the frontier subtrees are built concurrently on disjoint
-//!   `split_at_mut` slices, and a sequential pre-order emit pass splices
-//!   the pieces with renumbered child/parent links — reproducing exactly
-//!   the node numbering the single-threaded recursion assigns.
 //! * **One traversal per query.** Every query walks the tree on its own,
 //!   ordering children by its own bound. Shared multi-query walks and a
 //!   fused near+far walk were measured slower and removed (see
@@ -42,11 +33,8 @@
 //!   pruned query is *exactly* equivalent to the full scan, not just
 //!   approximately.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 use tclose_metrics::distance::sq_dist_dim;
 use tclose_metrics::matrix::{Matrix, RowId};
-use tclose_parallel::Parallelism;
 
 /// Sentinel child/parent index meaning "none".
 const NONE: u32 = u32::MAX;
@@ -56,12 +44,7 @@ const NONE: u32 = u32::MAX;
 /// boxes) stays shallow.
 const LEAF_SIZE: usize = 16;
 
-/// Minimum rows per worker before [`KdTree::build_with`] goes parallel —
-/// below this the skeleton expansion and thread spawn cost more than the
-/// concurrent subtree builds save.
-const PARALLEL_BUILD_MIN_ROWS: usize = 8 * 1024;
-
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy)]
 struct Node {
     parent: u32,
     /// `NONE` for leaves; inner nodes always have both children.
@@ -104,7 +87,7 @@ struct Node {
 /// assert_eq!(tree.nearest(&[0.1, 0.1]).unwrap().index(), 1);
 /// assert_eq!(tree.farthest_from(&[0.0, 0.0]).unwrap().index(), 3);
 /// ```
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone)]
 pub struct KdTree {
     dims: usize,
     nodes: Vec<Node>,
@@ -130,28 +113,12 @@ impl KdTree {
     /// The build is deterministic: splits follow the total order
     /// (coordinate, row id), so equal inputs produce equal trees.
     pub fn build(m: &Matrix) -> Self {
-        Self::build_with(m, Parallelism::sequential())
-    }
-
-    /// [`build`](KdTree::build) with the subtree recursion distributed
-    /// over scoped threads.
-    ///
-    /// The result is **equal in every field** to the sequential build —
-    /// same node numbering, same bounding boxes, same permutation (see
-    /// the module docs for why) — so the worker count can never change a
-    /// query answer. Small matrices fall back to the sequential path.
-    pub fn build_with(m: &Matrix, par: Parallelism) -> Self {
         let n = m.n_rows();
         let dims = m.n_cols();
         let mut perm: Vec<u32> = (0..n as u32).collect();
         let mut parts = TreeParts::default();
         if n > 0 {
-            let workers = par.effective(n, PARALLEL_BUILD_MIN_ROWS);
-            if workers <= 1 {
-                build_subtree(m, &mut perm, 0, NONE, &mut parts);
-            } else {
-                build_parallel(m, &mut perm, workers, &mut parts);
-            }
+            build_subtree(m, &mut perm, 0, NONE, &mut parts);
         }
         let mut leaf_of = vec![NONE; n];
         for (idx, nd) in parts.nodes.iter().enumerate() {
@@ -293,21 +260,6 @@ impl KdTree {
         best.map(|(_, id)| id)
     }
 
-    /// The `count` live rows farthest from `point`, descending by distance
-    /// (ties toward the lowest row id) — exactly the sequence repeated
-    /// [`farthest_from`](KdTree::farthest_from) + removal would extract.
-    /// Returns all live rows (so ordered) when `count` exceeds the live
-    /// count.
-    pub fn k_farthest(&self, point: &[f64], count: usize) -> Vec<RowId> {
-        debug_assert_eq!(point.len(), self.dims);
-        if count == 0 || self.n_live == 0 {
-            return Vec::new();
-        }
-        let mut best: Vec<(f64, RowId)> = Vec::with_capacity(count.min(self.n_live) + 1);
-        self.k_far_visit(0, point, count, &mut best);
-        best.into_iter().map(|(_, id)| id).collect()
-    }
-
     /// Smallest possible squared distance from `point` to any point inside
     /// the node's bounding box. Computed with the same per-dimension
     /// subtract/square/accumulate sequence as [`sq_dist_dim`], so in
@@ -441,45 +393,6 @@ impl KdTree {
             }
         }
     }
-
-    /// List form of [`far_visit`](KdTree::far_visit): keeps the `count`
-    /// farthest candidates, pruning on a **strict** max-bound comparison
-    /// against the worst kept entry (an equally far row with a lower id
-    /// could still enter the list).
-    fn k_far_visit(&self, node: u32, point: &[f64], count: usize, best: &mut Vec<(f64, RowId)>) {
-        let nd = self.nodes[node as usize];
-        if nd.live == 0 {
-            return;
-        }
-        if best.len() == count {
-            let worst = best[best.len() - 1].0;
-            if self.max_sq_dist_to_box(node, point) < worst {
-                return;
-            }
-        }
-        if nd.left == NONE {
-            for pos in nd.start as usize..nd.end as usize {
-                let id = self.ids[pos];
-                if !self.alive[id.index()] {
-                    continue;
-                }
-                let row = &self.coords[pos * self.dims..(pos + 1) * self.dims];
-                offer_far(best, count, sq_dist_dim(row, point), id);
-            }
-        } else {
-            // Farther child first tightens the worst-kept bound sooner;
-            // visit order never changes the result.
-            let dl = self.max_sq_dist_to_box(nd.left, point);
-            let dr = self.max_sq_dist_to_box(nd.right, point);
-            if dl >= dr {
-                self.k_far_visit(nd.left, point, count, best);
-                self.k_far_visit(nd.right, point, count, best);
-            } else {
-                self.k_far_visit(nd.right, point, count, best);
-                self.k_far_visit(nd.left, point, count, best);
-            }
-        }
-    }
 }
 
 /// Inserts `(d, id)` into the sorted candidate list if it beats the worst
@@ -498,28 +411,9 @@ fn offer(best: &mut Vec<(f64, RowId)>, count: usize, d: f64, id: RowId) {
     best.insert(at, (d, id));
 }
 
-/// [`offer`] for the farthest-candidates order: descending distance, ties
-/// toward the **lowest** row id (the sequence repeated farthest-point
-/// extraction produces). The worst kept entry is the last one — smallest
-/// distance, then highest id.
-#[inline]
-fn offer_far(best: &mut Vec<(f64, RowId)>, count: usize, d: f64, id: RowId) {
-    if best.len() == count {
-        let (wd, wid) = best[best.len() - 1];
-        if d < wd || (d == wd && id > wid) {
-            return;
-        }
-        best.pop();
-    }
-    let at = best.partition_point(|&(bd, bid)| bd > d || (bd == d && bid < id));
-    best.insert(at, (d, id));
-}
-
-/// A free-standing piece of tree: nodes numbered from 0 in pre-order with
-/// **global** `start`/`end` ranges, plus the matching bounding boxes. The
-/// sequential build produces one covering the whole tree; the parallel
-/// build produces one per frontier subtree and splices them.
-#[derive(Debug, Default)]
+/// The nodes of a tree under construction, numbered in pre-order, plus
+/// their bounding boxes (`dims` values per node).
+#[derive(Default)]
 struct TreeParts {
     nodes: Vec<Node>,
     bb_lo: Vec<f64>,
@@ -562,8 +456,7 @@ fn widest_dim(lo: &[f64], hi: &[f64]) -> (usize, f64) {
 }
 
 /// Partitions `perm` at its median under the total order (coordinate on
-/// `split_dim`, row id) — the one deterministic split both the sequential
-/// recursion and the parallel skeleton use.
+/// `split_dim`, row id), so the split is deterministic.
 fn split_at_median(m: &Matrix, perm: &mut [u32], split_dim: usize) -> usize {
     let mid = perm.len() / 2;
     perm.select_nth_unstable_by(mid, |&a, &b| {
@@ -576,9 +469,8 @@ fn split_at_median(m: &Matrix, perm: &mut [u32], split_dim: usize) -> usize {
 }
 
 /// Recursively builds the subtree over `perm` (which starts at global
-/// position `global_lo` of the full permutation), returning its node index
-/// within `parts`. The subtree root's `parent` is stored verbatim; the
-/// parallel splice rewrites it.
+/// position `global_lo` of the full permutation) below `parent`,
+/// returning its node index within `parts`.
 fn build_subtree(
     m: &Matrix,
     perm: &mut [u32],
@@ -613,207 +505,4 @@ fn build_subtree(
     parts.nodes[idx as usize].left = left;
     parts.nodes[idx as usize].right = right;
     idx
-}
-
-/// One entry of the sequentially expanded top-of-tree skeleton.
-enum SkelEntry {
-    /// An inner node the skeleton split itself: children are skeleton
-    /// indices, the box was computed during expansion.
-    Split {
-        lo: usize,
-        hi: usize,
-        left: usize,
-        right: usize,
-        bb_lo: Vec<f64>,
-        bb_hi: Vec<f64>,
-    },
-    /// A frontier range delegated to a concurrent `build_subtree` task
-    /// (`task` indexes the in-range-order task list).
-    Task { lo: usize, hi: usize, task: usize },
-}
-
-/// Parallel build: sequential skeleton expansion, concurrent frontier
-/// subtree builds on disjoint permutation slices, sequential pre-order
-/// splice. Produces exactly the `TreeParts` of `build_subtree` over the
-/// whole permutation — median splits on disjoint ranges are independent,
-/// and the splice renumbers each piece into the pre-order position the
-/// sequential recursion would have given it.
-fn build_parallel(m: &Matrix, perm: &mut [u32], workers: usize, parts: &mut TreeParts) {
-    let n = perm.len();
-    // Oversplit a little so one slow subtree cannot serialize the build.
-    let target_tasks = workers * 4;
-    let mut skel: Vec<SkelEntry> = vec![SkelEntry::Task {
-        lo: 0,
-        hi: n,
-        task: usize::MAX,
-    }];
-    let mut queue: std::collections::VecDeque<usize> = std::collections::VecDeque::from([0]);
-    let mut open = 1usize;
-    while let Some(e) = queue.pop_front() {
-        if open >= target_tasks {
-            break;
-        }
-        let (lo, hi) = match skel[e] {
-            SkelEntry::Task { lo, hi, .. } => (lo, hi),
-            SkelEntry::Split { .. } => unreachable!("queued entries are unexpanded"),
-        };
-        let mut bb_lo = Vec::new();
-        let mut bb_hi = Vec::new();
-        push_bbox(m, &perm[lo..hi], &mut bb_lo, &mut bb_hi);
-        let (split_dim, split_width) = widest_dim(&bb_lo, &bb_hi);
-        if hi - lo <= LEAF_SIZE || split_width <= 0.0 {
-            continue; // stays a frontier task (a leaf the task will emit)
-        }
-        let mid = lo + split_at_median(m, &mut perm[lo..hi], split_dim);
-        let left = skel.len();
-        skel.push(SkelEntry::Task {
-            lo,
-            hi: mid,
-            task: usize::MAX,
-        });
-        let right = skel.len();
-        skel.push(SkelEntry::Task {
-            lo: mid,
-            hi,
-            task: usize::MAX,
-        });
-        skel[e] = SkelEntry::Split {
-            lo,
-            hi,
-            left,
-            right,
-            bb_lo,
-            bb_hi,
-        };
-        queue.push_back(left);
-        queue.push_back(right);
-        open += 1;
-    }
-
-    // Frontier tasks in range order tile [0, n); hand each its disjoint
-    // mutable slice of the permutation.
-    let mut frontier: Vec<usize> = (0..skel.len())
-        .filter(|&i| matches!(skel[i], SkelEntry::Task { .. }))
-        .collect();
-    frontier.sort_by_key(|&i| match skel[i] {
-        SkelEntry::Task { lo, .. } => lo,
-        SkelEntry::Split { .. } => unreachable!(),
-    });
-    let mut slices: Vec<(usize, &mut [u32])> = Vec::with_capacity(frontier.len());
-    let mut tail: &mut [u32] = perm;
-    let mut consumed = 0usize;
-    for (t, &f) in frontier.iter().enumerate() {
-        let (lo, hi) = match &mut skel[f] {
-            SkelEntry::Task { lo, hi, task } => {
-                *task = t;
-                (*lo, *hi)
-            }
-            SkelEntry::Split { .. } => unreachable!(),
-        };
-        debug_assert_eq!(lo, consumed, "frontier ranges must tile the permutation");
-        let (piece, rest) = std::mem::take(&mut tail).split_at_mut(hi - lo);
-        slices.push((lo, piece));
-        tail = rest;
-        consumed = hi;
-    }
-    debug_assert_eq!(consumed, n);
-
-    // Scoped worker pool over an atomic task counter (same shape as
-    // tclose_parallel::map_blocks, which cannot be reused here because its
-    // closures take `&I`, not owned mutable slices).
-    let n_tasks = slices.len();
-    type BuildTask<'a> = (usize, &'a mut [u32]);
-    let task_cells: Vec<Mutex<Option<BuildTask>>> =
-        slices.into_iter().map(|s| Mutex::new(Some(s))).collect();
-    let out_cells: Vec<Mutex<Option<TreeParts>>> = (0..n_tasks).map(|_| Mutex::new(None)).collect();
-    let next = AtomicUsize::new(0);
-    std::thread::scope(|scope| {
-        for _ in 0..workers.min(n_tasks) {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= n_tasks {
-                    break;
-                }
-                let (global_lo, piece) = task_cells[i]
-                    .lock()
-                    .expect("task lock")
-                    .take()
-                    .expect("each task runs once");
-                let mut local = TreeParts::default();
-                build_subtree(m, piece, global_lo, NONE, &mut local);
-                *out_cells[i].lock().expect("result lock") = Some(local);
-            });
-        }
-    });
-    let mut results: Vec<Option<TreeParts>> = out_cells
-        .into_iter()
-        .map(|c| {
-            Some(
-                c.into_inner()
-                    .expect("result lock")
-                    .expect("task completed"),
-            )
-        })
-        .collect();
-    emit(&skel, 0, NONE, &mut results, parts);
-}
-
-/// Pre-order emit of the skeleton: `Split` entries become nodes in place,
-/// `Task` entries splice their pre-built parts with child/parent indices
-/// shifted to their final positions. Visiting root, then the entire left
-/// subtree, then the right reproduces the sequential numbering exactly.
-fn emit(
-    skel: &[SkelEntry],
-    e: usize,
-    parent: u32,
-    results: &mut [Option<TreeParts>],
-    parts: &mut TreeParts,
-) -> u32 {
-    match &skel[e] {
-        SkelEntry::Split {
-            lo,
-            hi,
-            left,
-            right,
-            bb_lo,
-            bb_hi,
-        } => {
-            let idx = parts.nodes.len() as u32;
-            parts.nodes.push(Node {
-                parent,
-                left: NONE,
-                right: NONE,
-                start: *lo as u32,
-                end: *hi as u32,
-                live: (*hi - *lo) as u32,
-            });
-            parts.bb_lo.extend_from_slice(bb_lo);
-            parts.bb_hi.extend_from_slice(bb_hi);
-            let l = emit(skel, *left, idx, results, parts);
-            let r = emit(skel, *right, idx, results, parts);
-            parts.nodes[idx as usize].left = l;
-            parts.nodes[idx as usize].right = r;
-            idx
-        }
-        SkelEntry::Task { task, .. } => {
-            let piece = results[*task].take().expect("each piece spliced once");
-            let offset = parts.nodes.len() as u32;
-            let shift = |link: u32| if link == NONE { NONE } else { link + offset };
-            for nd in piece.nodes {
-                parts.nodes.push(Node {
-                    parent: if nd.parent == NONE {
-                        parent
-                    } else {
-                        nd.parent + offset
-                    },
-                    left: shift(nd.left),
-                    right: shift(nd.right),
-                    ..nd
-                });
-            }
-            parts.bb_lo.extend(piece.bb_lo);
-            parts.bb_hi.extend(piece.bb_hi);
-            offset
-        }
-    }
 }

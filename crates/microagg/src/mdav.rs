@@ -12,7 +12,8 @@
 //! queries go through a [`NeighborSet`], which answers them either with
 //! the same flat kernels or with pruned kd-tree queries
 //! ([`NeighborBackend`], default [`NeighborBackend::Auto`]). On the flat
-//! backend each main round issues one *fused* near+far request: the `k`
+//! backend each main round instead calls the *fused* near+far kernel
+//! [`k_nearest_with_far_candidates_ids`] itself: the `k`
 //! cluster members around `x_r` and the `k+1` farthest-from-`x_r`
 //! candidates come back from a single distance pass, and the next seed
 //! `x_s` is the first candidate surviving the cluster removal. On the
@@ -26,8 +27,8 @@
 use crate::cluster::Clustering;
 use crate::hybrid::hybrid_partition_with;
 use crate::Microaggregator;
-use tclose_index::{NeighborBackend, NeighborSet, ResolvedBackend};
-use tclose_metrics::distance::centroid_ids;
+use tclose_index::{IndexPool, NeighborBackend, NeighborSet, ResolvedBackend};
+use tclose_metrics::distance::{centroid_ids, k_nearest_with_far_candidates_ids};
 use tclose_metrics::matrix::{Matrix, RowId};
 use tclose_parallel::Parallelism;
 
@@ -100,7 +101,7 @@ pub fn mdav_partition_with(
     // Position-tracked pool: removing a freshly gathered cluster is O(k)
     // swap-removes instead of an O(n) retain pass, which would otherwise
     // rival the scans themselves once the queries run on the kd-tree.
-    let mut remaining = RowPool::full(n);
+    let mut remaining = IndexPool::full(n);
     let mut clusters: Vec<Vec<usize>> = Vec::with_capacity(n / k.max(1) + 1);
 
     while remaining.len() >= 3 * k {
@@ -119,8 +120,14 @@ pub fn mdav_partition_with(
         // post-removal farthest-point query, so the tree asks afterwards.
         let xs = match search.resolved() {
             ResolvedBackend::FlatScan => {
-                let (members, far) =
-                    search.k_nearest_with_far_candidates(remaining.items(), m.row(xr), k, k + 1);
+                let (members, far) = k_nearest_with_far_candidates_ids(
+                    m,
+                    remaining.items(),
+                    m.row(xr),
+                    k,
+                    k + 1,
+                    par,
+                );
                 commit_cluster(&mut search, &mut remaining, members, &mut clusters);
                 far.into_iter()
                     .find(|&id| remaining.contains(id))
@@ -159,7 +166,7 @@ pub fn mdav_partition_with(
 fn take_cluster(
     m: &Matrix,
     search: &mut NeighborSet<'_>,
-    remaining: &mut RowPool,
+    remaining: &mut IndexPool<RowId>,
     seed: RowId,
     k: usize,
     clusters: &mut Vec<Vec<usize>>,
@@ -173,7 +180,7 @@ fn take_cluster(
 /// as a new cluster.
 fn commit_cluster(
     search: &mut NeighborSet<'_>,
-    remaining: &mut RowPool,
+    remaining: &mut IndexPool<RowId>,
     members: Vec<RowId>,
     clusters: &mut Vec<Vec<usize>>,
 ) {
@@ -182,64 +189,6 @@ fn commit_cluster(
         remaining.remove(id);
     }
     clusters.push(members.into_iter().map(RowId::index).collect());
-}
-
-/// O(1)-removal pool of row ids, iterable as a slice.
-///
-/// The slice order is scrambled by swap-removes. Every query over it is
-/// order-independent anyway: the extreme/k-nearest kernels reduce under
-/// the total order (distance, row id), and the blocked centroid sum is a
-/// deterministic function of the slice — identical across backends and
-/// worker counts because all of them see the same pool history.
-#[derive(Debug)]
-struct RowPool {
-    items: Vec<RowId>,
-    /// `pos[r]` is the index of row `r` inside `items` (`u32::MAX` once
-    /// removed).
-    pos: Vec<u32>,
-}
-
-impl RowPool {
-    fn full(n: usize) -> Self {
-        RowPool {
-            items: (0..n).map(RowId::new).collect(),
-            pos: (0..n as u32).collect(),
-        }
-    }
-
-    fn items(&self) -> &[RowId] {
-        &self.items
-    }
-
-    fn len(&self) -> usize {
-        self.items.len()
-    }
-
-    fn is_empty(&self) -> bool {
-        self.items.is_empty()
-    }
-
-    fn contains(&self, id: RowId) -> bool {
-        self.pos[id.index()] != u32::MAX
-    }
-
-    fn remove(&mut self, id: RowId) {
-        let p = self.pos[id.index()] as usize;
-        debug_assert!(p != u32::MAX as usize, "row {id} removed twice");
-        let last = *self.items.last().expect("non-empty pool");
-        self.items.swap_remove(p);
-        self.pos[id.index()] = u32::MAX;
-        if last != id {
-            self.pos[last.index()] = p as u32;
-        }
-    }
-
-    fn drain(&mut self) -> impl Iterator<Item = RowId> + '_ {
-        for &id in &self.items {
-            self.pos[id.index()] = u32::MAX;
-        }
-        self.items.drain(..)
-    }
 }
 
 #[cfg(test)]

@@ -1,26 +1,21 @@
 //! Pass 1: one streaming scan of the input accumulating the global fit.
 //!
-//! Two paths produce the same [`GlobalFit`]:
-//!
-//! * [`fit_auto`] — no schema known up front. Scans raw records, infers
-//!   each column's kind over the *whole* file (a column is numeric when
-//!   every value parses as `f64`), requires quasi-identifier and
-//!   confidential columns to be numeric, and accumulates
-//!   [`RunningStats`] / [`DomainAccumulator`]s as it goes. Memory is
-//!   bounded by the number of *distinct* values per column (the EMD
-//!   domain is that set anyway), never by the record count.
-//! * [`fit_with_schema`] — the explicit-schema fast path: records are
-//!   parsed straight into typed columns through
-//!   [`CsvChunks`](tclose_microdata::csv::CsvChunks) (supporting ordinal
-//!   QI/confidential attributes, which inference cannot produce) and the
-//!   accumulators are fed whole columns at a time.
+//! [`fit_auto`] knows no schema up front. It scans raw records, infers
+//! each column's kind over the *whole* file (a column is numeric when
+//! every value parses as `f64`), requires quasi-identifier and
+//! confidential columns to be numeric, and accumulates [`RunningStats`] /
+//! [`DomainAccumulator`]s as it goes. Memory is bounded by the number of
+//! *distinct* values per column (the EMD domain is that set anyway), never
+//! by the record count. Ordinal attributes, which inference cannot
+//! produce, stream through pass 2 with a fit made in memory or loaded
+//! from a model artifact.
 
 use std::io::Read;
 
 use crate::error::{Error, Result};
 use tclose_core::{Confidential, GlobalFit, QiEmbedding};
 use tclose_metrics::emd::DomainAccumulator;
-use tclose_microdata::csv::{ColumnInference, CsvChunks, CsvRecords};
+use tclose_microdata::csv::{ColumnInference, CsvRecords};
 use tclose_microdata::{
     AttributeDef, AttributeKind, AttributeRole, NormalizeMethod, RunningStats, Schema,
 };
@@ -208,109 +203,6 @@ pub fn fit_auto<R: Read>(
     Ok(GlobalFit::from_parts(schema, embedding, conf, n)?)
 }
 
-/// Streaming fit against an explicit schema (roles already assigned):
-/// records are parsed in typed chunks of `chunk_rows`, and whole columns
-/// are folded into the accumulators at a time.
-pub fn fit_with_schema<R: Read>(
-    reader: R,
-    schema: Schema,
-    normalize: NormalizeMethod,
-    chunk_rows: usize,
-) -> Result<GlobalFit> {
-    let qi = schema.quasi_identifiers();
-    let conf_attrs = schema.confidential();
-    if qi.is_empty() {
-        return Err(Error::Config(
-            "the schema declares no quasi-identifier attribute".into(),
-        ));
-    }
-    if conf_attrs.is_empty() {
-        return Err(Error::Config(
-            "the schema declares no confidential attribute".into(),
-        ));
-    }
-
-    let mut chunks = CsvChunks::new(reader, schema, chunk_rows)?;
-    let mut stats: Vec<RunningStats> = vec![RunningStats::new(); qi.len()];
-    let mut domains: Vec<DomainAccumulator> = vec![DomainAccumulator::new(); conf_attrs.len()];
-    let mut offset = 0usize;
-    for chunk in chunks.by_ref() {
-        let chunk = chunk?;
-        for (rs, &a) in stats.iter_mut().zip(&qi) {
-            match chunk.schema().attribute(a)?.kind {
-                AttributeKind::Numeric => rs.add_column(chunk.numeric_column(a)?),
-                AttributeKind::OrdinalCategorical => {
-                    for &c in chunk.categorical_column(a)? {
-                        rs.push(c as f64);
-                    }
-                }
-                AttributeKind::NominalCategorical => {
-                    return Err(Error::Data {
-                        line: None,
-                        detail: format!(
-                            "quasi-identifier {:?} is nominal; microaggregation needs \
-                             a metric QI space",
-                            chunk.schema().attribute(a)?.name
-                        ),
-                    });
-                }
-            }
-        }
-        for (acc, &a) in domains.iter_mut().zip(&conf_attrs) {
-            let added = match chunk.schema().attribute(a)?.kind {
-                AttributeKind::Numeric => acc.add_column(chunk.numeric_column(a)?, offset),
-                AttributeKind::OrdinalCategorical => {
-                    acc.add_codes(chunk.categorical_column(a)?);
-                    Ok(())
-                }
-                AttributeKind::NominalCategorical => {
-                    return Err(Error::Data {
-                        line: None,
-                        detail: format!(
-                            "confidential attribute {:?} is nominal; the ordered EMD \
-                             needs a rankable attribute",
-                            chunk.schema().attribute(a)?.name
-                        ),
-                    });
-                }
-            };
-            added.map_err(|e| Error::Data {
-                line: None,
-                detail: format!(
-                    "confidential attribute {:?}: {e}",
-                    chunk
-                        .schema()
-                        .attribute(a)
-                        .map(|x| x.name.clone())
-                        .unwrap_or_default()
-                ),
-            })?;
-        }
-        offset += chunk.n_rows();
-    }
-    if offset == 0 {
-        return Err(Error::Data {
-            line: None,
-            detail: "input has a header but no data records".into(),
-        });
-    }
-
-    let embedding = QiEmbedding::from_stats(normalize, &stats);
-    let emds = domains
-        .iter()
-        .map(|d| {
-            d.finalize().map_err(|e| Error::Data {
-                line: None,
-                detail: e.to_string(),
-            })
-        })
-        .collect::<Result<Vec<_>>>()?;
-    let conf = Confidential::from_emds(emds)?;
-    // The post-pass schema carries every dictionary label the file uses.
-    let schema = chunks.schema().clone();
-    Ok(GlobalFit::from_parts(schema, embedding, conf, offset)?)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -468,44 +360,5 @@ mod tests {
                 .collect::<Vec<_>>(),
             ["x", "inf", "y"]
         );
-    }
-
-    #[test]
-    fn fit_with_schema_matches_fit_auto_on_numeric_data() {
-        let auto = fit_auto(
-            CSV.as_bytes(),
-            &names(&["age"]),
-            &names(&["wage"]),
-            NormalizeMethod::ZScore,
-        )
-        .unwrap();
-        let mut schema = tclose_microdata::csv::read_csv_auto(CSV.as_bytes())
-            .unwrap()
-            .schema()
-            .clone();
-        schema
-            .set_roles(&[
-                ("age", AttributeRole::QuasiIdentifier),
-                ("wage", AttributeRole::Confidential),
-            ])
-            .unwrap();
-        for chunk_rows in [1usize, 3, 100] {
-            let fitted = fit_with_schema(
-                CSV.as_bytes(),
-                schema.clone(),
-                NormalizeMethod::ZScore,
-                chunk_rows,
-            )
-            .unwrap();
-            assert_eq!(fitted.n_records(), auto.n_records());
-            assert_eq!(
-                fitted.confidential().primary().values(),
-                auto.confidential().primary().values()
-            );
-            assert_eq!(
-                fitted.confidential().primary().global_counts(),
-                auto.confidential().primary().global_counts()
-            );
-        }
     }
 }

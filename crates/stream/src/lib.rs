@@ -78,7 +78,7 @@ mod release;
 mod report;
 
 pub use error::{Error, Result};
-pub use fit_pass::{fit_auto, fit_with_schema};
+pub use fit_pass::fit_auto;
 pub use release::{release_shard, ReleasedShard};
 pub use report::StreamReport;
 
@@ -109,7 +109,6 @@ pub struct ShardedAnonymizer {
     shard_rows: usize,
     par: Parallelism,
     backend: NeighborBackend,
-    schema: Option<Schema>,
     compliance: Option<ComplianceEngine>,
 }
 
@@ -127,7 +126,6 @@ impl ShardedAnonymizer {
             shard_rows: DEFAULT_SHARD_ROWS,
             par: Parallelism::auto(),
             backend: NeighborBackend::Auto,
-            schema: None,
             compliance: None,
         }
     }
@@ -170,14 +168,6 @@ impl ShardedAnonymizer {
         self
     }
 
-    /// Supplies an explicit schema (kinds + roles + dictionaries) instead
-    /// of inferring column kinds from the data — the fast path, and the
-    /// only way to stream ordinal QI / confidential attributes.
-    pub fn with_schema(mut self, schema: Schema) -> Self {
-        self.schema = Some(schema);
-        self
-    }
-
     /// Installs a compliance policy: every shard is scrubbed through
     /// `engine` **before** anonymization, so direct identifiers (SSNs,
     /// emails, …) in categorical pass-through columns never reach the
@@ -204,30 +194,15 @@ impl ShardedAnonymizer {
     ) -> Result<GlobalFit> {
         self.check_shard_rows()?;
         let file = open(input)?;
-        match &self.schema {
-            Some(schema) => {
-                let mut schema = schema.clone();
-                Roles::Named { qi, confidential }
-                    .assign(&mut schema)
-                    .map_err(|e| Error::Config(e.to_string()))?;
-                fit_pass::fit_with_schema(
-                    BufReader::new(file),
-                    schema,
-                    self.normalize,
-                    self.shard_rows,
-                )
-            }
-            None => fit_pass::fit_auto(BufReader::new(file), qi, confidential, self.normalize),
-        }
+        fit_pass::fit_auto(BufReader::new(file), qi, confidential, self.normalize)
     }
 
     /// Anonymizes `input` into `output` with the two-pass sharded engine.
     ///
     /// `qi` / `confidential` name the quasi-identifier and confidential
     /// columns (a name in both lists is treated as confidential, matching
-    /// sequential role assignment). Identifier columns of an explicit
-    /// schema are dropped from the release. The `(k, t)` pair and the
-    /// shard size are checked before the input is opened.
+    /// sequential role assignment). The `(k, t)` pair and the shard size
+    /// are checked before the input is opened.
     pub fn anonymize_file(
         &self,
         input: &Path,
@@ -263,10 +238,12 @@ impl ShardedAnonymizer {
     /// — to `input`, skipping the fit pass entirely.
     ///
     /// The privacy parameters, algorithm, and schema all come from
-    /// `fitted`; of this engine's own configuration only `shard_rows`,
-    /// the worker count and the compliance policy are used. The returned
-    /// report has [`StreamReport::prefitted`] set,
-    /// [`StreamReport::fit_time`] zero, and output byte-identical to
+    /// `fitted`: the shards are parsed with its column kinds (ordinal
+    /// attributes included) and lose the identifier columns it declares.
+    /// Of this engine's own configuration only `shard_rows`, the worker
+    /// count and the compliance policy are used. The returned report has
+    /// [`StreamReport::prefitted`] set, [`StreamReport::fit_time`] zero,
+    /// and output byte-identical to
     /// [`ShardedAnonymizer::anonymize_file`] with the same fit. For the
     /// engine's usual parallelism split (workers across shards,
     /// sequential kernels inside each — either choice is
@@ -894,18 +871,25 @@ mod tests {
         let input = tmp("schema_in.csv");
         let output = tmp("schema_out.csv");
         write_input(&input, 120);
-        // infer a schema once, then declare dept an identifier
-        let mut schema = read_csv_auto(std::fs::File::open(&input).unwrap())
-            .unwrap()
-            .schema()
-            .clone();
-        schema
-            .set_roles(&[("dept", AttributeRole::Identifier)])
+        // fit in memory under a schema that declares dept an identifier,
+        // then stream the file through that fit
+        let mut table = read_csv_auto(std::fs::File::open(&input).unwrap()).unwrap();
+        table
+            .schema_mut()
+            .set_roles(&[
+                ("age", AttributeRole::QuasiIdentifier),
+                ("zip", AttributeRole::QuasiIdentifier),
+                ("wage", AttributeRole::Confidential),
+                ("dept", AttributeRole::Identifier),
+            ])
+            .unwrap();
+        let fitted = Anonymizer::new(3, 0.4)
+            .with_parallelism(Parallelism::sequential())
+            .fit(&table)
             .unwrap();
         let report = ShardedAnonymizer::new(3, 0.4)
             .shard_rows(50)
-            .with_schema(schema)
-            .anonymize_file(&input, &output, &qi(), &conf())
+            .apply_file_with(&fitted, &input, &output)
             .unwrap();
         assert!(report.satisfies_request());
         let released = read_csv_auto(std::fs::File::open(&output).unwrap()).unwrap();
