@@ -12,7 +12,9 @@
 //! are rejected with a clear error.
 
 use crate::error::{Error, Result};
-use tclose_metrics::emd::{ClusterHistogram, OrderedEmd, SwapScorer, SWAP_LANES};
+use tclose_metrics::emd::{
+    ClusterHistogram, ExactEmd, OrderedEmd, SwapScorer, EXACT_LIMIT, SWAP_LANES,
+};
 use tclose_microdata::{AttributeKind, Table};
 
 /// Fitted evaluators for all confidential attributes of a table.
@@ -221,45 +223,322 @@ impl Confidential {
 
     /// A [`ClusterScorer`] over the cluster of the given records.
     pub(crate) fn scorer(&self, records: &[usize]) -> ClusterScorer<'_> {
-        ClusterScorer {
-            emds: &self.emds,
-            scorers: self
+        let hists: Vec<ClusterHistogram> = self
+            .emds
+            .iter()
+            .map(|e| ClusterHistogram::of_records(e, records))
+            .collect();
+        let exact = ExactMax::new(&self.emds, &hists);
+        // The f64 walks are built when a tie first needs them.
+        let scorers = match exact {
+            Some(_) => Vec::new(),
+            None => self
                 .emds
                 .iter()
-                .map(|e| SwapScorer::new(e, ClusterHistogram::of_records(e, records)))
+                .zip(hists)
+                .map(|(e, h)| SwapScorer::new(e, h))
                 .collect(),
+        };
+        ClusterScorer {
+            emds: &self.emds,
+            exact,
+            scorers,
+            scores: Vec::new(),
         }
     }
 }
 
-/// One [`SwapScorer`] per confidential attribute over one cluster, for
-/// Algorithm 2's refinement. Each cluster-level value is the maximum across
+/// The state of one cluster for Algorithm 2's refinement: per confidential
+/// attribute an exact [`ExactEmd`] and, built when first needed, an f64
+/// [`SwapScorer`].
+///
+/// It answers the refinement's two questions — which member, if any, to
+/// swap for a candidate, and whether the cluster is still above `t` —
+/// exactly as the f64 walk answers them: from the integers when every gap
+/// they compare is wider than the walk's proven rounding error, and from
+/// the walk otherwise (ties). Each f64 value is the maximum across
 /// attributes folded in attribute order, exactly as
 /// [`Confidential::emd_of_hists`] and [`Confidential::emd_after_swap`]
 /// fold, so every value is bit-identical to theirs.
 #[derive(Debug, Clone)]
 pub(crate) struct ClusterScorer<'a> {
     emds: &'a [OrderedEmd],
+    /// `None` once the cluster has grown ([`ClusterScorer::add`]) or when
+    /// its counts are too large to hold exactly.
+    exact: Option<ExactMax>,
+    /// The f64 walks, one per attribute; empty until first needed while
+    /// `exact` holds the cluster.
     scorers: Vec<SwapScorer<'a>>,
+    /// Scratch for the f64 scores of one candidate.
+    scores: Vec<f64>,
 }
 
-impl ClusterScorer<'_> {
+/// The maximum EMD across confidential attributes on one exact integer
+/// scale. With `P = Π (m_a − 1)` over the attributes of two or more bins
+/// (the others have EMD 0), attribute `a`'s EMD `S_a / (|C|·N·(m_a − 1))`
+/// equals `S_a·W_a / (|C|·N·P)` with `W_a = P / (m_a − 1)`, so the
+/// cluster's maximum EMD is `key / (|C|·N·P)` with `key = max_a S_a·W_a`.
+#[derive(Debug, Clone)]
+struct ExactMax {
+    /// `(state, W_a)` per attribute, in attribute order; `W_a = 0` for an
+    /// attribute of one bin.
+    attrs: Vec<(ExactEmd, i64)>,
+    /// `|C|·N·P`.
+    denom: i64,
+    /// How far the f64 maximum may lie from the exact one, in key units
+    /// times 2⁵³: `max_a ε_a·W_a`, with `ε_a` each attribute's
+    /// [`ExactEmd::rounding_bound`].
+    bound: u128,
+    /// `⌊2·bound / 2⁵³⌋`: two keys further apart than this are further
+    /// apart than twice the bound, so their f64 values order as they do.
+    gap: i64,
+    /// Scratch for one candidate: the key of every member's swap, and
+    /// attribute `a`'s key of member `i`'s swap at `a·|C| + i`.
+    keys: Vec<i64>,
+    rows: Vec<i64>,
+}
+
+impl ExactMax {
+    /// `None` when an attribute's state or `|C|·N·P` is too large to hold
+    /// exactly (see [`EXACT_LIMIT`]).
+    fn new(emds: &[OrderedEmd], hists: &[ClusterHistogram]) -> Option<Self> {
+        let mut attrs = Vec::with_capacity(emds.len());
+        let mut p = 1i64;
+        for (e, h) in emds.iter().zip(hists) {
+            attrs.push((ExactEmd::new(e, h)?, 0));
+            p = p.checked_mul((e.m() as i64 - 1).max(1))?;
+        }
+        let denom = attrs.first()?.0.scale().checked_mul(p)?;
+        if denom > EXACT_LIMIT {
+            return None;
+        }
+        let mut bound = 0;
+        for ((state, w), e) in attrs.iter_mut().zip(emds) {
+            if e.m() > 1 {
+                *w = p / (e.m() as i64 - 1);
+                bound = (state.rounding_bound() * *w as u128).max(bound);
+            }
+        }
+        Some(ExactMax {
+            attrs,
+            denom,
+            bound,
+            gap: i64::try_from((2 * bound) >> 53).ok()?,
+            keys: Vec::new(),
+            rows: Vec::new(),
+        })
+    }
+
+    /// The current cluster's key.
+    fn key(&self) -> i64 {
+        self.attrs
+            .iter()
+            .map(|(state, w)| state.sum() * w)
+            .fold(0, i64::max)
+    }
+
+    /// The f64 walk's choice among `members`' swaps for `inn`, from the
+    /// keys [`ClusterScorer::exact_best_swap`] filled in, or `None` when
+    /// two values it compares lie within the gap and may be different
+    /// doubles.
+    fn certify(&self, emds: &[OrderedEmd], members: &[usize], inn: usize) -> Option<Option<usize>> {
+        let (n, current, gap) = (members.len(), self.key(), self.gap);
+        let decisive = || (0..self.attrs.len()).filter(|&a| self.attrs[a].1 > 0);
+        // Lane `Some(i)` is member i's swap, `None` the current cluster.
+        let key_of = |a: usize, lane: Option<usize>| match lane {
+            Some(i) => self.rows[a * n + i],
+            None => self.attrs[a].0.sum() * self.attrs[a].1,
+        };
+        // The bin a lane moves out of attribute a (None: it moves none).
+        let moved = |a: usize, lane: Option<usize>| {
+            lane.map(|i| emds[a].bin_of(members[i]))
+                .filter(|&b| b != emds[a].bin_of(inn))
+        };
+        // The attribute whose key exceeds every other's by more than the
+        // gap: the f64 maximum is then that attribute's f64 EMD.
+        let decider = |lane: Option<usize>| {
+            let (mut top, mut second) = (None, i64::MIN);
+            for a in decisive() {
+                let key = key_of(a, lane);
+                match top {
+                    Some((t, _)) if key <= t => second = second.max(key),
+                    _ => {
+                        second = top.map_or(second, |(t, _)| second.max(t));
+                        top = Some((key, a));
+                    }
+                }
+            }
+            top.filter(|&(t, _)| t.saturating_sub(second) > gap)
+                .map(|(_, a)| a)
+        };
+        // Two lanes are the same double when they move the same bins, or
+        // when one attribute decides both and they move the same bin of it.
+        let same = |p: Option<usize>, q: Option<usize>| {
+            decisive().all(|a| moved(a, p) == moved(a, q))
+                || matches!((decider(p), decider(q)), (Some(a), Some(b)) if a == b && moved(a, p) == moved(a, q))
+        };
+        let keys = &self.keys;
+        match keys.iter().copied().enumerate().min_by_key(|&(_, key)| key) {
+            Some((best, low)) if low < current => {
+                let certified = current - low > gap
+                    && (0..n)
+                        .all(|i| i == best || keys[i] - low > gap || same(Some(i), Some(best)));
+                certified.then_some(Some(best))
+            }
+            _ => {
+                let certified = (0..n).all(|i| keys[i] - current > gap || same(Some(i), None));
+                certified.then_some(None)
+            }
+        }
+    }
+}
+
+/// `(⌊t·k·2⁵³⌋, ⌈t·k·2⁵³⌉)` exactly, for `t` in `[0, 1]` and `k` in
+/// `0..=2⁶²`; `None` for any other `t`.
+fn scaled_floor_ceil(t: f64, k: i64) -> Option<(i128, i128)> {
+    if !(0.0..=1.0).contains(&t) {
+        return None;
+    }
+    // t·2⁵³ = mant · 2^exp exactly, with exp ≤ 1 because t ≤ 1.
+    let bits = t.to_bits();
+    let (frac, biased) = (bits & ((1 << 52) - 1), (bits >> 52) as i32);
+    let (mant, exp) = if biased == 0 {
+        (frac, -1021)
+    } else {
+        (frac | 1 << 52, biased - 1022)
+    };
+    let product = u128::from(mant) * k as u128;
+    let (floor, inexact) = match exp {
+        1 => (product << 1, false),
+        _ if exp <= -128 => (0, product != 0),
+        _ => {
+            let shift = exp.unsigned_abs();
+            (product >> shift, product & ((1 << shift) - 1) != 0)
+        }
+    };
+    let floor = floor as i128;
+    Some((floor, floor + i128::from(inexact)))
+}
+
+impl<'a> ClusterScorer<'a> {
     /// Maximum EMD across attributes of the current cluster.
-    pub fn emd(&self) -> f64 {
-        self.scorers.iter().map(SwapScorer::emd).fold(0.0, f64::max)
+    pub fn emd(&mut self) -> f64 {
+        self.walks()
+            .iter_mut()
+            .map(SwapScorer::emd)
+            .fold(0.0, f64::max)
+    }
+
+    /// The f64 walks, built from the exact state's histograms on first use.
+    fn walks(&mut self) -> &mut [SwapScorer<'a>] {
+        if self.scorers.is_empty() {
+            if let Some(x) = &self.exact {
+                self.scorers = self
+                    .emds
+                    .iter()
+                    .zip(&x.attrs)
+                    .map(|(e, (state, _))| SwapScorer::new(e, state.histogram(e)))
+                    .collect();
+            }
+        }
+        &mut self.scorers
+    }
+
+    /// Whether [`ClusterScorer::emd`] exceeds `t`.
+    pub fn exceeds(&mut self, t: f64) -> bool {
+        match self.exact_exceeds(t) {
+            Some(verdict) => verdict,
+            None => self.emd() > t,
+        }
+    }
+
+    /// [`ClusterScorer::exceeds`] from the integers, or `None` when the
+    /// exact EMD lies within the rounding bound of `t`.
+    fn exact_exceeds(&self, t: f64) -> Option<bool> {
+        let x = self.exact.as_ref()?;
+        let (floor, ceil) = scaled_floor_ceil(t, x.denom)?;
+        let (key, bound) = (i128::from(x.key()) << 53, x.bound as i128);
+        if key - bound > floor {
+            Some(true)
+        } else if key + bound < ceil {
+            Some(false)
+        } else {
+            None
+        }
+    }
+
+    /// The index of the member whose swap for record `inn` gives the
+    /// smallest maximum EMD below the current one, the first such member
+    /// on ties; `None` when no swap lowers it. This is the f64 walk's
+    /// choice, taken from the integers when they certify it.
+    pub fn best_swap(&mut self, members: &[usize], inn: usize) -> Option<usize> {
+        if let Some(choice) = self.exact_best_swap(members, inn) {
+            return choice;
+        }
+        let mut best = None;
+        let mut best_emd = self.emd();
+        let mut scores = std::mem::take(&mut self.scores);
+        scores.resize(members.len(), 0.0);
+        self.score_swaps(members, inn, &mut scores);
+        for (i, &e) in scores.iter().enumerate() {
+            if e < best_emd {
+                best_emd = e;
+                best = Some(i);
+            }
+        }
+        self.scores = scores;
+        best
+    }
+
+    /// [`ClusterScorer::best_swap`] from the integers, or `None` when two
+    /// of the values it compares lie within twice the rounding bound of
+    /// each other and their f64 values may order either way. Lanes that
+    /// change the same bins as another are the same f64 value, so they
+    /// never need the walk.
+    fn exact_best_swap(&mut self, members: &[usize], inn: usize) -> Option<Option<usize>> {
+        let emds = self.emds;
+        let x = self.exact.as_mut()?;
+        let n = members.len();
+        let (mut keys, mut rows) = (std::mem::take(&mut x.keys), std::mem::take(&mut x.rows));
+        keys.clear();
+        keys.resize(n, 0);
+        rows.clear();
+        rows.resize(n * x.attrs.len(), 0);
+        for (((state, w), e), row) in x.attrs.iter().zip(emds).zip(rows.chunks_mut(n.max(1))) {
+            if *w == 0 {
+                continue;
+            }
+            let (sum, in_bin) = (state.sum(), e.bin_of(inn));
+            for (chunk, lanes) in members.chunks(SWAP_LANES).zip(row.chunks_mut(SWAP_LANES)) {
+                let mut bins = [0usize; SWAP_LANES];
+                for (b, &r) in bins.iter_mut().zip(chunk) {
+                    *b = e.bin_of(r);
+                }
+                let deltas = state.swap_deltas(&bins[..chunk.len()], in_bin);
+                for (key, d) in lanes.iter_mut().zip(deltas) {
+                    *key = (sum + d) * w;
+                }
+            }
+            for (key, &k) in keys.iter_mut().zip(row.iter()) {
+                *key = (*key).max(k);
+            }
+        }
+        (x.keys, x.rows) = (keys, rows);
+        x.certify(emds, members, inn)
     }
 
     /// Sets `scores[i]` to the maximum EMD across attributes after swapping
     /// `members[i]` out for record `inn`, scoring [`SWAP_LANES`] members
     /// per walk of each attribute's domain.
-    pub fn score_swaps(&self, members: &[usize], inn: usize, scores: &mut [f64]) {
+    pub fn score_swaps(&mut self, members: &[usize], inn: usize, scores: &mut [f64]) {
         assert_eq!(members.len(), scores.len(), "one score per member");
         for (chunk, out) in members
             .chunks(SWAP_LANES)
             .zip(scores.chunks_mut(SWAP_LANES))
         {
             let mut worst = [0.0f64; SWAP_LANES];
-            for (e, s) in self.emds.iter().zip(&self.scorers) {
+            let emds = self.emds;
+            for (e, s) in emds.iter().zip(self.walks()) {
                 let mut bins = [0usize; SWAP_LANES];
                 for (b, &r) in bins.iter_mut().zip(chunk) {
                     *b = e.bin_of(r);
@@ -278,22 +557,30 @@ impl ClusterScorer<'_> {
         for (e, s) in self.emds.iter().zip(&mut self.scorers) {
             s.swap(e.bin_of(out), e.bin_of(inn));
         }
+        if let Some(x) = &mut self.exact {
+            for ((state, _), e) in x.attrs.iter_mut().zip(self.emds) {
+                state.swap(e.bin_of(out), e.bin_of(inn));
+            }
+        }
     }
 
     /// Maximum EMD across attributes after adding record `inn`.
-    pub fn emd_after_add(&self, inn: usize) -> f64 {
-        self.emds
-            .iter()
-            .zip(&self.scorers)
+    pub fn emd_after_add(&mut self, inn: usize) -> f64 {
+        let emds = self.emds;
+        emds.iter()
+            .zip(self.walks())
             .map(|(e, s)| s.emd_after_add(e.bin_of(inn)))
             .fold(0.0, f64::max)
     }
 
-    /// Adds record `inn` to the cluster.
+    /// Adds record `inn` to the cluster. The cluster's size changes, so
+    /// from here on only the f64 walk scores it.
     pub fn add(&mut self, inn: usize) {
-        for (e, s) in self.emds.iter().zip(&mut self.scorers) {
+        let emds = self.emds;
+        for (e, s) in emds.iter().zip(self.walks()) {
             s.add(e.bin_of(inn));
         }
+        self.exact = None;
     }
 }
 
@@ -336,6 +623,29 @@ impl ClusterHists {
 mod tests {
     use super::*;
     use tclose_microdata::{AttributeDef, AttributeRole, Schema, Value};
+
+    /// SplitMix64: seeded draws for the differential tests.
+    struct Draws(u64);
+
+    impl Draws {
+        fn next(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^ (z >> 31)
+        }
+
+        /// Uniform in `0..n` (up to a bias far below what the tests see).
+        fn below(&mut self, n: usize) -> usize {
+            (self.next() % n as u64) as usize
+        }
+
+        /// Uniform in `[0, 1)`.
+        fn unit(&mut self) -> f64 {
+            (self.next() >> 11) as f64 / (1u64 << 53) as f64
+        }
+    }
 
     fn two_conf_table() -> Table {
         let schema = Schema::new(vec![
@@ -508,6 +818,215 @@ mod tests {
             hists.remove(&conf, members[i]);
             hists.add(&conf, inn);
             members[i] = inn;
+        }
+    }
+
+    /// Algorithm 2's swap choice in f64, as the refinement loop made it
+    /// before the exact scorer: the first member of the strictly smallest
+    /// `emd_after_swap` below the cluster's EMD.
+    fn reference_best_swap(
+        conf: &Confidential,
+        hists: &ClusterHists,
+        members: &[usize],
+        inn: usize,
+    ) -> Option<usize> {
+        let mut best = None;
+        let mut best_emd = conf.emd_of_hists(hists);
+        for (i, &out) in members.iter().enumerate() {
+            let e = conf.emd_after_swap(hists, out, inn);
+            if e < best_emd {
+                (best, best_emd) = (Some(i), e);
+            }
+        }
+        best
+    }
+
+    /// `n` records over one domain of `m` bins per entry of `domains`.
+    /// Domains under six bins are uniform, which makes exact ties between
+    /// different swaps common. In larger ones every bin is used and the
+    /// other records fall on five atom bins half of the time, so the
+    /// global counts carry heavy ties.
+    fn tied_model(rng: &mut Draws, domains: &[usize], n: usize) -> Confidential {
+        let emds = domains
+            .iter()
+            .map(|&m| {
+                let atoms: Vec<usize> = (0..5).map(|_| rng.below(m)).collect();
+                let column: Vec<f64> = (0..n)
+                    .map(|r| {
+                        let bin = match r {
+                            r if r < m || m < 6 => r % m,
+                            _ if rng.unit() < 0.5 => atoms[rng.below(atoms.len())],
+                            _ => rng.below(m),
+                        };
+                        bin as f64 * 3.0
+                    })
+                    .collect();
+                OrderedEmd::new(&column)
+            })
+            .collect();
+        Confidential::from_emds(emds).unwrap()
+    }
+
+    #[test]
+    fn exact_decisions_match_the_f64_walk() {
+        let (mut certified, mut walked) = (0, 0);
+        for (case, m) in [2usize, 3, 5, 9, 17, 300, 2000].into_iter().enumerate() {
+            for attrs in 1..=3 {
+                let mut rng = Draws(1_000 * case as u64 + attrs as u64);
+                // A third attribute has one bin: its EMD is always 0.
+                let domains = [m, (m / 7).max(2), 1];
+                let conf = tied_model(&mut rng, &domains[..attrs], 2 * m + 60);
+                let n = conf.n_bound();
+                for size in [2, 5, 13, 50] {
+                    let mut members: Vec<usize> = Vec::new();
+                    while members.len() < size {
+                        let r = rng.below(n);
+                        if !members.contains(&r) {
+                            members.push(r);
+                        }
+                    }
+                    let mut scorer = conf.scorer(&members);
+                    let mut hists = conf.histograms(&members);
+                    for _ in 0..20 {
+                        let inn = loop {
+                            let r = rng.below(n);
+                            if !members.contains(&r) {
+                                break r;
+                            }
+                        };
+                        let want = reference_best_swap(&conf, &hists, &members, inn);
+                        match scorer.exact_best_swap(&members, inn) {
+                            Some(_) => certified += 1,
+                            None => walked += 1,
+                        }
+                        assert_eq!(
+                            scorer.best_swap(&members, inn),
+                            want,
+                            "m={m} attributes={attrs} |C|={size} in {inn}"
+                        );
+                        let emd = conf.emd_of_hists(&hists);
+                        for t in [emd, emd.next_up(), emd.next_down(), rng.unit()] {
+                            assert_eq!(scorer.exceeds(t), emd > t, "m={m} t={t} emd={emd}");
+                        }
+                        // Follow the chosen swap, or any swap when none helps.
+                        let i = want.unwrap_or_else(|| rng.below(members.len()));
+                        scorer.swap(members[i], inn);
+                        hists.remove(&conf, members[i]);
+                        hists.add(&conf, inn);
+                        members[i] = inn;
+                    }
+                }
+            }
+        }
+        // Both paths ran. Uniform counts over two to five bins tie often,
+        // yet the integers still decide most choices.
+        assert!(
+            walked > 0 && certified > 4 * walked,
+            "{certified} certified, {walked} walked"
+        );
+    }
+
+    #[test]
+    fn equal_emds_on_two_outgoing_bins_take_the_walk() {
+        // Five values twice each; the cluster holds both records of the end
+        // values 0 and 4. Swapping either end out for a 2 moves the same
+        // mass by the same distance, so both swaps give exactly the same
+        // EMD, lower than the cluster's, and only the f64 walk can tell
+        // which member it picks first.
+        let col = [0.0, 0.0, 1.0, 1.0, 2.0, 2.0, 3.0, 3.0, 4.0, 4.0];
+        let conf = Confidential::single(OrderedEmd::new(&col));
+        let members = [0, 1, 8, 9];
+        let hists = conf.histograms(&members);
+        let mut scorer = conf.scorer(&members);
+        assert_eq!(scorer.exact_best_swap(&members, 4), None);
+        let want = reference_best_swap(&conf, &hists, &members, 4);
+        assert!(want.is_some());
+        assert_eq!(scorer.best_swap(&members, 4), want);
+        // Swaps within one bin are the same f64 value and need no walk.
+        let pair = [0, 1];
+        let mut scorer = conf.scorer(&pair);
+        assert_eq!(scorer.exact_best_swap(&pair, 4), Some(Some(0)));
+    }
+
+    #[test]
+    fn exact_emd_equal_to_t_takes_the_walk() {
+        // One record of two values: EMD = 1/2 exactly.
+        let conf = Confidential::single(OrderedEmd::new(&[0.0, 1.0]));
+        let mut scorer = conf.scorer(&[0]);
+        let emd = conf.emd_of_records(&[0]);
+        assert_eq!(scorer.exact_exceeds(0.5), None);
+        assert_eq!(scorer.exceeds(0.5), emd > 0.5);
+        assert_eq!(scorer.exact_exceeds(0.25), Some(true));
+        assert_eq!(scorer.exact_exceeds(0.75), Some(false));
+        // EMD = 1/5 exactly, next to the double nearest 0.2.
+        let col = [0.0, 0.0, 1.0, 1.0, 2.0, 2.0, 3.0, 3.0, 4.0, 4.0];
+        let conf = Confidential::single(OrderedEmd::new(&col));
+        let members = [0, 1, 8, 9];
+        let mut scorer = conf.scorer(&members);
+        assert_eq!(scorer.exact_exceeds(0.2), None);
+        assert_eq!(scorer.exceeds(0.2), conf.emd_of_records(&members) > 0.2);
+    }
+
+    #[test]
+    fn counts_too_large_to_hold_exactly_take_the_walk() {
+        // 2,000 bins of 4·10⁹ records each (N = 8·10¹²), bound to 400
+        // records. A cluster of 300 puts (m − 1)·|C|·N past 2⁶²; a cluster
+        // of 30 fits one attribute but not the product over two.
+        let m = 2000;
+        let values: Vec<f64> = (0..m).map(|v| v as f64).collect();
+        let global = OrderedEmd::try_from_global(values, vec![4_000_000_000; m]).unwrap();
+        let mut rng = Draws(5);
+        let column: Vec<f64> = (0..400).map(|_| rng.below(m) as f64).collect();
+        let bound = global.rebind(&column).unwrap();
+        let one = Confidential::from_emds(vec![bound.clone()]).unwrap();
+        let two = Confidential::from_emds(vec![bound.clone(), bound]).unwrap();
+        assert!(one.scorer(&(0..30).collect::<Vec<_>>()).exact.is_some());
+        for (conf, size) in [(&one, 300), (&two, 30)] {
+            let mut members: Vec<usize> = (0..size).collect();
+            let mut scorer = conf.scorer(&members);
+            assert!(
+                scorer.exact.is_none(),
+                "{} attribute(s)",
+                conf.n_attributes()
+            );
+            let mut hists = conf.histograms(&members);
+            for inn in size..size + 40 {
+                assert_eq!(scorer.exact_best_swap(&members, inn), None);
+                let want = reference_best_swap(conf, &hists, &members, inn);
+                assert_eq!(scorer.best_swap(&members, inn), want);
+                let emd = conf.emd_of_hists(&hists);
+                assert_eq!(scorer.exact_exceeds(emd), None);
+                assert_eq!(scorer.exceeds(emd.next_down()), emd > emd.next_down());
+                if let Some(i) = want {
+                    scorer.swap(members[i], inn);
+                    hists.remove(conf, members[i]);
+                    hists.add(conf, inn);
+                    members[i] = inn;
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn scaled_floor_ceil_is_exact() {
+        let unit = 1i128 << 53;
+        assert_eq!(
+            scaled_floor_ceil(0.5, 7),
+            Some((7 * unit / 2, 7 * unit / 2))
+        );
+        assert_eq!(scaled_floor_ceil(1.0, 9), Some((9 * unit, 9 * unit)));
+        let limit = i128::from(EXACT_LIMIT) * unit;
+        assert_eq!(scaled_floor_ceil(1.0, EXACT_LIMIT), Some((limit, limit)));
+        assert_eq!(scaled_floor_ceil(0.0, 9), Some((0, 0)));
+        // 0.2 is 3602879701896397 / 2⁵⁴: times 3 · 2⁵³ that is 10808639105689191 / 2.
+        assert_eq!(
+            scaled_floor_ceil(0.2, 3),
+            Some((5_404_319_552_844_595, 5_404_319_552_844_596))
+        );
+        // the smallest subnormal, 2⁻¹⁰⁷⁴, times 2⁶² · 2⁵³ is below one
+        assert_eq!(scaled_floor_ceil(f64::from_bits(1), 1 << 62), Some((0, 1)));
+        for t in [-0.1, 1.5, f64::NAN, f64::INFINITY] {
+            assert_eq!(scaled_floor_ceil(t, 10), None);
         }
     }
 

@@ -131,10 +131,7 @@ pub struct Anonymizer {
     t: f64,
     algorithm: Algorithm,
     normalize: NormalizeMethod,
-    /// `None` until pinned; fitting resolves it to [`Parallelism::auto`].
-    /// Building an anonymizer thus never queries the core count, which
-    /// reads the affinity mask and cgroup quota on every call.
-    par: Option<Parallelism>,
+    par: Parallelism,
     backend: NeighborBackend,
 }
 
@@ -148,7 +145,7 @@ impl Anonymizer {
             t,
             algorithm: Algorithm::TClosenessFirst,
             normalize: NormalizeMethod::ZScore,
-            par: None,
+            par: Parallelism::auto(),
             backend: NeighborBackend::Auto,
         }
     }
@@ -170,7 +167,7 @@ impl Anonymizer {
     /// worker count — every parallel reduction follows the fixed block
     /// structure of `tclose-parallel`.
     pub fn with_parallelism(mut self, par: Parallelism) -> Self {
-        self.par = Some(par);
+        self.par = par;
         self
     }
 
@@ -202,7 +199,7 @@ impl Anonymizer {
             fit,
             params,
             self.algorithm,
-            self.par.unwrap_or_else(Parallelism::auto),
+            self.par,
             self.backend,
         ))
     }
@@ -216,7 +213,7 @@ impl Anonymizer {
             fit,
             params,
             self.algorithm,
-            self.par.unwrap_or_else(Parallelism::auto),
+            self.par,
             self.backend,
         ))
     }

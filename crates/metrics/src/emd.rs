@@ -17,7 +17,10 @@
 //! distribution `Q`) and then evaluates `EMD(C, T)` for arbitrary clusters,
 //! either from a set of record indices or incrementally through a
 //! [`ClusterHistogram`] — the work-horse of the k-anonymity-first algorithm,
-//! which repeatedly tries single-record swaps.
+//! which repeatedly tries single-record swaps. That algorithm scores its
+//! swaps on an [`ExactEmd`], the same distance in exact integers, and runs
+//! the f64 walk of a [`SwapScorer`] only where the integers cannot
+//! certify the f64 verdict.
 
 use std::collections::HashMap;
 use std::fmt;
@@ -460,14 +463,21 @@ pub const SWAP_LANES: usize = 8;
 /// the f64 operations, in the same order, that
 /// [`OrderedEmd::emd_after_swap`] performs on the swapped histogram, and
 /// returns the same bits.
+///
+/// Accepted swaps change the two terms at once but leave the prefix
+/// stale from the lower bin on; the next read ([`SwapScorer::emd`],
+/// [`SwapScorer::score_lanes`]) re-sums it from there.
 #[derive(Debug, Clone)]
 pub struct SwapScorer<'a> {
     emd: &'a OrderedEmd,
     hist: ClusterHistogram,
     /// `terms[i]` = bin `i`'s term `c_i/|C| − g_i/N` at the current counts.
     terms: Vec<f64>,
-    /// `(cum, total)` of the summation after bin `i`.
+    /// `(cum, total)` of the summation after bin `i`, valid below
+    /// `stale_from`.
     prefix: Vec<(f64, f64)>,
+    /// The lowest bin whose prefix entry a swap made stale (`m` when none).
+    stale_from: usize,
 }
 
 impl<'a> SwapScorer<'a> {
@@ -484,6 +494,7 @@ impl<'a> SwapScorer<'a> {
             hist,
             terms: vec![0.0; m],
             prefix: vec![(0.0, 0.0); m],
+            stale_from: m,
         };
         scorer.refresh_all();
         scorer
@@ -496,11 +507,12 @@ impl<'a> SwapScorer<'a> {
 
     /// `EMD(C, T)` of the current cluster; bit-identical to
     /// [`OrderedEmd::emd`] on [`SwapScorer::histogram`].
-    pub fn emd(&self) -> f64 {
+    pub fn emd(&mut self) -> f64 {
         let m = self.terms.len();
         if m <= 1 || self.hist.size == 0 {
             return 0.0;
         }
+        self.settle();
         self.prefix[m - 1].1 / (m as f64 - 1.0)
     }
 
@@ -514,11 +526,12 @@ impl<'a> SwapScorer<'a> {
     /// # Panics
     /// Panics if `out_bins` has more than [`SWAP_LANES`] entries, or if an
     /// outgoing bin other than `in_bin` is empty (histogram underflow).
-    pub fn score_lanes(&self, out_bins: &[usize], in_bin: usize) -> [f64; SWAP_LANES] {
+    pub fn score_lanes(&mut self, out_bins: &[usize], in_bin: usize) -> [f64; SWAP_LANES] {
         assert!(
             out_bins.len() <= SWAP_LANES,
             "at most {SWAP_LANES} outgoing bins per walk"
         );
+        self.settle();
         // Lane l rewrites bin outs[l] to out_terms[l] and bin in_bin to
         // in_term; a lane whose member already sits in in_bin (or that is
         // unused) keeps every cached term, exactly as emd_after_swap
@@ -584,8 +597,8 @@ impl<'a> SwapScorer<'a> {
     }
 
     /// Applies the swap of one record of bin `out_bin` for one of bin
-    /// `in_bin`: two terms change and the prefix is re-summed from
-    /// `min(out_bin, in_bin)`.
+    /// `in_bin`: two terms change, and the prefix is left stale from
+    /// `min(out_bin, in_bin)` until the next read re-sums it.
     ///
     /// # Panics
     /// Panics if `out_bin` is empty (histogram underflow).
@@ -599,7 +612,7 @@ impl<'a> SwapScorer<'a> {
         for b in [out_bin, in_bin] {
             self.terms[b] = self.term(b, self.hist.counts[b], cn);
         }
-        self.sum_from(out_bin.min(in_bin));
+        self.stale_from = self.stale_from.min(out_bin.min(in_bin));
     }
 
     /// The EMD after adding one record of bin `in_bin` (the cluster grows,
@@ -630,6 +643,13 @@ impl<'a> SwapScorer<'a> {
         self.sum_from(0);
     }
 
+    /// Re-sums the stale part of the prefix.
+    fn settle(&mut self) {
+        if self.stale_from < self.terms.len() {
+            self.sum_from(self.stale_from);
+        }
+    }
+
     /// Re-runs [`OrderedEmd::emd`]'s summation from bin `lo` on.
     fn sum_from(&mut self, lo: usize) {
         let (mut cum, mut total) = if lo == 0 {
@@ -642,6 +662,7 @@ impl<'a> SwapScorer<'a> {
             total += cum.abs();
             *p = (cum, total);
         }
+        self.stale_from = self.terms.len();
     }
 }
 
@@ -656,6 +677,203 @@ fn add_terms(cum: &mut [f64; SWAP_LANES], total: &mut [f64; SWAP_LANES], terms: 
             total[l] += cum[l].abs();
         }
     }
+}
+
+/// Largest `(m − 1)·|C|·N` an [`ExactEmd`] holds. Every `D_i`, `S` and
+/// swap delta is then at most 2⁶² in magnitude, so adding two of them
+/// cannot overflow an `i64`.
+pub const EXACT_LIMIT: i64 = 1 << 62;
+
+/// Largest domain for which [`ExactEmd::rounding_bound`] is proven.
+const EXACT_MAX_BINS: usize = 1 << 30;
+/// Largest `|C|` and `N` for which [`ExactEmd::rounding_bound`] is proven:
+/// both convert to f64 exactly.
+const EXACT_MAX_COUNT: i64 = 1 << 53;
+
+/// A cluster's ordered EMD held exactly in integers, for scoring swaps on
+/// only the bins they move.
+///
+/// With `C_i` and `G_i` the cluster's and the data set's cumulative
+/// counts through bin `i`, it keeps `D_i = N·C_i − |C|·G_i` for every bin
+/// and `S = Σ|D_i|`, so that `EMD(C, T) = S / (|C|·N·(m − 1))` exactly.
+/// Swapping a record of bin `a` out for one of bin `b` keeps `|C|` and
+/// moves `C_i` by one between the two bins only: `D_i` falls by `N` on
+/// `a ≤ i < b`, or rises by `N` on `b ≤ i < a`. [`ExactEmd::swap_deltas`]
+/// therefore scores up to [`SWAP_LANES`] outgoing bins in one pass per
+/// side of `b`, each as far as its farthest lane, in `O(|a − b|)` rather
+/// than `O(m)`.
+///
+/// [`OrderedEmd::emd`] rounds; [`ExactEmd::rounding_bound`] bounds by how
+/// much. Two exact values further apart than twice the bound compare in
+/// f64 as they compare exactly; the bound is far below one unit of `S`,
+/// so only exact ties need the f64 walk (docs/ALGORITHMS.md gives the
+/// proof).
+#[derive(Debug, Clone)]
+pub struct ExactEmd {
+    /// `diffs[i]` = `D_i`.
+    diffs: Vec<i64>,
+    /// `S = Σ|D_i|`.
+    sum: i64,
+    /// `N`: the step by which one record moves each `D_i` of its range.
+    n: i64,
+    /// `|C|·N`.
+    scale: i64,
+    /// `3·(m + 1)²·|C|·N`, the rounding bound times 2⁵³.
+    bound: u128,
+}
+
+impl ExactEmd {
+    /// The exact state of the cluster with histogram `hist` under `emd`'s
+    /// domain. `None` when `(m − 1)·|C|·N` exceeds [`EXACT_LIMIT`], the
+    /// domain has more than 2³⁰ bins or `|C|` or `N` exceeds 2⁵³: only the
+    /// f64 walk scores such a cluster.
+    pub fn new(emd: &OrderedEmd, hist: &ClusterHistogram) -> Option<Self> {
+        debug_assert_eq!(
+            hist.counts.len(),
+            emd.m(),
+            "histogram fitted on another domain"
+        );
+        let m = emd.m();
+        let c = i64::try_from(hist.size).ok()?;
+        let n = i64::try_from(emd.n).ok()?;
+        let scale = c.checked_mul(n)?;
+        if m > EXACT_MAX_BINS
+            || c > EXACT_MAX_COUNT
+            || n > EXACT_MAX_COUNT
+            || scale.checked_mul(m as i64 - 1)? > EXACT_LIMIT
+        {
+            return None;
+        }
+        let (mut cum_c, mut cum_g, mut sum) = (0i64, 0i64, 0i64);
+        let diffs = hist
+            .counts
+            .iter()
+            .zip(&emd.global_counts)
+            .map(|(&ci, &gi)| {
+                cum_c += i64::from(ci);
+                cum_g += i64::from(gi);
+                let d = n * cum_c - c * cum_g;
+                sum += d.abs();
+                d
+            })
+            .collect();
+        let bound = 3 * (m as u128 + 1).pow(2) * scale as u128;
+        Some(ExactEmd {
+            diffs,
+            sum,
+            n,
+            scale,
+            bound,
+        })
+    }
+
+    /// `S = Σ|D_i|`: the EMD is `S / (scale · (m − 1))`.
+    pub fn sum(&self) -> i64 {
+        self.sum
+    }
+
+    /// `|C|·N`.
+    pub fn scale(&self) -> i64 {
+        self.scale
+    }
+
+    /// The cluster's histogram under `emd`, the domain this state was
+    /// built on, recovered from `C_i = (D_i + |C|·G_i) / N`.
+    pub fn histogram(&self, emd: &OrderedEmd) -> ClusterHistogram {
+        let size = self.scale / self.n;
+        let (mut cum_g, mut below) = (0i64, 0i64);
+        let counts = self
+            .diffs
+            .iter()
+            .zip(&emd.global_counts)
+            .map(|(&d, &g)| {
+                cum_g += i64::from(g);
+                let cum_c = (d + size * cum_g) / self.n;
+                let count = cum_c - below;
+                below = cum_c;
+                count as u32
+            })
+            .collect();
+        ClusterHistogram {
+            counts,
+            size: size as usize,
+        }
+    }
+
+    /// A bound on how far [`OrderedEmd::emd`] of this cluster, or of any
+    /// cluster of its size, lies from the exact EMD, in units of
+    /// [`ExactEmd::sum`] times 2⁵³: `|emd − S/(scale·(m − 1))|` is at most
+    /// `rounding_bound / 2⁵³ / (scale·(m − 1))`. The value is
+    /// `3·(m + 1)²·|C|·N`.
+    pub fn rounding_bound(&self) -> u128 {
+        self.bound
+    }
+
+    /// Lane `l` of the result is the change of [`ExactEmd::sum`] when one
+    /// record of bin `out_bins[l]` is swapped for one of bin `in_bin`.
+    /// Same-bin lanes and lanes past `out_bins.len()` hold 0.
+    ///
+    /// One pass down from `in_bin` serves the outgoing bins below it,
+    /// nearest first, and one pass up those above it.
+    ///
+    /// # Panics
+    /// Panics if `out_bins` has more than [`SWAP_LANES`] entries.
+    pub fn swap_deltas(&self, out_bins: &[usize], in_bin: usize) -> [i64; SWAP_LANES] {
+        assert!(
+            out_bins.len() <= SWAP_LANES,
+            "at most {SWAP_LANES} outgoing bins per pass"
+        );
+        let (mut below, mut above) = ([(0, 0); SWAP_LANES], [(0, 0); SWAP_LANES]);
+        let (mut nb, mut na) = (0, 0);
+        for (l, &a) in out_bins.iter().enumerate() {
+            if a < in_bin {
+                below[nb] = (a, l);
+                nb += 1;
+            } else if a > in_bin {
+                above[na] = (a, l);
+                na += 1;
+            }
+        }
+        let below = &mut below[..nb];
+        let above = &mut above[..na];
+        below.sort_unstable_by(|x, y| y.cmp(x));
+        above.sort_unstable();
+
+        let mut deltas = [0i64; SWAP_LANES];
+        let (mut acc, mut hi) = (0, in_bin);
+        for &(a, l) in below.iter() {
+            acc += shift_gain(&self.diffs[a..hi], -self.n);
+            hi = a;
+            deltas[l] = acc;
+        }
+        let (mut acc, mut lo) = (0, in_bin);
+        for &(a, l) in above.iter() {
+            acc += shift_gain(&self.diffs[lo..a], self.n);
+            lo = a;
+            deltas[l] = acc;
+        }
+        deltas
+    }
+
+    /// Applies the swap of one record of bin `out_bin` for one of bin
+    /// `in_bin`, which the caller guarantees holds a record of the
+    /// cluster: `D` and `S` change over the bins between the two only.
+    pub fn swap(&mut self, out_bin: usize, in_bin: usize) {
+        let (range, shift) = if out_bin < in_bin {
+            (out_bin..in_bin, -self.n)
+        } else {
+            (in_bin..out_bin, self.n)
+        };
+        for d in &mut self.diffs[range] {
+            self.sum += (*d + shift).abs() - d.abs();
+            *d += shift;
+        }
+    }
+}
+
+/// The change of `Σ|D_i|` over `diffs` when every `D_i` moves by `shift`.
+fn shift_gain(diffs: &[i64], shift: i64) -> i64 {
+    diffs.iter().map(|&d| (d + shift).abs() - d.abs()).sum()
 }
 
 /// Mergeable accumulator of a confidential attribute's *global* value

@@ -1,0 +1,173 @@
+//! Differential tests of [`ExactEmd`]: its sum is the ordered EMD in exact
+//! integers, each swap delta equals the sum of the swapped cluster built
+//! afresh, and applied swaps keep the state equal to a fresh one — across
+//! domains of 1 to 2,000 bins with heavy global ties, clusters of 1 to 50
+//! records, same-bin and duplicate outgoing bins and the end bins.
+
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
+use tclose_metrics::emd::{ClusterHistogram, ExactEmd, OrderedEmd, EXACT_LIMIT, SWAP_LANES};
+
+const DOMAINS: [usize; 6] = [1, 2, 3, 17, 400, 2000];
+
+/// A column over exactly `m` distinct values. Every bin is used; a third
+/// of the bins share one large count and the rest are drawn, so many
+/// global cumulative counts tie.
+fn column(rng: &mut StdRng, m: usize) -> Vec<f64> {
+    let mut col = Vec::new();
+    for bin in 0..m {
+        let count = if bin % 3 == 0 { 6 } else { rng.gen_range(1..4) };
+        col.extend(std::iter::repeat_n(bin as f64 * 0.5, count));
+    }
+    col
+}
+
+fn cluster(rng: &mut StdRng, emd: &OrderedEmd, size: usize) -> Vec<usize> {
+    let mut members = Vec::new();
+    while members.len() < size.min(emd.n()) {
+        let r = rng.gen_range(0..emd.n());
+        if !members.contains(&r) {
+            members.push(r);
+        }
+    }
+    members
+}
+
+/// `(S − bound) / K ≤ emd ≤ (S + bound) / K` with `K = |C|·N·(m − 1)`,
+/// checked on `emd·K` with the product's own rounding (a few units of
+/// `S·2⁻⁵²`) allowed for.
+fn assert_within_bound(emd: &OrderedEmd, state: &ExactEmd, hist: &ClusterHistogram) {
+    let k = state.scale() as f64 * (emd.m() as f64 - 1.0).max(1.0);
+    let scaled = emd.emd(hist) * k;
+    let (sum, bound) = (
+        state.sum() as f64,
+        state.rounding_bound() as f64 / 2f64.powi(53),
+    );
+    assert!(
+        (scaled - sum).abs() <= bound + sum * 2f64.powi(-50),
+        "m={} |C|={}: f64 {scaled} vs exact {sum} (bound {bound})",
+        emd.m(),
+        hist.size()
+    );
+}
+
+#[test]
+fn sum_is_the_emd_within_the_rounding_bound() {
+    for m in DOMAINS {
+        let mut rng = StdRng::seed_from_u64(m as u64);
+        let emd = OrderedEmd::new(&column(&mut rng, m));
+        assert_eq!(emd.m(), m);
+        for size in [1, 2, 5, 9, 50] {
+            let hist = ClusterHistogram::of_records(&emd, &cluster(&mut rng, &emd, size));
+            let state = ExactEmd::new(&emd, &hist).expect("small counts are exact");
+            assert_within_bound(&emd, &state, &hist);
+            assert_eq!(state.histogram(&emd), hist);
+            assert_eq!(state.scale(), (hist.size() * emd.n()) as i64);
+        }
+    }
+    // The whole data set is its own distribution: S = 0 exactly.
+    let emd = OrderedEmd::new(&[1.0, 1.0, 2.0, 5.0]);
+    let all = ClusterHistogram::of_records(&emd, &[0, 1, 2, 3]);
+    assert_eq!(ExactEmd::new(&emd, &all).unwrap().sum(), 0);
+}
+
+#[test]
+fn swap_deltas_equal_the_swapped_clusters_sums() {
+    for m in DOMAINS {
+        let mut rng = StdRng::seed_from_u64(100 + m as u64);
+        let emd = OrderedEmd::new(&column(&mut rng, m));
+        for size in [2, 5, 8, 20] {
+            let members = cluster(&mut rng, &emd, size);
+            let hist = ClusterHistogram::of_records(&emd, &members);
+            let state = ExactEmd::new(&emd, &hist).unwrap();
+            for _ in 0..12 {
+                // Outgoing bins of distinct members, repeats included; the
+                // incoming bin is drawn, or an end bin, or a member's bin.
+                let lanes = rng.gen_range(1..=SWAP_LANES.min(members.len()));
+                let outs: Vec<usize> = (0..lanes)
+                    .map(|_| emd.bin_of(members[rng.gen_range(0..members.len())]))
+                    .collect();
+                let in_bin = match rng.gen_range(0..4) {
+                    0 => 0,
+                    1 => m - 1,
+                    2 => outs[0],
+                    _ => rng.gen_range(0..m),
+                };
+                let deltas = state.swap_deltas(&outs, in_bin);
+                for (l, &out) in outs.iter().enumerate() {
+                    let mut swapped = hist.clone();
+                    swapped.remove(out);
+                    swapped.add(in_bin);
+                    let fresh = ExactEmd::new(&emd, &swapped).unwrap();
+                    assert_eq!(
+                        state.sum() + deltas[l],
+                        fresh.sum(),
+                        "m={m} lane {l}: out bin {out} in bin {in_bin}"
+                    );
+                }
+                assert!(deltas[outs.len()..].iter().all(|&d| d == 0));
+            }
+        }
+    }
+}
+
+#[test]
+fn applied_swaps_keep_the_state_equal_to_a_fresh_one() {
+    for m in DOMAINS {
+        let mut rng = StdRng::seed_from_u64(200 + m as u64);
+        let emd = OrderedEmd::new(&column(&mut rng, m));
+        for size in [1, 3, 30] {
+            let mut members = cluster(&mut rng, &emd, size.min(emd.n() - 1));
+            let hist = ClusterHistogram::of_records(&emd, &members);
+            let mut state = ExactEmd::new(&emd, &hist).unwrap();
+            for _ in 0..40 {
+                let i = rng.gen_range(0..members.len());
+                let inn = loop {
+                    let r = rng.gen_range(0..emd.n());
+                    if !members.contains(&r) {
+                        break r;
+                    }
+                };
+                let (out_bin, in_bin) = (emd.bin_of(members[i]), emd.bin_of(inn));
+                let predicted = state.sum() + state.swap_deltas(&[out_bin], in_bin)[0];
+                state.swap(out_bin, in_bin);
+                members[i] = inn;
+                let hist = ClusterHistogram::of_records(&emd, &members);
+                let fresh = ExactEmd::new(&emd, &hist).unwrap();
+                assert_eq!(state.sum(), fresh.sum());
+                assert_eq!(state.sum(), predicted);
+                assert_eq!(state.histogram(&emd), hist);
+                assert_within_bound(&emd, &state, &hist);
+            }
+        }
+    }
+}
+
+#[test]
+fn counts_too_large_to_hold_exactly_have_no_state() {
+    // N = 1.2·10¹⁰ records over 3 bins still fits a small cluster.
+    let counts = vec![4_000_000_000u32; 3];
+    let emd = OrderedEmd::try_from_global(vec![0.0, 1.0, 2.0], counts).unwrap();
+    let mut hist = ClusterHistogram::empty(3);
+    hist.add(0);
+    assert!(ExactEmd::new(&emd, &hist).is_some());
+
+    // 2,000 bins of 4·10⁹ records each: N = 8·10¹², and a cluster of 300
+    // records puts (m − 1)·|C|·N at about 4.8·10¹⁸ > 2⁶².
+    let m = 2000;
+    let values: Vec<f64> = (0..m).map(|v| v as f64).collect();
+    let emd = OrderedEmd::try_from_global(values, vec![4_000_000_000u32; m]).unwrap();
+    let mut hist = ClusterHistogram::empty(m);
+    for r in 0..300 {
+        hist.add(r % m);
+    }
+    let product = (m as i128 - 1) * 300 * emd.n() as i128;
+    assert!(product > EXACT_LIMIT as i128);
+    assert!(ExactEmd::new(&emd, &hist).is_none());
+    // A tenth of that cluster fits.
+    let mut small = ClusterHistogram::empty(m);
+    for r in 0..30 {
+        small.add(r);
+    }
+    assert!(ExactEmd::new(&emd, &small).is_some());
+}

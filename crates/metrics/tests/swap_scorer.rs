@@ -59,8 +59,8 @@ fn incoming(rng: &mut StdRng, emd: &OrderedEmd, members: &[usize]) -> Vec<usize>
 /// Scores every member against `inn` in walks of [`SWAP_LANES`] and checks
 /// each lane against `emd_after_swap`, and the unused lanes against the
 /// unswapped EMD.
-fn check_lanes(emd: &OrderedEmd, scorer: &SwapScorer<'_>, members: &[usize], inn: usize) {
-    let hist = scorer.histogram();
+fn check_lanes(emd: &OrderedEmd, scorer: &mut SwapScorer<'_>, members: &[usize], inn: usize) {
+    let hist = &scorer.histogram().clone();
     for chunk in members.chunks(SWAP_LANES) {
         let bins: Vec<usize> = chunk.iter().map(|&r| emd.bin_of(r)).collect();
         let lanes = scorer.score_lanes(&bins, emd.bin_of(inn));
@@ -92,10 +92,10 @@ fn every_lane_matches_emd_after_swap_bit_for_bit() {
             for size in [1, 2, 5, 8, 9, 17, 20] {
                 let members = cluster(&mut rng, &emd, size);
                 let hist = ClusterHistogram::of_records(&emd, &members);
-                let scorer = SwapScorer::new(&emd, hist.clone());
+                let mut scorer = SwapScorer::new(&emd, hist.clone());
                 assert_eq!(scorer.emd().to_bits(), emd.emd(&hist).to_bits());
                 for inn in incoming(&mut rng, &emd, &members) {
-                    check_lanes(&emd, &scorer, &members, inn);
+                    check_lanes(&emd, &mut scorer, &members, inn);
                 }
             }
         }
@@ -109,13 +109,14 @@ fn duplicate_and_same_bin_lanes_match_emd_after_swap() {
     // records 3 and 20 share bin 3; records 17 and 33 share the end bins
     // 0 and 16 with members 0 and 16
     let members = [3, 20, 0, 16];
-    let scorer = SwapScorer::new(&emd, ClusterHistogram::of_records(&emd, &members));
+    let mut scorer = SwapScorer::new(&emd, ClusterHistogram::of_records(&emd, &members));
     for inn in [17, 33, 5, 21] {
-        check_lanes(&emd, &scorer, &members, inn);
+        check_lanes(&emd, &mut scorer, &members, inn);
     }
     // every lane a same-bin pair: no walk, the unswapped EMD everywhere
     let lanes = scorer.score_lanes(&[3, 3], 3);
-    assert!(lanes.iter().all(|x| x.to_bits() == scorer.emd().to_bits()));
+    let unswapped = scorer.emd();
+    assert!(lanes.iter().all(|x| x.to_bits() == unswapped.to_bits()));
 }
 
 #[test]
@@ -143,7 +144,7 @@ fn prefix_after_swaps_matches_a_fresh_emd() {
                 assert_eq!(scorer.emd().to_bits(), preview.to_bits());
                 // lanes start from the re-summed prefix
                 let probe = rng.gen_range(0..emd.n());
-                check_lanes(&emd, &scorer, &members, probe);
+                check_lanes(&emd, &mut scorer, &members, probe);
             }
         }
     }
@@ -189,7 +190,7 @@ fn growing_by_add_matches_a_fresh_emd() {
             scorer.add(emd.bin_of(inn));
             members.push(inn);
             assert_eq!(scorer.emd().to_bits(), expected.to_bits());
-            check_lanes(&emd, &scorer, &members, rng.gen_range(0..emd.n()));
+            check_lanes(&emd, &mut scorer, &members, rng.gen_range(0..emd.n()));
         }
     }
 }
@@ -198,6 +199,6 @@ fn growing_by_add_matches_a_fresh_emd() {
 #[should_panic(expected = "underflow")]
 fn scoring_an_empty_outgoing_bin_panics() {
     let emd = OrderedEmd::new(&[1.0, 2.0, 3.0]);
-    let scorer = SwapScorer::new(&emd, ClusterHistogram::of_records(&emd, &[0]));
+    let mut scorer = SwapScorer::new(&emd, ClusterHistogram::of_records(&emd, &[0]));
     scorer.score_lanes(&[1], 2);
 }

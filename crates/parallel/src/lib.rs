@@ -32,7 +32,7 @@
 
 use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, OnceLock};
 
 /// Fixed block granularity (in items) of [`map_blocks`].
 ///
@@ -82,11 +82,19 @@ pub struct Parallelism {
 
 impl Parallelism {
     /// One worker per available core ([`std::thread::available_parallelism`]).
+    ///
+    /// The core count is read once per process and cached: the query
+    /// reads the affinity mask and the cgroup CPU quota (about 13 µs per
+    /// call on a 2-core Linux container), so later changes to either are
+    /// not seen.
     pub fn auto() -> Self {
+        static CORES: OnceLock<usize> = OnceLock::new();
         Parallelism {
-            workers: std::thread::available_parallelism()
-                .map(|p| p.get())
-                .unwrap_or(1),
+            workers: *CORES.get_or_init(|| {
+                std::thread::available_parallelism()
+                    .map(|p| p.get())
+                    .unwrap_or(1)
+            }),
         }
     }
 
@@ -240,6 +248,14 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn auto_reads_one_core_count_per_process() {
+        let first = Parallelism::auto();
+        assert!(first.worker_count() >= 1);
+        assert_eq!(Parallelism::auto(), first);
+        assert_eq!(Parallelism::default(), first);
+    }
 
     #[test]
     fn chunk_ranges_are_balanced_within_one() {

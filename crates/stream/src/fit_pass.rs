@@ -49,8 +49,10 @@ impl ColumnScan {
                     detail: format!(
                         "quasi-identifier {:?} has non-numeric or non-finite value \
                          {field:?}; the streaming fit needs finite numeric \
-                         quasi-identifiers (or an explicit schema with ordinal \
-                         attributes)",
+                         quasi-identifiers (to stream an ordinal one, fit in memory \
+                         under a schema that declares it ordinal, or load a model \
+                         artifact, then apply it with \
+                         `ShardedAnonymizer::apply_file_with`)",
                         self.name
                     ),
                 })?;
@@ -299,6 +301,28 @@ mod tests {
             ),
             Err(Error::Microdata(_))
         ));
+    }
+
+    #[test]
+    fn non_numeric_qi_error_names_the_ordinal_route() {
+        match fit_auto(
+            CSV.as_bytes(),
+            &names(&["city"]),
+            &names(&["wage"]),
+            NormalizeMethod::ZScore,
+        ) {
+            Err(Error::Data { detail, .. }) => {
+                for route in [
+                    "fit in memory under a schema that declares it ordinal",
+                    "load a model artifact",
+                    "`ShardedAnonymizer::apply_file_with`",
+                ] {
+                    assert!(detail.contains(route), "{detail}");
+                }
+                assert!(!detail.contains("explicit schema"), "{detail}");
+            }
+            other => panic!("expected Data error, got {other:?}"),
+        }
     }
 
     #[test]

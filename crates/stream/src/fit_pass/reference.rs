@@ -59,8 +59,10 @@ impl ColumnScan {
                     detail: format!(
                         "quasi-identifier {:?} has non-numeric or non-finite value \
                          {field:?}; the streaming fit needs finite numeric \
-                         quasi-identifiers (or an explicit schema with ordinal \
-                         attributes)",
+                         quasi-identifiers (to stream an ordinal one, fit in memory \
+                         under a schema that declares it ordinal, or load a model \
+                         artifact, then apply it with \
+                         `ShardedAnonymizer::apply_file_with`)",
                         self.name
                     ),
                 })?;
