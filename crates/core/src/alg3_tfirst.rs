@@ -44,7 +44,7 @@ use crate::confidential::Confidential;
 use crate::params::TClosenessParams;
 use crate::TCloseClusterer;
 use tclose_index::IndexPool;
-use tclose_metrics::distance::{centroid_ids, sq_dist};
+use tclose_metrics::distance::{centroid_ids, sq_dist_dim};
 use tclose_microagg::{Clustering, Matrix, NeighborBackend, NeighborSet, Parallelism};
 
 /// Where the `n mod k'` surplus records are placed (ablation hook).
@@ -162,11 +162,11 @@ impl TCloseClusterer for TClosenessFirst {
             ExtraPlacement::Tail => extra_quota[k_eff - 1] = surplus,
         }
 
-        let mut strata: Vec<Vec<usize>> = Vec::with_capacity(k_eff);
+        let mut strata: Vec<Stratum> = Vec::with_capacity(k_eff);
         let mut cursor = 0usize;
         for quota in extra_quota.iter().take(k_eff) {
             let take = base + quota;
-            strata.push(order[cursor..cursor + take].to_vec());
+            strata.push(Stratum::new(m, &order[cursor..cursor + take]));
             cursor += take;
         }
         debug_assert_eq!(cursor, n);
@@ -227,13 +227,38 @@ impl TCloseClusterer for TClosenessFirst {
     }
 }
 
+/// One stratum's unplaced records, with their QI coordinates back to back
+/// in the same order, so the nearest-record scan reads one contiguous
+/// buffer instead of rows scattered through the matrix.
+struct Stratum {
+    rows: Vec<usize>,
+    coords: Vec<f64>,
+}
+
+impl Stratum {
+    fn new(m: &Matrix, rows: &[usize]) -> Self {
+        let mut coords = Vec::with_capacity(rows.len() * m.n_cols());
+        for &r in rows {
+            coords.extend_from_slice(m.row(r));
+        }
+        Stratum {
+            rows: rows.to_vec(),
+            coords,
+        }
+    }
+
+    fn is_empty(&self) -> bool {
+        self.rows.is_empty()
+    }
+}
+
 /// Builds one cluster around `seed`: the QI-nearest record from every
 /// stratum, plus at most one surplus record from a stratum that still holds
 /// extras.
 fn build_cluster(
     m: &Matrix,
     seed: usize,
-    strata: &mut [Vec<usize>],
+    strata: &mut [Stratum],
     extras_left: &mut [usize],
     remaining: &mut IndexPool,
     search: &mut NeighborSet<'_>,
@@ -265,24 +290,37 @@ fn build_cluster(
 /// which is what keeps the surplus placement EMD-cheap — the central-beats-
 /// tail ablation depends on it. Strata are small (≈ n/k') and disjoint
 /// subsets of the live set, so neither threading nor the tree applies.
+/// [`sq_dist_dim`] adds the same terms in the same order as `sq_dist`, so
+/// every distance is the one the matrix rows give.
 fn take_nearest(
     m: &Matrix,
     seed: usize,
-    stratum: &mut Vec<usize>,
+    stratum: &mut Stratum,
     remaining: &mut IndexPool,
     search: &mut NeighborSet<'_>,
     cluster: &mut Vec<usize>,
 ) {
+    let dim = m.n_cols();
+    let seed_row = m.row(seed);
     let mut best_pos = 0usize;
     let mut best_d = f64::INFINITY;
-    for (pos, &r) in stratum.iter().enumerate() {
-        let d = sq_dist(m.row(r), m.row(seed));
+    // A zero-width matrix has no coordinates, so the loop is empty and the
+    // first position wins, as it does when every distance is 0.
+    for (pos, x) in stratum.coords.chunks_exact(dim.max(1)).enumerate() {
+        let d = sq_dist_dim(x, seed_row);
         if d < best_d {
             best_d = d;
             best_pos = pos;
         }
     }
-    let r = stratum.swap_remove(best_pos);
+    let r = stratum.rows.swap_remove(best_pos);
+    // The coordinates follow the row ids: the last record's coordinates
+    // move into the freed slot.
+    let last = stratum.rows.len();
+    stratum
+        .coords
+        .copy_within(last * dim..(last + 1) * dim, best_pos * dim);
+    stratum.coords.truncate(last * dim);
     remaining.remove(r);
     search.remove(r);
     cluster.push(r);

@@ -3,7 +3,7 @@
 //! Scoped-thread parallelism for the microaggregation hot path.
 //!
 //! The workspace builds fully offline, so rayon cannot be vendored; this
-//! crate provides the three primitives the rest of the system needs on top
+//! crate provides the four primitives the rest of the system needs on top
 //! of plain [`std::thread::scope`]:
 //!
 //! * [`chunk_ranges`] — split `0..n` into contiguous chunks balanced to
@@ -13,7 +13,10 @@
 //!   runner's workhorse, generalised here from `tclose-eval`);
 //! * [`map_blocks`] — the kernel substrate: apply a function to **fixed
 //!   size** blocks of `0..n` and return the per-block results in block
-//!   order.
+//!   order;
+//! * [`ordered_pipeline`] — a bounded source → work → sink pipeline whose
+//!   workers live for the whole call, with outputs sunk in input order
+//!   (the streaming engine's pass 2).
 //!
 //! ## Determinism model
 //!
@@ -30,9 +33,11 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+use std::collections::VecDeque;
 use std::ops::Range;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Mutex, OnceLock};
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::{mpsc, Mutex, OnceLock};
 
 /// Fixed block granularity (in items) of [`map_blocks`].
 ///
@@ -245,6 +250,162 @@ where
         .collect()
 }
 
+/// The work on one [`ordered_pipeline`] item panicked; the pipeline hands
+/// this to `E::from` to make the item's error.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct ItemPanic {
+    /// The item's 0-based position in the source.
+    pub index: usize,
+    /// The panic message, or `"non-string panic payload"`.
+    pub message: String,
+}
+
+/// Runs `work` on every item of `source` and hands the outputs to `sink`
+/// **in input order**, on `par.worker_count()` threads that live for the
+/// whole call.
+///
+/// The calling thread pulls items from `source` and runs `sink`; the
+/// workers only run `work`. Pulling and sinking therefore overlap the
+/// work, a worker that finishes an item takes the next one at once, and
+/// the same threads serve every item. At most `workers + 1` items are in
+/// flight (pulled but not yet sunk), so the caller's memory holds at most
+/// that many items or outputs at a time. No more threads start than there
+/// are items, and with one worker none does: each item is pulled, worked
+/// and sunk on the calling thread in turn.
+///
+/// The first failure in input order is returned, after every earlier
+/// item has been sunk and before any later one is:
+///
+/// * `work` returning an error or panicking on an item (the panic becomes
+///   `E::from(ItemPanic)`; the panic hook still reports it);
+/// * `source` yielding an error where item `i` was due: items before `i`
+///   are still worked and sunk, so their failures win;
+/// * `sink` returning an error.
+///
+/// After a failure no item is pulled and no queued item is started.
+/// Every worker is joined before the call returns, on every path.
+pub fn ordered_pipeline<I, O, E, S, W, K>(
+    par: Parallelism,
+    source: S,
+    work: W,
+    mut sink: K,
+) -> Result<(), E>
+where
+    I: Send,
+    O: Send,
+    E: Send + From<ItemPanic>,
+    S: IntoIterator<Item = Result<I, E>>,
+    W: Fn(I) -> Result<O, E> + Sync,
+    K: FnMut(O) -> Result<(), E>,
+{
+    let run = |index: usize, item: I| -> Result<O, E> {
+        catch_unwind(AssertUnwindSafe(|| work(item))).unwrap_or_else(|payload| {
+            let message = payload
+                .downcast_ref::<&str>()
+                .map(|s| s.to_string())
+                .or_else(|| payload.downcast_ref::<String>().cloned())
+                .unwrap_or_else(|| "non-string panic payload".into());
+            Err(ItemPanic { index, message }.into())
+        })
+    };
+    let source = source.into_iter();
+    let workers = par.worker_count();
+    if workers <= 1 {
+        for (index, item) in source.enumerate() {
+            sink(run(index, item?)?)?;
+        }
+        return Ok(());
+    }
+
+    let (jobs, queue) = mpsc::channel::<(usize, I)>();
+    let queue = Mutex::new(queue);
+    let (done_tx, done) = mpsc::channel();
+    // Set once the caller has stopped: queued items are then dropped
+    // unstarted. A hint that guards no other data, so `Relaxed`.
+    let stopped = AtomicBool::new(false);
+    std::thread::scope(|scope| {
+        let spawn_worker = || {
+            let done_tx = done_tx.clone();
+            let (queue, stopped, run) = (&queue, &stopped, &run);
+            scope.spawn(move || loop {
+                // The lock is held only while waiting for one job.
+                let job = queue
+                    .lock()
+                    .expect("no worker panics holding the queue")
+                    .recv();
+                let Ok((index, item)) = job else { break };
+                if !stopped.load(Ordering::Relaxed) {
+                    done_tx
+                        .send((index, run(index, item)))
+                        .expect("the caller holds `done` until every worker is joined");
+                }
+            });
+        };
+        let result = feed(source, &mut sink, &jobs, &done, workers, spawn_worker);
+        stopped.store(true, Ordering::Relaxed);
+        // Closing the queue ends every worker's loop; the scope joins them.
+        drop(jobs);
+        result
+    })
+}
+
+/// The calling thread's side of [`ordered_pipeline`]: pulls items into
+/// `jobs` while fewer than `workers + 1` are in flight, starting one
+/// worker per item pulled until there are `workers`, and sinks the
+/// outputs that come back on `done` in input order.
+fn feed<I, O, E>(
+    mut source: impl Iterator<Item = Result<I, E>>,
+    sink: &mut impl FnMut(O) -> Result<(), E>,
+    jobs: &mpsc::Sender<(usize, I)>,
+    done: &mpsc::Receiver<(usize, Result<O, E>)>,
+    workers: usize,
+    spawn_worker: impl Fn(),
+) -> Result<(), E> {
+    // `pending[j]` is the output of item `sunk + j` once it is back.
+    let mut pending: VecDeque<Option<Result<O, E>>> = VecDeque::new();
+    let mut sunk = 0;
+    let mut spawned = 0;
+    let mut read_error = None;
+    let mut pulling = true;
+    loop {
+        while pulling && pending.len() <= workers {
+            match source.next() {
+                Some(Ok(item)) => {
+                    if spawned < workers {
+                        spawn_worker();
+                        spawned += 1;
+                    }
+                    let index = sunk + pending.len();
+                    jobs.send((index, item))
+                        .expect("the queue lives until the feed returns");
+                    pending.push_back(None);
+                }
+                Some(Err(e)) => {
+                    read_error = Some(e);
+                    pulling = false;
+                }
+                None => pulling = false,
+            }
+        }
+        if pending.is_empty() {
+            return read_error.map_or(Ok(()), Err);
+        }
+        let (index, out) = done
+            .recv()
+            .expect("workers answer every job while the feed runs");
+        pulling &= out.is_ok();
+        pending[index - sunk] = Some(out);
+        while pending.front().is_some_and(Option::is_some) {
+            let out = pending
+                .pop_front()
+                .flatten()
+                .expect("the front output is back");
+            sunk += 1;
+            sink(out?)?;
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -340,6 +501,187 @@ mod tests {
                     assert!(r.len() <= BLOCK);
                 }
             }
+        }
+    }
+
+    /// Why an [`ordered_pipeline`] test call failed.
+    #[derive(Debug, PartialEq)]
+    enum Failure {
+        Panicked(ItemPanic),
+        Source(usize),
+        Work(usize),
+        Sink(usize),
+    }
+
+    impl From<ItemPanic> for Failure {
+        fn from(p: ItemPanic) -> Self {
+            Failure::Panicked(p)
+        }
+    }
+
+    /// Seeded uneven per-item cost, 0–400 µs (SplitMix64 of the item).
+    fn uneven_cost(seed: u64, item: usize) -> std::time::Duration {
+        let mut z = seed.wrapping_add((item as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15));
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        std::time::Duration::from_micros((z ^ (z >> 31)) % 400)
+    }
+
+    #[test]
+    fn pipeline_sinks_in_input_order_with_bounded_flight() {
+        for workers in [1usize, 2, 3, 8] {
+            for n in [0, 1, workers, 5 * workers + 1] {
+                let in_flight = AtomicUsize::new(0);
+                let mut most = 0;
+                let mut sunk = Vec::new();
+                let source = (0..n).map(|i| {
+                    in_flight.fetch_add(1, Ordering::SeqCst);
+                    Ok::<_, Failure>(i)
+                });
+                ordered_pipeline(
+                    Parallelism::workers(workers),
+                    source,
+                    |i| {
+                        std::thread::sleep(uneven_cost(workers as u64, i));
+                        Ok(i * 10)
+                    },
+                    |out| {
+                        most = most.max(in_flight.fetch_sub(1, Ordering::SeqCst));
+                        sunk.push(out);
+                        Ok(())
+                    },
+                )
+                .unwrap();
+                let case = format!("workers {workers}, {n} items");
+                assert_eq!(sunk, (0..n).map(|i| i * 10).collect::<Vec<_>>(), "{case}");
+                assert!(most <= workers + 1, "{case}: {most} items in flight");
+                if workers > 1 {
+                    // The caller fills the pipeline before it waits.
+                    assert_eq!(most, n.min(workers + 1), "{case}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn pipeline_workers_live_for_the_whole_call() {
+        let caller = std::thread::current().id();
+        for (workers, n) in [(1usize, 40), (2, 40), (3, 40), (8, 3)] {
+            let ran_on = Mutex::new(std::collections::HashSet::new());
+            ordered_pipeline(
+                Parallelism::workers(workers),
+                (0..n).map(Ok::<_, Failure>),
+                |i| {
+                    ran_on.lock().unwrap().insert(std::thread::current().id());
+                    std::thread::sleep(uneven_cost(5, i));
+                    Ok(i)
+                },
+                |_| {
+                    assert_eq!(std::thread::current().id(), caller, "sink off the caller");
+                    Ok(())
+                },
+            )
+            .unwrap();
+            let ran_on = ran_on.into_inner().unwrap();
+            if workers == 1 {
+                assert_eq!(ran_on, [caller].into(), "one worker runs inline");
+            } else {
+                assert!(!ran_on.contains(&caller), "work ran on the caller");
+                let most = workers.min(n);
+                assert!(ran_on.len() <= most, "{} threads", ran_on.len());
+            }
+        }
+    }
+
+    #[test]
+    fn pipeline_returns_a_panic_as_its_item_error_in_order() {
+        for workers in [1usize, 2, 3, 8] {
+            let mut sunk = Vec::new();
+            let err = ordered_pipeline(
+                Parallelism::workers(workers),
+                (0..30).map(Ok::<_, Failure>),
+                |i| {
+                    // Uneven costs bring some later items back before 11.
+                    std::thread::sleep(uneven_cost(9, i));
+                    if i == 11 {
+                        panic!("item eleven is bad");
+                    }
+                    Ok(i)
+                },
+                |i| {
+                    sunk.push(i);
+                    Ok(())
+                },
+            )
+            .unwrap_err();
+            assert_eq!(
+                err,
+                Failure::Panicked(ItemPanic {
+                    index: 11,
+                    message: "item eleven is bad".into()
+                }),
+                "workers {workers}"
+            );
+            assert_eq!(sunk, (0..11).collect::<Vec<_>>(), "workers {workers}");
+        }
+    }
+
+    #[test]
+    fn pipeline_returns_the_first_failure_in_input_order() {
+        for workers in [1usize, 2, 3, 4, 8] {
+            // A source error waits for the items before it…
+            let mut sunk = Vec::new();
+            let source = (0..20).map(|i| {
+                if i == 7 {
+                    Err(Failure::Source(i))
+                } else {
+                    Ok(i)
+                }
+            });
+            let err = ordered_pipeline(Parallelism::workers(workers), source, Ok, |i| {
+                sunk.push(i);
+                Ok(())
+            });
+            assert_eq!(err, Err(Failure::Source(7)), "workers {workers}");
+            assert_eq!(sunk, (0..7).collect::<Vec<_>>(), "workers {workers}");
+
+            // …so an earlier item's failure wins over it, however early
+            // the source fails.
+            let source = (0..20).map(|i| {
+                if i == 4 {
+                    Err(Failure::Source(i))
+                } else {
+                    Ok(i)
+                }
+            });
+            let err = ordered_pipeline(
+                Parallelism::workers(workers),
+                source,
+                |i| {
+                    std::thread::sleep(uneven_cost(3, i));
+                    if i == 2 {
+                        return Err(Failure::Work(i));
+                    }
+                    Ok(i)
+                },
+                |_| Ok(()),
+            );
+            assert_eq!(err, Err(Failure::Work(2)), "workers {workers}");
+
+            // A sink error ends the call at its item.
+            let mut pulled = 0;
+            let source = (0..1000).map(|i| {
+                pulled += 1;
+                Ok(i)
+            });
+            let err = ordered_pipeline(Parallelism::workers(workers), source, Ok, |i| {
+                if i == 5 {
+                    return Err(Failure::Sink(i));
+                }
+                Ok(())
+            });
+            assert_eq!(err, Err(Failure::Sink(5)), "workers {workers}");
+            assert!(pulled <= 6 + workers, "workers {workers}: pulled {pulled}");
         }
     }
 

@@ -73,6 +73,14 @@ impl From<tclose_compliance::ComplianceError> for Error {
     }
 }
 
+/// A shard whose release panicked fails the run like any other shard
+/// error; the index is the shard's 0-based position in the input.
+impl From<tclose_parallel::ItemPanic> for Error {
+    fn from(p: tclose_parallel::ItemPanic) -> Self {
+        Error::Core(format!("shard {} panicked: {}", p.index, p.message))
+    }
+}
+
 impl From<std::io::Error> for Error {
     fn from(e: std::io::Error) -> Self {
         Error::Io(e.to_string())

@@ -20,16 +20,21 @@
 //!    [`GlobalFit`]. Memory is bounded by the
 //!    number of *distinct* values per column, never the record count.
 //! 2. **Apply** — re-read the file in shards of `shard_rows` records
-//!    through [`CsvChunks`], release
-//!    up to `workers` shards concurrently with [`release_shard`],
-//!    and append the released shards to the output **in input order**
-//!    through [`CsvAppendWriter`].
-//!    Peak residency is `O(workers × shard_rows)` records plus one copy of
-//!    the fit's whole-file dictionaries, which every in-flight shard
-//!    shares (a [`Dictionary`](tclose_microdata::Dictionary) is
-//!    copy-on-write). Only a label the fit never saw, as when a model is
-//!    applied to another file, makes the reader copy a dictionary that an
-//!    earlier shard still holds.
+//!    through [`CsvChunks`] and release them through one
+//!    [`ordered_pipeline`]: the calling thread reads the shards and
+//!    appends the released ones to the output **in input order** through
+//!    [`CsvAppendWriter`], while `workers` threads that live for the whole
+//!    pass run [`release_shard`], a free worker taking the next shard at
+//!    once. Peak residency is at most `workers + 1` shards in flight (read
+//!    but not yet written), plus the one chunk of lookahead that merges a
+//!    ragged tail, plus one copy of the fit's whole-file dictionaries,
+//!    which every in-flight shard shares (a
+//!    [`Dictionary`](tclose_microdata::Dictionary) is copy-on-write). Only
+//!    a label the fit never saw, as when a model is applied to another
+//!    file, makes the reader copy a dictionary that an earlier shard still
+//!    holds. Under a compliance policy the run also keeps every audit
+//!    record it makes, to return them on
+//!    [`StreamReport::compliance_audits`].
 //!
 //! [`release_shard`] is the one release path of the workspace: the
 //! in-memory `tclose anonymize` and `tclose apply` call it once on the
@@ -50,7 +55,9 @@
 //!
 //! Output is **invariant to the worker count** at a fixed shard size: the
 //! fit pass is a sequential scan, shards are deterministic functions of
-//! the frozen fit, and writes are ordered.
+//! the frozen fit, and writes are ordered. So is the error a failing run
+//! reports: the first failure in input order, whether the reader, a
+//! release or the writer raised it.
 //!
 //! ## Example
 //!
@@ -93,7 +100,7 @@ use tclose_core::{
 };
 use tclose_microdata::csv::{read_csv_auto, CsvAppendWriter, CsvChunks};
 use tclose_microdata::{AttributeRole, NormalizeMethod, Schema, Table};
-use tclose_parallel::{parallel_map_with, Parallelism};
+use tclose_parallel::{ordered_pipeline, Parallelism};
 
 /// Default shard size (records per shard) when none is configured.
 pub const DEFAULT_SHARD_ROWS: usize = 10_000;
@@ -151,8 +158,12 @@ impl ShardedAnonymizer {
         self
     }
 
-    /// Pins the worker count for pass 2 (shard-level parallelism **and**
-    /// the kernels inside each shard). Output is identical for any value.
+    /// Pins the worker count of pass 2: how many shards are released at
+    /// once. [`ShardedAnonymizer::anonymize_file`] runs the kernels inside
+    /// each shard on one thread, so the workers never oversubscribe the
+    /// machine; [`ShardedAnonymizer::apply_file_with`] runs them with the
+    /// parallelism its `fitted` anonymizer was built with. Output is
+    /// identical for any value.
     pub fn with_parallelism(mut self, par: Parallelism) -> Self {
         self.par = par;
         self
@@ -212,7 +223,7 @@ impl ShardedAnonymizer {
     ) -> Result<StreamReport> {
         TClosenessParams::new(self.k, self.t)?;
         let fit_started = Instant::now();
-        // Parallelism is spent *across* shards (parallel_map_with in
+        // Parallelism is spent *across* shards (the pipeline's workers in
         // pass 2); inside each shard the kernels run sequentially so
         // `workers` shards never oversubscribe the machine. Either split
         // yields bit-identical output — kernels are worker-count
@@ -249,8 +260,10 @@ impl ShardedAnonymizer {
     /// sequential kernels inside each — either choice is
     /// output-invariant), build `fitted` with `Parallelism::sequential()`.
     ///
-    /// Each shard goes through [`release_shard`] inside the worker pool;
-    /// the released shards are appended to `output` in input order.
+    /// Each shard goes through [`release_shard`] on the pipeline's
+    /// workers; the released shards are appended to `output` in input
+    /// order. The error returned is the first failure in input order (see
+    /// [`ordered_pipeline`]), so it does not depend on the worker count.
     pub fn apply_file_with(
         &self,
         fitted: &FittedAnonymizer,
@@ -267,7 +280,17 @@ impl ShardedAnonymizer {
         // from the fitted anonymizer, which may differ from this
         // builder's own `k`.
         let tail_min = (2 * fitted.params().k).max(self.shard_rows / 2);
+        // Each shard carries its global starting row so compliance audits
+        // report input-file row numbers.
         let mut shards = MergeTail::new(chunks, self.shard_rows, tail_min);
+        let mut next_row = 0;
+        let shards = std::iter::from_fn(|| shards.next().transpose()).map(|shard| {
+            shard.map(|t| {
+                let first_row = next_row;
+                next_row += t.n_rows();
+                (t, first_row)
+            })
+        });
 
         let mut sink = Some(BufWriter::new(File::create(output).map_err(|e| {
             Error::Io(format!("cannot create {}: {e}", output.display()))
@@ -275,31 +298,18 @@ impl ShardedAnonymizer {
         // The header comes from the first released shard, so it names
         // exactly the columns `release_shard` keeps.
         let mut writer = None;
-
-        // Process up to `workers` shards at a time: bounded residency,
-        // input-order writes. Each shard carries its global starting row
-        // so compliance audits report input-file row numbers.
-        let workers = self.par.worker_count().max(1);
         let mut reports = Vec::new();
         let mut audits = Vec::new();
         let mut scrubbed_cells = 0;
-        let mut next_row = 0;
-        loop {
-            let mut batch: Vec<(Table, usize)> = Vec::with_capacity(workers);
-            while batch.len() < workers {
-                let Some(t) = shards.next()? else { break };
-                let first_row = next_row;
-                next_row += t.n_rows();
-                batch.push((t, first_row));
-            }
-            if batch.is_empty() {
-                break;
-            }
-            let released = parallel_map_with(batch, self.par, |(shard, first_row)| {
-                release_shard(fitted, self.compliance.as_ref(), shard, *first_row)
-            });
-            for shard in released {
-                let shard = shard?;
+        // This thread reads and writes while the workers release: at most
+        // `workers + 1` shards in flight, appended in input order.
+        ordered_pipeline(
+            self.par,
+            shards,
+            |(shard, first_row): (Table, usize)| {
+                release_shard(fitted, self.compliance.as_ref(), &shard, first_row)
+            },
+            |shard: ReleasedShard| {
                 let writer = match &mut writer {
                     Some(w) => w,
                     None => writer.insert(CsvAppendWriter::new(
@@ -311,8 +321,9 @@ impl ShardedAnonymizer {
                 reports.push(shard.report);
                 audits.extend(shard.audits);
                 scrubbed_cells += shard.scrubbed_cells;
-            }
-        }
+                Ok(())
+            },
+        )?;
         let Some(writer) = writer else {
             return Err(Error::Data {
                 line: None,
@@ -538,7 +549,7 @@ mod tests {
         let input = tmp("workers_in.csv");
         write_input(&input, 500);
         let mut outputs = Vec::new();
-        for workers in [1usize, 2, 8] {
+        for workers in [1usize, 2, 3, 8] {
             let output = tmp(&format!("workers_out_{workers}.csv"));
             let report = ShardedAnonymizer::new(3, 0.35)
                 .shard_rows(120)
@@ -549,7 +560,8 @@ mod tests {
             outputs.push(std::fs::read(&output).unwrap());
         }
         assert_eq!(outputs[0], outputs[1], "1 vs 2 workers");
-        assert_eq!(outputs[0], outputs[2], "1 vs 8 workers");
+        assert_eq!(outputs[0], outputs[2], "1 vs 3 workers");
+        assert_eq!(outputs[0], outputs[3], "1 vs 8 workers");
     }
 
     #[test]

@@ -235,7 +235,7 @@ fn stream_digest(input: &std::path::Path, workers: usize, policy: bool) -> Strin
 }
 
 /// Release and audit-log digests of `pii_patients(5, 3_000)` streamed at
-/// 1 and 2 workers, with and without the policy, measured before the CSV
+/// 1 to 4 workers, with and without the policy, measured before the CSV
 /// reader, the writer and the dictionaries stopped copying. A CRLF copy
 /// of the input with blank lines inserted releases the same bytes.
 #[test]
@@ -267,7 +267,8 @@ fn streamed_release_and_audit_bytes_are_pinned() {
             "2e200244c5c8b21201be05c08169aa288c6ce5204f686e0c89c0890948ff476d",
         ),
     ] {
-        for workers in [1usize, 2] {
+        // 3 shards: 2 and 4 workers do not divide them.
+        for workers in [1usize, 2, 3, 4] {
             for input in [&lf, &crlf] {
                 assert_eq!(
                     stream_digest(input, workers, policy),
@@ -278,4 +279,57 @@ fn streamed_release_and_audit_bytes_are_pinned() {
             }
         }
     }
+}
+
+/// A file that fails twice — a confidential value the fit never saw in
+/// shard 2, and a short record in shard 4, which the tail merge reads
+/// while fetching shard 3 — reports the earlier failure at every worker
+/// count, although pass 2 reads shards ahead of their release.
+#[test]
+fn a_failing_stream_reports_the_first_failure_at_any_worker_count() {
+    let good = tmp("first_failure_good.csv");
+    write_csv(
+        &tclose::datasets::patient_discharge(3, 600),
+        std::fs::File::create(&good).unwrap(),
+    )
+    .unwrap();
+    let table = tclose::stream::read_with_roles(
+        std::fs::File::open(&good).unwrap(),
+        tclose::stream::Roles::Named {
+            qi: &["AGE".into(), "ZIP".into()],
+            confidential: &["CHARGE".into()],
+        },
+    )
+    .unwrap();
+    let fitted = Anonymizer::new(5, 0.3)
+        .with_parallelism(Parallelism::sequential())
+        .fit(&table)
+        .unwrap();
+
+    // File line j + 2 holds data row j (the header is line 1).
+    let text = std::fs::read_to_string(&good).unwrap();
+    let mut lines: Vec<String> = text.lines().map(str::to_owned).collect();
+    let charge = lines[0].split(',').position(|c| c == "CHARGE").unwrap();
+    let mut row_250: Vec<&str> = lines[252 - 1].split(',').collect();
+    row_250[charge] = "123456789.5";
+    lines[252 - 1] = row_250.join(",");
+    lines[452 - 1] = "1,2".into();
+    let bad = tmp("first_failure_bad.csv");
+    std::fs::write(&bad, lines.join("\n") + "\n").unwrap();
+
+    let mut errors = Vec::new();
+    for workers in 1..=4 {
+        let err = ShardedAnonymizer::new(5, 0.3)
+            .shard_rows(100)
+            .with_parallelism(Parallelism::workers(workers))
+            .apply_file_with(&fitted, &bad, &tmp("first_failure_out.csv"))
+            .unwrap_err()
+            .to_string();
+        assert!(
+            err.contains("\"CHARGE\"") && err.contains("fitted domain never saw"),
+            "{workers} workers: {err}"
+        );
+        errors.push(err);
+    }
+    assert!(errors.windows(2).all(|w| w[0] == w[1]), "{errors:#?}");
 }
