@@ -207,8 +207,7 @@ impl KAnonymityFirst {
                     }
                 }
                 RefineStrategy::Add => {
-                    if scorer.emd_after_add(y) < scorer.emd() {
-                        scorer.add(y);
+                    if scorer.add_if_lower(y) {
                         members.push(y);
                         remaining.remove(y);
                         search.remove(y);

@@ -546,7 +546,6 @@ fn algorithm_from_parts(name: &str, gamma: Option<f64>) -> Result<Algorithm, Art
             .ok_or_else(|| corrupted("V-MDAV algorithm without a gamma field")),
         "Alg1-merge(EMD-partner)" => Ok(Algorithm::MergeComplementary),
         "Alg2-kfirst" => Ok(Algorithm::KAnonymityFirst),
-        "Alg2-kfirst(no-fallback)" => Ok(Algorithm::KAnonymityFirstNoFallback),
         "Alg2-kfirst(add)" => Ok(Algorithm::KAnonymityFirstAdd),
         "Alg3-tfirst" => Ok(Algorithm::TClosenessFirst),
         "Alg3-tfirst(tail)" => Ok(Algorithm::TClosenessFirstTail),
@@ -832,11 +831,15 @@ mod tests {
             ModelArtifact::from_json_str(&bad_t),
             Err(ArtifactError::InvalidModel { .. })
         ));
-        let bad_alg = s.replace("Alg3-tfirst", "Alg9-imaginary");
-        assert!(matches!(
-            ModelArtifact::from_json_str(&bad_alg),
-            Err(ArtifactError::InvalidModel { .. })
-        ));
+        for name in ["Alg9-imaginary", "Alg2-kfirst(no-fallback)"] {
+            let bad_alg = s.replace("Alg3-tfirst", name);
+            match ModelArtifact::from_json_str(&bad_alg) {
+                Err(e @ ArtifactError::InvalidModel { .. }) => {
+                    assert!(e.to_string().contains(name), "{e}")
+                }
+                other => panic!("{name}: expected InvalidModel, got {other:?}"),
+            }
+        }
     }
 
     #[test]
@@ -845,7 +848,6 @@ mod tests {
         for alg in [
             Algorithm::MergeVMdav { gamma: 0.2 },
             Algorithm::MergeComplementary,
-            Algorithm::KAnonymityFirstNoFallback,
             Algorithm::KAnonymityFirstAdd,
             Algorithm::TClosenessFirstTail,
         ] {

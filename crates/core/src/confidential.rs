@@ -12,9 +12,7 @@
 //! are rejected with a clear error.
 
 use crate::error::{Error, Result};
-use tclose_metrics::emd::{
-    ClusterHistogram, ExactEmd, OrderedEmd, SwapScorer, EXACT_LIMIT, SWAP_LANES,
-};
+use tclose_metrics::emd::{ClusterHistogram, ExactEmd, OrderedEmd, EXACT_LIMIT, SWAP_LANES};
 use tclose_microdata::{AttributeKind, Table};
 
 /// Fitted evaluators for all confidential attributes of a table.
@@ -118,8 +116,8 @@ impl Confidential {
     ///
     /// `table`'s schema must declare the same number of confidential
     /// attributes, in the same order and of the same kinds, as the model
-    /// was fitted on. Errors when a shard value was never seen by the
-    /// global fit.
+    /// was fitted on. Errors with [`Error::ConfidentialDomain`] when a
+    /// shard value was never seen by the global fit.
     pub fn rebind(&self, table: &Table) -> Result<Self> {
         let conf_attrs = table.schema().confidential();
         if conf_attrs.len() != self.emds.len() {
@@ -144,8 +142,9 @@ impl Confidential {
                     )));
                 }
             };
-            emds.push(bound.map_err(|e| {
-                Error::UnsupportedData(format!("confidential attribute {:?}: {e}", attr.name))
+            emds.push(bound.map_err(|error| Error::ConfidentialDomain {
+                attribute: attr.name.clone(),
+                error,
             })?);
         }
         Ok(Confidential { n: self.n, emds })
@@ -212,7 +211,9 @@ impl Confidential {
     }
 
     /// Maximum EMD across attributes after hypothetically swapping record
-    /// `out` for record `inn` (pure — does not mutate `hists`).
+    /// `out` for record `inn` (pure — does not mutate `hists`). Algorithm
+    /// 2's refinement takes this maximum, attribute by attribute, where
+    /// the exact integers cannot decide.
     pub fn emd_after_swap(&self, hists: &ClusterHists, out: usize, inn: usize) -> f64 {
         self.emds
             .iter()
@@ -223,54 +224,45 @@ impl Confidential {
 
     /// A [`ClusterScorer`] over the cluster of the given records.
     pub(crate) fn scorer(&self, records: &[usize]) -> ClusterScorer<'_> {
-        let hists: Vec<ClusterHistogram> = self
-            .emds
-            .iter()
-            .map(|e| ClusterHistogram::of_records(e, records))
-            .collect();
-        let exact = ExactMax::new(&self.emds, &hists);
-        // The f64 walks are built when a tie first needs them.
-        let scorers = match exact {
-            Some(_) => Vec::new(),
-            None => self
-                .emds
-                .iter()
-                .zip(hists)
-                .map(|(e, h)| SwapScorer::new(e, h))
-                .collect(),
-        };
+        let hists = self.histograms(records);
         ClusterScorer {
-            emds: &self.emds,
-            exact,
-            scorers,
-            scores: Vec::new(),
+            conf: self,
+            exact: ExactMax::new(&self.emds, &hists.hists),
+            hists,
+            emd: None,
+            chosen: None,
+            lead: 0,
         }
     }
 }
 
 /// The state of one cluster for Algorithm 2's refinement: per confidential
-/// attribute an exact [`ExactEmd`] and, built when first needed, an f64
-/// [`SwapScorer`].
+/// attribute its histogram and, while its counts fit, an exact
+/// [`ExactEmd`].
 ///
 /// It answers the refinement's two questions — which member, if any, to
 /// swap for a candidate, and whether the cluster is still above `t` —
 /// exactly as the f64 walk answers them: from the integers when every gap
 /// they compare is wider than the walk's proven rounding error, and from
-/// the walk otherwise (ties). Each f64 value is the maximum across
-/// attributes folded in attribute order, exactly as
-/// [`Confidential::emd_of_hists`] and [`Confidential::emd_after_swap`]
-/// fold, so every value is bit-identical to theirs.
+/// the walk on the histograms otherwise (ties, a cluster with no exact
+/// state, the `Add` ablation). The walks are [`OrderedEmd`]'s, maximised
+/// over the attributes as [`Confidential::emd_of_hists`] and
+/// [`Confidential::emd_after_swap`] maximise them, so every f64 value is
+/// theirs.
 #[derive(Debug, Clone)]
 pub(crate) struct ClusterScorer<'a> {
-    emds: &'a [OrderedEmd],
-    /// `None` once the cluster has grown ([`ClusterScorer::add`]) or when
-    /// its counts are too large to hold exactly.
+    conf: &'a Confidential,
+    hists: ClusterHists,
+    /// `None` once the cluster has grown ([`ClusterScorer::add_if_lower`])
+    /// or when its counts are too large to hold exactly.
     exact: Option<ExactMax>,
-    /// The f64 walks, one per attribute; empty until first needed while
-    /// `exact` holds the cluster.
-    scorers: Vec<SwapScorer<'a>>,
-    /// Scratch for the f64 scores of one candidate.
-    scores: Vec<f64>,
+    /// The cluster's f64 EMD once walked, or the value the walk chose for
+    /// the swap or addition that made the cluster (the same bits).
+    emd: Option<f64>,
+    /// `(out, inn, emd)` of the walk's swap choice since the last change.
+    chosen: Option<(usize, usize, f64)>,
+    /// The attribute [`ClusterScorer::max_below`] walks first.
+    lead: usize,
 }
 
 /// The maximum EMD across confidential attributes on one exact integer
@@ -420,28 +412,11 @@ fn scaled_floor_ceil(t: f64, k: i64) -> Option<(i128, i128)> {
     Some((floor, floor + i128::from(inexact)))
 }
 
-impl<'a> ClusterScorer<'a> {
+impl ClusterScorer<'_> {
     /// Maximum EMD across attributes of the current cluster.
     pub fn emd(&mut self) -> f64 {
-        self.walks()
-            .iter_mut()
-            .map(SwapScorer::emd)
-            .fold(0.0, f64::max)
-    }
-
-    /// The f64 walks, built from the exact state's histograms on first use.
-    fn walks(&mut self) -> &mut [SwapScorer<'a>] {
-        if self.scorers.is_empty() {
-            if let Some(x) = &self.exact {
-                self.scorers = self
-                    .emds
-                    .iter()
-                    .zip(&x.attrs)
-                    .map(|(e, (state, _))| SwapScorer::new(e, state.histogram(e)))
-                    .collect();
-            }
-        }
-        &mut self.scorers
+        let (conf, hists) = (self.conf, &self.hists);
+        *self.emd.get_or_insert_with(|| conf.emd_of_hists(hists))
     }
 
     /// Whether [`ClusterScorer::emd`] exceeds `t`.
@@ -472,21 +447,18 @@ impl<'a> ClusterScorer<'a> {
     /// on ties; `None` when no swap lowers it. This is the f64 walk's
     /// choice, taken from the integers when they certify it.
     pub fn best_swap(&mut self, members: &[usize], inn: usize) -> Option<usize> {
+        self.chosen = None;
         if let Some(choice) = self.exact_best_swap(members, inn) {
             return choice;
         }
         let mut best = None;
         let mut best_emd = self.emd();
-        let mut scores = std::mem::take(&mut self.scores);
-        scores.resize(members.len(), 0.0);
-        self.score_swaps(members, inn, &mut scores);
-        for (i, &e) in scores.iter().enumerate() {
-            if e < best_emd {
-                best_emd = e;
-                best = Some(i);
+        for (i, &out) in members.iter().enumerate() {
+            if let Some(e) = self.max_below(best_emd, |e, h| e.emd_after_swap(h, out, inn)) {
+                (best, best_emd) = (Some(i), e);
             }
         }
-        self.scores = scores;
+        self.chosen = best.map(|i| (members[i], inn, best_emd));
         best
     }
 
@@ -496,7 +468,8 @@ impl<'a> ClusterScorer<'a> {
     /// change the same bins as another are the same f64 value, so they
     /// never need the walk.
     fn exact_best_swap(&mut self, members: &[usize], inn: usize) -> Option<Option<usize>> {
-        let emds = self.emds;
+        let conf = self.conf;
+        let emds = &conf.emds;
         let x = self.exact.as_mut()?;
         let n = members.len();
         let (mut keys, mut rows) = (std::mem::take(&mut x.keys), std::mem::take(&mut x.rows));
@@ -527,60 +500,55 @@ impl<'a> ClusterScorer<'a> {
         x.certify(emds, members, inn)
     }
 
-    /// Sets `scores[i]` to the maximum EMD across attributes after swapping
-    /// `members[i]` out for record `inn`, scoring [`SWAP_LANES`] members
-    /// per walk of each attribute's domain.
-    pub fn score_swaps(&mut self, members: &[usize], inn: usize, scores: &mut [f64]) {
-        assert_eq!(members.len(), scores.len(), "one score per member");
-        for (chunk, out) in members
-            .chunks(SWAP_LANES)
-            .zip(scores.chunks_mut(SWAP_LANES))
-        {
-            let mut worst = [0.0f64; SWAP_LANES];
-            let emds = self.emds;
-            for (e, s) in emds.iter().zip(self.walks()) {
-                let mut bins = [0usize; SWAP_LANES];
-                for (b, &r) in bins.iter_mut().zip(chunk) {
-                    *b = e.bin_of(r);
-                }
-                let lanes = s.score_lanes(&bins[..chunk.len()], e.bin_of(inn));
-                for (w, x) in worst.iter_mut().zip(lanes) {
-                    *w = w.max(x);
-                }
-            }
-            out.copy_from_slice(&worst[..chunk.len()]);
-        }
-    }
-
     /// Swaps member `out` for record `inn`.
     pub fn swap(&mut self, out: usize, inn: usize) {
-        for (e, s) in self.emds.iter().zip(&mut self.scorers) {
-            s.swap(e.bin_of(out), e.bin_of(inn));
-        }
+        self.hists.remove(self.conf, out);
+        self.hists.add(self.conf, inn);
         if let Some(x) = &mut self.exact {
-            for ((state, _), e) in x.attrs.iter_mut().zip(self.emds) {
+            for ((state, _), e) in x.attrs.iter_mut().zip(&self.conf.emds) {
                 state.swap(e.bin_of(out), e.bin_of(inn));
             }
         }
+        self.emd = match self.chosen.take() {
+            Some((o, i, emd)) if (o, i) == (out, inn) => Some(emd),
+            _ => None,
+        };
     }
 
-    /// Maximum EMD across attributes after adding record `inn`.
-    pub fn emd_after_add(&mut self, inn: usize) -> f64 {
-        let emds = self.emds;
-        emds.iter()
-            .zip(self.walks())
-            .map(|(e, s)| s.emd_after_add(e.bin_of(inn)))
-            .fold(0.0, f64::max)
-    }
-
-    /// Adds record `inn` to the cluster. The cluster's size changes, so
-    /// from here on only the f64 walk scores it.
-    pub fn add(&mut self, inn: usize) {
-        let emds = self.emds;
-        for (e, s) in emds.iter().zip(self.walks()) {
-            s.add(e.bin_of(inn));
+    /// Adds record `inn` to the cluster if that lowers its EMD, and says
+    /// whether it did. The cluster's size changes, so from here on only
+    /// the f64 walk scores it.
+    pub fn add_if_lower(&mut self, inn: usize) -> bool {
+        let current = self.emd();
+        match self.max_below(current, |e, h| e.emd_after_add(h, inn)) {
+            Some(after) => {
+                self.hists.add(self.conf, inn);
+                (self.exact, self.emd, self.chosen) = (None, Some(after), None);
+                true
+            }
+            None => false,
         }
-        self.exact = None;
+    }
+
+    /// The maximum over attributes of `walk` on each histogram, if below
+    /// `cap`: the walks stop at the first attribute that reaches `cap`,
+    /// which goes first next time. They return no NaN and no −0.0, so
+    /// the maximum has the bits of the fold in attribute order.
+    fn max_below(
+        &mut self,
+        cap: f64,
+        walk: impl Fn(&OrderedEmd, &ClusterHistogram) -> f64,
+    ) -> Option<f64> {
+        let (emds, hists) = (&self.conf.emds, &self.hists.hists);
+        let mut max = 0.0f64;
+        for a in (self.lead..emds.len()).chain(0..self.lead) {
+            max = max.max(walk(&emds[a], &hists[a]));
+            if max >= cap {
+                self.lead = a;
+                return None;
+            }
+        }
+        Some(max)
     }
 }
 
@@ -795,24 +763,26 @@ mod tests {
             .unwrap();
         }
         let conf = Confidential::from_table(&t).unwrap();
-        // 14 members: two walks of up to 8 lanes per attribute
         let mut members: Vec<usize> = (0..40).step_by(3).collect();
         let mut scorer = conf.scorer(&members);
         let mut hists = conf.histograms(&members);
-        let mut scores = vec![0.0; members.len()];
         for inn in (1..40).step_by(3) {
             assert_eq!(scorer.emd().to_bits(), conf.emd_of_hists(&hists).to_bits());
-            scorer.score_swaps(&members, inn, &mut scores);
-            for (&score, &out) in scores.iter().zip(&members) {
-                let expected = conf.emd_after_swap(&hists, out, inn);
-                assert_eq!(score.to_bits(), expected.to_bits(), "out {out} in {inn}");
-            }
             let mut grown = hists.clone();
             grown.add(&conf, inn);
+            let after = conf.emd_of_hists(&grown);
             assert_eq!(
-                scorer.emd_after_add(inn).to_bits(),
-                conf.emd_of_hists(&grown).to_bits()
+                scorer
+                    .max_below(f64::INFINITY, |e, h| e.emd_after_add(h, inn))
+                    .map(f64::to_bits),
+                Some(after.to_bits())
             );
+            // Growth keeps the grown cluster's walk as the current EMD.
+            let mut adding = scorer.clone();
+            assert_eq!(adding.add_if_lower(inn), after < scorer.emd());
+            if after < scorer.emd() {
+                assert_eq!(adding.emd().to_bits(), after.to_bits());
+            }
             let i = inn % members.len();
             scorer.swap(members[i], inn);
             hists.remove(&conf, members[i]);
@@ -1005,6 +975,42 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn a_swap_the_walk_did_not_choose_is_walked_afresh() {
+        // Two attributes of 2,000 bins with N = 8·10¹²: no exact state, so
+        // the walk makes every choice and keeps its EMD for that swap only.
+        let m = 2000;
+        let values: Vec<f64> = (0..m).map(|v| v as f64).collect();
+        let global = OrderedEmd::try_from_global(values, vec![4_000_000_000; m]).unwrap();
+        let mut rng = Draws(7);
+        let column: Vec<f64> = (0..400).map(|_| rng.below(m) as f64).collect();
+        let bound = global.rebind(&column).unwrap();
+        let conf = Confidential::from_emds(vec![bound.clone(), bound]).unwrap();
+        let mut members: Vec<usize> = (0..30).collect();
+        let mut scorer = conf.scorer(&members);
+        assert!(scorer.exact.is_none());
+        let mut hists = conf.histograms(&members);
+        let mut unchosen = 0;
+        for inn in 30..90 {
+            // Every third candidate swaps out a member the walk did not choose.
+            let i = match scorer.best_swap(&members, inn) {
+                Some(i) if inn % 3 > 0 => i,
+                Some(i) => {
+                    unchosen += 1;
+                    (i + 1) % members.len()
+                }
+                None => continue,
+            };
+            scorer.swap(members[i], inn);
+            hists.remove(&conf, members[i]);
+            hists.add(&conf, inn);
+            members[i] = inn;
+            let emd = conf.emd_of_hists(&hists);
+            assert_eq!(scorer.emd().to_bits(), emd.to_bits(), "in {inn}");
+        }
+        assert!(unchosen > 0);
     }
 
     #[test]

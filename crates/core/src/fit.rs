@@ -676,10 +676,22 @@ mod tests {
                 ])
                 .unwrap();
         }
-        assert!(matches!(
-            fitted.apply_shard(&alien),
-            Err(Error::UnsupportedData(_))
-        ));
+        let err = fitted.apply_shard(&alien).unwrap_err();
+        assert_eq!(
+            err,
+            Error::ConfidentialDomain {
+                attribute: "wage".into(),
+                error: tclose_metrics::emd::EmdError::ValueNotInDomain {
+                    index: 0,
+                    value: 1e6
+                },
+            }
+        );
+        assert_eq!(
+            err.to_string(),
+            "unsupported data: confidential attribute \"wage\": record 0 has value 1000000 \
+             which the fitted domain never saw"
+        );
     }
 
     #[test]
@@ -691,14 +703,18 @@ mod tests {
         let mut params = Vec::new();
         for &a in &qi {
             let mut rs = RunningStats::new();
-            rs.add_column(table.numeric_column(a).unwrap());
+            for &x in table.numeric_column(a).unwrap() {
+                rs.push(x);
+            }
             let s = rs.std_dev();
             params.push((rs.mean(), if s > 0.0 { s } else { 1.0 }));
         }
         let embedding = QiEmbedding::from_params(NormalizeMethod::ZScore, params);
 
         let mut acc = tclose_metrics::emd::DomainAccumulator::new();
-        acc.add_column(table.numeric_column(2).unwrap(), 0).unwrap();
+        for (i, &x) in table.numeric_column(2).unwrap().iter().enumerate() {
+            acc.add(x, i).unwrap();
+        }
         let conf = Confidential::from_emds(vec![acc.finalize().unwrap()]).unwrap();
 
         let fit =

@@ -33,8 +33,6 @@ pub enum Algorithm {
     MergeComplementary,
     /// Algorithm 2: k-anonymity-first with swap refinement + merge fallback.
     KAnonymityFirst,
-    /// Algorithm 2 without the merge fallback (ablation; may violate t).
-    KAnonymityFirstNoFallback,
     /// Algorithm 2 with the *add* refinement strategy (ablation).
     KAnonymityFirstAdd,
     /// Algorithm 3: t-closeness-first stratified microaggregation.
@@ -51,7 +49,6 @@ impl Algorithm {
             Algorithm::MergeVMdav { .. } => "Alg1-merge(V-MDAV)",
             Algorithm::MergeComplementary => "Alg1-merge(EMD-partner)",
             Algorithm::KAnonymityFirst => "Alg2-kfirst",
-            Algorithm::KAnonymityFirstNoFallback => "Alg2-kfirst(no-fallback)",
             Algorithm::KAnonymityFirstAdd => "Alg2-kfirst(add)",
             Algorithm::TClosenessFirst => "Alg3-tfirst",
             Algorithm::TClosenessFirstTail => "Alg3-tfirst(tail)",
@@ -251,9 +248,6 @@ impl Anonymizer {
                 run!(MergeAlgorithm::new().with_partner(MergePartner::ComplementaryEmd))
             }
             Algorithm::KAnonymityFirst => run!(KAnonymityFirst::new()),
-            Algorithm::KAnonymityFirstNoFallback => {
-                run!(KAnonymityFirst::new().with_merge_fallback(false))
-            }
             Algorithm::KAnonymityFirstAdd => {
                 run!(KAnonymityFirst::new().with_strategy(RefineStrategy::Add))
             }
@@ -312,7 +306,6 @@ mod tests {
             Algorithm::MergeVMdav { gamma: 0.2 },
             Algorithm::MergeComplementary,
             Algorithm::KAnonymityFirst,
-            Algorithm::KAnonymityFirstNoFallback,
             Algorithm::KAnonymityFirstAdd,
             Algorithm::TClosenessFirst,
             Algorithm::TClosenessFirstTail,

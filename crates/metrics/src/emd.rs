@@ -19,8 +19,9 @@
 //! [`ClusterHistogram`] — the work-horse of the k-anonymity-first algorithm,
 //! which repeatedly tries single-record swaps. That algorithm scores its
 //! swaps on an [`ExactEmd`], the same distance in exact integers, and runs
-//! the f64 walk of a [`SwapScorer`] only where the integers cannot
-//! certify the f64 verdict.
+//! the one f64 walk ([`OrderedEmd::emd_after_swap`],
+//! [`OrderedEmd::emd_after_add`]) only where the integers cannot certify
+//! the f64 verdict.
 
 use std::collections::HashMap;
 use std::fmt;
@@ -43,11 +44,12 @@ pub enum EmdError {
         /// The offending value itself.
         value: f64,
     },
-    /// Two distributions compared under one domain have different lengths.
+    /// A domain supplied to [`OrderedEmd::try_from_global`] has a different
+    /// number of counts than values.
     DomainMismatch {
-        /// Domain size `m` the evaluator was fitted on.
+        /// Number of domain values `m`.
         expected: usize,
-        /// Length of the distribution actually supplied.
+        /// Number of counts supplied.
         got: usize,
     },
     /// A record was removed from a histogram bin that is already empty.
@@ -121,6 +123,8 @@ pub struct OrderedEmd {
     global_counts: Vec<u32>,
     /// Total number of records.
     n: usize,
+    /// `g_i/N` per bin, divided once here rather than in every walk.
+    fracs: Vec<f64>,
 }
 
 impl OrderedEmd {
@@ -169,11 +173,13 @@ impl OrderedEmd {
         for &b in &record_bins {
             global_counts[b as usize] += 1;
         }
+        let fracs = fracs_of(&global_counts, column.len());
         Ok(OrderedEmd {
             values,
             record_bins,
             global_counts,
             n: column.len(),
+            fracs,
         })
     }
 
@@ -224,11 +230,13 @@ impl OrderedEmd {
             return Err(EmdError::Underflow { bin });
         }
         let n = global_counts.iter().map(|&c| c as usize).sum();
+        let fracs = fracs_of(&global_counts, n);
         Ok(OrderedEmd {
             values,
             record_bins: Vec::new(),
             global_counts,
             n,
+            fracs,
         })
     }
 
@@ -257,6 +265,7 @@ impl OrderedEmd {
             record_bins,
             global_counts: self.global_counts.clone(),
             n: self.n,
+            fracs: self.fracs.clone(),
         })
     }
 
@@ -333,18 +342,10 @@ impl OrderedEmd {
         self.cumulative_emd(cluster, cluster.size, &[])
     }
 
-    /// A bin's term `c/|C| − g/N` of the cumulative sum: the bin holds
-    /// `count` of the cluster's `cn` records and `global` of the data set's.
-    /// Every evaluator here forms its terms through this one expression, so
-    /// they round alike.
-    #[inline]
-    fn term(&self, count: u32, global: u32, cn: f64) -> f64 {
-        count as f64 / cn - global as f64 / self.n as f64
-    }
-
     /// The ordered EMD of a cluster of `size` records with `cluster`'s
     /// counts, except at the bins of `changed` (ascending), which hold the
-    /// paired counts instead: one cumulative pass over the bins.
+    /// paired counts instead: one cumulative pass over the bins. Every f64
+    /// EMD of a cluster is this walk, so equal inputs give equal bits.
     fn cumulative_emd(
         &self,
         cluster: &ClusterHistogram,
@@ -356,69 +357,31 @@ impl OrderedEmd {
             return 0.0;
         }
         let cn = size as f64;
-        let (counts, global) = (&cluster.counts[..m], &self.global_counts[..m]);
+        let (counts, fracs) = (&cluster.counts[..m], &self.fracs[..m]);
         let mut cum = 0.0f64;
         let mut total = 0.0f64;
-        let mut add = |count: u32, g: u32| {
-            cum += self.term(count, g, cn);
+        // Bin i's term c_i/|C| − g_i/N of the cumulative sum. A cluster
+        // leaves most bins empty, and an empty bin's c_i/|C| is +0.0
+        // exactly, so it skips the division; with g_i/N from `fracs`, every
+        // term has the bits of `c_i as f64 / |C| − g_i as f64 / N`.
+        let mut add = |count: u32, frac: f64| {
+            let c = if count == 0 { 0.0 } else { count as f64 / cn };
+            cum += c - frac;
             total += cum.abs();
         };
         // The i = m term contributes |cum_m| = 0 for true distributions; we
         // include all m terms to match the formula literally. Plain runs
-        // between the changed bins keep the loop free of per-bin tests.
+        // between the changed bins keep the loop free of tests for them.
         let mut next = 0;
         for &(bin, count) in changed {
-            for (&c, &g) in counts[next..bin].iter().zip(&global[next..bin]) {
-                add(c, g);
+            for (&c, &f) in counts[next..bin].iter().zip(&fracs[next..bin]) {
+                add(c, f);
             }
-            add(count, global[bin]);
+            add(count, fracs[bin]);
             next = bin + 1;
         }
-        for (&c, &g) in counts[next..].iter().zip(&global[next..]) {
-            add(c, g);
-        }
-        total / (m as f64 - 1.0)
-    }
-
-    /// EMD between two explicit distributions over this domain, by the same
-    /// ordered ground distance. Both slices must have length `m` and sum to
-    /// 1 (up to rounding).
-    ///
-    /// # Panics
-    /// Panics on a length mismatch; use [`OrderedEmd::try_emd_between`] to
-    /// handle it as an error instead.
-    pub fn emd_between(&self, p: &[f64], q: &[f64]) -> f64 {
-        match self.try_emd_between(p, q) {
-            Ok(d) => d,
-            Err(e) => panic!("{e}"),
-        }
-    }
-
-    /// Fallible variant of [`OrderedEmd::emd_between`]: returns
-    /// [`EmdError::DomainMismatch`] instead of panicking when either
-    /// distribution's length differs from the fitted domain size `m`.
-    pub fn try_emd_between(&self, p: &[f64], q: &[f64]) -> Result<f64, EmdError> {
-        for dist in [p, q] {
-            if dist.len() != self.m() {
-                return Err(EmdError::DomainMismatch {
-                    expected: self.m(),
-                    got: dist.len(),
-                });
-            }
-        }
-        Ok(self.emd_between_unchecked(p, q))
-    }
-
-    fn emd_between_unchecked(&self, p: &[f64], q: &[f64]) -> f64 {
-        let m = self.m();
-        if m <= 1 {
-            return 0.0;
-        }
-        let mut cum = 0.0;
-        let mut total = 0.0;
-        for i in 0..m {
-            cum += p[i] - q[i];
-            total += cum.abs();
+        for (&c, &f) in counts[next..].iter().zip(&fracs[next..]) {
+            add(c, f);
         }
         total / (m as f64 - 1.0)
     }
@@ -444,240 +407,25 @@ impl OrderedEmd {
         };
         self.cumulative_emd(cluster, cluster.size, &changed)
     }
+
+    /// The EMD obtained after hypothetically adding record `inn` to
+    /// `cluster`, without mutating or copying it. The cluster grows, so
+    /// every term changes: one `O(m)` pass with the grown count read
+    /// inline.
+    pub fn emd_after_add(&self, cluster: &ClusterHistogram, inn: usize) -> f64 {
+        let bin = self.bin_of(inn);
+        let grown = (bin, cluster.counts[bin] + 1);
+        self.cumulative_emd(cluster, cluster.size + 1, &[grown])
+    }
 }
 
-/// Number of outgoing bins one [`SwapScorer::score_lanes`] walk scores.
+/// Every bin's global term `g_i/N`.
+fn fracs_of(global_counts: &[u32], n: usize) -> Vec<f64> {
+    global_counts.iter().map(|&g| g as f64 / n as f64).collect()
+}
+
+/// Number of outgoing bins one [`ExactEmd::swap_deltas`] pass scores.
 pub const SWAP_LANES: usize = 8;
-
-/// A cluster's ordered-EMD state kept ready for scoring single-record
-/// changes — the inner loop of Algorithm 2's refinement.
-///
-/// Besides the histogram it caches every bin's term `c_i/|C| − g_i/N` and
-/// the running `(cum, total)` prefix of [`OrderedEmd::emd`]'s summation.
-/// Swapping a record out of bin `a` for one in bin `b` keeps `|C|`, so it
-/// changes only terms `a` and `b`: the swapped cluster's summation equals
-/// the cached prefix up to bin `min(a, b) − 1` and from there adds the
-/// cached term at every other bin. [`SwapScorer::score_lanes`] runs that
-/// continuation for up to [`SWAP_LANES`] outgoing bins in one walk, each
-/// lane with its own `(cum, total)`. Every lane therefore performs exactly
-/// the f64 operations, in the same order, that
-/// [`OrderedEmd::emd_after_swap`] performs on the swapped histogram, and
-/// returns the same bits.
-///
-/// Accepted swaps change the two terms at once but leave the prefix
-/// stale from the lower bin on; the next read ([`SwapScorer::emd`],
-/// [`SwapScorer::score_lanes`]) re-sums it from there.
-#[derive(Debug, Clone)]
-pub struct SwapScorer<'a> {
-    emd: &'a OrderedEmd,
-    hist: ClusterHistogram,
-    /// `terms[i]` = bin `i`'s term `c_i/|C| − g_i/N` at the current counts.
-    terms: Vec<f64>,
-    /// `(cum, total)` of the summation after bin `i`, valid below
-    /// `stale_from`.
-    prefix: Vec<(f64, f64)>,
-    /// The lowest bin whose prefix entry a swap made stale (`m` when none).
-    stale_from: usize,
-}
-
-impl<'a> SwapScorer<'a> {
-    /// Scorer for the cluster with histogram `hist` under `emd`'s domain.
-    pub fn new(emd: &'a OrderedEmd, hist: ClusterHistogram) -> Self {
-        debug_assert_eq!(
-            hist.counts.len(),
-            emd.m(),
-            "histogram fitted on another domain"
-        );
-        let m = emd.m();
-        let mut scorer = SwapScorer {
-            emd,
-            hist,
-            terms: vec![0.0; m],
-            prefix: vec![(0.0, 0.0); m],
-            stale_from: m,
-        };
-        scorer.refresh_all();
-        scorer
-    }
-
-    /// The cluster's histogram.
-    pub fn histogram(&self) -> &ClusterHistogram {
-        &self.hist
-    }
-
-    /// `EMD(C, T)` of the current cluster; bit-identical to
-    /// [`OrderedEmd::emd`] on [`SwapScorer::histogram`].
-    pub fn emd(&mut self) -> f64 {
-        let m = self.terms.len();
-        if m <= 1 || self.hist.size == 0 {
-            return 0.0;
-        }
-        self.settle();
-        self.prefix[m - 1].1 / (m as f64 - 1.0)
-    }
-
-    /// Lane `l` of the result is the EMD after swapping one record of bin
-    /// `out_bins[l]` for one record of bin `in_bin` — bit-identical to
-    /// [`OrderedEmd::emd_after_swap`] for such a pair. Lanes past
-    /// `out_bins.len()` hold the unswapped [`SwapScorer::emd`].
-    ///
-    /// One walk, allocation-free, from the lowest bin any lane changes.
-    ///
-    /// # Panics
-    /// Panics if `out_bins` has more than [`SWAP_LANES`] entries, or if an
-    /// outgoing bin other than `in_bin` is empty (histogram underflow).
-    pub fn score_lanes(&mut self, out_bins: &[usize], in_bin: usize) -> [f64; SWAP_LANES] {
-        assert!(
-            out_bins.len() <= SWAP_LANES,
-            "at most {SWAP_LANES} outgoing bins per walk"
-        );
-        self.settle();
-        // Lane l rewrites bin outs[l] to out_terms[l] and bin in_bin to
-        // in_term; a lane whose member already sits in in_bin (or that is
-        // unused) keeps every cached term, exactly as emd_after_swap
-        // returns the unswapped EMD for a same-bin pair.
-        const KEEP: usize = usize::MAX;
-        let cn = self.hist.size as f64;
-        let mut outs = [KEEP; SWAP_LANES];
-        let mut out_terms = [0.0f64; SWAP_LANES];
-        for (l, &b) in out_bins.iter().enumerate() {
-            if b != in_bin {
-                outs[l] = b;
-                out_terms[l] = self.term(b, self.hist.count_after_removal(b), cn);
-            }
-        }
-        let Some(lo) = outs
-            .iter()
-            .filter(|&&b| b != KEEP)
-            .min()
-            .map(|&b| b.min(in_bin))
-        else {
-            return [self.emd(); SWAP_LANES];
-        };
-        let in_term = self.term(in_bin, self.hist.counts[in_bin] + 1, cn);
-
-        let (cum0, total0) = if lo == 0 {
-            (0.0, 0.0)
-        } else {
-            self.prefix[lo - 1]
-        };
-        let mut cum = [cum0; SWAP_LANES];
-        let mut total = [total0; SWAP_LANES];
-        // The changed bins ascending (duplicates are skipped below); between
-        // them every lane adds the same cached term.
-        let mut marks = [in_bin; SWAP_LANES + 1];
-        for (mark, &b) in marks.iter_mut().zip(&outs) {
-            if b != KEEP {
-                *mark = b;
-            }
-        }
-        marks.sort_unstable();
-        let mut next = lo;
-        for &s in &marks {
-            if s < next {
-                continue;
-            }
-            add_terms(&mut cum, &mut total, &self.terms[next..s]);
-            for l in 0..SWAP_LANES {
-                let t = if s == outs[l] {
-                    out_terms[l]
-                } else if s == in_bin && outs[l] != KEEP {
-                    in_term
-                } else {
-                    self.terms[s]
-                };
-                cum[l] += t;
-                total[l] += cum[l].abs();
-            }
-            next = s + 1;
-        }
-        add_terms(&mut cum, &mut total, &self.terms[next..]);
-        let denom = self.terms.len() as f64 - 1.0;
-        total.map(|t| t / denom)
-    }
-
-    /// Applies the swap of one record of bin `out_bin` for one of bin
-    /// `in_bin`: two terms change, and the prefix is left stale from
-    /// `min(out_bin, in_bin)` until the next read re-sums it.
-    ///
-    /// # Panics
-    /// Panics if `out_bin` is empty (histogram underflow).
-    pub fn swap(&mut self, out_bin: usize, in_bin: usize) {
-        if out_bin == in_bin {
-            return;
-        }
-        self.hist.remove(out_bin);
-        self.hist.add(in_bin);
-        let cn = self.hist.size as f64;
-        for b in [out_bin, in_bin] {
-            self.terms[b] = self.term(b, self.hist.counts[b], cn);
-        }
-        self.stale_from = self.stale_from.min(out_bin.min(in_bin));
-    }
-
-    /// The EMD after adding one record of bin `in_bin` (the cluster grows,
-    /// so every term changes: one full pass). Bit-identical to
-    /// [`OrderedEmd::emd`] on the grown histogram.
-    pub fn emd_after_add(&self, in_bin: usize) -> f64 {
-        let grown = (in_bin, self.hist.counts[in_bin] + 1);
-        self.emd
-            .cumulative_emd(&self.hist, self.hist.size + 1, &[grown])
-    }
-
-    /// Adds one record of bin `in_bin` and recomputes every term.
-    pub fn add(&mut self, in_bin: usize) {
-        self.hist.add(in_bin);
-        self.refresh_all();
-    }
-
-    /// Bin `b`'s term when it holds `count` of the cluster's `cn` records.
-    fn term(&self, b: usize, count: u32, cn: f64) -> f64 {
-        self.emd.term(count, self.emd.global_counts[b], cn)
-    }
-
-    fn refresh_all(&mut self) {
-        let cn = self.hist.size as f64;
-        for (b, &count) in self.hist.counts.iter().enumerate() {
-            self.terms[b] = self.term(b, count, cn);
-        }
-        self.sum_from(0);
-    }
-
-    /// Re-sums the stale part of the prefix.
-    fn settle(&mut self) {
-        if self.stale_from < self.terms.len() {
-            self.sum_from(self.stale_from);
-        }
-    }
-
-    /// Re-runs [`OrderedEmd::emd`]'s summation from bin `lo` on.
-    fn sum_from(&mut self, lo: usize) {
-        let (mut cum, mut total) = if lo == 0 {
-            (0.0, 0.0)
-        } else {
-            self.prefix[lo - 1]
-        };
-        for (&t, p) in self.terms[lo..].iter().zip(&mut self.prefix[lo..]) {
-            cum += t;
-            total += cum.abs();
-            *p = (cum, total);
-        }
-        self.stale_from = self.terms.len();
-    }
-}
-
-/// Continues every lane's summation over `terms`, which no lane changes.
-/// Kept out of line: compiled on its own, the lane loop becomes packed
-/// vector code, which it does not when inlined into the walk.
-#[inline(never)]
-fn add_terms(cum: &mut [f64; SWAP_LANES], total: &mut [f64; SWAP_LANES], terms: &[f64]) {
-    for &t in terms {
-        for l in 0..SWAP_LANES {
-            cum[l] += t;
-            total[l] += cum[l].abs();
-        }
-    }
-}
 
 /// Largest `(m − 1)·|C|·N` an [`ExactEmd`] holds. Every `D_i`, `S` and
 /// swap delta is then at most 2⁶² in magnitude, so adding two of them
@@ -708,7 +456,7 @@ const EXACT_MAX_COUNT: i64 = 1 << 53;
 /// f64 as they compare exactly; the bound is far below one unit of `S`,
 /// so only exact ties need the f64 walk (docs/ALGORITHMS.md gives the
 /// proof).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ExactEmd {
     /// `diffs[i]` = `D_i`.
     diffs: Vec<i64>,
@@ -775,29 +523,6 @@ impl ExactEmd {
     /// `|C|·N`.
     pub fn scale(&self) -> i64 {
         self.scale
-    }
-
-    /// The cluster's histogram under `emd`, the domain this state was
-    /// built on, recovered from `C_i = (D_i + |C|·G_i) / N`.
-    pub fn histogram(&self, emd: &OrderedEmd) -> ClusterHistogram {
-        let size = self.scale / self.n;
-        let (mut cum_g, mut below) = (0i64, 0i64);
-        let counts = self
-            .diffs
-            .iter()
-            .zip(&emd.global_counts)
-            .map(|(&d, &g)| {
-                cum_g += i64::from(g);
-                let cum_c = (d + size * cum_g) / self.n;
-                let count = cum_c - below;
-                below = cum_c;
-                count as u32
-            })
-            .collect();
-        ClusterHistogram {
-            counts,
-            size: size as usize,
-        }
     }
 
     /// A bound on how far [`OrderedEmd::emd`] of this cluster, or of any
@@ -880,10 +605,11 @@ fn shift_gain(diffs: &[i64], shift: i64) -> i64 {
 /// distribution, for fitting an [`OrderedEmd`] without ever holding the
 /// whole column in memory.
 ///
-/// Feed it one shard at a time (or accumulate shards independently and
-/// [`DomainAccumulator::merge`] them — the result is order-independent),
-/// then [`DomainAccumulator::finalize`] into an evaluator carrying the
-/// frozen domain and global distribution. The finalized evaluator has no
+/// Feed it one value at a time with [`DomainAccumulator::add`] (or
+/// accumulate shards independently and [`DomainAccumulator::merge`] them —
+/// the result is order-independent), then
+/// [`DomainAccumulator::finalize`] into an evaluator carrying the frozen
+/// domain and global distribution. The finalized evaluator has no
 /// bound records; [`OrderedEmd::rebind`] attaches each working set.
 ///
 /// Values are keyed by their exact bit pattern while accumulating; equal
@@ -921,31 +647,6 @@ impl DomainAccumulator {
         *self.counts.entry(value.to_bits()).or_insert(0) += 1;
         self.n += 1;
         Ok(())
-    }
-
-    /// Accumulates one shard of the column. `index_offset` is the absolute
-    /// index of the shard's first record, used only to report the true
-    /// position of a non-finite value.
-    pub fn add_column(&mut self, column: &[f64], index_offset: usize) -> Result<(), EmdError> {
-        if let Some((i, &value)) = column.iter().enumerate().find(|(_, x)| !x.is_finite()) {
-            return Err(EmdError::NonFinite {
-                index: index_offset + i,
-                value,
-            });
-        }
-        for &x in column {
-            *self.counts.entry(x.to_bits()).or_insert(0) += 1;
-        }
-        self.n += column.len();
-        Ok(())
-    }
-
-    /// Accumulates one shard of ordinal category codes.
-    pub fn add_codes(&mut self, codes: &[u32]) {
-        for &c in codes {
-            *self.counts.entry((c as f64).to_bits()).or_insert(0) += 1;
-        }
-        self.n += codes.len();
     }
 
     /// Merges another accumulator into this one (disjoint shard union).
@@ -1210,27 +911,8 @@ mod tests {
         let emd = OrderedEmd::try_new(&[5.0; 7]).unwrap();
         assert_eq!(emd.m(), 1);
         assert_eq!(emd.emd_of_records(&[0, 3]), 0.0);
-        assert_eq!(emd.try_emd_between(&[1.0], &[1.0]).unwrap(), 0.0);
-    }
-
-    #[test]
-    fn try_emd_between_rejects_domain_mismatch() {
-        let emd = OrderedEmd::new(&[1.0, 2.0, 3.0]);
-        assert_eq!(
-            emd.try_emd_between(&[0.5, 0.5], &[0.3, 0.3, 0.4])
-                .unwrap_err(),
-            EmdError::DomainMismatch {
-                expected: 3,
-                got: 2
-            }
-        );
-        assert_eq!(
-            emd.try_emd_between(&[0.5, 0.2, 0.3], &[1.0]).unwrap_err(),
-            EmdError::DomainMismatch {
-                expected: 3,
-                got: 1
-            }
-        );
+        let h = ClusterHistogram::of_records(&emd, &[0]);
+        assert_eq!(emd.emd_after_add(&h, 3), 0.0);
     }
 
     #[test]
@@ -1267,13 +949,28 @@ mod tests {
     }
 
     #[test]
-    fn emd_between_explicit_distributions() {
-        let emd = OrderedEmd::new(&[1.0, 2.0, 3.0]);
-        let p = [1.0, 0.0, 0.0];
-        let q = [0.0, 0.0, 1.0];
-        // all mass moves distance (2/2)=1 → EMD = 1
-        assert!((emd.emd_between(&p, &q) - 1.0).abs() < EPS);
-        assert!(emd.emd_between(&p, &p) < EPS);
+    fn walk_has_the_bits_of_the_literal_formula() {
+        // Σᵢ |Σ_{j≤i} (c_j/|C| − g_j/N)| / (m − 1), summed bin by bin.
+        let literal = |emd: &OrderedEmd, h: &ClusterHistogram| {
+            let (cn, n) = (h.size() as f64, emd.n() as f64);
+            let (mut cum, mut total) = (0.0f64, 0.0f64);
+            for (&c, &g) in h.counts().iter().zip(emd.global_counts()) {
+                cum += c as f64 / cn - g as f64 / n;
+                total += cum.abs();
+            }
+            total / (emd.m() as f64 - 1.0)
+        };
+        // Sparse clusters over 101 values, and dense ones over 11 values
+        // whose bins hold up to 14 records.
+        for (values, step) in [(101, 7), (11, 2)] {
+            let col: Vec<f64> = (0..300u64).map(|i| ((i * 37) % values) as f64).collect();
+            let emd = OrderedEmd::new(&col);
+            let mut h = ClusterHistogram::empty(emd.m());
+            for r in (0..col.len()).step_by(step) {
+                h.add(emd.bin_of(r));
+                assert_eq!(emd.emd(&h).to_bits(), literal(&emd, &h).to_bits());
+            }
+        }
     }
 
     #[test]
@@ -1374,17 +1071,19 @@ mod tests {
         let col: Vec<f64> = (0..200).map(|i| ((i * 7) % 23) as f64).collect();
         let direct = OrderedEmd::new(&col);
 
-        // Shard-by-shard accumulation...
+        // Value-by-value accumulation...
         let mut acc = DomainAccumulator::new();
-        for shard in col.chunks(17) {
-            acc.add_column(shard, 0).unwrap();
+        for (i, &x) in col.iter().enumerate() {
+            acc.add(x, i).unwrap();
         }
-        // ...and independent accumulators merged out of order.
+        // ...and independent per-shard accumulators merged out of order.
         let mut parts: Vec<DomainAccumulator> = col
             .chunks(31)
             .map(|shard| {
                 let mut a = DomainAccumulator::new();
-                a.add_column(shard, 0).unwrap();
+                for (i, &x) in shard.iter().enumerate() {
+                    a.add(x, i).unwrap();
+                }
                 a
             })
             .collect();
@@ -1412,21 +1111,27 @@ mod tests {
             DomainAccumulator::new().finalize().unwrap_err(),
             EmdError::EmptyColumn
         );
-        // non-finite reported at its absolute index
+        // non-finite reported at the index it was added with, and not counted
         let mut acc = DomainAccumulator::new();
+        acc.add(1.0, 100).unwrap();
         assert!(matches!(
-            acc.add_column(&[1.0, f64::INFINITY], 100).unwrap_err(),
+            acc.add(f64::INFINITY, 101).unwrap_err(),
             EmdError::NonFinite { index: 101, .. }
         ));
+        assert_eq!(acc.n(), 1);
         // -0.0 and 0.0 collapse into one bin
         let mut acc = DomainAccumulator::new();
-        acc.add_column(&[-0.0, 0.0, 1.0], 0).unwrap();
+        for (i, x) in [-0.0, 0.0, 1.0].into_iter().enumerate() {
+            acc.add(x, i).unwrap();
+        }
         let emd = acc.finalize().unwrap();
         assert_eq!(emd.m(), 2);
         assert_eq!(emd.global_counts(), &[2, 1]);
         // codes accumulate like their f64 casts
         let mut acc = DomainAccumulator::new();
-        acc.add_codes(&[0, 2, 2]);
+        for (i, c) in [0u32, 2, 2].into_iter().enumerate() {
+            acc.add(c as f64, i).unwrap();
+        }
         assert_eq!(acc.n(), 3);
         let emd = acc.finalize().unwrap();
         assert_eq!(emd.values(), &[0.0, 2.0]);

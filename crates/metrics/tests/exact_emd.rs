@@ -61,7 +61,6 @@ fn sum_is_the_emd_within_the_rounding_bound() {
             let hist = ClusterHistogram::of_records(&emd, &cluster(&mut rng, &emd, size));
             let state = ExactEmd::new(&emd, &hist).expect("small counts are exact");
             assert_within_bound(&emd, &state, &hist);
-            assert_eq!(state.histogram(&emd), hist);
             assert_eq!(state.scale(), (hist.size() * emd.n()) as i64);
         }
     }
@@ -136,7 +135,7 @@ fn applied_swaps_keep_the_state_equal_to_a_fresh_one() {
                 let fresh = ExactEmd::new(&emd, &hist).unwrap();
                 assert_eq!(state.sum(), fresh.sum());
                 assert_eq!(state.sum(), predicted);
-                assert_eq!(state.histogram(&emd), hist);
+                assert_eq!(state, fresh);
                 assert_within_bound(&emd, &state, &hist);
             }
         }

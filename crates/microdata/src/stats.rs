@@ -47,8 +47,8 @@ pub fn range(xs: &[f64]) -> f64 {
 /// Mergeable streaming moments of one numeric attribute: count, mean,
 /// variance (via Welford's M2), min and max.
 ///
-/// This is the building block of the out-of-core fit: each shard is folded
-/// in with [`RunningStats::add_column`] (or accumulated independently and
+/// This is the building block of the out-of-core fit: each value is folded
+/// in with [`RunningStats::push`] (or shards are accumulated independently and
 /// combined with [`RunningStats::merge`], Chan et al.'s pairwise update),
 /// and the final moments parameterize the frozen normalization the
 /// streaming engine applies shard by shard. Merging is exact in the counts
@@ -84,13 +84,6 @@ impl RunningStats {
         self.m2 += delta * (x - self.mean);
         self.min = self.min.min(x);
         self.max = self.max.max(x);
-    }
-
-    /// Folds a whole shard in, value by value.
-    pub fn add_column(&mut self, xs: &[f64]) {
-        for &x in xs {
-            self.push(x);
-        }
     }
 
     /// Combines two accumulators covering disjoint record sets.
@@ -245,7 +238,7 @@ mod tests {
             .map(|i| ((i * 37) % 101) as f64 * 0.25 - 7.0)
             .collect();
         let mut rs = RunningStats::new();
-        rs.add_column(&xs);
+        xs.iter().for_each(|&x| rs.push(x));
         assert_eq!(rs.count(), xs.len());
         assert!((rs.mean() - mean(&xs)).abs() < 1e-9);
         assert!((rs.population_variance() - population_variance(&xs)).abs() < 1e-9);
@@ -259,12 +252,12 @@ mod tests {
     fn running_stats_merge_equals_single_pass() {
         let xs: Vec<f64> = (0..997).map(|i| ((i * 13) % 37) as f64 - 11.5).collect();
         let mut whole = RunningStats::new();
-        whole.add_column(&xs);
+        xs.iter().for_each(|&x| whole.push(x));
         for chunk_size in [1usize, 7, 100, 996, 2000] {
             let mut merged = RunningStats::new();
             for shard in xs.chunks(chunk_size) {
                 let mut part = RunningStats::new();
-                part.add_column(shard);
+                shard.iter().for_each(|&x| part.push(x));
                 merged.merge(&part);
             }
             assert_eq!(merged.count(), whole.count());
@@ -294,7 +287,8 @@ mod tests {
 
         // merging with empty on either side is the identity
         let mut a = RunningStats::new();
-        a.add_column(&[1.0, 2.0]);
+        a.push(1.0);
+        a.push(2.0);
         let before = a;
         a.merge(&RunningStats::new());
         assert_eq!(a, before);

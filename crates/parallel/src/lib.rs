@@ -3,11 +3,9 @@
 //! Scoped-thread parallelism for the microaggregation hot path.
 //!
 //! The workspace builds fully offline, so rayon cannot be vendored; this
-//! crate provides the four primitives the rest of the system needs on top
+//! crate provides the three primitives the rest of the system needs on top
 //! of plain [`std::thread::scope`]:
 //!
-//! * [`chunk_ranges`] — split `0..n` into contiguous chunks balanced to
-//!   within one item of each other;
 //! * [`parallel_map`] — order-preserving map over a `Vec` with dynamic
 //!   one-item-at-a-time dispatch, so load balances by cost (the experiment
 //!   runner's workhorse, generalised here from `tclose-eval`);
@@ -46,33 +44,6 @@ use std::sync::{mpsc, Mutex, OnceLock};
 /// arithmetic inside a block. Part of the determinism contract: results
 /// of blocked reductions depend on this constant, never on thread count.
 pub const BLOCK: usize = 4096;
-
-/// Splits `0..n` into `parts` contiguous ranges whose lengths differ by at
-/// most one item (the first `n % parts` ranges take the extra item).
-///
-/// Returns fewer than `parts` ranges when `n < parts` (never an empty
-/// range) and an empty vector for `n == 0`.
-///
-/// # Panics
-/// Panics if `parts == 0` while `n > 0`.
-pub fn chunk_ranges(n: usize, parts: usize) -> Vec<Range<usize>> {
-    if n == 0 {
-        return Vec::new();
-    }
-    assert!(parts > 0, "cannot split {n} items into 0 chunks");
-    let parts = parts.min(n);
-    let base = n / parts;
-    let extra = n % parts;
-    let mut out = Vec::with_capacity(parts);
-    let mut lo = 0usize;
-    for i in 0..parts {
-        let len = base + usize::from(i < extra);
-        out.push(lo..lo + len);
-        lo += len;
-    }
-    debug_assert_eq!(lo, n);
-    out
-}
 
 /// Thread-count policy for the parallel kernels.
 ///
@@ -142,10 +113,8 @@ impl Default for Parallelism {
 /// balances by *cost*, not just count: when one item takes much longer than
 /// the rest (e.g. an Algorithm-1 experiment cell next to Algorithm-3
 /// cells), the other workers keep draining the queue instead of idling
-/// behind a static chunk assignment. For cost-uniform work split into
-/// contiguous ranges, use [`chunk_ranges`] directly. Falls back to
-/// sequential execution for tiny inputs where thread spin-up would
-/// dominate.
+/// behind a static chunk assignment. Falls back to sequential execution
+/// for tiny inputs where thread spin-up would dominate.
 pub fn parallel_map<I, O, F>(inputs: Vec<I>, f: F) -> Vec<O>
 where
     I: Send + Sync,
@@ -416,39 +385,6 @@ mod tests {
         assert!(first.worker_count() >= 1);
         assert_eq!(Parallelism::auto(), first);
         assert_eq!(Parallelism::default(), first);
-    }
-
-    #[test]
-    fn chunk_ranges_are_balanced_within_one() {
-        for n in [0usize, 1, 2, 3, 7, 10, 16, 101, 4096] {
-            for parts in [1usize, 2, 3, 4, 7, 8, 33] {
-                let ranges = chunk_ranges(n, parts);
-                let total: usize = ranges.iter().map(|r| r.len()).sum();
-                assert_eq!(total, n, "n={n} parts={parts}: items lost");
-                if n == 0 {
-                    assert!(ranges.is_empty());
-                    continue;
-                }
-                assert_eq!(ranges.len(), parts.min(n));
-                let min = ranges.iter().map(|r| r.len()).min().unwrap();
-                let max = ranges.iter().map(|r| r.len()).max().unwrap();
-                assert!(max - min <= 1, "n={n} parts={parts}: {min}..{max}");
-                // contiguous cover of 0..n
-                assert_eq!(ranges.first().unwrap().start, 0);
-                assert_eq!(ranges.last().unwrap().end, n);
-                for w in ranges.windows(2) {
-                    assert_eq!(w[0].end, w[1].start);
-                }
-                // no empty chunk
-                assert!(ranges.iter().all(|r| !r.is_empty()));
-            }
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "0 chunks")]
-    fn zero_parts_with_items_panics() {
-        chunk_ranges(5, 0);
     }
 
     #[test]

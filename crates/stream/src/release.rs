@@ -34,6 +34,8 @@ pub struct ReleasedShard {
 ///
 /// The scrub only rewrites pass-through columns, which the fit never
 /// reads, so scrubbing before or after fitting gives the same release.
+/// An error that names a record counts it from `first_row` too
+/// ([`tclose_core::Error::offset_rows`]).
 pub fn release_shard(
     fitted: &FittedAnonymizer,
     compliance: Option<&ComplianceEngine>,
@@ -43,7 +45,9 @@ pub fn release_shard(
     let scrubbed = compliance
         .map(|engine| engine.scrub_table(shard, first_row))
         .transpose()?;
-    let anon = fitted.apply_shard(scrubbed.as_ref().map_or(shard, |s| &s.table))?;
+    let anon = fitted
+        .apply_shard(scrubbed.as_ref().map_or(shard, |s| &s.table))
+        .map_err(|e| e.offset_rows(first_row))?;
     let mut table = anon.table.drop_identifiers()?;
     if let Some(engine) = compliance {
         table = engine.drop_release_columns(&table)?;

@@ -25,12 +25,11 @@ fn table_with(rows: &[(f64, f64, f64)]) -> Table {
     t
 }
 
-const ALL_ALGORITHMS: [Algorithm; 8] = [
+const ALL_ALGORITHMS: [Algorithm; 7] = [
     Algorithm::Merge,
     Algorithm::MergeVMdav { gamma: 0.2 },
     Algorithm::MergeComplementary,
     Algorithm::KAnonymityFirst,
-    Algorithm::KAnonymityFirstNoFallback,
     Algorithm::KAnonymityFirstAdd,
     Algorithm::TClosenessFirst,
     Algorithm::TClosenessFirstTail,

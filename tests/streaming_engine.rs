@@ -283,8 +283,9 @@ fn streamed_release_and_audit_bytes_are_pinned() {
 
 /// A file that fails twice — a confidential value the fit never saw in
 /// shard 2, and a short record in shard 4, which the tail merge reads
-/// while fetching shard 3 — reports the earlier failure at every worker
-/// count, although pass 2 reads shards ahead of their release.
+/// while fetching shard 3 — reports the earlier failure, naming its input
+/// row, at every worker count, although pass 2 reads shards ahead of their
+/// release.
 #[test]
 fn a_failing_stream_reports_the_first_failure_at_any_worker_count() {
     let good = tmp("first_failure_good.csv");
@@ -325,8 +326,12 @@ fn a_failing_stream_reports_the_first_failure_at_any_worker_count() {
             .apply_file_with(&fitted, &bad, &tmp("first_failure_out.csv"))
             .unwrap_err()
             .to_string();
+        // Row 250 is the 51st record of its shard; the error names the
+        // input's row, not the shard's.
         assert!(
-            err.contains("\"CHARGE\"") && err.contains("fitted domain never saw"),
+            err.contains("\"CHARGE\"")
+                && err.contains("record 250 ")
+                && err.contains("fitted domain never saw"),
             "{workers} workers: {err}"
         );
         errors.push(err);
