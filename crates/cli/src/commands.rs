@@ -10,7 +10,9 @@ use tclose_compliance::{write_audit_log, ComplianceConfig, ComplianceEngine};
 use tclose_core::{
     Algorithm, Anonymizer, FittedAnonymizer, ModelArtifact, NeighborBackend, TClosenessParams,
 };
-use tclose_datasets::{census_hcd, census_mcd, patient_discharge, pii_patients, PATIENT_N, PII_N};
+use tclose_datasets::{
+    census_hcd, census_mcd, patient_discharge, pii_patients, CENSUS_N, PATIENT_N, PII_N,
+};
 use tclose_microdata::csv::write_csv;
 use tclose_microdata::{NormalizeMethod, Table};
 use tclose_parallel::Parallelism;
@@ -149,6 +151,11 @@ pub fn cmd_generate(p: &Parsed) -> Result<String, String> {
     let seed: u64 = p.get_parsed("seed", 42)?;
     let output = Path::new(p.require("output")?);
     let table = match dataset {
+        "census-mcd" | "census-hcd" if p.get("n").is_some() => {
+            return Err(format!(
+                "--n applies only to patient|pii; {dataset} has a fixed size of {CENSUS_N} records"
+            ))
+        }
         "census-mcd" => census_mcd(seed),
         "census-hcd" => census_hcd(seed),
         "patient" => {
@@ -707,6 +714,12 @@ mod tests {
     fn generate_rejects_unknown_dataset() {
         let e = cmd_generate(&argv("generate --dataset nope --output /tmp/x.csv")).unwrap_err();
         assert!(e.contains("unknown dataset"));
+        // The census sets have a fixed size: `--n` is an error, not ignored.
+        for dataset in ["census-mcd", "census-hcd"] {
+            let cmd = format!("generate --dataset {dataset} --n 6000 --output /tmp/x.csv");
+            let e = cmd_generate(&argv(&cmd)).unwrap_err();
+            assert!(e.contains("--n") && e.contains(dataset), "{e}");
+        }
     }
 
     #[test]

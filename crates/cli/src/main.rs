@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! tclose generate  --dataset census-mcd|census-hcd|patient|pii --output FILE
-//!                  [--seed N] [--n N]
+//!                  [--seed N] [--n N (patient|pii only)]
 //! tclose scan      --input FILE [--compliance CONFIG.toml] [--json]
 //! tclose anonymize --input FILE --output FILE --qi COLS --confidential COLS
 //!                  --k N --t F [--algorithm alg1|alg2|alg3]
@@ -75,7 +75,8 @@ use std::process::ExitCode;
 const HELP: &str = "tclose — k-anonymous t-closeness through microaggregation
 
 usage:
-  tclose generate  --dataset census-mcd|census-hcd|patient|pii --output FILE [--seed N] [--n N]
+  tclose generate  --dataset census-mcd|census-hcd|patient|pii --output FILE \\
+                   [--seed N] [--n N (patient|pii only)]
   tclose scan      --input FILE [--compliance CONFIG.toml] [--json]
   tclose anonymize --input FILE --output FILE --qi COLS --confidential COLS \\
                    --k N --t F [--algorithm alg1|alg2|alg3] \\

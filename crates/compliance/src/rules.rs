@@ -190,14 +190,6 @@ pub fn builtin_ids() -> Vec<&'static str> {
     BUILTINS.iter().map(|(id, ..)| *id).collect()
 }
 
-/// Description of a built-in rule, for docs and `scan` output.
-pub fn builtin_description(id: &str) -> Option<&'static str> {
-    BUILTINS
-        .iter()
-        .find(|(rid, ..)| *rid == id)
-        .map(|(_, desc, ..)| *desc)
-}
-
 /// Compiles a custom rule from a config pattern.
 pub fn custom_rule(
     id: &str,

@@ -12,9 +12,8 @@
 //! (especially for the last clusters), so Algorithm 2 alone cannot
 //! guarantee t-closeness. Per the paper, it is therefore used as the
 //! microaggregation step of Algorithm 1: a final merging pass
-//! ([`crate::alg1_merge::merge_until_t_close`]) repairs any violating
-//! clusters. The pass is
-//! enabled by default and can be disabled for ablation.
+//! ([`merge_until_t_close_with`]) always repairs any violating
+//! clusters.
 
 use crate::alg1_merge::{merge_until_t_close_with, MergePartner};
 use crate::confidential::Confidential;
@@ -45,9 +44,6 @@ pub enum RefineStrategy {
 pub struct KAnonymityFirst {
     /// Refinement strategy (paper: [`RefineStrategy::Swap`]).
     pub strategy: RefineStrategy,
-    /// Run the Algorithm 1 merging pass afterwards so the result is
-    /// guaranteed t-close (paper's recommendation). Default `true`.
-    pub ensure_t_closeness: bool,
     par: Parallelism,
     backend: NeighborBackend,
 }
@@ -57,7 +53,6 @@ impl KAnonymityFirst {
     pub fn new() -> Self {
         KAnonymityFirst {
             strategy: RefineStrategy::Swap,
-            ensure_t_closeness: true,
             par: Parallelism::auto(),
             backend: NeighborBackend::Auto,
         }
@@ -66,12 +61,6 @@ impl KAnonymityFirst {
     /// Selects the refinement strategy (ablation hook).
     pub fn with_strategy(mut self, strategy: RefineStrategy) -> Self {
         self.strategy = strategy;
-        self
-    }
-
-    /// Enables/disables the final merging pass.
-    pub fn with_merge_fallback(mut self, ensure: bool) -> Self {
-        self.ensure_t_closeness = ensure;
         self
     }
 
@@ -99,6 +88,32 @@ impl Default for KAnonymityFirst {
 
 impl TCloseClusterer for KAnonymityFirst {
     fn cluster(&self, m: &Matrix, conf: &Confidential, params: TClosenessParams) -> Clustering {
+        let refined = self.refine(m, conf, params);
+        merge_until_t_close_with(
+            m,
+            conf,
+            params.t,
+            refined,
+            MergePartner::NearestQi,
+            self.par,
+        )
+    }
+
+    fn name(&self) -> &'static str {
+        "Alg2-kfirst"
+    }
+}
+
+impl KAnonymityFirst {
+    /// The refinement alone: clusters formed MDAV-style and refined by
+    /// [`generate_cluster`](Self::generate_cluster), before the merging
+    /// pass that makes them t-close.
+    pub(crate) fn refine(
+        &self,
+        m: &Matrix,
+        conf: &Confidential,
+        params: TClosenessParams,
+    ) -> Clustering {
         assert!(params.k >= 1, "k must be at least 1");
         let par = self.par;
         let n = m.n_rows();
@@ -123,21 +138,9 @@ impl TCloseClusterer for KAnonymityFirst {
             }
         }
 
-        let clustering =
-            Clustering::new(clusters, n).expect("cluster generation partitions the records");
-        if self.ensure_t_closeness {
-            merge_until_t_close_with(m, conf, params.t, clustering, MergePartner::NearestQi, par)
-        } else {
-            clustering
-        }
+        Clustering::new(clusters, n).expect("cluster generation partitions the records")
     }
 
-    fn name(&self) -> &'static str {
-        "Alg2-kfirst"
-    }
-}
-
-impl KAnonymityFirst {
     /// `GenerateCluster` of the paper: seed a cluster with the `k` records
     /// nearest to `seed`, then refine until t-close or candidates exhausted.
     fn generate_cluster(
@@ -272,10 +275,8 @@ mod tests {
         use tclose_microagg::{Mdav, Microaggregator};
         let (rows, conf) = correlated(60);
         let params = TClosenessParams::new(3, 0.10).unwrap();
-        // without fallback, so we observe pure refinement quality
-        let refined = KAnonymityFirst::new()
-            .with_merge_fallback(false)
-            .cluster(&rows, &conf, params);
+        // the refinement alone, so we observe pure refinement quality
+        let refined = KAnonymityFirst::new().refine(&rows, &conf, params);
         let plain = Mdav.partition_matrix(&rows, 3);
         let worst_refined = refined
             .clusters()
@@ -297,9 +298,7 @@ mod tests {
     fn cluster_sizes_stay_near_k_with_swap_strategy() {
         let (rows, conf) = correlated(60);
         let params = TClosenessParams::new(3, 0.25).unwrap();
-        let c = KAnonymityFirst::new()
-            .with_merge_fallback(false)
-            .cluster(&rows, &conf, params);
+        let c = KAnonymityFirst::new().refine(&rows, &conf, params);
         // swap strategy never grows a cluster beyond the MDAV tail bound
         assert!(c.max_size() <= 2 * 3 - 1 + 3);
         c.check_min_size(3).unwrap();
@@ -311,11 +310,8 @@ mod tests {
         let params = TClosenessParams::new(3, 0.05).unwrap();
         let add = KAnonymityFirst::new()
             .with_strategy(RefineStrategy::Add)
-            .with_merge_fallback(false)
-            .cluster(&rows, &conf, params);
-        let swap = KAnonymityFirst::new()
-            .with_merge_fallback(false)
-            .cluster(&rows, &conf, params);
+            .refine(&rows, &conf, params);
+        let swap = KAnonymityFirst::new().refine(&rows, &conf, params);
         // the paper's motivation for swapping: adding balloons cluster size
         // when QIs and confidential values are highly correlated
         assert!(
@@ -470,8 +466,7 @@ mod tests {
                     for strategy in [RefineStrategy::Swap, RefineStrategy::Add] {
                         let got = KAnonymityFirst::new()
                             .with_strategy(strategy)
-                            .with_merge_fallback(false)
-                            .cluster(m, conf, params);
+                            .refine(m, conf, params);
                         let want = reference_clusters(m, conf, params, strategy);
                         assert_eq!(
                             got,

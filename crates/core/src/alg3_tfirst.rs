@@ -24,21 +24,20 @@
 //! records share a value (e.g. charges rounded to $100, zero-inflated
 //! incomes), the EMD is computed over the *distinct-value* bins and a
 //! stratum can hide an atom at its far edge, degrading the bound by a
-//! factor that grows with tie mass. The implementation therefore runs one
-//! cheap verification pass after construction (`O(n·m/k)` — negligible
-//! next to clustering) and repairs any violating cluster with the
-//! Algorithm 1 merge step. On effectively-distinct data (the paper's
+//! factor that grows with tie mass. The implementation therefore always
+//! runs one cheap verification pass after construction (`O(n·m/k)` —
+//! negligible next to clustering) and repairs any violating cluster with
+//! the Algorithm 1 merge step. On effectively-distinct data (the paper's
 //! Census file) the pass never fires and the output is the pure
-//! construction; [`TClosenessFirst::unchecked`] disables it for ablation.
+//! construction.
 //!
 //! When several confidential attributes are declared, the strata are built
 //! on the *primary* (first) one; the construction only bounds that
-//! attribute's EMD. With the verification pass enabled (the default) the
-//! repair step audits the maximum EMD across *all* confidential attributes,
-//! so the returned clustering is t-close for every one of them; with
-//! [`TClosenessFirst::unchecked`] secondary attributes are reported but not
-//! bounded.
+//! attribute's EMD. The repair step audits the maximum EMD across *all*
+//! confidential attributes, so the returned clustering is t-close for
+//! every one of them.
 
+use crate::alg1_merge::{merge_until_t_close_with, MergePartner};
 use crate::bounds::tfirst_cluster_size;
 use crate::confidential::Confidential;
 use crate::params::TClosenessParams;
@@ -64,9 +63,6 @@ pub enum ExtraPlacement {
 pub struct TClosenessFirst {
     /// Surplus-record placement (paper: [`ExtraPlacement::Central`]).
     pub extras: ExtraPlacement,
-    /// Verify the construction and merge-repair violations caused by tied
-    /// confidential values (see the module docs). Default `true`.
-    pub verify_fallback: bool,
     par: Parallelism,
     backend: NeighborBackend,
 }
@@ -75,7 +71,6 @@ impl Default for TClosenessFirst {
     fn default() -> Self {
         TClosenessFirst {
             extras: ExtraPlacement::Central,
-            verify_fallback: true,
             par: Parallelism::auto(),
             backend: NeighborBackend::Auto,
         }
@@ -86,18 +81,6 @@ impl TClosenessFirst {
     /// The paper's configuration plus the tie-repair pass.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// The pure constructive algorithm, with no verification pass — the
-    /// guarantee then only holds for effectively-distinct confidential
-    /// values (ablation hook).
-    pub fn unchecked() -> Self {
-        TClosenessFirst {
-            extras: ExtraPlacement::Central,
-            verify_fallback: false,
-            par: Parallelism::auto(),
-            backend: NeighborBackend::Auto,
-        }
     }
 
     /// Selects the surplus placement (ablation hook).
@@ -130,6 +113,26 @@ impl TClosenessFirst {
 
 impl TCloseClusterer for TClosenessFirst {
     fn cluster(&self, m: &Matrix, conf: &Confidential, params: TClosenessParams) -> Clustering {
+        // One EMD pass; merges only fire when value ties broke the
+        // Proposition 2 bound (never on all-distinct data).
+        let built = self.construct(m, conf, params);
+        merge_until_t_close_with(m, conf, params.t, built, MergePartner::NearestQi, self.par)
+    }
+
+    fn name(&self) -> &'static str {
+        "Alg3-tfirst"
+    }
+}
+
+impl TClosenessFirst {
+    /// The stratified construction alone, before the verification pass
+    /// that repairs clusters broken by tied confidential values.
+    pub(crate) fn construct(
+        &self,
+        m: &Matrix,
+        conf: &Confidential,
+        params: TClosenessParams,
+    ) -> Clustering {
         let par = self.par;
         let n = m.n_rows();
         if n == 0 {
@@ -204,26 +207,7 @@ impl TCloseClusterer for TClosenessFirst {
             }
         }
 
-        let clustering =
-            Clustering::new(clusters, n).expect("stratified construction partitions the records");
-        if self.verify_fallback {
-            // One EMD pass; merges only fire when value ties broke the
-            // Proposition 2 bound (never on all-distinct data).
-            crate::alg1_merge::merge_until_t_close_with(
-                m,
-                conf,
-                params.t,
-                clustering,
-                crate::alg1_merge::MergePartner::NearestQi,
-                par,
-            )
-        } else {
-            clustering
-        }
-    }
-
-    fn name(&self) -> &'static str {
-        "Alg3-tfirst"
+        Clustering::new(clusters, n).expect("stratified construction partitions the records")
     }
 }
 
@@ -379,7 +363,7 @@ mod tests {
         for k in [2, 3, 4, 5, 7] {
             let params = TClosenessParams::new(k, 0.25).unwrap();
             let k_eff = TClosenessFirst::effective_cluster_size(61, params);
-            let c = TClosenessFirst::unchecked().cluster(&rows, &conf, params);
+            let c = TClosenessFirst::new().construct(&rows, &conf, params);
             assert_eq!(c.n_records(), 61);
             assert!(
                 c.min_size() >= k_eff,
@@ -395,7 +379,7 @@ mod tests {
         let (rows, conf) = correlated(61);
         for t in [0.1, 0.15, 0.25] {
             let params = TClosenessParams::new(2, t).unwrap();
-            let c = TClosenessFirst::unchecked().cluster(&rows, &conf, params);
+            let c = TClosenessFirst::new().construct(&rows, &conf, params);
             for cl in c.clusters() {
                 let e = conf.emd_of_records(cl);
                 // the paper uses Prop. 2 as an approximation here; the extra
@@ -413,7 +397,7 @@ mod tests {
         // and the clustering is perfectly balanced.
         // The pure construction (the paper evaluates exactly this; on the
         // adversarially monotone data used here the surplus clusters can
-        // exceed t by a few percent, which the checked default would
+        // exceed t by a few percent, which the verification pass would
         // merge-repair).
         let (rows, conf) = correlated(1080);
         for (k, t, expect) in [
@@ -423,7 +407,7 @@ mod tests {
             (10, 0.09, 10),
         ] {
             let params = TClosenessParams::new(k, t).unwrap();
-            let c = TClosenessFirst::unchecked().cluster(&rows, &conf, params);
+            let c = TClosenessFirst::new().construct(&rows, &conf, params);
             assert_eq!(c.min_size(), expect, "k={k} t={t}");
             assert!(
                 c.max_size() <= expect + 1,
@@ -457,10 +441,10 @@ mod tests {
             let conf_col: Vec<f64> = (0..n).map(|i| i as f64).collect();
             let conf = Confidential::single(OrderedEmd::new(&conf_col));
             let params = TClosenessParams::new(3, 0.2).unwrap();
-            let central = TClosenessFirst::unchecked().cluster(&rows, &conf, params);
-            let tail = TClosenessFirst::unchecked()
+            let central = TClosenessFirst::new().construct(&rows, &conf, params);
+            let tail = TClosenessFirst::new()
                 .with_extras(ExtraPlacement::Tail)
-                .cluster(&rows, &conf, params);
+                .construct(&rows, &conf, params);
             central_sum += worst(&central, &conf);
             tail_sum += worst(&tail, &conf);
             // both placements still respect the t-closeness tolerance regime

@@ -18,7 +18,7 @@
 //! |---|---|
 //! | `kind` | the literal `"tclose-model-artifact"` |
 //! | `schema_version` | format version of this document (see [`ARTIFACT_SCHEMA_VERSION`]) |
-//! | `params` | `k`, `t`, algorithm name (plus `gamma` for the V-MDAV ablation) |
+//! | `params` | `k`, `t`, algorithm name (one of the paper's three, see [`Algorithm::name`]) |
 //! | `qi_schema` | every attribute's name/kind/role (+ dictionary labels), in column order |
 //! | `embedding` | normalization method + per-QI `(shift, scale)` pairs |
 //! | `emd_domains` | per confidential attribute: sorted distinct values + global bin counts |
@@ -290,15 +290,14 @@ impl ModelArtifact {
     /// layout). Serialization is byte-stable: serializing an unchanged
     /// artifact twice yields identical bytes.
     pub fn to_json(&self) -> Json {
-        let (name, gamma) = algorithm_parts(self.params.algorithm);
-        let mut params = vec![
+        let params = vec![
             ("k".into(), Json::Num(self.params.k as f64)),
             ("t".into(), Json::Num(self.params.t)),
-            ("algorithm".into(), Json::Str(name.to_owned())),
+            (
+                "algorithm".into(),
+                Json::Str(self.params.algorithm.name().to_owned()),
+            ),
         ];
-        if let Some(g) = gamma {
-            params.push(("gamma".into(), Json::Num(g)));
-        }
         let embedding = self.fit.embedding();
         let emd_domains = self
             .fit
@@ -410,10 +409,7 @@ impl ModelArtifact {
         }
         let t = num_field(params, "t")?;
         let tparams = TClosenessParams::new(k as usize, t).map_err(|e| invalid(e.to_string()))?;
-        let algorithm = algorithm_from_parts(
-            str_field(params, "algorithm")?,
-            params.get("gamma").and_then(Json::as_f64),
-        )?;
+        let algorithm = algorithm_from_name(str_field(params, "algorithm")?)?;
 
         // schema
         let schema = schema_from_json(doc.get("qi_schema").ok_or_else(|| missing("qi_schema"))?)?;
@@ -527,28 +523,13 @@ impl ModelArtifact {
     }
 }
 
-/// `(stable name, optional gamma)` for every algorithm variant — the
-/// inverse of [`algorithm_from_parts`]. The name is exactly
-/// [`Algorithm::name`], which reports already print.
-fn algorithm_parts(alg: Algorithm) -> (&'static str, Option<f64>) {
-    let gamma = match alg {
-        Algorithm::MergeVMdav { gamma } => Some(gamma),
-        _ => None,
-    };
-    (alg.name(), gamma)
-}
-
-fn algorithm_from_parts(name: &str, gamma: Option<f64>) -> Result<Algorithm, ArtifactError> {
+/// The algorithm a model file names: one of the paper's three, by
+/// [`Algorithm::name`]. Any other name is an invalid model.
+fn algorithm_from_name(name: &str) -> Result<Algorithm, ArtifactError> {
     match name {
         "Alg1-merge" => Ok(Algorithm::Merge),
-        "Alg1-merge(V-MDAV)" => gamma
-            .map(|gamma| Algorithm::MergeVMdav { gamma })
-            .ok_or_else(|| corrupted("V-MDAV algorithm without a gamma field")),
-        "Alg1-merge(EMD-partner)" => Ok(Algorithm::MergeComplementary),
         "Alg2-kfirst" => Ok(Algorithm::KAnonymityFirst),
-        "Alg2-kfirst(add)" => Ok(Algorithm::KAnonymityFirstAdd),
         "Alg3-tfirst" => Ok(Algorithm::TClosenessFirst),
-        "Alg3-tfirst(tail)" => Ok(Algorithm::TClosenessFirstTail),
         other => Err(invalid(format!("unknown algorithm {other:?}"))),
     }
 }
@@ -831,30 +812,31 @@ mod tests {
             ModelArtifact::from_json_str(&bad_t),
             Err(ArtifactError::InvalidModel { .. })
         ));
-        for name in ["Alg9-imaginary", "Alg2-kfirst(no-fallback)"] {
-            let bad_alg = s.replace("Alg3-tfirst", name);
-            match ModelArtifact::from_json_str(&bad_alg) {
+        // Only the paper's three algorithms load: an unknown name, and
+        // every ablation variant the experiments build, is rejected.
+        let mut cases: Vec<(&str, String)> = [
+            "Alg9-imaginary",
+            "Alg2-kfirst(no-fallback)",
+            "Alg1-merge(V-MDAV)",
+            "Alg1-merge(EMD-partner)",
+            "Alg2-kfirst(add)",
+            "Alg3-tfirst(tail)",
+        ]
+        .into_iter()
+        .map(|name| (name, s.replace("\"Alg3-tfirst\"", &format!("{name:?}"))))
+        .collect();
+        let vmdav = s.replace(
+            "\"Alg3-tfirst\"",
+            "\"Alg1-merge(V-MDAV)\",\n    \"gamma\": 0.2",
+        );
+        cases.push(("Alg1-merge(V-MDAV)", vmdav));
+        for (name, doc) in cases {
+            match ModelArtifact::from_json_str(&doc) {
                 Err(e @ ArtifactError::InvalidModel { .. }) => {
                     assert!(e.to_string().contains(name), "{e}")
                 }
                 other => panic!("{name}: expected InvalidModel, got {other:?}"),
             }
-        }
-    }
-
-    #[test]
-    fn ablation_algorithms_round_trip() {
-        let table = demo_table(30);
-        for alg in [
-            Algorithm::MergeVMdav { gamma: 0.2 },
-            Algorithm::MergeComplementary,
-            Algorithm::KAnonymityFirstAdd,
-            Algorithm::TClosenessFirstTail,
-        ] {
-            let fitted = Anonymizer::new(2, 0.5).algorithm(alg).fit(&table).unwrap();
-            let art = ModelArtifact::from_fitted(&fitted);
-            let back = ModelArtifact::from_json_str(&art.to_string_pretty()).unwrap();
-            assert_eq!(back.params().algorithm, alg);
         }
     }
 

@@ -104,12 +104,6 @@ impl QiEmbedding {
         &self.params
     }
 
-    /// The embedding as plain data — exactly what
-    /// [`QiEmbedding::from_params`] rebuilds it from.
-    pub fn to_parts(&self) -> (NormalizeMethod, &[(f64, f64)]) {
-        (self.method, &self.params)
-    }
-
     /// Embeds the QI columns of `table` (a shard or the fitting table) as
     /// a flat row-major [`Matrix`] of normalized vectors.
     ///
@@ -293,13 +287,6 @@ impl GlobalFit {
     /// Total number of records of the fitting data.
     pub fn n_records(&self) -> usize {
         self.n_records
-    }
-
-    /// The fit as plain-data parts `(schema, embedding, confidential,
-    /// n_records)` — the inverse of [`GlobalFit::from_parts`], used by
-    /// model-artifact serialization.
-    pub fn to_parts(&self) -> (&Schema, &QiEmbedding, &Confidential, usize) {
-        (&self.schema, &self.embedding, &self.conf, self.n_records)
     }
 
     /// Checks that a shard's schema is structurally compatible with the

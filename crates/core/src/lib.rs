@@ -21,7 +21,7 @@
 //! | | strategy | guarantee | cost |
 //! |---|---|---|---|
 //! | [`MergeAlgorithm`] | microaggregate, then merge clusters until t-close | always | `max{O(microagg), O(n²/k)}` |
-//! | [`KAnonymityFirst`] | refine each cluster by record swaps during formation | heuristic (merge fallback) | `O(n³/k)` worst case |
+//! | [`KAnonymityFirst`] | refine each cluster by record swaps during formation | always (merge fallback) | `O(n³/k)` worst case |
 //! | [`TClosenessFirst`] | derive cluster size from Prop. 2, one record per confidential stratum | by construction | `O(n²/k)` |
 //!
 //! ## Quick start

@@ -8,50 +8,36 @@
 
 use std::time::Duration;
 
-use crate::alg1_merge::{MergeAlgorithm, MergePartner};
-use crate::alg2_kfirst::{KAnonymityFirst, RefineStrategy};
-use crate::alg3_tfirst::{ExtraPlacement, TClosenessFirst};
+use crate::alg1_merge::MergeAlgorithm;
+use crate::alg2_kfirst::KAnonymityFirst;
+use crate::alg3_tfirst::TClosenessFirst;
 use crate::confidential::Confidential;
 use crate::error::Result;
 use crate::fit::{FittedAnonymizer, GlobalFit, QiEmbedding};
 use crate::params::TClosenessParams;
 use crate::TCloseClusterer;
-use tclose_microagg::{Clustering, Matrix, NeighborBackend, Parallelism, VMdav};
+use tclose_microagg::{Clustering, Matrix, NeighborBackend, Parallelism};
 use tclose_microdata::{NormalizeMethod, Table};
 
-/// Which of the paper's algorithms (or variants) to run.
+/// Which of the paper's three algorithms to run. Each ends in a merging
+/// pass that makes every cluster t-close.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Algorithm {
     /// Algorithm 1: MDAV microaggregation + cluster merging.
     Merge,
-    /// Algorithm 1 over V-MDAV with extension factor γ (ablation).
-    MergeVMdav {
-        /// V-MDAV extension gain factor.
-        gamma: f64,
-    },
-    /// Algorithm 1 with the EMD-complementary merge partner (ablation).
-    MergeComplementary,
     /// Algorithm 2: k-anonymity-first with swap refinement + merge fallback.
     KAnonymityFirst,
-    /// Algorithm 2 with the *add* refinement strategy (ablation).
-    KAnonymityFirstAdd,
     /// Algorithm 3: t-closeness-first stratified microaggregation.
     TClosenessFirst,
-    /// Algorithm 3 with tail surplus placement (ablation).
-    TClosenessFirstTail,
 }
 
 impl Algorithm {
-    /// Short name used in reports and experiment output.
+    /// Short name used in reports, experiment output and model files.
     pub fn name(&self) -> &'static str {
         match self {
             Algorithm::Merge => "Alg1-merge",
-            Algorithm::MergeVMdav { .. } => "Alg1-merge(V-MDAV)",
-            Algorithm::MergeComplementary => "Alg1-merge(EMD-partner)",
             Algorithm::KAnonymityFirst => "Alg2-kfirst",
-            Algorithm::KAnonymityFirstAdd => "Alg2-kfirst(add)",
             Algorithm::TClosenessFirst => "Alg3-tfirst",
-            Algorithm::TClosenessFirstTail => "Alg3-tfirst(tail)",
         }
     }
 }
@@ -241,20 +227,8 @@ impl Anonymizer {
         }
         match algorithm {
             Algorithm::Merge => run!(MergeAlgorithm::new()),
-            Algorithm::MergeVMdav { gamma } => {
-                run!(MergeAlgorithm::with_base(VMdav::new(gamma)))
-            }
-            Algorithm::MergeComplementary => {
-                run!(MergeAlgorithm::new().with_partner(MergePartner::ComplementaryEmd))
-            }
             Algorithm::KAnonymityFirst => run!(KAnonymityFirst::new()),
-            Algorithm::KAnonymityFirstAdd => {
-                run!(KAnonymityFirst::new().with_strategy(RefineStrategy::Add))
-            }
             Algorithm::TClosenessFirst => run!(TClosenessFirst::new()),
-            Algorithm::TClosenessFirstTail => {
-                run!(TClosenessFirst::new().with_extras(ExtraPlacement::Tail))
-            }
         }
     }
 }
@@ -303,12 +277,8 @@ mod tests {
         let table = demo_table(60);
         for alg in [
             Algorithm::Merge,
-            Algorithm::MergeVMdav { gamma: 0.2 },
-            Algorithm::MergeComplementary,
             Algorithm::KAnonymityFirst,
-            Algorithm::KAnonymityFirstAdd,
             Algorithm::TClosenessFirst,
-            Algorithm::TClosenessFirstTail,
         ] {
             let out = Anonymizer::new(3, 0.2)
                 .algorithm(alg)

@@ -5,14 +5,23 @@
 //!    EMD-complementary;
 //! 3. **Algorithm 1 base microaggregation** — MDAV vs V-MDAV(γ);
 //! 4. **Algorithm 3 surplus placement** — central (paper) vs tail.
+//!
+//! The variants exist only here, built from the algorithms' public
+//! builders: the product (`tclose_core::Algorithm`, model files, the
+//! daemon) runs the paper's three algorithms.
 
 use crate::render::{fmt_f, Grid};
 use crate::runner::parallel_map;
 use crate::{Context, Dataset};
-use tclose_core::Algorithm;
+use tclose_core::alg1_merge::MergePartner;
+use tclose_core::alg3_tfirst::ExtraPlacement;
+use tclose_core::{
+    KAnonymityFirst, MergeAlgorithm, RefineStrategy, TCloseClusterer, TClosenessFirst,
+};
+use tclose_microagg::{aggregate_columns, VMdav};
 use tclose_microdata::Table;
 
-use super::run_cell;
+use super::baseline_cmp::run_clusterer;
 
 /// One ablation measurement.
 #[derive(Debug, Clone, PartialEq)]
@@ -25,54 +34,83 @@ pub struct AblationCell {
     pub t: f64,
     /// Normalized SSE of the release.
     pub sse: f64,
+    /// Smallest cluster size (the achieved k).
+    pub min_size: usize,
     /// Mean cluster size.
     pub mean_size: f64,
     /// Achieved worst-class EMD.
     pub achieved_t: f64,
 }
 
-/// The ablation variants, as `(study, variant, algorithm)` triples.
-pub fn ablation_variants() -> Vec<(&'static str, &'static str, Algorithm)> {
+/// One ablation variant: its study, its label and the clusterer it runs.
+/// Every variant ends in the merging pass, so each is t-close.
+pub type Variant = (&'static str, &'static str, Box<dyn TCloseClusterer + Sync>);
+
+/// The ablation variants, built from the algorithms' public builders.
+pub fn ablation_variants() -> Vec<Variant> {
     vec![
-        ("refine", "swap (paper)", Algorithm::KAnonymityFirst),
-        ("refine", "add", Algorithm::KAnonymityFirstAdd),
-        ("merge-partner", "QI-nearest (paper)", Algorithm::Merge),
+        ("refine", "swap (paper)", Box::new(KAnonymityFirst::new())),
+        (
+            "refine",
+            "add",
+            Box::new(KAnonymityFirst::new().with_strategy(RefineStrategy::Add)),
+        ),
+        (
+            "merge-partner",
+            "QI-nearest (paper)",
+            Box::new(MergeAlgorithm::new()),
+        ),
         (
             "merge-partner",
             "EMD-complementary",
-            Algorithm::MergeComplementary,
+            Box::new(MergeAlgorithm::new().with_partner(MergePartner::ComplementaryEmd)),
         ),
-        ("base-microagg", "MDAV (paper)", Algorithm::Merge),
+        (
+            "base-microagg",
+            "MDAV (paper)",
+            Box::new(MergeAlgorithm::new()),
+        ),
         (
             "base-microagg",
             "V-MDAV γ=0.2",
-            Algorithm::MergeVMdav { gamma: 0.2 },
+            Box::new(MergeAlgorithm::with_base(VMdav::new(0.2))),
         ),
         (
             "base-microagg",
             "V-MDAV γ=1.1",
-            Algorithm::MergeVMdav { gamma: 1.1 },
+            Box::new(MergeAlgorithm::with_base(VMdav::new(1.1))),
         ),
-        ("extras", "central (paper)", Algorithm::TClosenessFirst),
-        ("extras", "tail", Algorithm::TClosenessFirstTail),
+        (
+            "extras",
+            "central (paper)",
+            Box::new(TClosenessFirst::new()),
+        ),
+        (
+            "extras",
+            "tail",
+            Box::new(TClosenessFirst::new().with_extras(ExtraPlacement::Tail)),
+        ),
     ]
 }
 
-/// Raw ablation sweep on one table at fixed `k`.
+/// Raw ablation sweep on one table at fixed `k`: every variant released
+/// by cluster centroids, as the pipeline releases.
 pub fn ablation_cells(table: &Table, k: usize, ts: &[f64]) -> Vec<AblationCell> {
-    let jobs: Vec<((&'static str, &'static str, Algorithm), f64)> = ablation_variants()
-        .into_iter()
+    let variants = ablation_variants();
+    let jobs: Vec<_> = variants
+        .iter()
         .flat_map(|v| ts.iter().map(move |&t| (v, t)))
         .collect();
-    parallel_map(jobs, |&((study, variant, alg), t)| {
-        let r = run_cell(table, alg, k, t);
+    parallel_map(jobs, |&((study, variant, clusterer), t)| {
+        let r = run_clusterer(table, clusterer.as_ref(), k, t, aggregate_columns);
         AblationCell {
             study,
             variant,
             t,
             sse: r.sse,
-            mean_size: r.mean_cluster_size,
-            achieved_t: r.max_emd,
+            min_size: r.min_size,
+            mean_size: r.mean_size,
+            achieved_t: r.achieved_t,
         }
     })
 }
@@ -123,7 +161,21 @@ mod tests {
         let t = small_mcd(80);
         let cells = ablation_cells(&t, 2, &[0.2]);
         assert_eq!(cells.len(), ablation_variants().len());
-        assert!(cells.iter().all(|c| c.sse.is_finite()));
+        for c in &cells {
+            assert!(c.sse.is_finite(), "{}: SSE {}", c.variant, c.sse);
+            assert!(
+                c.min_size >= 2,
+                "{}: smallest class {}",
+                c.variant,
+                c.min_size
+            );
+            assert!(
+                c.achieved_t <= 0.2 + 1e-9,
+                "{}: achieved t {}",
+                c.variant,
+                c.achieved_t
+            );
+        }
     }
 
     #[test]

@@ -10,11 +10,13 @@ use crate::render::{fmt_f, Grid};
 use crate::runner::parallel_map;
 use crate::{Context, Dataset};
 use tclose_core::pipeline::qi_matrix;
-use tclose_core::{Algorithm, Confidential, TCloseClusterer, TClosenessParams};
+use tclose_core::{
+    Confidential, KAnonymityFirst, MergeAlgorithm, TCloseClusterer, TClosenessFirst,
+    TClosenessParams,
+};
 use tclose_metrics::sse::normalized_sse;
+use tclose_microagg::{aggregate_columns, Clustering};
 use tclose_microdata::{NormalizeMethod, Table};
-
-use super::run_cell;
 
 /// One comparison measurement.
 #[derive(Debug, Clone, PartialEq)]
@@ -25,20 +27,37 @@ pub struct BaselineCell {
     pub t: f64,
     /// Normalized SSE of the release.
     pub sse: f64,
+    /// Smallest equivalence-class size (the achieved k).
+    pub min_size: usize,
     /// Mean equivalence-class size.
     pub mean_size: f64,
     /// Worst class-to-table EMD actually achieved.
     pub achieved_t: f64,
 }
 
-/// Runs one generalization baseline end to end.
-fn run_baseline(table: &Table, clusterer: &dyn TCloseClusterer, k: usize, t: f64) -> BaselineCell {
+/// How a clustering becomes the released table: cluster centroids
+/// ([`aggregate_columns`], the microaggregation release) or range
+/// midpoints ([`generalize_columns`], the generalization baselines).
+type Release = fn(&Table, &[usize], &Clustering) -> tclose_microdata::Result<Table>;
+
+/// Runs one clusterer end to end and measures its release: embed the
+/// QIs, cluster, release with `release`, then SSE, class sizes and the
+/// worst class EMD. With [`aggregate_columns`] these are the calls
+/// `FittedAnonymizer::apply_shard` makes, so Algorithms 1–3 measure
+/// exactly as the pipeline releases them.
+pub(super) fn run_clusterer(
+    table: &Table,
+    clusterer: &dyn TCloseClusterer,
+    k: usize,
+    t: f64,
+    release: Release,
+) -> BaselineCell {
     let qi = table.schema().quasi_identifiers();
     let rows = qi_matrix(table, &qi, NormalizeMethod::ZScore).expect("metric QI space");
     let conf = Confidential::from_table(table).expect("confidential attribute present");
     let params = TClosenessParams::new(k, t).expect("valid parameters");
     let clustering = clusterer.cluster(&rows, &conf, params);
-    let released = generalize_columns(table, &qi, &clustering).expect("release");
+    let released = release(table, &qi, &clustering).expect("release");
     let sse = normalized_sse(table, &released, &qi).expect("comparable tables");
     let achieved_t = clustering
         .clusters()
@@ -49,6 +68,7 @@ fn run_baseline(table: &Table, clusterer: &dyn TCloseClusterer, k: usize, t: f64
         method: clusterer.name().to_owned(),
         t,
         sse,
+        min_size: clustering.min_size(),
         mean_size: clustering.mean_size(),
         achieved_t,
     }
@@ -56,37 +76,19 @@ fn run_baseline(table: &Table, clusterer: &dyn TCloseClusterer, k: usize, t: f64
 
 /// Raw comparison sweep at fixed `k`: Algorithms 1–3 plus the baselines.
 pub fn baseline_cells(table: &Table, k: usize, ts: &[f64]) -> Vec<BaselineCell> {
-    #[derive(Clone, Copy)]
-    enum Job {
-        Core(Algorithm, f64),
-        Mondrian(f64),
-        Sabre(f64),
-    }
-    let mut jobs = Vec::new();
-    for &t in ts {
-        for alg in [
-            Algorithm::Merge,
-            Algorithm::KAnonymityFirst,
-            Algorithm::TClosenessFirst,
-        ] {
-            jobs.push(Job::Core(alg, t));
-        }
-        jobs.push(Job::Mondrian(t));
-        jobs.push(Job::Sabre(t));
-    }
-    parallel_map(jobs, |job| match *job {
-        Job::Core(alg, t) => {
-            let r = run_cell(table, alg, k, t);
-            BaselineCell {
-                method: alg.name().to_owned(),
-                t,
-                sse: r.sse,
-                mean_size: r.mean_cluster_size,
-                achieved_t: r.max_emd,
-            }
-        }
-        Job::Mondrian(t) => run_baseline(table, &MondrianTClose::new(), k, t),
-        Job::Sabre(t) => run_baseline(table, &SabreLite::new(), k, t),
+    let methods: [(Box<dyn TCloseClusterer + Sync>, Release); 5] = [
+        (Box::new(MergeAlgorithm::new()), aggregate_columns),
+        (Box::new(KAnonymityFirst::new()), aggregate_columns),
+        (Box::new(TClosenessFirst::new()), aggregate_columns),
+        (Box::new(MondrianTClose::new()), generalize_columns),
+        (Box::new(SabreLite::new()), generalize_columns),
+    ];
+    let jobs: Vec<_> = ts
+        .iter()
+        .flat_map(|&t| methods.iter().map(move |method| (method, t)))
+        .collect();
+    parallel_map(jobs, |&((clusterer, release), t)| {
+        run_clusterer(table, clusterer.as_ref(), k, t, *release)
     })
 }
 

@@ -45,7 +45,6 @@ pub fn table_number(alg: Algorithm) -> &'static str {
         Algorithm::Merge => "Table 1",
         Algorithm::KAnonymityFirst => "Table 2",
         Algorithm::TClosenessFirst => "Table 3",
-        _ => "size grid",
     }
 }
 

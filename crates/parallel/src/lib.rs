@@ -177,12 +177,14 @@ where
 
 /// Applies `f` to each fixed-size block of `0..n` (every block spans exactly
 /// [`BLOCK`] items except the last) and returns the per-block results **in
-/// block order**, computing blocks on up to `workers` scoped threads.
+/// block order**, computing blocks on up to `workers` scoped threads that
+/// take them one at a time ([`parallel_map_with`] over the block indices).
 ///
 /// This is the substrate of every deterministic parallel kernel: because
 /// block boundaries depend only on `n`, reducing the returned partials
 /// sequentially yields the same floating-point result for any `workers`.
-/// With `workers <= 1` (or a single block) no thread is spawned.
+/// With `workers <= 1` (or a single block) no thread is spawned and
+/// nothing is allocated besides the result.
 pub fn map_blocks<T, F>(n: usize, workers: usize, f: F) -> Vec<T>
 where
     T: Send,
@@ -193,30 +195,11 @@ where
     if workers <= 1 || n_blocks <= 1 {
         return (0..n_blocks).map(|b| f(block_range(b))).collect();
     }
-
-    let next = AtomicUsize::new(0);
-    let slots: Vec<Mutex<Option<T>>> = (0..n_blocks).map(|_| Mutex::new(None)).collect();
-    let f = &f;
-    std::thread::scope(|scope| {
-        for _ in 0..workers.min(n_blocks) {
-            scope.spawn(|| loop {
-                let b = next.fetch_add(1, Ordering::Relaxed);
-                if b >= n_blocks {
-                    break;
-                }
-                let out = f(block_range(b));
-                *slots[b].lock().expect("no poisoned block slot") = Some(out);
-            });
-        }
-    });
-    slots
-        .into_iter()
-        .map(|s| {
-            s.into_inner()
-                .expect("no poisoned block slot")
-                .expect("every block computed")
-        })
-        .collect()
+    parallel_map_with(
+        (0..n_blocks).collect(),
+        Parallelism::workers(workers),
+        |&b| f(block_range(b)),
+    )
 }
 
 /// The work on one [`ordered_pipeline`] item panicked; the pipeline hands

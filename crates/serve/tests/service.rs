@@ -5,7 +5,7 @@
 
 use std::time::Duration;
 
-use tclose_core::{Algorithm, Anonymizer, FittedAnonymizer, ModelArtifact};
+use tclose_core::{Algorithm, Anonymizer, ArtifactError, FittedAnonymizer, ModelArtifact};
 use tclose_datasets::census::census_sized;
 use tclose_microdata::csv::to_csv_string;
 use tclose_microdata::Table;
@@ -327,12 +327,28 @@ fn registry_scan_reports_are_typed_and_path_bearing() {
     artifact.save(&dir.join("good.json")).unwrap();
     std::fs::write(dir.join("bad.json"), "{ definitely not an artifact").unwrap();
     std::fs::write(dir.join("ignored.txt"), "not json at all").unwrap();
+    // A well-formed model naming an ablation variant: only the paper's
+    // three algorithms serve.
+    let ablation = artifact
+        .to_string_pretty()
+        .replace("\"Alg1-merge\"", "\"Alg2-kfirst(add)\"");
+    std::fs::write(dir.join("ablation.json"), ablation).unwrap();
 
     let (mut registry, report) =
         ModelRegistry::open(&dir, tclose_core::NeighborBackend::Auto).unwrap();
     assert_eq!(report.loaded, vec!["good".to_string()]);
-    assert_eq!(report.rejected.len(), 1);
-    let (bad_id, err) = &report.rejected[0];
+    assert_eq!(report.rejected.len(), 2);
+    let (ablation_id, err) = &report.rejected[0];
+    assert_eq!(ablation_id, "ablation");
+    assert!(
+        matches!(err, ArtifactError::InvalidModel { .. }),
+        "error: {err:?}"
+    );
+    let msg = err.to_string();
+    assert!(msg.contains("ablation.json"), "message: {msg}");
+    assert!(msg.contains("Alg2-kfirst(add)"), "message: {msg}");
+    assert!(registry.get("ablation").is_none());
+    let (bad_id, err) = &report.rejected[1];
     assert_eq!(bad_id, "bad");
     let err_path = err.path().expect("rejection must carry the offending path");
     assert!(err_path.ends_with("bad.json"), "path: {err_path}");

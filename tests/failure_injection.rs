@@ -25,14 +25,10 @@ fn table_with(rows: &[(f64, f64, f64)]) -> Table {
     t
 }
 
-const ALL_ALGORITHMS: [Algorithm; 7] = [
+const ALL_ALGORITHMS: [Algorithm; 3] = [
     Algorithm::Merge,
-    Algorithm::MergeVMdav { gamma: 0.2 },
-    Algorithm::MergeComplementary,
     Algorithm::KAnonymityFirst,
-    Algorithm::KAnonymityFirstAdd,
     Algorithm::TClosenessFirst,
-    Algorithm::TClosenessFirstTail,
 ];
 
 #[test]

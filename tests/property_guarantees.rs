@@ -176,7 +176,7 @@ fn tfirst_always_attains_t_with_fallback() {
 }
 
 #[test]
-fn tfirst_unchecked_meets_t_on_distinct_divisible_instances() {
+fn tfirst_construction_meets_t_on_distinct_divisible_instances() {
     let mut rng = StdRng::seed_from_u64(0xE3D8);
     for case in 0..CASES {
         let seed = rng.gen_range(0u64..1000);
@@ -197,7 +197,10 @@ fn tfirst_unchecked_meets_t_on_distinct_divisible_instances() {
         }
         let model = Confidential::single(OrderedEmd::new(&conf));
         let params = TClosenessParams::new(k, t).unwrap();
-        let c = TClosenessFirst::unchecked().cluster(&Matrix::from_rows(&rows), &model, params);
+        let c = TClosenessFirst::new().cluster(&Matrix::from_rows(&rows), &model, params);
+        // Every cluster keeps the construction's size k': a cluster over
+        // t would have made the repair pass merge two of them.
+        assert_eq!(c.max_size(), k_eff, "case {case}: a cluster was merged");
         for cl in c.clusters() {
             let d = model.emd_of_records(cl);
             assert!(d <= t + 1e-9, "case {case}: EMD {d} > t with k_eff {k_eff}");
