@@ -6,7 +6,7 @@ use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 
 use crate::args::Parsed;
-use tclose_compliance::{write_audit_log, ComplianceConfig, ComplianceEngine};
+use tclose_compliance::{ComplianceConfig, ComplianceEngine};
 use tclose_core::{
     Algorithm, Anonymizer, FittedAnonymizer, ModelArtifact, NeighborBackend, TClosenessParams,
 };
@@ -86,9 +86,8 @@ pub fn parse_compliance(p: &Parsed) -> Result<Option<ComplianceEngine>, String> 
         .map_err(|e| e.to_string())
 }
 
-/// Writes the policy's audit log (when enabled and given a path) and
-/// returns the summary lines appended to a release report.
-fn compliance_summary(engine: &ComplianceEngine, r: &StreamReport) -> Result<String, String> {
+/// The summary lines a release report ends with under a policy.
+fn compliance_summary(engine: &ComplianceEngine, r: &StreamReport) -> String {
     let cfg = engine.config();
     let mut msg = format!(
         "\ncompliance          profile {} / strategy {} ({} cells scrubbed, {} audit records)\n\
@@ -96,16 +95,13 @@ fn compliance_summary(engine: &ComplianceEngine, r: &StreamReport) -> Result<Str
         cfg.profile.name(),
         cfg.strategy.name(),
         r.scrubbed_cells,
-        r.compliance_audits.len(),
+        r.compliance_audits,
         engine.fingerprint(),
     );
-    if cfg.audit_enabled {
-        if let Some(path) = &cfg.audit_path {
-            write_audit_log(Path::new(path), &r.compliance_audits).map_err(|e| e.to_string())?;
-            msg.push_str(&format!("\naudit log           {path}"));
-        }
+    if let Some(path) = cfg.audit_log_path() {
+        msg.push_str(&format!("\naudit log           {}", path.display()));
     }
-    Ok(msg)
+    msg
 }
 
 /// `tclose scan`: report what a compliance policy would transform,
@@ -344,11 +340,23 @@ fn release(p: &Parsed, fit: Fit) -> Result<String, String> {
                 .apply_file_with(&fitted, input, output)
                 .map_err(|e| e.to_string())?
         }
+        // One shard, written as the stream writes each of its shards:
+        // the audit log opens before the release and is renamed into
+        // place once both are written.
         Some(table) => {
+            let log = match &compliance {
+                Some(engine) => engine.open_audit_log().map_err(|e| e.to_string())?,
+                None => None,
+            };
             let fitted = fitted.with_parallelism(workers.unwrap_or_else(Parallelism::auto));
             let shard =
                 release_shard(&fitted, compliance.as_ref(), table, 0).map_err(|e| e.to_string())?;
             save(&shard.table, output)?;
+            if let Some(mut log) = log {
+                log.append(&shard.audit_log)
+                    .and_then(|()| log.commit())
+                    .map_err(|e| e.to_string())?;
+            }
             let mut r = StreamReport::merge(
                 vec![shard.report],
                 table.n_rows(),
@@ -356,12 +364,18 @@ fn release(p: &Parsed, fit: Fit) -> Result<String, String> {
                 started.elapsed(),
             );
             r.scrubbed_cells = shard.scrubbed_cells;
-            r.compliance_audits = shard.audits;
+            r.compliance_audits = shard.audit_records;
             r
         }
     };
     report.fit_time = fit_time;
-    render(&report, output, model, streamed, compliance.as_ref())
+    Ok(render(
+        &report,
+        output,
+        model,
+        streamed,
+        compliance.as_ref(),
+    ))
 }
 
 /// Policy binding: a model fitted under a compliance policy may only be
@@ -399,16 +413,15 @@ fn check_policy_binding(
     }
 }
 
-/// Renders a release report (one shard for an in-memory run) and writes
-/// the compliance policy's audit log. `model` is the artifact of a
-/// pre-fitted run.
+/// Renders a release report (one shard for an in-memory run). `model`
+/// is the artifact of a pre-fitted run.
 fn render(
     r: &StreamReport,
     output: &Path,
     model: Option<&Path>,
     streamed: bool,
     compliance: Option<&ComplianceEngine>,
-) -> Result<String, String> {
+) -> String {
     let source = if model.is_some() {
         "pre-fitted model"
     } else {
@@ -462,12 +475,12 @@ fn render(
         r.apply_time,
     ));
     if let Some(engine) = compliance {
-        msg.push_str(&compliance_summary(engine, r)?);
+        msg.push_str(&compliance_summary(engine, r));
     }
     if !r.satisfies_request() {
         msg.push_str("\nwarning: the release does NOT meet the requested levels");
     }
-    Ok(msg)
+    msg
 }
 
 /// `tclose fit`: freeze the global state into a versioned model artifact.

@@ -951,3 +951,37 @@ fn bad_parameters_and_policies_fail_before_the_input_is_opened() {
         assert!(!stderr.contains("cannot open"), "{args:?}: {stderr}");
     }
 }
+
+#[test]
+fn an_unwritable_audit_log_fails_before_the_release_is_written() {
+    let data = pii_seed2("pii_unwritable.csv");
+    let policy = tokenize_policy("pii_unwritable.toml", Path::new("unused.jsonl"), "");
+    let released = tmp("pii_unwritable_out.csv");
+    let audit = "/nonexistent/tclose-audit/audit.jsonl";
+    for stream in [&[][..], &["--stream", "--shard-size", "150"][..]] {
+        let _ = std::fs::remove_file(&released);
+        let mut args = vec![
+            "anonymize",
+            "--input",
+            data.to_str().unwrap(),
+            "--output",
+            released.to_str().unwrap(),
+            "--compliance",
+            policy.to_str().unwrap(),
+        ];
+        args.extend(PII_ROLES);
+        args.extend(stream);
+        let out = Command::new(env!("CARGO_BIN_EXE_tclose"))
+            .env("TCLOSE_COMPLIANCE_AUDIT_PATH", audit)
+            .args(&args)
+            .output()
+            .unwrap();
+        let stderr = String::from_utf8(out.stderr).unwrap();
+        assert!(!out.status.success(), "{args:?} succeeded");
+        assert!(
+            stderr.contains("compliance io") && stderr.contains(audit),
+            "{args:?}: {stderr}"
+        );
+        assert!(!released.exists(), "{args:?} wrote the release");
+    }
+}

@@ -2,72 +2,27 @@
 //!
 //! A record never contains the original value — only a salted SHA-256
 //! of it, so a custodian who still holds the raw file can verify what
-//! was scrubbed while the log itself leaks nothing. Serialization goes
-//! through `tclose_ser::Json` so the log is byte-stable across runs,
-//! worker counts, and shard sizes.
+//! was scrubbed while the log itself leaks nothing. A line reads
+//! `{"row":R,"column":C,"rule":U,"strategy":S,"hash":H}`, with the
+//! column and rule escaped by `tclose_ser::Json`, so the log is
+//! byte-stable across runs, worker counts, and shard sizes.
+//!
+//! Records exist only where a log is written: a scrub renders its lines
+//! straight into one buffer when the policy names a log
+//! ([`ComplianceConfig::audit_log_path`](crate::ComplianceConfig::audit_log_path)),
+//! and [`AuditLog`] appends each buffer to the file as its shard is
+//! written.
 
-use std::io::Write;
-use std::path::Path;
+use std::fmt::Write as _;
+use std::fs::File;
+use std::io::Write as _;
+use std::path::{Path, PathBuf};
 
 use tclose_ser::Json;
 
 use crate::config::Strategy;
-use crate::sha256::{hex, Sha256};
+use crate::sha256::{hex, push_hex, Sha256};
 use crate::ComplianceError;
-
-/// One transformed cell.
-#[derive(Debug, Clone, PartialEq)]
-pub struct AuditRecord {
-    /// Global (whole-file) row index of the cell.
-    pub row: usize,
-    /// Column name.
-    pub column: String,
-    /// Rule id that fired.
-    pub rule: String,
-    /// Transform applied.
-    pub strategy: Strategy,
-    /// `sha256(salt ‖ original cell)`, lowercase hex. Never plaintext.
-    pub hash: String,
-}
-
-impl AuditRecord {
-    /// Builds a record, hashing `original` under `salt`.
-    pub fn new(
-        row: usize,
-        column: &str,
-        rule: &str,
-        strategy: Strategy,
-        salt: &str,
-        original: &str,
-    ) -> AuditRecord {
-        AuditRecord {
-            row,
-            column: column.to_owned(),
-            rule: rule.to_owned(),
-            strategy,
-            hash: salted_hash(salt, original),
-        }
-    }
-
-    /// The record as a JSON object (stable key order).
-    pub fn to_json(&self) -> Json {
-        Json::Obj(vec![
-            ("row".to_owned(), Json::Num(self.row as f64)),
-            ("column".to_owned(), Json::Str(self.column.clone())),
-            ("rule".to_owned(), Json::Str(self.rule.clone())),
-            (
-                "strategy".to_owned(),
-                Json::Str(self.strategy.name().to_owned()),
-            ),
-            ("hash".to_owned(), Json::Str(self.hash.clone())),
-        ])
-    }
-
-    /// The record as one JSONL line (no trailing newline).
-    pub fn to_jsonl(&self) -> String {
-        self.to_json().to_string_compact()
-    }
-}
 
 /// `sha256(salt ‖ original)` as lowercase hex — the only form of the
 /// original value that ever leaves the scrub engine.
@@ -83,39 +38,140 @@ pub(crate) fn salted_digest(salt: &str, original: &str) -> [u8; 32] {
     h.finish()
 }
 
-/// Writes records as JSONL, one line each, in the given order.
-pub fn write_audit_log(path: &Path, records: &[AuditRecord]) -> Result<(), ComplianceError> {
-    let mut out = String::new();
-    for r in records {
-        out.push_str(&r.to_jsonl());
-        out.push('\n');
+/// The part of a line that every record of one (column, rule) pair
+/// shares: everything between the row number and the hash.
+pub(crate) fn line_middle(column: &str, rule: &str, strategy: Strategy) -> String {
+    let text = |s: &str| Json::Str(s.to_owned()).to_string_compact();
+    format!(
+        ",\"column\":{},\"rule\":{},\"strategy\":\"{}\",\"hash\":\"",
+        text(column),
+        text(rule),
+        strategy.name()
+    )
+}
+
+/// Bytes of a line besides its middle and its row's digits.
+pub(crate) const LINE_FRAME: usize = "{\"row\":".len() + 64 + "\"}\n".len();
+
+/// Appends one record's line, newline included. A row below 2⁵³ reads
+/// as `Json::Num` renders it.
+pub(crate) fn push_line(out: &mut String, row: usize, middle: &str, hash: &[u8; 32]) {
+    out.push_str("{\"row\":");
+    write!(out, "{row}").expect("writing to a String cannot fail");
+    out.push_str(middle);
+    push_hex(out, hash);
+    out.push_str("\"}\n");
+}
+
+/// An audit log being written. Lines go to a temporary file beside the
+/// log's path, which [`AuditLog::commit`] renames into place. A log
+/// dropped before its commit removes the temporary file, so a failed run
+/// leaves no log, and a log already at the path stays as it was.
+#[derive(Debug)]
+pub struct AuditLog {
+    path: PathBuf,
+    partial: PathBuf,
+    file: Option<File>,
+}
+
+impl AuditLog {
+    /// Creates the temporary file beside `path`. A path that names no
+    /// file, or names a directory, is refused here rather than at the
+    /// rename.
+    pub fn create(path: &Path) -> Result<AuditLog, ComplianceError> {
+        if path.file_name().is_none() || path.is_dir() {
+            return Err(ComplianceError::Io(format!(
+                "{}: not a file path",
+                path.display()
+            )));
+        }
+        let mut partial = path.as_os_str().to_owned();
+        partial.push(".partial");
+        let partial = PathBuf::from(partial);
+        let file = File::create(&partial).map_err(|e| io_err(path, e))?;
+        Ok(AuditLog {
+            path: path.to_owned(),
+            partial,
+            file: Some(file),
+        })
     }
-    let mut file = std::fs::File::create(path)
-        .map_err(|e| ComplianceError::Io(format!("{}: {e}", path.display())))?;
-    file.write_all(out.as_bytes())
-        .map_err(|e| ComplianceError::Io(format!("{}: {e}", path.display())))
+
+    /// Appends `lines` (whole JSONL lines, as a scrub renders them).
+    pub fn append(&mut self, lines: &str) -> Result<(), ComplianceError> {
+        let file = self.file.as_mut().expect("an uncommitted log is open");
+        file.write_all(lines.as_bytes())
+            .map_err(|e| io_err(&self.path, e))
+    }
+
+    /// Closes the file and renames it to the log's path. If the rename
+    /// fails, the temporary file is removed.
+    pub fn commit(mut self) -> Result<(), ComplianceError> {
+        drop(self.file.take());
+        std::fs::rename(&self.partial, &self.path).map_err(|e| {
+            let _ = std::fs::remove_file(&self.partial);
+            io_err(&self.path, e)
+        })
+    }
+}
+
+impl Drop for AuditLog {
+    fn drop(&mut self) {
+        if self.file.take().is_some() {
+            let _ = std::fs::remove_file(&self.partial);
+        }
+    }
+}
+
+fn io_err(path: &Path, e: std::io::Error) -> ComplianceError {
+    ComplianceError::Io(format!("{}: {e}", path.display()))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// The line a record's JSON object renders to.
+    fn json_line(row: usize, column: &str, rule: &str, strategy: Strategy, hash: &str) -> String {
+        let obj = Json::Obj(vec![
+            ("row".to_owned(), Json::Num(row as f64)),
+            ("column".to_owned(), Json::Str(column.to_owned())),
+            ("rule".to_owned(), Json::Str(rule.to_owned())),
+            ("strategy".to_owned(), Json::Str(strategy.name().to_owned())),
+            ("hash".to_owned(), Json::Str(hash.to_owned())),
+        ]);
+        obj.to_string_compact() + "\n"
+    }
+
     #[test]
     fn record_serializes_stable_and_plaintext_free() {
-        let r = AuditRecord::new(7, "SSN", "ssn", Strategy::Tokenize, "salt", "123-45-6789");
-        let line = r.to_jsonl();
-        assert!(line
-            .starts_with(r#"{"row":7,"column":"SSN","rule":"ssn","strategy":"tokenize","hash":""#));
-        assert!(!line.contains("123-45-6789"), "plaintext leaked: {line}");
-        assert!(!line.contains('\n'));
-        assert_eq!(r.hash.len(), 64);
-        // deterministic, salt-sensitive
-        assert_eq!(r.hash, salted_hash("salt", "123-45-6789"));
-        assert_ne!(r.hash, salted_hash("other", "123-45-6789"));
-        // round-trips through the shared JSON parser
-        let parsed = Json::parse(&line).unwrap();
-        assert_eq!(parsed.get("row").unwrap().as_f64(), Some(7.0));
-        assert_eq!(parsed.get("rule").unwrap().as_str(), Some("ssn"));
+        let digest = salted_digest("salt", "123-45-6789");
+        let hash = hex(&digest);
+        assert_eq!(hash, salted_hash("salt", "123-45-6789"));
+        assert_ne!(hash, salted_hash("other", "123-45-6789"));
+        for (row, column, rule) in [
+            (7, "SSN", "ssn"),
+            (0, "a \"quoted\"\\ name\twith\u{1}ctl", "credit_card"),
+            ((1 << 53) - 1, "ÄRZTIN ✓", "my-rule"),
+        ] {
+            for strategy in [Strategy::Tokenize, Strategy::Redact, Strategy::Hash] {
+                let mut line = String::new();
+                push_line(
+                    &mut line,
+                    row,
+                    &line_middle(column, rule, strategy),
+                    &digest,
+                );
+                assert_eq!(line, json_line(row, column, rule, strategy, &hash));
+                assert!(!line.contains("123-45-6789"), "plaintext leaked: {line}");
+                let parsed = Json::parse(line.trim_end()).unwrap();
+                assert_eq!(parsed.get("row").unwrap().as_f64(), Some(row as f64));
+                assert_eq!(parsed.get("column").unwrap().as_str(), Some(column));
+            }
+        }
+        let middle = line_middle("SSN", "ssn", Strategy::Tokenize);
+        let mut line = String::new();
+        push_line(&mut line, 7, &middle, &digest);
+        assert_eq!(line.len(), LINE_FRAME + middle.len() + 1);
     }
 
     #[test]
@@ -123,10 +179,23 @@ mod tests {
         let dir = std::env::temp_dir().join("tclose_compliance_audit_test");
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("audit.jsonl");
-        let records: Vec<AuditRecord> = (0..3)
-            .map(|i| AuditRecord::new(i, "EMAIL", "email", Strategy::Redact, "s", "a@b.co"))
-            .collect();
-        write_audit_log(&path, &records).unwrap();
+        let partial = dir.join("audit.jsonl.partial");
+        let _ = std::fs::remove_file(&path);
+        let middle = line_middle("EMAIL", "email", Strategy::Redact);
+        let digest = salted_digest("s", "a@b.co");
+
+        // Two appends, as two shards write them, appear on commit only.
+        let mut log = AuditLog::create(&path).unwrap();
+        for rows in [0..2, 2..3] {
+            let mut lines = String::new();
+            for row in rows {
+                push_line(&mut lines, row, &middle, &digest);
+            }
+            log.append(&lines).unwrap();
+        }
+        assert!(!path.exists() && partial.exists());
+        log.commit().unwrap();
+        assert!(!partial.exists());
         let text = std::fs::read_to_string(&path).unwrap();
         let lines: Vec<&str> = text.lines().collect();
         assert_eq!(lines.len(), 3);
@@ -134,6 +203,27 @@ mod tests {
             let parsed = Json::parse(line).unwrap();
             assert_eq!(parsed.get("row").unwrap().as_f64(), Some(i as f64));
         }
+
+        // A log dropped uncommitted leaves the earlier one as it was.
+        let mut log = AuditLog::create(&path).unwrap();
+        log.append("{}\n").unwrap();
+        drop(log);
+        assert_eq!(std::fs::read_to_string(&path).unwrap(), text);
+        assert!(!partial.exists());
         std::fs::remove_file(&path).unwrap();
+
+        // A path that cannot take the log fails at create, and one that
+        // stops taking it fails the commit, leaving nothing behind.
+        let missing = dir.join("no_such_dir").join("audit.jsonl");
+        let err = AuditLog::create(&missing).unwrap_err().to_string();
+        assert!(err.contains("no_such_dir/audit.jsonl"), "{err}");
+        for not_a_file in [Path::new(""), &dir] {
+            assert!(AuditLog::create(not_a_file).is_err(), "{not_a_file:?}");
+        }
+        let log = AuditLog::create(&path).unwrap();
+        std::fs::create_dir(&path).unwrap();
+        assert!(log.commit().is_err());
+        assert!(!partial.exists());
+        std::fs::remove_dir(&path).unwrap();
     }
 }

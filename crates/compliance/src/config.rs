@@ -102,7 +102,8 @@ pub struct ComplianceConfig {
     pub custom_rules: Vec<CustomRuleSpec>,
     /// Whether transformed cells are audit-logged.
     pub audit_enabled: bool,
-    /// Audit log destination (JSONL); `None` defers to the caller.
+    /// Audit log destination (JSONL). With none, no log is written and
+    /// a scrub makes no audit records: it only counts them.
     pub audit_path: Option<String>,
     /// Salt mixed into audit hashes so the log is not a rainbow-table
     /// oracle for the original values.
@@ -355,6 +356,15 @@ impl ComplianceConfig {
         Ok(out)
     }
 
+    /// The audit log a release under this policy writes: `audit_path`,
+    /// when auditing is enabled.
+    pub fn audit_log_path(&self) -> Option<&Path> {
+        self.audit_path
+            .as_deref()
+            .filter(|_| self.audit_enabled)
+            .map(Path::new)
+    }
+
     /// A stable fingerprint of the *scrub policy* — everything that
     /// changes what lands in a release: profile, active rules (id,
     /// pattern, hints, whole-cell), strategy, a digest of the key, and
@@ -467,6 +477,14 @@ whole_cell = false
         assert!(ids.contains(&"badge".to_owned()));
         assert!(ids.contains(&"iban".to_owned()));
         assert!(!ids.contains(&"credit_card".to_owned()));
+        // A log is written only where auditing is enabled and has a path.
+        assert_eq!(cfg.audit_log_path(), None);
+        let enabled = ComplianceConfig {
+            audit_enabled: true,
+            ..cfg
+        };
+        assert_eq!(enabled.audit_log_path(), Some(Path::new("log.jsonl")));
+        assert_eq!(ComplianceConfig::default().audit_log_path(), None);
     }
 
     #[test]

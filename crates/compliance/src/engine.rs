@@ -10,9 +10,10 @@
 //!
 //! Scan and scrub share one per-cell detection pass, so a scan's
 //! "cells pending transform" count is exactly the number of audit
-//! records a scrub of the same table produces. Because the scrub of a
+//! records a scrub of the same table counts. Because the scrub of a
 //! cell depends on its label alone, a scrub detects, rewrites, interns
-//! and audit-hashes each distinct label of a column once.
+//! and audit-hashes each distinct label of a column once. It hashes and
+//! renders records only when the policy writes a log.
 
 use std::borrow::Cow;
 use std::ops::Range;
@@ -20,10 +21,10 @@ use std::ops::Range;
 use tclose_microdata::{AttributeDef, AttributeRole, Column, Dictionary, Schema, Table};
 use tclose_ser::Json;
 
-use crate::audit::{salted_digest, AuditRecord};
+use crate::audit::{line_middle, push_line, salted_digest, AuditLog, LINE_FRAME};
 use crate::config::{ComplianceConfig, Strategy};
 use crate::rules::Rule;
-use crate::sha256::{hex, push_hex, HmacKey};
+use crate::sha256::{push_hex, HmacKey};
 use crate::ComplianceError;
 
 /// Max sampled matches per (column, rule) in scan reports.
@@ -88,10 +89,15 @@ pub struct ScanReport {
 pub struct ScrubOutcome {
     /// The scrubbed table (same schema shape; rewritten dictionaries).
     pub table: Table,
-    /// One record per (cell, rule) transformed, ordered by (row, column).
-    pub audits: Vec<AuditRecord>,
     /// Distinct cells transformed.
     pub cells: usize,
+    /// Audit records: one per (cell, rule) transformed, counted whether
+    /// or not the policy writes a log.
+    pub records: usize,
+    /// The records as audit-log lines, ordered by (row, column, rule),
+    /// when the policy writes a log
+    /// ([`ComplianceConfig::audit_log_path`]); empty otherwise.
+    pub log: String,
 }
 
 /// Per-cell detection outcome shared by scan and scrub.
@@ -124,8 +130,22 @@ struct Scrubbed {
     /// The rules that fired, in rule order, as a range of the column's
     /// `fired` list; empty when the label passes.
     fired: Range<usize>,
-    /// `sha256(salt ‖ original label)` for the audit log.
+    /// `sha256(salt ‖ original label)` for the audit log; zero when the
+    /// policy writes none.
     hash: [u8; 32],
+}
+
+/// A scrubbed column, as the audit log reads it back row by row.
+struct LoggedColumn<'a> {
+    /// The column's input codes.
+    codes: &'a [u32],
+    /// Input code → index into `memo`.
+    slot_of: Vec<u32>,
+    memo: Vec<Scrubbed>,
+    /// The rules that fired, as `Scrubbed::fired` ranges index them.
+    fired: Vec<usize>,
+    /// Per rule, the lines' shared middle ([`line_middle`]).
+    middles: Vec<String>,
 }
 
 /// `slot_of` entry for an input code not seen yet.
@@ -164,6 +184,17 @@ impl ComplianceEngine {
     /// The policy fingerprint (see [`ComplianceConfig::fingerprint`]).
     pub fn fingerprint(&self) -> String {
         self.config.fingerprint()
+    }
+
+    /// Opens the policy's audit log for writing, or `None` when the
+    /// policy writes no log ([`ComplianceConfig::audit_log_path`]). A
+    /// release opens it before it writes anything, so a log that cannot
+    /// be created fails the run before the release file exists.
+    pub fn open_audit_log(&self) -> Result<Option<AuditLog>, ComplianceError> {
+        self.config
+            .audit_log_path()
+            .map(AuditLog::create)
+            .transpose()
     }
 
     /// True when the whole of `cell` is one token a scrub writes —
@@ -327,18 +358,19 @@ impl ComplianceEngine {
     }
 
     /// Scrubs `table`: rewrites matching cells in transformable columns
-    /// and returns the new table plus audit records. `row_offset` is
-    /// added to local row indices so shard-level scrubs audit global
-    /// row numbers.
+    /// and returns the new table, the counts and, when the policy writes
+    /// a log, the audit-log lines. `row_offset` is added to local row
+    /// indices so shard-level scrubs audit global row numbers.
     pub fn scrub_table(
         &self,
         table: &Table,
         row_offset: usize,
     ) -> Result<ScrubOutcome, ComplianceError> {
+        let logged = self.config.audit_log_path().is_some();
         let mut attrs: Vec<AttributeDef> = Vec::with_capacity(table.n_cols());
         let mut columns: Vec<Column> = Vec::with_capacity(table.n_cols());
-        let mut audits: Vec<AuditRecord> = Vec::new();
-        let mut cells = 0;
+        let mut logged_columns: Vec<LoggedColumn> = Vec::new();
+        let (mut cells, mut records) = (0, 0);
         let mut buf = CellBuffers::default();
 
         for (c, attr) in table.schema().attributes().iter().enumerate() {
@@ -358,28 +390,41 @@ impl ComplianceEngine {
             let mut fired: Vec<usize> = Vec::new();
             let mut dict = Dictionary::new();
             let mut new_codes = Vec::with_capacity(codes.len());
-            for (r, &code) in codes.iter().enumerate() {
+            for &code in codes {
                 let slot = &mut slot_of[code as usize];
                 if *slot == NO_SLOT {
                     *slot = memo.len() as u32;
                     let label = attr.dictionary.label(code).unwrap_or_default();
-                    let scrubbed =
-                        self.scrub_label(&applicable, label, &mut dict, &mut fired, &mut buf);
+                    let scrubbed = self.scrub_label(
+                        &applicable,
+                        label,
+                        logged,
+                        &mut dict,
+                        &mut fired,
+                        &mut buf,
+                    );
                     memo.push(scrubbed);
                 }
                 let scrubbed = &memo[*slot as usize];
                 new_codes.push(scrubbed.code);
-                if scrubbed.fired.is_empty() {
-                    continue;
+                if !scrubbed.fired.is_empty() {
+                    cells += 1;
+                    records += scrubbed.fired.len();
                 }
-                cells += 1;
-                audits.extend(fired[scrubbed.fired.clone()].iter().map(|&ri| AuditRecord {
-                    row: row_offset + r,
-                    column: attr.name.clone(),
-                    rule: self.rules[ri].id.clone(),
-                    strategy: self.config.strategy,
-                    hash: hex(&scrubbed.hash),
-                }));
+            }
+            if logged {
+                let middles = self
+                    .rules
+                    .iter()
+                    .map(|rule| line_middle(&attr.name, &rule.id, self.config.strategy))
+                    .collect();
+                logged_columns.push(LoggedColumn {
+                    codes,
+                    slot_of,
+                    memo,
+                    fired,
+                    middles,
+                });
             }
             attrs.push(AttributeDef {
                 name: attr.name.clone(),
@@ -390,23 +435,29 @@ impl ComplianceEngine {
             columns.push(Column::Cat(new_codes));
         }
 
-        audits.sort_by_key(|a| a.row);
+        let log = if logged {
+            render_log(&logged_columns, table.n_rows(), row_offset, records)
+        } else {
+            String::new()
+        };
         let schema = Schema::new(attrs).map_err(data_err)?;
         let table = Table::from_columns(schema, columns).map_err(data_err)?;
         Ok(ScrubOutcome {
             table,
-            audits,
             cells,
+            records,
+            log,
         })
     }
 
     /// Scrubs one distinct label: detects, rewrites, interns the result
-    /// into `dict`, appends the rules that fired to `fired` and hashes
-    /// the original for the audit log.
+    /// into `dict`, appends the rules that fired to `fired` and, when
+    /// the scrub is `logged`, hashes the original for the audit log.
     fn scrub_label(
         &self,
         applicable: &[usize],
         label: &str,
+        logged: bool,
         dict: &mut Dictionary,
         fired: &mut Vec<usize>,
         buf: &mut CellBuffers,
@@ -424,7 +475,11 @@ impl ComplianceEngine {
         Scrubbed {
             code: dict.intern(&buf.out),
             fired: start..fired.len(),
-            hash: salted_digest(&self.config.salt, label),
+            hash: if logged {
+                salted_digest(&self.config.salt, label)
+            } else {
+                [0; 32]
+            },
         }
     }
 
@@ -488,6 +543,32 @@ impl ComplianceEngine {
             .filter(|n| !self.config.drop_columns.iter().any(|d| d == n))
             .collect()
     }
+}
+
+/// Renders the `records` audit-log lines of the scrubbed `columns`,
+/// ordered by row, then column, then rule.
+fn render_log(
+    columns: &[LoggedColumn],
+    n_rows: usize,
+    row_offset: usize,
+    records: usize,
+) -> String {
+    let middle = columns
+        .iter()
+        .flat_map(|c| c.middles.iter().map(String::len))
+        .max()
+        .unwrap_or(0);
+    let digits = (row_offset + n_rows).to_string().len();
+    let mut log = String::with_capacity(records * (LINE_FRAME + middle + digits));
+    for r in 0..n_rows {
+        for c in columns {
+            let scrubbed = &c.memo[c.slot_of[c.codes[r] as usize] as usize];
+            for &ri in &c.fired[scrubbed.fired.clone()] {
+                push_line(&mut log, row_offset + r, &c.middles[ri], &scrubbed.hash);
+            }
+        }
+    }
+    log
 }
 
 /// Numeric cell rendering matching the CSV writer: integral values have
@@ -718,17 +799,40 @@ mod tests {
 
     #[test]
     fn scrub_tokenize_replaces_and_audits() {
-        let e = engine(ComplianceConfig::default());
         let table = sample_table();
-        let out = e.scrub_table(&table, 100).unwrap();
-        assert_eq!(out.cells, 7);
-        assert_eq!(out.audits.len(), 7);
-        // audits carry global rows and never plaintext
-        assert!(out.audits.iter().all(|a| (100..104).contains(&a.row)));
-        for a in &out.audits {
-            assert!(!a.to_jsonl().contains("Lovelace"));
-            assert!(!a.to_jsonl().contains("555-210-4477"));
-        }
+        // Without a log, the records are counted but not made.
+        let out = engine(ComplianceConfig::default())
+            .scrub_table(&table, 100)
+            .unwrap();
+        assert_eq!((out.cells, out.records), (7, 7));
+        assert!(out.log.is_empty());
+        let e = engine(ComplianceConfig {
+            audit_path: Some("audit.jsonl".into()),
+            ..ComplianceConfig::default()
+        });
+        let logged = e.scrub_table(&table, 100).unwrap();
+        assert_eq!((logged.cells, logged.records), (7, 7));
+        // lines carry global rows in order, and never plaintext
+        let rows: Vec<f64> = logged
+            .log
+            .lines()
+            .map(|line| {
+                Json::parse(line)
+                    .unwrap()
+                    .get("row")
+                    .unwrap()
+                    .as_f64()
+                    .unwrap()
+            })
+            .collect();
+        assert_eq!(rows, [100.0, 100.0, 101.0, 101.0, 102.0, 102.0, 103.0]);
+        assert!(!logged.log.contains("Lovelace"));
+        assert!(!logged.log.contains("555-210-4477"));
+        // the release does not depend on the log
+        let mut csv = (Vec::new(), Vec::new());
+        tclose_microdata::csv::write_csv(&out.table, &mut csv.0).unwrap();
+        tclose_microdata::csv::write_csv(&logged.table, &mut csv.1).unwrap();
+        assert_eq!(csv.0, csv.1);
         // NAME cells became whole-cell tokens; NOTES kept surrounding text
         let name_attr = &out.table.schema().attributes()[0];
         let code = out.table.categorical_column(0).unwrap()[0];
@@ -778,7 +882,7 @@ mod tests {
             let once = e.scrub_table(&sample_table(), 0).unwrap();
             let twice = e.scrub_table(&once.table, 0).unwrap();
             assert_eq!(twice.cells, 0, "{strategy:?} re-scrubbed");
-            assert!(twice.audits.is_empty());
+            assert_eq!(twice.records, 0);
             // byte-identical dictionaries
             for c in [0usize, 1, 3] {
                 let a = &once.table.schema().attributes()[c];
@@ -928,7 +1032,7 @@ mod tests {
 
         let out = e.scrub_table(&table, 0).unwrap();
         assert_eq!(out.cells, 3);
-        assert_eq!(out.audits.len(), 4);
+        assert_eq!(out.records, 4);
         let dict = &out.table.schema().attributes()[0].dictionary;
         let cells: Vec<&str> = out
             .table

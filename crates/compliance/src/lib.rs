@@ -18,7 +18,9 @@
 //!   and scrub (transform + audit) over tables;
 //! * [`audit`] — the JSONL audit log: one line per transformed cell,
 //!   carrying a salted SHA-256 of the original, never plaintext
-//!   ([`sha256`] is the hash implementation).
+//!   ([`sha256`] is the hash implementation). A scrub makes these lines
+//!   only when the policy names a log, and [`AuditLog`] writes them as
+//!   each shard is written.
 //!
 //! Scrubbing is a pure per-cell function over categorical
 //! identifier/non-confidential columns, so it composes with the
@@ -36,7 +38,7 @@ pub mod rules;
 pub mod sha256;
 pub mod toml;
 
-pub use audit::{salted_hash, write_audit_log, AuditRecord};
+pub use audit::{salted_hash, AuditLog};
 pub use config::{ComplianceConfig, CustomRuleSpec, Strategy};
 pub use engine::{ColumnScan, ComplianceEngine, RuleHits, ScanReport, ScrubOutcome};
 pub use pattern::{PatternError, Regex};

@@ -104,22 +104,12 @@ impl<M: Microaggregator> TCloseClusterer for MergeAlgorithm<M> {
 }
 
 /// The merging phase of Algorithm 1, usable on any starting clustering
-/// (Algorithm 2 reuses it as its t-closeness fallback).
+/// (Algorithms 2 and 3 reuse it as their t-closeness repair).
 ///
 /// Repeatedly merges the cluster with the greatest EMD into a partner
-/// until every cluster's EMD is ≤ `t` (or one cluster remains).
-pub fn merge_until_t_close(
-    m: &Matrix,
-    conf: &Confidential,
-    t: f64,
-    clustering: Clustering,
-    partner: MergePartner,
-) -> Clustering {
-    merge_until_t_close_with(m, conf, t, clustering, partner, Parallelism::auto())
-}
-
-/// [`merge_until_t_close`] with an explicit worker count for the centroid
-/// scans (the result never depends on it).
+/// until every cluster's EMD is ≤ `t` (or one cluster remains). `par`
+/// sets the worker count of the centroid scans; the result never depends
+/// on it.
 pub fn merge_until_t_close_with(
     m: &Matrix,
     conf: &Confidential,
@@ -293,7 +283,14 @@ mod tests {
     fn merge_phase_is_identity_when_already_t_close() {
         let (rows, conf) = independent_problem(30);
         let base = Mdav.partition_matrix(&rows, 5);
-        let merged = merge_until_t_close(&rows, &conf, 1.0, base.clone(), MergePartner::NearestQi);
+        let merged = merge_until_t_close_with(
+            &rows,
+            &conf,
+            1.0,
+            base.clone(),
+            MergePartner::NearestQi,
+            Parallelism::auto(),
+        );
         assert_eq!(base, merged);
     }
 

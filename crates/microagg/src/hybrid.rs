@@ -24,9 +24,10 @@
 //!
 //! The result is a valid microaggregation partition (every cluster ≥ k
 //! for `n ≥ k`) that differs from exact MDAV only through the coarse
-//! grouping; the t-closeness refinement layers above (`merge_until_t_close`
-//! and friends) operate on the partition exactly as they do for exact
-//! backends, so released tables keep the paper's t-guarantee. The whole
+//! grouping; the t-closeness refinement layers above
+//! (`merge_until_t_close_with` and friends) operate on the partition
+//! exactly as they do for exact backends, so released tables keep the
+//! paper's t-guarantee. The whole
 //! pipeline is deterministic and worker-count independent: the sample is
 //! systematic, the assignment reduces under the total order (distance,
 //! row id), and the inner partitioners are the proven exact ones.

@@ -32,9 +32,11 @@
 //!    [`Dictionary`](tclose_microdata::Dictionary) is copy-on-write). Only
 //!    a label the fit never saw, as when a model is applied to another
 //!    file, makes the reader copy a dictionary that an earlier shard still
-//!    holds. Under a compliance policy the run also keeps every audit
-//!    record it makes, to return them on
-//!    [`StreamReport::compliance_audits`].
+//!    holds. Under a compliance policy that writes an audit log, each
+//!    shard in flight also carries its own log lines, appended to the log
+//!    right after the shard's rows, so a logged run holds at most
+//!    `workers + 1` shards' lines; a policy without a log makes no audit
+//!    records at all, and the run only counts them.
 //!
 //! [`release_shard`] is the one release path of the workspace: the
 //! in-memory `tclose anonymize` and `tclose apply` call it once on the
@@ -187,9 +189,15 @@ impl ShardedAnonymizer {
     ///
     /// Scrubbing is a pure per-cell function of the policy, so the
     /// release stays byte-identical across shard sizes and worker counts,
-    /// and identical to scrubbing the whole file monolithically. Audit
-    /// records carry **global** input row numbers and are returned on
-    /// [`StreamReport::compliance_audits`] in row order.
+    /// and identical to scrubbing the whole file monolithically. When the
+    /// policy writes an audit log
+    /// ([`ComplianceConfig::audit_log_path`](tclose_compliance::ComplianceConfig::audit_log_path)),
+    /// pass 2 opens it before the release and appends each shard's lines,
+    /// numbered by **global** input row, as that shard is written: the
+    /// log is the same bytes for any shard size and worker count, and
+    /// holds at most `workers + 1` shards' lines in memory. It appears at
+    /// its path only when the run succeeds. Without a log no record is
+    /// made; [`StreamReport::compliance_audits`] counts them either way.
     pub fn with_compliance(mut self, engine: ComplianceEngine) -> Self {
         self.compliance = Some(engine);
         self
@@ -262,7 +270,10 @@ impl ShardedAnonymizer {
     ///
     /// Each shard goes through [`release_shard`] on the pipeline's
     /// workers; the released shards are appended to `output` in input
-    /// order. The error returned is the first failure in input order (see
+    /// order, and their audit-log lines to the policy's log. The log is
+    /// opened before `output` is created, so an unwritable log path fails
+    /// the run before any release is written, and a failed run leaves no
+    /// log. The error returned is the first failure in input order (see
     /// [`ordered_pipeline`]), so it does not depend on the worker count.
     pub fn apply_file_with(
         &self,
@@ -292,6 +303,10 @@ impl ShardedAnonymizer {
             })
         });
 
+        let mut log = match &self.compliance {
+            Some(engine) => engine.open_audit_log()?,
+            None => None,
+        };
         let mut sink = Some(BufWriter::new(File::create(output).map_err(|e| {
             Error::Io(format!("cannot create {}: {e}", output.display()))
         })?));
@@ -299,8 +314,7 @@ impl ShardedAnonymizer {
         // exactly the columns `release_shard` keeps.
         let mut writer = None;
         let mut reports = Vec::new();
-        let mut audits = Vec::new();
-        let mut scrubbed_cells = 0;
+        let (mut scrubbed_cells, mut audit_records) = (0, 0);
         // This thread reads and writes while the workers release: at most
         // `workers + 1` shards in flight, appended in input order.
         ordered_pipeline(
@@ -318,9 +332,12 @@ impl ShardedAnonymizer {
                     )?),
                 };
                 writer.append(&shard.table)?;
+                if let Some(log) = &mut log {
+                    log.append(&shard.audit_log)?;
+                }
                 reports.push(shard.report);
-                audits.extend(shard.audits);
                 scrubbed_cells += shard.scrubbed_cells;
+                audit_records += shard.audit_records;
                 Ok(())
             },
         )?;
@@ -331,11 +348,14 @@ impl ShardedAnonymizer {
             });
         };
         writer.finish()?;
+        if let Some(log) = log {
+            log.commit()?;
+        }
         let mut report =
             StreamReport::merge(reports, self.shard_rows, Duration::ZERO, started.elapsed());
         report.prefitted = true;
         report.scrubbed_cells = scrubbed_cells;
-        report.compliance_audits = audits;
+        report.compliance_audits = audit_records;
         Ok(report)
     }
 
@@ -774,30 +794,48 @@ mod tests {
             .unwrap()
     }
 
+    /// The hipaa policy, writing its audit log to `log`.
+    fn logged_engine(log: &Path) -> tclose_compliance::ComplianceEngine {
+        tclose_compliance::ComplianceEngine::new(tclose_compliance::ComplianceConfig {
+            audit_path: Some(log.display().to_string()),
+            ..tclose_compliance::ComplianceConfig::default()
+        })
+        .unwrap()
+    }
+
     #[test]
     fn compliance_scrub_removes_planted_pii_from_the_release() {
         let input = tmp("pii_in.csv");
         let output = tmp("pii_out.csv");
+        let log = tmp("pii_audit.jsonl");
         write_pii_input(&input, 300);
         let report = ShardedAnonymizer::new(3, 0.4)
             .shard_rows(100)
-            .with_compliance(hipaa_engine())
+            .with_compliance(logged_engine(&log))
             .anonymize_file(&input, &output, &qi(), &conf())
             .unwrap();
         assert!(report.satisfies_request());
         assert_eq!(report.scrubbed_cells, 300, "every email cell rewritten");
-        assert_eq!(report.compliance_audits.len(), 300);
+        assert_eq!(report.compliance_audits, 300);
 
         let released = std::fs::read_to_string(&output).unwrap();
         assert!(!released.contains("@example.com"), "planted PII leaked");
         assert!(released.contains("TOK_EMAIL_"), "tokens present");
 
-        // Audits carry global row numbers in order, never plaintext.
-        let rows: Vec<usize> = report.compliance_audits.iter().map(|a| a.row).collect();
-        assert_eq!(rows, (0..300).collect::<Vec<_>>());
-        for a in &report.compliance_audits {
-            assert_eq!(a.rule, "email");
-            assert_eq!(a.hash.len(), 64);
+        // The log's lines carry global row numbers in order, never
+        // plaintext.
+        let log = std::fs::read_to_string(&log).unwrap();
+        assert_eq!(log.lines().count(), 300);
+        for (row, line) in log.lines().enumerate() {
+            let head = format!(
+                "{{\"row\":{row},\"column\":\"email\",\"rule\":\"email\",\
+                 \"strategy\":\"tokenize\",\"hash\":\""
+            );
+            let hash = line
+                .strip_prefix(&head)
+                .and_then(|rest| rest.strip_suffix("\"}"))
+                .unwrap_or_else(|| panic!("line {row}: {line}"));
+            assert_eq!(hash.len(), 64, "{line}");
         }
     }
 
@@ -841,13 +879,12 @@ mod tests {
                     .anonymize_file(&input, &out, &qi(), &conf())
                     .unwrap();
                 // Shard-size invariance of the *scrub*: chunk boundaries
-                // never change what a cell becomes or what gets audited.
+                // never change what a cell becomes.
                 assert_eq!(
                     email_column(&out),
                     mono_emails,
                     "shard_rows={shard_rows} workers={workers}"
                 );
-                assert_eq!(report.compliance_audits, mono.compliance_audits);
                 assert_eq!(report.scrubbed_cells, mono.scrubbed_cells);
                 releases.push(std::fs::read(&out).unwrap());
             }

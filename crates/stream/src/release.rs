@@ -5,7 +5,7 @@
 //! [`release_shard`] runs the optional compliance scrub, the fitted
 //! anonymizer, and the two column drops, in that order.
 
-use tclose_compliance::{AuditRecord, ComplianceEngine};
+use tclose_compliance::ComplianceEngine;
 use tclose_core::{AnonymizationReport, FittedAnonymizer};
 use tclose_microdata::Table;
 
@@ -19,15 +19,18 @@ pub struct ReleasedShard {
     pub table: Table,
     /// The shard's audit against the global fit.
     pub report: AnonymizationReport,
-    /// Compliance audit records, numbered from the shard's first input
-    /// row (empty without a policy).
-    pub audits: Vec<AuditRecord>,
     /// Cells the compliance scrub rewrote (0 without a policy).
     pub scrubbed_cells: usize,
+    /// Compliance audit records the scrub counted: one per (cell, rule)
+    /// rewritten (0 without a policy).
+    pub audit_records: usize,
+    /// The records as audit-log lines, rows numbered from the shard's
+    /// first input row; empty unless the policy writes a log.
+    pub audit_log: String,
 }
 
 /// Releases one record set under a frozen fit: the compliance scrub when
-/// a policy is given (audit rows numbered from `first_row`), then
+/// a policy is given (audit-log rows numbered from `first_row`), then
 /// [`FittedAnonymizer::apply_shard`], then
 /// [`Table::drop_identifiers`], then the policy's
 /// [`ComplianceEngine::drop_release_columns`].
@@ -52,11 +55,13 @@ pub fn release_shard(
     if let Some(engine) = compliance {
         table = engine.drop_release_columns(&table)?;
     }
-    let (audits, scrubbed_cells) = scrubbed.map_or((Vec::new(), 0), |s| (s.audits, s.cells));
+    let (scrubbed_cells, audit_records, audit_log) =
+        scrubbed.map_or((0, 0, String::new()), |s| (s.cells, s.records, s.log));
     Ok(ReleasedShard {
         table,
         report: anon.report,
-        audits,
         scrubbed_cells,
+        audit_records,
+        audit_log,
     })
 }

@@ -2,7 +2,6 @@
 
 use std::time::Duration;
 
-use tclose_compliance::AuditRecord;
 use tclose_core::AnonymizationReport;
 
 /// Merged audit of one streaming anonymization run: the per-shard
@@ -66,10 +65,10 @@ pub struct StreamReport {
     /// Distinct cells rewritten by the compliance pre-pass (0 when no
     /// compliance policy was configured).
     pub scrubbed_cells: usize,
-    /// Compliance audit records for the whole run, in global row order
-    /// (empty when no compliance policy was configured). Row indices are
-    /// global input rows, not shard-local ones.
-    pub compliance_audits: Vec<AuditRecord>,
+    /// Compliance audit records of the whole run: one per (cell, rule)
+    /// the scrub rewrote, counted whether or not the policy writes a log
+    /// (0 when no compliance policy was configured).
+    pub compliance_audits: usize,
     /// The per-shard reports, in input order.
     pub shards: Vec<AnonymizationReport>,
 }
@@ -119,7 +118,7 @@ impl StreamReport {
             apply_time,
             prefitted: false,
             scrubbed_cells: 0,
-            compliance_audits: Vec::new(),
+            compliance_audits: 0,
             shards,
         }
     }

@@ -9,18 +9,21 @@
 //!    touching the paper's guarantee.
 //! 2. The audit log is exactly one JSONL line per transformed cell
 //!    (equal to the scan's "cells pending transform"), parses with the
-//!    shared JSON reader, and never contains plaintext.
+//!    shared JSON reader, and never contains plaintext. A policy without
+//!    a log only counts those records, and writes no file.
 //! 3. Scrubbing is a pure per-cell function: chunked scrubs concatenate
-//!    to the monolithic scrub for any chunk size.
+//!    to the monolithic scrub for any chunk size, and the log of an
+//!    in-memory release is the log of a streamed one at any shard size
+//!    and worker count.
 //! 4. The policy fingerprint survives the model-artifact JSON round trip
 //!    and separates policies, so `apply` can refuse a mismatch.
 //! 5. The scrubbed bytes and audit log of every strategy are pinned by
 //!    digest, on the fixture and on a table of repeated labels.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 use tclose::compliance::sha256::sha256_hex;
-use tclose::compliance::{write_audit_log, ComplianceConfig, ComplianceEngine, Strategy};
+use tclose::compliance::{ComplianceConfig, ComplianceEngine, Strategy};
 use tclose::core::{verify_k_anonymity, verify_t_closeness, Confidential};
 use tclose::datasets::{pii_patients, PII_N};
 use tclose::microdata::csv::{read_csv_auto, write_csv};
@@ -36,6 +39,23 @@ fn tmp(name: &str) -> PathBuf {
 
 fn hipaa() -> ComplianceEngine {
     ComplianceEngine::new(ComplianceConfig::default()).unwrap()
+}
+
+/// `config`, writing its audit log to `log`.
+fn logged(config: ComplianceConfig, log: &Path) -> ComplianceEngine {
+    ComplianceEngine::new(ComplianceConfig {
+        audit_path: Some(log.display().to_string()),
+        ..config
+    })
+    .unwrap()
+}
+
+/// Writes `lines` through the engine's audit log and returns the file.
+fn write_log(engine: &ComplianceEngine, lines: &str) -> Vec<u8> {
+    let mut log = engine.open_audit_log().unwrap().expect("a logged policy");
+    log.append(lines).unwrap();
+    log.commit().unwrap();
+    std::fs::read(engine.config().audit_log_path().unwrap()).unwrap()
 }
 
 const QI: [&str; 3] = ["AGE", "ZIP", "STAY_DAYS"];
@@ -56,7 +76,7 @@ fn compliant_streamed_release_is_tclose_with_zero_planted_identifiers() {
     assert_eq!(report.n_records, PII_N);
     // 5 planted hits per row: NAME, SSN, EMAIL, PHONE, NOTES-embedded email.
     assert_eq!(report.scrubbed_cells, 5 * PII_N);
-    assert_eq!(report.compliance_audits.len(), 5 * PII_N);
+    assert_eq!(report.compliance_audits, 5 * PII_N);
 
     // No planted identifier survives, in any column, in any form.
     let text = std::fs::read_to_string(&output).unwrap();
@@ -95,19 +115,17 @@ fn compliant_streamed_release_is_tclose_with_zero_planted_identifiers() {
 #[test]
 fn audit_log_matches_the_scan_and_never_leaks_plaintext() {
     let table = pii_patients(6, 200);
-    let engine = hipaa();
+    let engine = logged(ComplianceConfig::default(), &tmp("pipeline_audit.jsonl"));
 
     // Scan and scrub share one detection pass, so the scan's pending
     // count *is* the audit-record count.
     let scan = engine.scan_table(&table).unwrap();
     let scrub = engine.scrub_table(&table, 0).unwrap();
-    assert_eq!(scan.pending_transform(), scrub.audits.len());
-    assert_eq!(scrub.cells, scrub.audits.len());
+    assert_eq!(scan.pending_transform(), scrub.records);
+    assert_eq!(scrub.cells, scrub.records);
 
-    let path = tmp("pipeline_audit.jsonl");
-    write_audit_log(&path, &scrub.audits).unwrap();
-    let text = std::fs::read_to_string(&path).unwrap();
-    assert_eq!(text.lines().count(), scrub.audits.len());
+    let text = String::from_utf8(write_log(&engine, &scrub.log)).unwrap();
+    assert_eq!(text.lines().count(), scrub.records);
 
     let mut last_row = 0usize;
     for line in text.lines() {
@@ -140,11 +158,12 @@ fn chunked_scrub_concatenates_to_the_monolithic_scrub() {
     // function: scrubbing chunk [offset..offset+len) must agree with the
     // same rows of a whole-table scrub, for any chunking.
     let table = pii_patients(8, 120);
-    let engine = hipaa();
+    let engine = logged(ComplianceConfig::default(), &tmp("chunked_audit.jsonl"));
     let whole = engine.scrub_table(&table, 0).unwrap();
+    assert_eq!(whole.log.lines().count(), whole.records);
 
     for chunk_rows in [1usize, 3, 7, 50, 119, 120] {
-        let mut audits = Vec::new();
+        let mut log = String::new();
         let mut cells = 0;
         let mut offset = 0;
         while offset < table.n_rows() {
@@ -173,13 +192,120 @@ fn chunked_scrub_concatenates_to_the_monolithic_scrub() {
                     assert_eq!(got, want, "chunk {chunk_rows}, col {c}, row {}", offset + i);
                 }
             }
-            audits.extend(scrub.audits);
+            log.push_str(&scrub.log);
             cells += scrub.cells;
             offset += chunk_rows;
         }
-        assert_eq!(audits, whole.audits, "chunk size {chunk_rows}");
+        assert_eq!(log, whole.log, "chunk size {chunk_rows}");
         assert_eq!(cells, whole.cells, "chunk size {chunk_rows}");
     }
+}
+
+/// The pii fixture of `seed` and `n` rows, written as CSV to `name`.
+fn pii_csv(name: &str, seed: u64, n: usize) -> PathBuf {
+    let input = tmp(name);
+    write_csv(
+        &pii_patients(seed, n),
+        std::fs::File::create(&input).unwrap(),
+    )
+    .unwrap();
+    input
+}
+
+fn qi_owned() -> Vec<String> {
+    QI.iter().map(|s| (*s).to_owned()).collect()
+}
+
+/// Reads `input` in memory with the fixture's QIs and CHARGE
+/// confidential.
+fn read_pii(input: &Path) -> Table {
+    tclose::stream::read_with_roles(
+        std::fs::File::open(input).unwrap(),
+        tclose::stream::Roles::Named {
+            qi: &qi_owned(),
+            confidential: &["CHARGE".to_owned()],
+        },
+    )
+    .unwrap()
+}
+
+/// A directory of its own, emptied.
+fn fresh_dir(name: &str) -> PathBuf {
+    let dir = tmp(name);
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    dir
+}
+
+fn dir_entries(dir: &Path) -> Vec<String> {
+    let mut names: Vec<String> = std::fs::read_dir(dir)
+        .unwrap()
+        .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+        .collect();
+    names.sort();
+    names
+}
+
+#[test]
+fn an_unlogged_policy_counts_its_records_and_writes_no_file() {
+    let input = pii_csv("unlogged_in.csv", 12, 300);
+    let table = read_pii(&input);
+    let pending = hipaa().scan_table(&table).unwrap().pending_transform();
+    assert_eq!(pending, 5 * 300);
+
+    let dir = fresh_dir("unlogged");
+    let report = ShardedAnonymizer::new(4, 0.35)
+        .shard_rows(120)
+        .with_parallelism(Parallelism::workers(2))
+        .with_compliance(hipaa())
+        .anonymize_file(
+            &input,
+            &dir.join("release.csv"),
+            &qi_owned(),
+            &["CHARGE".to_owned()],
+        )
+        .unwrap();
+    assert_eq!(report.compliance_audits, pending);
+    assert_eq!(dir_entries(&dir), ["release.csv"]);
+
+    let fitted = Anonymizer::new(4, 0.35).fit(&table).unwrap();
+    let shard = tclose::stream::release_shard(&fitted, Some(&hipaa()), &table, 0).unwrap();
+    assert_eq!(shard.audit_records, pending);
+    assert!(shard.audit_log.is_empty());
+}
+
+#[test]
+fn the_audit_log_does_not_depend_on_sharding() {
+    let input = pii_csv("sharding_in.csv", 13, 500);
+    let conf = ["CHARGE".to_owned()];
+    let dir = fresh_dir("sharding");
+
+    // In memory: one shard, its lines written through the same log.
+    let table = read_pii(&input);
+    let engine = logged(ComplianceConfig::default(), &dir.join("memory.jsonl"));
+    let fitted = Anonymizer::new(4, 0.35).fit(&table).unwrap();
+    let shard = tclose::stream::release_shard(&fitted, Some(&engine), &table, 0).unwrap();
+    let memory = write_log(&engine, &shard.audit_log);
+    assert_eq!(memory.iter().filter(|&&b| b == b'\n').count(), 5 * 500);
+
+    for shard_rows in [120usize, 250, 10_000] {
+        for workers in [1usize, 4] {
+            let log = dir.join(format!("stream_{shard_rows}_{workers}.jsonl"));
+            let report = ShardedAnonymizer::new(4, 0.35)
+                .shard_rows(shard_rows)
+                .with_parallelism(Parallelism::workers(workers))
+                .with_compliance(logged(ComplianceConfig::default(), &log))
+                .anonymize_file(&input, &dir.join("release.csv"), &qi_owned(), &conf)
+                .unwrap();
+            assert_eq!(report.compliance_audits, shard.audit_records);
+            assert!(
+                std::fs::read(&log).unwrap() == memory,
+                "shard_rows={shard_rows} workers={workers}"
+            );
+        }
+    }
+    // Nothing but the logs and the release is left behind.
+    assert_eq!(dir_entries(&dir).len(), 1 + 1 + 3 * 2);
 }
 
 #[test]
@@ -225,15 +351,13 @@ fn policy_fingerprint_round_trips_through_the_model_artifact() {
     );
 }
 
-/// SHA-256 of (scrubbed CSV ‖ audit JSONL) for one scrub.
+/// SHA-256 of (scrubbed CSV ‖ audit JSONL) for one scrub, the log read
+/// back from the file the engine's policy names.
 fn scrub_digest(engine: &ComplianceEngine, table: &Table, row_offset: usize) -> String {
     let out = engine.scrub_table(table, row_offset).unwrap();
     let mut bytes = Vec::new();
     write_csv(&out.table, &mut bytes).unwrap();
-    for record in &out.audits {
-        bytes.extend_from_slice(record.to_jsonl().as_bytes());
-        bytes.push(b'\n');
-    }
+    bytes.extend(write_log(engine, &out.log));
     sha256_hex(&bytes)
 }
 
@@ -287,11 +411,13 @@ fn scrub_bytes_and_audit_log_are_pinned() {
             "6b022ada84517cee7159f9724a513b03bc4ae7633bd1445776cb35e0b12f792d",
         ),
     ] {
-        let engine = ComplianceEngine::new(ComplianceConfig {
-            strategy,
-            ..ComplianceConfig::default()
-        })
-        .unwrap();
+        let engine = logged(
+            ComplianceConfig {
+                strategy,
+                ..ComplianceConfig::default()
+            },
+            &tmp(&format!("pinned_{}.jsonl", strategy.name())),
+        );
         assert_eq!(scrub_digest(&engine, &pii, 0), want_pii, "{strategy:?}");
         assert_eq!(
             scrub_digest(&engine, &repeated, 1_000),

@@ -206,15 +206,21 @@ fn streaming_matches_monolithic_when_one_shard_covers_the_file() {
 }
 
 /// SHA-256 of (release CSV ‖ audit JSONL) of one streamed run over
-/// `input` in 1,000-row shards, with the hipaa/tokenize policy or none.
+/// `input` in 1,000-row shards, with the hipaa/tokenize policy or none,
+/// the log read back from the file the policy names.
 fn stream_digest(input: &std::path::Path, workers: usize, policy: bool) -> String {
     let output = tmp(&format!("pinned_out_w{workers}_{policy}.csv"));
+    let log = tmp(&format!("pinned_audit_w{workers}.jsonl"));
+    let _ = std::fs::remove_file(&log);
     let mut engine = ShardedAnonymizer::new(5, 0.2)
         .shard_rows(1_000)
         .with_parallelism(Parallelism::workers(workers));
     if policy {
-        engine =
-            engine.with_compliance(ComplianceEngine::new(ComplianceConfig::default()).unwrap());
+        let config = ComplianceConfig {
+            audit_path: Some(log.display().to_string()),
+            ..ComplianceConfig::default()
+        };
+        engine = engine.with_compliance(ComplianceEngine::new(config).unwrap());
     }
     let report = engine
         .anonymize_file(
@@ -225,11 +231,10 @@ fn stream_digest(input: &std::path::Path, workers: usize, policy: bool) -> Strin
         )
         .unwrap();
     assert_eq!(report.n_shards, 3);
-    assert_eq!(report.compliance_audits.is_empty(), !policy);
+    assert_eq!(report.compliance_audits > 0, policy);
     let mut bytes = std::fs::read(&output).unwrap();
-    for record in &report.compliance_audits {
-        bytes.extend_from_slice(record.to_jsonl().as_bytes());
-        bytes.push(b'\n');
+    if policy {
+        bytes.extend(std::fs::read(&log).unwrap());
     }
     sha256_hex(&bytes)
 }
@@ -281,19 +286,14 @@ fn streamed_release_and_audit_bytes_are_pinned() {
     }
 }
 
-/// A file that fails twice — a confidential value the fit never saw in
-/// shard 2, and a short record in shard 4, which the tail merge reads
-/// while fetching shard 3 — reports the earlier failure, naming its input
-/// row, at every worker count, although pass 2 reads shards ahead of their
-/// release.
-#[test]
-fn a_failing_stream_reports_the_first_failure_at_any_worker_count() {
-    let good = tmp("first_failure_good.csv");
-    write_csv(
-        &tclose::datasets::patient_discharge(3, 600),
-        std::fs::File::create(&good).unwrap(),
-    )
-    .unwrap();
+/// Writes `table` as `<name>_good.csv`, fits it in memory (QIs AGE and
+/// ZIP, CHARGE confidential), and writes a copy, `<name>_bad.csv`, that
+/// fails twice under that fit at 100-row shards: data row 250 carries a
+/// CHARGE the fit never saw (shard 2), and row 450 is a short record
+/// (shard 4, which the tail merge reads while fetching shard 3).
+fn failing_stream(name: &str, table: &Table) -> (FittedAnonymizer, PathBuf) {
+    let good = tmp(&format!("{name}_good.csv"));
+    write_csv(table, std::fs::File::create(&good).unwrap()).unwrap();
     let table = tclose::stream::read_with_roles(
         std::fs::File::open(&good).unwrap(),
         tclose::stream::Roles::Named {
@@ -315,8 +315,22 @@ fn a_failing_stream_reports_the_first_failure_at_any_worker_count() {
     row_250[charge] = "123456789.5";
     lines[252 - 1] = row_250.join(",");
     lines[452 - 1] = "1,2".into();
-    let bad = tmp("first_failure_bad.csv");
+    let bad = tmp(&format!("{name}_bad.csv"));
     std::fs::write(&bad, lines.join("\n") + "\n").unwrap();
+    (fitted, bad)
+}
+
+/// A file that fails twice — a confidential value the fit never saw in
+/// shard 2, and a short record in shard 4, which the tail merge reads
+/// while fetching shard 3 — reports the earlier failure, naming its input
+/// row, at every worker count, although pass 2 reads shards ahead of their
+/// release.
+#[test]
+fn a_failing_stream_reports_the_first_failure_at_any_worker_count() {
+    let (fitted, bad) = failing_stream(
+        "first_failure",
+        &tclose::datasets::patient_discharge(3, 600),
+    );
 
     let mut errors = Vec::new();
     for workers in 1..=4 {
@@ -337,4 +351,54 @@ fn a_failing_stream_reports_the_first_failure_at_any_worker_count() {
         errors.push(err);
     }
     assert!(errors.windows(2).all(|w| w[0] == w[1]), "{errors:#?}");
+}
+
+/// The same failing file with planted PII, streamed under a policy that
+/// writes an audit log: shards 0 and 1 are written, log lines included,
+/// before shard 2 fails, yet at every worker count no log and no
+/// temporary file is left beside its path, and a log already there stays
+/// byte for byte as it was.
+#[test]
+fn a_failing_logged_stream_leaves_no_log() {
+    let (fitted, bad) = failing_stream("logged_failure", &tclose::datasets::pii_patients(3, 600));
+    let dir = tmp("logged_failure_dir");
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let log = dir.join("audit.jsonl");
+    let config = ComplianceConfig {
+        audit_path: Some(log.display().to_string()),
+        ..ComplianceConfig::default()
+    };
+    let engine = ComplianceEngine::new(config).unwrap();
+    let entries = || {
+        let mut names: Vec<String> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+            .collect();
+        names.sort();
+        names
+    };
+
+    let earlier = b"{\"row\":0,\"an\":\"earlier log\"}\n";
+    for existing in [false, true] {
+        if existing {
+            std::fs::write(&log, earlier).unwrap();
+        }
+        for workers in 1..=4 {
+            let err = ShardedAnonymizer::new(5, 0.3)
+                .shard_rows(100)
+                .with_parallelism(Parallelism::workers(workers))
+                .with_compliance(engine.clone())
+                .apply_file_with(&fitted, &bad, &tmp("logged_failure_out.csv"))
+                .unwrap_err()
+                .to_string();
+            assert!(err.contains("record 250 "), "{workers} workers: {err}");
+            if existing {
+                assert_eq!(entries(), ["audit.jsonl"], "{workers} workers");
+                assert_eq!(std::fs::read(&log).unwrap(), earlier, "{workers} workers");
+            } else {
+                assert!(entries().is_empty(), "{workers} workers: {:?}", entries());
+            }
+        }
+    }
 }
