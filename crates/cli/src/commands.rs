@@ -8,13 +8,14 @@ use std::time::{Duration, Instant};
 use crate::args::Parsed;
 use tclose_compliance::{ComplianceConfig, ComplianceEngine};
 use tclose_core::{
-    Algorithm, Anonymizer, FittedAnonymizer, ModelArtifact, NeighborBackend, TClosenessParams,
+    t_closeness_holds_with, Algorithm, Anonymizer, Confidential, FittedAnonymizer, ModelArtifact,
+    NeighborBackend, TClosenessParams,
 };
 use tclose_datasets::{
     census_hcd, census_mcd, patient_discharge, pii_patients, CENSUS_N, PATIENT_N, PII_N,
 };
 use tclose_microdata::csv::write_csv;
-use tclose_microdata::{NormalizeMethod, Table};
+use tclose_microdata::{NormalizeMethod, PartialFile, Table};
 use tclose_parallel::Parallelism;
 use tclose_serve::AuditReport;
 use tclose_stream::{
@@ -27,10 +28,16 @@ fn load(path: &Path, roles: Roles) -> Result<Table, String> {
     read_with_roles(BufReader::new(file), roles).map_err(|e| e.to_string())
 }
 
-/// Writes a table as CSV to `path`.
+/// Writes a table as CSV to `path`, through a [`PartialFile`]: the file
+/// appears at `path` only once it is complete.
 pub fn save(table: &Table, path: &Path) -> Result<(), String> {
-    let file = File::create(path).map_err(|e| format!("cannot create {}: {e}", path.display()))?;
-    write_csv(table, BufWriter::new(file)).map_err(|e| e.to_string())
+    let file = PartialFile::create(path);
+    let mut file =
+        BufWriter::new(file.map_err(|e| format!("cannot create {}: {e}", path.display()))?);
+    write_csv(table, &mut file).map_err(|e| e.to_string())?;
+    let written = |e| format!("cannot write {}: {e}", path.display());
+    let file = file.into_inner().map_err(|e| written(e.into_error()))?;
+    file.commit().map_err(written)
 }
 
 /// Parses the `--workers` option: `None` leaves the default (one worker
@@ -615,8 +622,9 @@ pub fn cmd_audit(p: &Parsed) -> Result<String, String> {
     }
     let par = parse_workers(p)?.unwrap_or_else(Parallelism::auto);
     // With `--t` the audit also grades the release against a requested
-    // level: deviation ≤ 1.0 means the t-budget holds. This is the check
-    // to run after an approximate-backend (`hybrid`) release.
+    // level, on the exact class EMDs the merge pass decides by; the
+    // deviation it prints is the f64 ratio. This is the check to run after
+    // an approximate-backend (`hybrid`) release.
     let requested_t = p.get("t").map(str::parse::<f64>).transpose();
     let requested_t = match requested_t.map_err(|e| format!("--t: {e}"))? {
         Some(t) if !(t.is_finite() && t > 0.0) => {
@@ -634,10 +642,12 @@ pub fn cmd_audit(p: &Parsed) -> Result<String, String> {
     let report = AuditReport::measure(&table, par)?;
     let mut msg = report.render(&input.display().to_string());
     if let Some(t) = requested_t {
-        let deviation = report.achieved_t / t;
+        let conf = Confidential::from_table(&table).map_err(|e| e.to_string())?;
+        let within = t_closeness_holds_with(&table, &conf, t, par).map_err(|e| e.to_string())?;
         msg.push_str(&format!(
-            "\nachieved t deviation        {deviation:.4} (achieved / requested {t}{})",
-            if deviation <= 1.0 {
+            "\nachieved t deviation        {:.4} (achieved / requested {t}{})",
+            report.achieved_t / t,
+            if within {
                 ", within budget"
             } else {
                 ", OVER budget"
@@ -670,6 +680,26 @@ mod tests {
             Algorithm::TClosenessFirst
         );
         assert!(algorithm_by_name("mystery").is_err());
+    }
+
+    #[test]
+    fn audit_grades_a_class_whose_emd_is_exactly_t_within_budget() {
+        // Class q = 1 of a three-value column holds one record: its EMD is
+        // 1/2 exactly, and the f64 walk rounds it up.
+        let released = tmp("exact_t.csv");
+        std::fs::write(&released, "q,c\n1,0\n2,1\n2,2\n").unwrap();
+        let audit = |t: &str| {
+            cmd_audit(&argv(&format!(
+                "audit --input {} --qi q --confidential c --t {t}",
+                released.display()
+            )))
+            .unwrap()
+        };
+        let msg = audit("0.5");
+        assert!(msg.contains("achieved t (max class EMD)  0.50000"), "{msg}");
+        assert!(msg.contains("within budget"), "{msg}");
+        let msg = audit("0.49999999999999994");
+        assert!(msg.contains("OVER budget"), "{msg}");
     }
 
     #[test]

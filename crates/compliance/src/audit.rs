@@ -14,10 +14,10 @@
 //! written.
 
 use std::fmt::Write as _;
-use std::fs::File;
 use std::io::Write as _;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
+use tclose_microdata::PartialFile;
 use tclose_ser::Json;
 
 use crate::config::Strategy;
@@ -63,15 +63,14 @@ pub(crate) fn push_line(out: &mut String, row: usize, middle: &str, hash: &[u8; 
     out.push_str("\"}\n");
 }
 
-/// An audit log being written. Lines go to a temporary file beside the
-/// log's path, which [`AuditLog::commit`] renames into place. A log
-/// dropped before its commit removes the temporary file, so a failed run
-/// leaves no log, and a log already at the path stays as it was.
+/// An audit log being written, as a [`PartialFile`]: lines go to a
+/// temporary file beside the log's path, which [`AuditLog::commit`]
+/// renames into place. A log dropped before its commit removes the
+/// temporary file, so a failed run leaves no log, and a log already at the
+/// path stays as it was.
 #[derive(Debug)]
 pub struct AuditLog {
-    path: PathBuf,
-    partial: PathBuf,
-    file: Option<File>,
+    file: PartialFile,
 }
 
 impl AuditLog {
@@ -79,46 +78,22 @@ impl AuditLog {
     /// file, or names a directory, is refused here rather than at the
     /// rename.
     pub fn create(path: &Path) -> Result<AuditLog, ComplianceError> {
-        if path.file_name().is_none() || path.is_dir() {
-            return Err(ComplianceError::Io(format!(
-                "{}: not a file path",
-                path.display()
-            )));
-        }
-        let mut partial = path.as_os_str().to_owned();
-        partial.push(".partial");
-        let partial = PathBuf::from(partial);
-        let file = File::create(&partial).map_err(|e| io_err(path, e))?;
-        Ok(AuditLog {
-            path: path.to_owned(),
-            partial,
-            file: Some(file),
-        })
+        let file = PartialFile::create(path).map_err(|e| io_err(path, e))?;
+        Ok(AuditLog { file })
     }
 
     /// Appends `lines` (whole JSONL lines, as a scrub renders them).
     pub fn append(&mut self, lines: &str) -> Result<(), ComplianceError> {
-        let file = self.file.as_mut().expect("an uncommitted log is open");
-        file.write_all(lines.as_bytes())
-            .map_err(|e| io_err(&self.path, e))
+        self.file
+            .write_all(lines.as_bytes())
+            .map_err(|e| io_err(self.file.path(), e))
     }
 
     /// Closes the file and renames it to the log's path. If the rename
     /// fails, the temporary file is removed.
-    pub fn commit(mut self) -> Result<(), ComplianceError> {
-        drop(self.file.take());
-        std::fs::rename(&self.partial, &self.path).map_err(|e| {
-            let _ = std::fs::remove_file(&self.partial);
-            io_err(&self.path, e)
-        })
-    }
-}
-
-impl Drop for AuditLog {
-    fn drop(&mut self) {
-        if self.file.take().is_some() {
-            let _ = std::fs::remove_file(&self.partial);
-        }
+    pub fn commit(self) -> Result<(), ComplianceError> {
+        let path = self.file.path().to_owned();
+        self.file.commit().map_err(|e| io_err(&path, e))
     }
 }
 

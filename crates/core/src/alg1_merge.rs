@@ -16,6 +16,7 @@ use crate::confidential::{ClusterHists, Confidential};
 use crate::params::TClosenessParams;
 use crate::TCloseClusterer;
 use tclose_metrics::distance::{centroid_ids, sq_dist};
+use tclose_metrics::emd::Ratio;
 use tclose_microagg::{Clustering, Matrix, Mdav, Microaggregator, NeighborBackend, Parallelism};
 
 /// How Algorithm 1 chooses the cluster to merge the worst offender with.
@@ -107,9 +108,10 @@ impl<M: Microaggregator> TCloseClusterer for MergeAlgorithm<M> {
 /// (Algorithms 2 and 3 reuse it as their t-closeness repair).
 ///
 /// Repeatedly merges the cluster with the greatest EMD into a partner
-/// until every cluster's EMD is ≤ `t` (or one cluster remains). `par`
-/// sets the worker count of the centroid scans; the result never depends
-/// on it.
+/// until every cluster's EMD is ≤ `t` (or one cluster remains), ranking
+/// and testing clusters by their exact EMDs
+/// ([`Confidential::exact_emd_of_hists`]). `par` sets the worker count of
+/// the centroid scans; the result never depends on it.
 pub fn merge_until_t_close_with(
     m: &Matrix,
     conf: &Confidential,
@@ -125,17 +127,17 @@ pub fn merge_until_t_close_with(
     }
 
     let mut hists: Vec<ClusterHists> = clusters.iter().map(|c| conf.histograms(c)).collect();
-    let mut emds: Vec<f64> = hists.iter().map(|h| conf.emd_of_hists(h)).collect();
+    let mut emds: Vec<Ratio> = hists.iter().map(|h| conf.exact_emd_of_hists(h)).collect();
     let mut centroids: Vec<Vec<f64>> = clusters.iter().map(|c| centroid_ids(m, c, par)).collect();
 
     while clusters.len() > 1 {
-        // The cluster farthest from t-closeness.
+        // The cluster farthest from t-closeness (the last one on ties).
         let (worst, &worst_emd) = emds
             .iter()
             .enumerate()
-            .max_by(|a, b| a.1.partial_cmp(b.1).expect("finite EMD"))
+            .max_by_key(|&(_, emd)| emd)
             .expect("non-empty");
-        if worst_emd <= t {
+        if !worst_emd.exceeds(t) {
             break;
         }
 
@@ -156,24 +158,16 @@ pub fn merge_until_t_close_with(
                 }
                 best
             }
-            MergePartner::ComplementaryEmd => {
-                // Partner minimizing the merged cluster's EMD.
-                let mut best = usize::MAX;
-                let mut best_emd = f64::INFINITY;
-                for ci in 0..clusters.len() {
-                    if ci == worst {
-                        continue;
-                    }
+            // Partner minimizing the merged cluster's EMD (the first one
+            // on ties).
+            MergePartner::ComplementaryEmd => (0..clusters.len())
+                .filter(|&ci| ci != worst)
+                .min_by_key(|&ci| {
                     let mut merged = hists[worst].clone();
                     merged.merge(&hists[ci]);
-                    let e = conf.emd_of_hists(&merged);
-                    if e < best_emd {
-                        best_emd = e;
-                        best = ci;
-                    }
-                }
-                best
-            }
+                    conf.exact_emd_of_hists(&merged)
+                })
+                .expect("at least two clusters"),
         };
         debug_assert!(mate != usize::MAX);
 
@@ -189,7 +183,7 @@ pub fn merge_until_t_close_with(
         clusters[worst].extend(moved);
         let moved_h = hists[mate].clone();
         hists[worst].merge(&moved_h);
-        emds[worst] = conf.emd_of_hists(&hists[worst]);
+        emds[worst] = conf.exact_emd_of_hists(&hists[worst]);
         centroids[worst] = merged_centroid;
 
         clusters.swap_remove(mate);
@@ -204,6 +198,7 @@ pub fn merge_until_t_close_with(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::reference::{self, Draws};
     use tclose_metrics::emd::OrderedEmd;
 
     /// QI = position on a line; confidential value strongly correlated with
@@ -236,7 +231,7 @@ mod tests {
             c.check_min_size(3).unwrap();
             for cl in c.clusters() {
                 assert!(
-                    conf.emd_of_records(cl) <= t + 1e-12,
+                    !conf.exact_emd_of_records(cl).exceeds(t),
                     "cluster violates t={t}"
                 );
             }
@@ -276,7 +271,7 @@ mod tests {
         let params = TClosenessParams::new(2, 1e-6).unwrap();
         let c = MergeAlgorithm::new().cluster(&rows, &conf, params);
         assert_eq!(c.n_clusters(), 1);
-        assert!(conf.emd_of_records(&c.clusters()[0]) < 1e-12);
+        assert_eq!(conf.exact_emd_of_records(&c.clusters()[0]), Ratio::ZERO);
     }
 
     #[test]
@@ -306,7 +301,117 @@ mod tests {
         // mergers on this monotone data set
         assert!(ce.n_clusters() >= qi.n_clusters());
         for cl in ce.clusters() {
-            assert!(conf.emd_of_records(cl) <= 0.1 + 1e-12);
+            assert!(!conf.exact_emd_of_records(cl).exceeds(0.1));
+        }
+    }
+
+    /// The merge pass as it reads with [`reference`] EMDs: the worst
+    /// cluster is the last of the maxima, the pass stops once it is
+    /// within `t`, and the complementary partner is the first minimum.
+    fn reference_merge(
+        m: &Matrix,
+        conf: &Confidential,
+        t: f64,
+        clustering: Clustering,
+        partner: MergePartner,
+    ) -> Clustering {
+        let n = clustering.n_records();
+        let mut clusters = clustering.into_clusters();
+        let emd = |c: &[usize]| reference::emd(conf, c);
+        let centroid = |c: &[usize]| centroid_ids(m, c, Parallelism::sequential());
+        let mut centroids: Vec<Vec<f64>> = clusters.iter().map(|c| centroid(c)).collect();
+        let mut emds: Vec<_> = clusters.iter().map(|c| emd(c)).collect();
+        while clusters.len() > 1 {
+            let mut worst = 0;
+            for ci in 1..clusters.len() {
+                if reference::cmp(emds[ci], emds[worst]).is_ge() {
+                    worst = ci;
+                }
+            }
+            if reference::cmp_t(emds[worst], t).is_le() {
+                break;
+            }
+            let others = (0..clusters.len()).filter(|&ci| ci != worst);
+            let mate = match partner {
+                MergePartner::NearestQi => others
+                    .min_by(|&a, &b| {
+                        let d = |ci: usize| sq_dist(&centroids[worst], &centroids[ci]);
+                        d(a).partial_cmp(&d(b)).unwrap()
+                    })
+                    .unwrap(),
+                MergePartner::ComplementaryEmd => others
+                    .min_by(|&a, &b| {
+                        let merged = |ci: usize| [&clusters[worst][..], &clusters[ci]].concat();
+                        reference::cmp(emd(&merged(a)), emd(&merged(b)))
+                    })
+                    .unwrap(),
+            };
+            let (wa, wb) = (clusters[worst].len() as f64, clusters[mate].len() as f64);
+            centroids[worst] = centroids[worst]
+                .iter()
+                .zip(&centroids[mate])
+                .map(|(a, b)| (a * wa + b * wb) / (wa + wb))
+                .collect();
+            let moved = std::mem::take(&mut clusters[mate]);
+            clusters[worst].extend(moved);
+            emds[worst] = emd(&clusters[worst]);
+            clusters.swap_remove(mate);
+            centroids.swap_remove(mate);
+            emds.swap_remove(mate);
+        }
+        Clustering::new(clusters, n).unwrap()
+    }
+
+    #[test]
+    fn merge_pass_matches_a_rational_reference() {
+        // Tied confidential models of one to three attributes (the third
+        // of one bin), QI points on a small grid so that centroid distances
+        // tie too, and random partitions into clusters of one to six
+        // records; t at the walk's EMD of a cluster and its neighbours, so
+        // that some t equal an exact EMD.
+        for (case, bins) in [2usize, 3, 5, 17, 60].into_iter().enumerate() {
+            for attrs in 1..=3 {
+                let mut rng = Draws(500 + 10 * case as u64 + attrs as u64);
+                let domains = [bins, (bins / 7).max(2), 1];
+                let conf = reference::tied_model(&mut rng, &domains[..attrs], 2 * bins + 40);
+                let n = conf.n_bound();
+                let rows: Vec<Vec<f64>> = (0..n)
+                    .map(|_| vec![rng.below(4) as f64, rng.below(4) as f64])
+                    .collect();
+                let m = Matrix::from_rows(&rows);
+                for _ in 0..4 {
+                    let mut order: Vec<usize> = (0..n).collect();
+                    for i in (1..n).rev() {
+                        order.swap(i, rng.below(i + 1));
+                    }
+                    let mut clusters = Vec::new();
+                    while !order.is_empty() {
+                        let size = (1 + rng.below(6)).min(order.len());
+                        clusters.push(order.split_off(order.len() - size));
+                    }
+                    let some = &clusters[rng.below(clusters.len())];
+                    let walk = conf.emd_of_records(some);
+                    let start = Clustering::new(clusters, n).unwrap();
+                    for t in [
+                        walk,
+                        walk.next_up(),
+                        walk.next_down(),
+                        0.05 + 0.3 * rng.unit(),
+                    ] {
+                        if t <= 1e-30 {
+                            continue;
+                        }
+                        for partner in [MergePartner::NearestQi, MergePartner::ComplementaryEmd] {
+                            let seq = Parallelism::sequential();
+                            assert_eq!(
+                                merge_until_t_close_with(&m, &conf, t, start.clone(), partner, seq),
+                                reference_merge(&m, &conf, t, start.clone(), partner),
+                                "bins={bins} attributes={attrs} t={t} {partner:?}"
+                            );
+                        }
+                    }
+                }
+            }
         }
     }
 

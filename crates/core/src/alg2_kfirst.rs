@@ -265,7 +265,7 @@ mod tests {
             let params = TClosenessParams::new(2, t).unwrap();
             let c = KAnonymityFirst::new().cluster(&rows, &conf, params);
             for cl in c.clusters() {
-                assert!(conf.emd_of_records(cl) <= t + 1e-12, "t={t}");
+                assert!(!conf.exact_emd_of_records(cl).exceeds(t), "t={t}");
             }
         }
     }
@@ -334,8 +334,8 @@ mod tests {
 
     /// Algorithm 2's refinement as it ran before the swap scorer and the
     /// lazy queue: every unclustered record sorted by (distance to the
-    /// seed, id), then one `Confidential::emd_after_swap` per (member,
-    /// candidate) pair. No merge pass.
+    /// seed, id), then one exact EMD of the swapped histograms per
+    /// (member, candidate) pair. No merge pass.
     fn reference_clusters(
         m: &Matrix,
         conf: &Confidential,
@@ -361,7 +361,7 @@ mod tests {
                 search.remove(r);
             }
             let mut hists = conf.histograms(&members);
-            let mut emd = conf.emd_of_hists(&hists);
+            let mut emd = conf.exact_emd_of_hists(&hists);
             let mut queue = remaining.items().to_vec();
             queue.sort_by(|&a, &b| {
                 sq_dist(m.row(a), m.row(seed))
@@ -370,7 +370,7 @@ mod tests {
                     .then(a.cmp(&b))
             });
             for y in queue {
-                if emd <= params.t {
+                if !emd.exceeds(params.t) {
                     break;
                 }
                 match strategy {
@@ -378,7 +378,10 @@ mod tests {
                         let mut best = None;
                         let mut best_emd = emd;
                         for (i, &out) in members.iter().enumerate() {
-                            let e = conf.emd_after_swap(&hists, out, y);
+                            let mut swapped = hists.clone();
+                            swapped.remove(conf, out);
+                            swapped.add(conf, y);
+                            let e = conf.exact_emd_of_hists(&swapped);
                             if e < best_emd {
                                 (best, best_emd) = (Some(i), e);
                             }
@@ -398,7 +401,7 @@ mod tests {
                     RefineStrategy::Add => {
                         let mut trial = hists.clone();
                         trial.add(conf, y);
-                        let e = conf.emd_of_hists(&trial);
+                        let e = conf.exact_emd_of_hists(&trial);
                         if e < emd {
                             hists = trial;
                             members.push(y);
@@ -436,8 +439,8 @@ mod tests {
         // twin and the queue's id tie-break decides the order. The tied
         // census tables put many records on few confidential values (zero
         // tax, the FICA cap), where different swaps can tie exactly and
-        // only the f64 walk can break the tie: census_tied_mcd with
-        // FEDTAX, and census_tied with FEDTAX and FICA.
+        // the first member must win: census_tied_mcd with FEDTAX, and
+        // census_tied with FEDTAX and FICA.
         let rows: Vec<usize> = (0..300).collect();
         let twins: Vec<Vec<f64>> = (0..60).map(|i| vec![(i / 2) as f64]).collect();
         let twin_conf: Vec<f64> = (0..60).map(|i| ((i * 7) % 11) as f64).collect();

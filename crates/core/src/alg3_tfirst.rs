@@ -335,7 +335,10 @@ mod tests {
             let k_eff = TClosenessFirst::effective_cluster_size(60, params);
             for cl in c.clusters() {
                 let e = conf.emd_of_records(cl);
-                assert!(e <= t + 1e-12, "k={k} t={t}: EMD {e} > t");
+                assert!(
+                    !conf.exact_emd_of_records(cl).exceeds(t),
+                    "k={k} t={t}: EMD {e} > t"
+                );
                 // and indeed within the Proposition 2 bound
                 if 60 % k_eff == 0 {
                     assert!(e <= emd_upper_bound(60, k_eff) + 1e-12);

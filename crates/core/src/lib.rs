@@ -65,6 +65,8 @@ pub mod fit;
 pub mod models;
 pub mod params;
 pub mod pipeline;
+#[cfg(test)]
+mod reference;
 pub mod verify;
 
 pub use alg1_merge::MergeAlgorithm;
@@ -79,7 +81,8 @@ pub use params::TClosenessParams;
 pub use pipeline::{Algorithm, AnonymizationReport, Anonymized, Anonymizer};
 pub use tclose_microagg::NeighborBackend;
 pub use verify::{
-    equivalence_classes, verify_k_anonymity, verify_t_closeness, verify_t_closeness_with,
+    equivalence_classes, t_closeness_holds_with, verify_k_anonymity, verify_t_closeness,
+    verify_t_closeness_with,
 };
 
 /// A t-closeness-aware clustering algorithm over normalized QI vectors.

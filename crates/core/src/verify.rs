@@ -79,6 +79,32 @@ pub fn verify_t_closeness_with(
     conf: &Confidential,
     par: Parallelism,
 ) -> Result<f64> {
+    let classes = bound_classes(table, conf)?;
+    Ok(parallel_map_with(classes, par, |c| conf.emd_of_records(c))
+        .into_iter()
+        .fold(0.0, f64::max))
+}
+
+/// Whether no equivalence class of `table` has an EMD above `t` on any
+/// confidential attribute, decided on exact integers
+/// ([`Confidential::exact_emd_of_records`]) as the merge pass decides it:
+/// a class whose EMD equals `t` passes, whatever its f64 EMD rounds to.
+/// `conf` is bound as for [`verify_t_closeness`]; the verdict is the same
+/// for any worker count.
+pub fn t_closeness_holds_with(
+    table: &Table,
+    conf: &Confidential,
+    t: f64,
+    par: Parallelism,
+) -> Result<bool> {
+    let classes = bound_classes(table, conf)?;
+    let over = parallel_map_with(classes, par, |c| conf.exact_emd_of_records(c).exceeds(t));
+    Ok(!over.contains(&true))
+}
+
+/// The equivalence classes of `table`, once `conf` is checked to be bound
+/// to its rows.
+fn bound_classes(table: &Table, conf: &Confidential) -> Result<Vec<Vec<usize>>> {
     if table.n_rows() != conf.n_bound() {
         return Err(Error::UnsupportedData(format!(
             "confidential model is bound to {} records, table has {}",
@@ -86,10 +112,7 @@ pub fn verify_t_closeness_with(
             table.n_rows()
         )));
     }
-    let classes = equivalence_classes(table)?;
-    Ok(parallel_map_with(classes, par, |c| conf.emd_of_records(c))
-        .into_iter()
-        .fold(0.0, f64::max))
+    equivalence_classes(table)
 }
 
 #[cfg(test)]

@@ -17,14 +17,17 @@
 //! distribution `Q`) and then evaluates `EMD(C, T)` for arbitrary clusters,
 //! either from a set of record indices or incrementally through a
 //! [`ClusterHistogram`] — the work-horse of the k-anonymity-first algorithm,
-//! which repeatedly tries single-record swaps. That algorithm scores its
-//! swaps on an [`ExactEmd`], the same distance in exact integers, and runs
-//! the one f64 walk ([`OrderedEmd::emd_after_swap`],
-//! [`OrderedEmd::emd_after_add`]) only where the integers cannot certify
-//! the f64 verdict.
+//! which repeatedly tries single-record swaps. Every decision about t is
+//! made on exact integers: [`OrderedEmd::exact_emd`] gives a cluster's EMD
+//! as a [`Ratio`], and [`ExactEmd`] keeps it for a cluster that swaps
+//! records. The f64 walk ([`OrderedEmd::emd`],
+//! [`OrderedEmd::emd_after_swap`]) reports the achieved t.
 
+use std::cmp::Ordering;
 use std::collections::HashMap;
 use std::fmt;
+use std::iter::Sum;
+use std::ops::{Add, Mul, Neg, Sub};
 
 /// Errors from fitting or evaluating an EMD over a confidential attribute.
 ///
@@ -339,24 +342,19 @@ impl OrderedEmd {
             self.m(),
             "histogram fitted on another domain"
         );
-        self.cumulative_emd(cluster, cluster.size, &[])
+        self.cumulative_emd(cluster, &[])
     }
 
-    /// The ordered EMD of a cluster of `size` records with `cluster`'s
-    /// counts, except at the bins of `changed` (ascending), which hold the
-    /// paired counts instead: one cumulative pass over the bins. Every f64
-    /// EMD of a cluster is this walk, so equal inputs give equal bits.
-    fn cumulative_emd(
-        &self,
-        cluster: &ClusterHistogram,
-        size: usize,
-        changed: &[(usize, u32)],
-    ) -> f64 {
+    /// The ordered EMD of a cluster of `cluster`'s size with its counts,
+    /// except at the bins of `changed` (ascending), which hold the paired
+    /// counts instead: one cumulative pass over the bins. Every f64 EMD of
+    /// a cluster is this walk, so equal inputs give equal bits.
+    fn cumulative_emd(&self, cluster: &ClusterHistogram, changed: &[(usize, u32)]) -> f64 {
         let m = self.m();
-        if m <= 1 || size == 0 {
+        if m <= 1 || cluster.size == 0 {
             return 0.0;
         }
-        let cn = size as f64;
+        let cn = cluster.size as f64;
         let (counts, fracs) = (&cluster.counts[..m], &self.fracs[..m]);
         let mut cum = 0.0f64;
         let mut total = 0.0f64;
@@ -405,17 +403,50 @@ impl OrderedEmd {
         } else {
             [inn, out]
         };
-        self.cumulative_emd(cluster, cluster.size, &changed)
+        self.cumulative_emd(cluster, &changed)
     }
 
-    /// The EMD obtained after hypothetically adding record `inn` to
-    /// `cluster`, without mutating or copying it. The cluster grows, so
-    /// every term changes: one `O(m)` pass with the grown count read
-    /// inline.
-    pub fn emd_after_add(&self, cluster: &ClusterHistogram, inn: usize) -> f64 {
-        let bin = self.bin_of(inn);
-        let grown = (bin, cluster.counts[bin] + 1);
-        self.cumulative_emd(cluster, cluster.size + 1, &[grown])
+    /// `EMD(C, T)` for a cluster histogram as an exact [`Ratio`], the
+    /// value every t verdict is decided on. Cost `O(m)`; an empty cluster
+    /// or a one-bin domain has EMD 0.
+    ///
+    /// # Panics
+    /// Panics where [`ExactEmd::new`] does.
+    pub fn exact_emd(&self, cluster: &ClusterHistogram) -> Ratio {
+        let (n, size) = (self.n, cluster.size);
+        match denominator(self.m(), size, n) {
+            // Every D_i and S are at most the denominator.
+            den if den <= 1 << 62 => {
+                let diffs = self.diffs(cluster, n as i64, size as i64);
+                Ratio::new(diffs.map(i64::unsigned_abs).sum::<u64>().into(), den)
+            }
+            den => {
+                let diffs = self.diffs(cluster, n as i128, size as i128);
+                Ratio::new(diffs.map(i128::unsigned_abs).sum(), den)
+            }
+        }
+    }
+
+    /// `D_i = N·C_i − |C|·G_i` for every bin `i` of `cluster`, with `C_i`
+    /// and `G_i` its and the data set's cumulative counts through `i`, in
+    /// a type the caller has checked holds them (`n` = `N`, `size` = `|C|`).
+    fn diffs<'a, T: Diff + 'a>(
+        &'a self,
+        cluster: &'a ClusterHistogram,
+        n: T,
+        size: T,
+    ) -> impl Iterator<Item = T> + 'a {
+        debug_assert_eq!(
+            cluster.counts.len(),
+            self.m(),
+            "histogram fitted on another domain"
+        );
+        let mut d = T::default();
+        let pairs = cluster.counts.iter().zip(&self.global_counts);
+        pairs.map(move |(&c, &g)| {
+            d = d + n * T::from(c) - size * T::from(g);
+            d
+        })
     }
 }
 
@@ -424,114 +455,221 @@ fn fracs_of(global_counts: &[u32], n: usize) -> Vec<f64> {
     global_counts.iter().map(|&g| g as f64 / n as f64).collect()
 }
 
+/// `(m − 1)·|C|·N`, the denominator of a cluster's exact EMD.
+///
+/// # Panics
+/// Panics past 2¹²⁶: a cluster of more than 2³⁰ records over 2³² bins
+/// that hold 2⁶⁴ records, far more than fits in memory.
+fn denominator(m: usize, size: usize, n: usize) -> u128 {
+    (m.saturating_sub(1) as u128)
+        .checked_mul(size as u128)
+        .and_then(|den| den.checked_mul(n as u128))
+        .filter(|&den| den <= 1 << 126)
+        .expect("(m − 1)·|C|·N exceeds 2¹²⁶")
+}
+
+/// An exact EMD: the rational `num / den`, with `num ≤ den`.
+///
+/// Two ratios order by value: equal denominators compare numerators, and
+/// others cross-multiply in 256 bits, so no comparison rounds or
+/// overflows.
+#[derive(Debug, Clone, Copy)]
+pub struct Ratio {
+    num: u128,
+    den: u128,
+}
+
+impl Ratio {
+    /// The EMD 0.
+    pub const ZERO: Ratio = Ratio { num: 0, den: 1 };
+
+    /// `num / den`; `0 / 0` stands for 0, the EMD of an empty cluster or
+    /// a one-bin domain, and compares and tests as 0.
+    ///
+    /// # Panics
+    /// Panics if `num > den`.
+    pub fn new(num: u128, den: u128) -> Ratio {
+        assert!(num <= den, "an EMD is at most 1");
+        Ratio { num, den }
+    }
+
+    /// Whether this value exceeds `t`, decided exactly: `t` is taken from
+    /// its bits as `mant / 2^e`, and the value exceeds it when
+    /// `num > ⌊mant·den / 2^e⌋`. No value exceeds a NaN `t`.
+    pub fn exceeds(self, t: f64) -> bool {
+        self.num as i128 > max_within(t, self.den)
+    }
+}
+
+/// The largest numerator over `den` whose ratio does not exceed `t`:
+/// `⌊t·den⌋` for `t` in `[0, 1)`, with `t` taken exactly from its bits as
+/// `mant / 2^e`; `den` for `t ≥ 1` or NaN, and −1 for `t < 0`.
+fn max_within(t: f64, den: u128) -> i128 {
+    if t.is_nan() || t >= 1.0 {
+        return den as i128;
+    }
+    if t < 0.0 {
+        return -1;
+    }
+    let bits = t.abs().to_bits();
+    let (frac, biased) = (bits & ((1 << 52) - 1), (bits >> 52) as u32);
+    let (mant, e) = match biased {
+        0 => (frac, 1074),
+        _ => (frac | 1 << 52, 1075 - biased),
+    };
+    // t < 1, so e ≥ 53 and ⌊t·den⌋ < den fits 127 bits.
+    let (high, low) = mul_wide(u128::from(mant), den);
+    (match e {
+        256.. => 0,
+        128.. => high >> (e - 128),
+        _ => high << (128 - e) | low >> e,
+    }) as i128
+}
+
+impl Ord for Ratio {
+    fn cmp(&self, other: &Self) -> Ordering {
+        if self.den == other.den || self.num == 0 || other.num == 0 {
+            return self.num.cmp(&other.num);
+        }
+        if (self.num | self.den | other.num | other.den) >> 64 == 0 {
+            return (self.num * other.den).cmp(&(other.num * self.den));
+        }
+        mul_wide(self.num, other.den).cmp(&mul_wide(other.num, self.den))
+    }
+}
+
+impl PartialOrd for Ratio {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl PartialEq for Ratio {
+    fn eq(&self, other: &Self) -> bool {
+        self.cmp(other) == Ordering::Equal
+    }
+}
+
+impl Eq for Ratio {}
+
+/// `a·b` as its high and low 128 bits.
+fn mul_wide(a: u128, b: u128) -> (u128, u128) {
+    const LOW: u128 = u64::MAX as u128;
+    let (a1, a0, b1, b0) = (a >> 64, a & LOW, b >> 64, b & LOW);
+    let (mid, carry) = (a1 * b0).overflowing_add(a0 * b1);
+    let (low, c) = (a0 * b0).overflowing_add(mid << 64);
+    let high = a1 * b1 + (mid >> 64) + (u128::from(carry) << 64) + u128::from(c);
+    (high, low)
+}
+
 /// Number of outgoing bins one [`ExactEmd::swap_deltas`] pass scores.
 pub const SWAP_LANES: usize = 8;
-
-/// Largest `(m − 1)·|C|·N` an [`ExactEmd`] holds. Every `D_i`, `S` and
-/// swap delta is then at most 2⁶² in magnitude, so adding two of them
-/// cannot overflow an `i64`.
-pub const EXACT_LIMIT: i64 = 1 << 62;
-
-/// Largest domain for which [`ExactEmd::rounding_bound`] is proven.
-const EXACT_MAX_BINS: usize = 1 << 30;
-/// Largest `|C|` and `N` for which [`ExactEmd::rounding_bound`] is proven:
-/// both convert to f64 exactly.
-const EXACT_MAX_COUNT: i64 = 1 << 53;
 
 /// A cluster's ordered EMD held exactly in integers, for scoring swaps on
 /// only the bins they move.
 ///
 /// With `C_i` and `G_i` the cluster's and the data set's cumulative
 /// counts through bin `i`, it keeps `D_i = N·C_i − |C|·G_i` for every bin
-/// and `S = Σ|D_i|`, so that `EMD(C, T) = S / (|C|·N·(m − 1))` exactly.
-/// Swapping a record of bin `a` out for one of bin `b` keeps `|C|` and
-/// moves `C_i` by one between the two bins only: `D_i` falls by `N` on
-/// `a ≤ i < b`, or rises by `N` on `b ≤ i < a`. [`ExactEmd::swap_deltas`]
-/// therefore scores up to [`SWAP_LANES`] outgoing bins in one pass per
-/// side of `b`, each as far as its farthest lane, in `O(|a − b|)` rather
-/// than `O(m)`.
+/// and `S = Σ|D_i|`, so that `EMD(C, T) = S / ((m − 1)·|C|·N)` exactly
+/// ([`ExactEmd::emd`]). Swapping a record of bin `a` out for one of bin
+/// `b` keeps `|C|` and moves `C_i` by one between the two bins only:
+/// `D_i` falls by `N` on `a ≤ i < b`, or rises by `N` on `b ≤ i < a`.
+/// [`ExactEmd::swap_deltas`] therefore scores up to [`SWAP_LANES`]
+/// outgoing bins in one pass per side of `b`, each as far as its farthest
+/// lane, in `O(|a − b|)` rather than `O(m)`.
 ///
-/// [`OrderedEmd::emd`] rounds; [`ExactEmd::rounding_bound`] bounds by how
-/// much. Two exact values further apart than twice the bound compare in
-/// f64 as they compare exactly; the bound is far below one unit of `S`,
-/// so only exact ties need the f64 walk (docs/ALGORITHMS.md gives the
-/// proof).
+/// The `D_i` are `i64` where the input's sizes keep them below 2⁶², and
+/// `i128` otherwise: every size up to [`OrderedEmd::exact_emd`]'s limit
+/// has a state.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ExactEmd {
-    /// `diffs[i]` = `D_i`.
-    diffs: Vec<i64>,
+    diffs: Diffs,
     /// `S = Σ|D_i|`.
-    sum: i64,
+    sum: i128,
     /// `N`: the step by which one record moves each `D_i` of its range.
-    n: i64,
-    /// `|C|·N`.
-    scale: i64,
-    /// `3·(m + 1)²·|C|·N`, the rounding bound times 2⁵³.
-    bound: u128,
+    n: i128,
+    /// `|C|`.
+    size: usize,
+    /// `(m − 1)·|C|·N`.
+    den: u128,
+}
+
+/// The `D_i` of an [`ExactEmd`], in the narrower type that holds them.
+#[derive(Debug, Clone, PartialEq, Eq)]
+enum Diffs {
+    Narrow(Vec<i64>),
+    Wide(Vec<i128>),
 }
 
 impl ExactEmd {
     /// The exact state of the cluster with histogram `hist` under `emd`'s
-    /// domain. `None` when `(m − 1)·|C|·N` exceeds [`EXACT_LIMIT`], the
-    /// domain has more than 2³⁰ bins or `|C|` or `N` exceeds 2⁵³: only the
-    /// f64 walk scores such a cluster.
-    pub fn new(emd: &OrderedEmd, hist: &ClusterHistogram) -> Option<Self> {
-        debug_assert_eq!(
-            hist.counts.len(),
-            emd.m(),
-            "histogram fitted on another domain"
-        );
-        let m = emd.m();
-        let c = i64::try_from(hist.size).ok()?;
-        let n = i64::try_from(emd.n).ok()?;
-        let scale = c.checked_mul(n)?;
-        if m > EXACT_MAX_BINS
-            || c > EXACT_MAX_COUNT
-            || n > EXACT_MAX_COUNT
-            || scale.checked_mul(m as i64 - 1)? > EXACT_LIMIT
-        {
-            return None;
+    /// domain.
+    ///
+    /// # Panics
+    /// Panics where [`OrderedEmd::exact_emd`] does.
+    pub fn new(emd: &OrderedEmd, hist: &ClusterHistogram) -> Self {
+        let (n, size) = (emd.n, hist.size);
+        match narrow(emd, size) {
+            true => Self::from_diffs(emd.diffs(hist, n as i64, size as i64), emd, size),
+            false => Self::from_diffs(emd.diffs(hist, n as i128, size as i128), emd, size),
         }
-        let (mut cum_c, mut cum_g, mut sum) = (0i64, 0i64, 0i64);
-        let diffs = hist
-            .counts
-            .iter()
-            .zip(&emd.global_counts)
-            .map(|(&ci, &gi)| {
-                cum_c += i64::from(ci);
-                cum_g += i64::from(gi);
-                let d = n * cum_c - c * cum_g;
-                sum += d.abs();
-                d
-            })
-            .collect();
-        let bound = 3 * (m as u128 + 1).pow(2) * scale as u128;
-        Some(ExactEmd {
-            diffs,
-            sum,
-            n,
-            scale,
-            bound,
-        })
     }
 
-    /// `S = Σ|D_i|`: the EMD is `S / (scale · (m − 1))`.
-    pub fn sum(&self) -> i64 {
+    /// The state of this cluster with one record of `bin` added. `|C|`
+    /// grows, so every `D_i` changes: it gains `N` from `bin` on and loses
+    /// `G_i`. Cost `O(m)`.
+    pub fn grown(&self, emd: &OrderedEmd, bin: usize) -> Self {
+        let mut cum_g = 0i128;
+        let grown = emd.global_counts.iter().enumerate().map(|(i, &g)| {
+            cum_g += i128::from(g);
+            let d = match &self.diffs {
+                Diffs::Narrow(d) => i128::from(d[i]),
+                Diffs::Wide(d) => d[i],
+            };
+            d + if i >= bin { self.n } else { 0 } - cum_g
+        });
+        Self::from_diffs(grown, emd, self.size + 1)
+    }
+
+    /// The state whose `D_i` are `diffs`.
+    fn from_diffs<T: Into<i128>>(
+        diffs: impl Iterator<Item = T>,
+        emd: &OrderedEmd,
+        size: usize,
+    ) -> Self {
+        let den = denominator(emd.m(), size, emd.n);
+        let mut sum = 0;
+        let diffs = diffs.map(Into::into).inspect(|d: &i128| sum += d.abs());
+        let diffs = match narrow(emd, size) {
+            true => Diffs::Narrow(diffs.map(|d| d as i64).collect()),
+            false => Diffs::Wide(diffs.collect()),
+        };
+        ExactEmd {
+            diffs,
+            sum,
+            n: emd.n as i128,
+            size,
+            den,
+        }
+    }
+
+    /// `S = Σ|D_i|`.
+    pub fn sum(&self) -> i128 {
         self.sum
     }
 
-    /// `|C|·N`.
-    pub fn scale(&self) -> i64 {
-        self.scale
+    /// The cluster's EMD, `S / ((m − 1)·|C|·N)`.
+    pub fn emd(&self) -> Ratio {
+        self.emd_after(0)
     }
 
-    /// A bound on how far [`OrderedEmd::emd`] of this cluster, or of any
-    /// cluster of its size, lies from the exact EMD, in units of
-    /// [`ExactEmd::sum`] times 2⁵³: `|emd − S/(scale·(m − 1))|` is at most
-    /// `rounding_bound / 2⁵³ / (scale·(m − 1))`. The value is
-    /// `3·(m + 1)²·|C|·N`.
-    pub fn rounding_bound(&self) -> u128 {
-        self.bound
+    /// The EMD of this cluster after a swap that changes `S` by `delta`
+    /// (a lane of [`ExactEmd::swap_deltas`]).
+    pub fn emd_after(&self, delta: i128) -> Ratio {
+        Ratio {
+            num: (self.sum + delta) as u128,
+            den: self.den,
+        }
     }
 
     /// Lane `l` of the result is the change of [`ExactEmd::sum`] when one
@@ -543,62 +681,113 @@ impl ExactEmd {
     ///
     /// # Panics
     /// Panics if `out_bins` has more than [`SWAP_LANES`] entries.
-    pub fn swap_deltas(&self, out_bins: &[usize], in_bin: usize) -> [i64; SWAP_LANES] {
+    pub fn swap_deltas(&self, out_bins: &[usize], in_bin: usize) -> [i128; SWAP_LANES] {
         assert!(
             out_bins.len() <= SWAP_LANES,
             "at most {SWAP_LANES} outgoing bins per pass"
         );
-        let (mut below, mut above) = ([(0, 0); SWAP_LANES], [(0, 0); SWAP_LANES]);
-        let (mut nb, mut na) = (0, 0);
-        for (l, &a) in out_bins.iter().enumerate() {
-            if a < in_bin {
-                below[nb] = (a, l);
-                nb += 1;
-            } else if a > in_bin {
-                above[na] = (a, l);
-                na += 1;
-            }
+        match &self.diffs {
+            Diffs::Narrow(d) => lane_deltas(d, self.n as i64, out_bins, in_bin).map(i128::from),
+            Diffs::Wide(d) => lane_deltas(d, self.n, out_bins, in_bin),
         }
-        let below = &mut below[..nb];
-        let above = &mut above[..na];
-        below.sort_unstable_by(|x, y| y.cmp(x));
-        above.sort_unstable();
-
-        let mut deltas = [0i64; SWAP_LANES];
-        let (mut acc, mut hi) = (0, in_bin);
-        for &(a, l) in below.iter() {
-            acc += shift_gain(&self.diffs[a..hi], -self.n);
-            hi = a;
-            deltas[l] = acc;
-        }
-        let (mut acc, mut lo) = (0, in_bin);
-        for &(a, l) in above.iter() {
-            acc += shift_gain(&self.diffs[lo..a], self.n);
-            lo = a;
-            deltas[l] = acc;
-        }
-        deltas
     }
 
     /// Applies the swap of one record of bin `out_bin` for one of bin
     /// `in_bin`, which the caller guarantees holds a record of the
     /// cluster: `D` and `S` change over the bins between the two only.
     pub fn swap(&mut self, out_bin: usize, in_bin: usize) {
-        let (range, shift) = if out_bin < in_bin {
-            (out_bin..in_bin, -self.n)
-        } else {
-            (in_bin..out_bin, self.n)
+        self.sum += match &mut self.diffs {
+            Diffs::Narrow(d) => i128::from(apply_swap(d, self.n as i64, out_bin, in_bin)),
+            Diffs::Wide(d) => apply_swap(d, self.n, out_bin, in_bin),
         };
-        for d in &mut self.diffs[range] {
-            self.sum += (*d + shift).abs() - d.abs();
-            *d += shift;
-        }
+    }
+}
+
+/// Whether a cluster of `size` records over `emd`'s domain holds its
+/// `D_i` in `i64`: `(m + |C|)·N ≤ 2⁶²` keeps every `D_i`, moved `D_i` and
+/// swap delta below 2⁶².
+fn narrow(emd: &OrderedEmd, size: usize) -> bool {
+    (emd.m() as u128 + size as u128).saturating_mul(emd.n as u128) <= 1 << 62
+}
+
+/// An integer type the `D_i` are computed in.
+trait Diff:
+    Copy
+    + Default
+    + Ord
+    + Sum
+    + From<u32>
+    + Add<Output = Self>
+    + Sub<Output = Self>
+    + Mul<Output = Self>
+    + Neg<Output = Self>
+{
+}
+
+impl Diff for i64 {}
+impl Diff for i128 {}
+
+fn abs<T: Diff>(x: T) -> T {
+    if x < T::default() {
+        -x
+    } else {
+        x
     }
 }
 
 /// The change of `Σ|D_i|` over `diffs` when every `D_i` moves by `shift`.
-fn shift_gain(diffs: &[i64], shift: i64) -> i64 {
-    diffs.iter().map(|&d| (d + shift).abs() - d.abs()).sum()
+fn shift_gain<T: Diff>(diffs: &[T], shift: T) -> T {
+    diffs.iter().map(|&d| abs(d + shift) - abs(d)).sum()
+}
+
+/// [`ExactEmd::swap_deltas`] on `D_i` of type `T`, with `n` = `N`.
+fn lane_deltas<T: Diff>(diffs: &[T], n: T, out_bins: &[usize], in_bin: usize) -> [T; SWAP_LANES] {
+    let (mut below, mut above) = ([(0, 0); SWAP_LANES], [(0, 0); SWAP_LANES]);
+    let (mut nb, mut na) = (0, 0);
+    for (l, &a) in out_bins.iter().enumerate() {
+        if a < in_bin {
+            below[nb] = (a, l);
+            nb += 1;
+        } else if a > in_bin {
+            above[na] = (a, l);
+            na += 1;
+        }
+    }
+    let below = &mut below[..nb];
+    let above = &mut above[..na];
+    below.sort_unstable_by(|x, y| y.cmp(x));
+    above.sort_unstable();
+
+    let mut deltas = [T::default(); SWAP_LANES];
+    let (mut acc, mut hi) = (T::default(), in_bin);
+    for &(a, l) in below.iter() {
+        acc = acc + shift_gain(&diffs[a..hi], -n);
+        hi = a;
+        deltas[l] = acc;
+    }
+    let (mut acc, mut lo) = (T::default(), in_bin);
+    for &(a, l) in above.iter() {
+        acc = acc + shift_gain(&diffs[lo..a], n);
+        lo = a;
+        deltas[l] = acc;
+    }
+    deltas
+}
+
+/// [`ExactEmd::swap`] on `D_i` of type `T`: moves the `D_i` between the
+/// two bins and returns the change of `S`.
+fn apply_swap<T: Diff>(diffs: &mut [T], n: T, out_bin: usize, in_bin: usize) -> T {
+    let (range, shift) = if out_bin < in_bin {
+        (out_bin..in_bin, -n)
+    } else {
+        (in_bin..out_bin, n)
+    };
+    let diffs = &mut diffs[range];
+    let gain = shift_gain(diffs, shift);
+    for d in diffs {
+        *d = *d + shift;
+    }
+    gain
 }
 
 /// Mergeable accumulator of a confidential attribute's *global* value
@@ -912,7 +1101,8 @@ mod tests {
         assert_eq!(emd.m(), 1);
         assert_eq!(emd.emd_of_records(&[0, 3]), 0.0);
         let h = ClusterHistogram::of_records(&emd, &[0]);
-        assert_eq!(emd.emd_after_add(&h, 3), 0.0);
+        assert_eq!(emd.emd_after_swap(&h, 0, 3), 0.0);
+        assert_eq!(emd.exact_emd(&h), Ratio::ZERO);
     }
 
     #[test]
@@ -969,6 +1159,87 @@ mod tests {
             for r in (0..col.len()).step_by(step) {
                 h.add(emd.bin_of(r));
                 assert_eq!(emd.emd(&h).to_bits(), literal(&emd, &h).to_bits());
+            }
+        }
+    }
+
+    /// `a / b` against `c / d` as continued fractions, forming no product.
+    fn cmp_fractions(a: u128, b: u128, c: u128, d: u128) -> Ordering {
+        match ((a / b).cmp(&(c / d)), a % b, c % d) {
+            (Ordering::Equal, 0, 0) => Ordering::Equal,
+            (Ordering::Equal, 0, _) => Ordering::Less,
+            (Ordering::Equal, _, 0) => Ordering::Greater,
+            (Ordering::Equal, ra, rc) => cmp_fractions(d, rc, b, ra),
+            (order, _, _) => order,
+        }
+    }
+
+    /// SplitMix64 draws of `bits`-bit values.
+    fn draw(state: &mut u64, bits: u32) -> u128 {
+        let mut next = || {
+            *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = *state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            u128::from(z ^ (z >> 31))
+        };
+        (next() << 64 | next()) >> (128 - bits)
+    }
+
+    #[test]
+    fn ratios_order_by_value_in_256_bits() {
+        let mut state = 1;
+        for bits in [1, 7, 40, 63, 64, 65, 100, 126] {
+            for _ in 0..500 {
+                let den = draw(&mut state, bits).max(1);
+                let num = draw(&mut state, bits) % (den + 1);
+                let x = Ratio::new(num, den);
+                // Another draw, and the same value over a multiple of den.
+                let d2 = draw(&mut state, 126).max(1);
+                let others = [Ratio::new(draw(&mut state, 126) % (d2 + 1), d2), {
+                    let k = (1u128 << (126 - bits)).max(1);
+                    Ratio::new(num * k, den * k)
+                }];
+                for y in others {
+                    assert_eq!(x.cmp(&y), cmp_fractions(x.num, x.den, y.num, y.den));
+                    assert_eq!(x == y, x.cmp(&y).is_eq());
+                }
+            }
+        }
+        assert_eq!(Ratio::new(0, 0), Ratio::ZERO);
+        assert!(Ratio::ZERO < Ratio::new(1, 1 << 126));
+    }
+
+    #[test]
+    fn exceeds_reads_t_exactly_from_its_bits() {
+        let half = Ratio::new(1, 2);
+        assert!(!half.exceeds(0.5) && half.exceeds(0.5f64.next_down()));
+        // 0.2 is 3602879701896397 / 2⁵⁴, just above 1/5.
+        let point_two = Ratio::new(3_602_879_701_896_397, 1 << 54);
+        assert!(!point_two.exceeds(0.2) && point_two.exceeds(0.2f64.next_down()));
+        assert!(!Ratio::new(1, 5).exceeds(0.2) && Ratio::new(1, 5).exceeds(0.2f64.next_down()));
+        // 2⁻¹⁰⁰ of 2¹²⁶ is 2²⁶; the smallest subnormal of it is below one.
+        let den = 1u128 << 126;
+        assert!(!Ratio::new(1 << 26, den).exceeds(2f64.powi(-100)));
+        assert!(Ratio::new((1 << 26) + 1, den).exceeds(2f64.powi(-100)));
+        assert!(Ratio::new(1, den).exceeds(f64::from_bits(1)));
+        assert!(!Ratio::ZERO.exceeds(f64::from_bits(1)));
+        // t outside (0, 1).
+        assert!(!Ratio::new(1, 1).exceeds(1.0) && !half.exceeds(f64::INFINITY));
+        assert!(Ratio::ZERO.exceeds(-0.5) && !Ratio::ZERO.exceeds(f64::NAN));
+        assert!(half.exceeds(0.0) && half.exceeds(-0.0) && !Ratio::ZERO.exceeds(0.0));
+        // Random values against t = v / 2⁵³ compared as fractions.
+        let mut state = 2;
+        for bits in [3, 60, 90, 126] {
+            for _ in 0..500 {
+                let den = draw(&mut state, bits).max(1);
+                let x = Ratio::new(draw(&mut state, bits) % (den + 1), den);
+                let v = draw(&mut state, 53);
+                let t = v as f64 / (1u64 << 53) as f64;
+                assert_eq!(
+                    x.exceeds(t),
+                    cmp_fractions(x.num, x.den, v, 1 << 53).is_gt()
+                );
             }
         }
     }

@@ -1,12 +1,13 @@
-//! Differential tests of [`ExactEmd`]: its sum is the ordered EMD in exact
+//! Differential tests of [`ExactEmd`]: its EMD is the ordered EMD in exact
 //! integers, each swap delta equals the sum of the swapped cluster built
 //! afresh, and applied swaps keep the state equal to a fresh one — across
 //! domains of 1 to 2,000 bins with heavy global ties, clusters of 1 to 50
-//! records, same-bin and duplicate outgoing bins and the end bins.
+//! records, same-bin and duplicate outgoing bins and the end bins, and
+//! counts too large for `i64`.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use tclose_metrics::emd::{ClusterHistogram, ExactEmd, OrderedEmd, EXACT_LIMIT, SWAP_LANES};
+use tclose_metrics::emd::{ClusterHistogram, ExactEmd, OrderedEmd, Ratio, SWAP_LANES};
 
 const DOMAINS: [usize; 6] = [1, 2, 3, 17, 400, 2000];
 
@@ -33,15 +34,18 @@ fn cluster(rng: &mut StdRng, emd: &OrderedEmd, size: usize) -> Vec<usize> {
     members
 }
 
-/// `(S − bound) / K ≤ emd ≤ (S + bound) / K` with `K = |C|·N·(m − 1)`,
-/// checked on `emd·K` with the product's own rounding (a few units of
-/// `S·2⁻⁵²`) allowed for.
+/// The state's EMD is [`OrderedEmd::exact_emd`]'s, and the f64 walk lies
+/// within `3·(m + 1)²·2⁻⁵³` of it, relative to `K = (m − 1)·|C|·N`:
+/// `|emd·K − S| ≤ 3·(m + 1)²·|C|·N·2⁻⁵³`, with the product's own rounding
+/// (a few units of `S·2⁻⁵²`) allowed for.
 fn assert_within_bound(emd: &OrderedEmd, state: &ExactEmd, hist: &ClusterHistogram) {
-    let k = state.scale() as f64 * (emd.m() as f64 - 1.0).max(1.0);
-    let scaled = emd.emd(hist) * k;
+    assert_eq!(state.emd(), emd.exact_emd(hist));
+    let m = emd.m() as f64;
+    let scale = hist.size() as f64 * emd.n() as f64;
+    let scaled = emd.emd(hist) * scale * (m - 1.0).max(1.0);
     let (sum, bound) = (
         state.sum() as f64,
-        state.rounding_bound() as f64 / 2f64.powi(53),
+        3.0 * (m + 1.0).powi(2) * scale / 2f64.powi(53),
     );
     assert!(
         (scaled - sum).abs() <= bound + sum * 2f64.powi(-50),
@@ -59,15 +63,14 @@ fn sum_is_the_emd_within_the_rounding_bound() {
         assert_eq!(emd.m(), m);
         for size in [1, 2, 5, 9, 50] {
             let hist = ClusterHistogram::of_records(&emd, &cluster(&mut rng, &emd, size));
-            let state = ExactEmd::new(&emd, &hist).expect("small counts are exact");
+            let state = ExactEmd::new(&emd, &hist);
             assert_within_bound(&emd, &state, &hist);
-            assert_eq!(state.scale(), (hist.size() * emd.n()) as i64);
         }
     }
     // The whole data set is its own distribution: S = 0 exactly.
     let emd = OrderedEmd::new(&[1.0, 1.0, 2.0, 5.0]);
     let all = ClusterHistogram::of_records(&emd, &[0, 1, 2, 3]);
-    assert_eq!(ExactEmd::new(&emd, &all).unwrap().sum(), 0);
+    assert_eq!(ExactEmd::new(&emd, &all).emd(), Ratio::ZERO);
 }
 
 #[test]
@@ -78,7 +81,7 @@ fn swap_deltas_equal_the_swapped_clusters_sums() {
         for size in [2, 5, 8, 20] {
             let members = cluster(&mut rng, &emd, size);
             let hist = ClusterHistogram::of_records(&emd, &members);
-            let state = ExactEmd::new(&emd, &hist).unwrap();
+            let state = ExactEmd::new(&emd, &hist);
             for _ in 0..12 {
                 // Outgoing bins of distinct members, repeats included; the
                 // incoming bin is drawn, or an end bin, or a member's bin.
@@ -97,7 +100,7 @@ fn swap_deltas_equal_the_swapped_clusters_sums() {
                     let mut swapped = hist.clone();
                     swapped.remove(out);
                     swapped.add(in_bin);
-                    let fresh = ExactEmd::new(&emd, &swapped).unwrap();
+                    let fresh = ExactEmd::new(&emd, &swapped);
                     assert_eq!(
                         state.sum() + deltas[l],
                         fresh.sum(),
@@ -118,7 +121,7 @@ fn applied_swaps_keep_the_state_equal_to_a_fresh_one() {
         for size in [1, 3, 30] {
             let mut members = cluster(&mut rng, &emd, size.min(emd.n() - 1));
             let hist = ClusterHistogram::of_records(&emd, &members);
-            let mut state = ExactEmd::new(&emd, &hist).unwrap();
+            let mut state = ExactEmd::new(&emd, &hist);
             for _ in 0..40 {
                 let i = rng.gen_range(0..members.len());
                 let inn = loop {
@@ -132,7 +135,7 @@ fn applied_swaps_keep_the_state_equal_to_a_fresh_one() {
                 state.swap(out_bin, in_bin);
                 members[i] = inn;
                 let hist = ClusterHistogram::of_records(&emd, &members);
-                let fresh = ExactEmd::new(&emd, &hist).unwrap();
+                let fresh = ExactEmd::new(&emd, &hist);
                 assert_eq!(state.sum(), fresh.sum());
                 assert_eq!(state.sum(), predicted);
                 assert_eq!(state, fresh);
@@ -143,30 +146,43 @@ fn applied_swaps_keep_the_state_equal_to_a_fresh_one() {
 }
 
 #[test]
-fn counts_too_large_to_hold_exactly_have_no_state() {
-    // N = 1.2·10¹⁰ records over 3 bins still fits a small cluster.
-    let counts = vec![4_000_000_000u32; 3];
-    let emd = OrderedEmd::try_from_global(vec![0.0, 1.0, 2.0], counts).unwrap();
-    let mut hist = ClusterHistogram::empty(3);
-    hist.add(0);
-    assert!(ExactEmd::new(&emd, &hist).is_some());
-
-    // 2,000 bins of 4·10⁹ records each: N = 8·10¹², and a cluster of 300
-    // records puts (m − 1)·|C|·N at about 4.8·10¹⁸ > 2⁶².
-    let m = 2000;
+fn counts_too_large_for_i64_are_held_in_i128() {
+    // 40,000 bins of u32::MAX records each: (m + |C|)·N passes 2⁶², so the
+    // D_i are held in i128, and (m − 1)·|C|·N passes 2⁶⁴. Swap deltas,
+    // applied swaps and growth still match fresh states, and the EMD
+    // matches `exact_emd`.
+    let m = 40_000;
     let values: Vec<f64> = (0..m).map(|v| v as f64).collect();
-    let emd = OrderedEmd::try_from_global(values, vec![4_000_000_000u32; m]).unwrap();
-    let mut hist = ClusterHistogram::empty(m);
-    for r in 0..300 {
-        hist.add(r % m);
+    let global = OrderedEmd::try_from_global(values, vec![u32::MAX; m]).unwrap();
+    let mut rng = StdRng::seed_from_u64(300);
+    let column: Vec<f64> = (0..64).map(|_| rng.gen_range(0..m) as f64).collect();
+    let emd = global.rebind(&column).unwrap();
+    let mut members: Vec<usize> = (0..20).collect();
+    let mut state = ExactEmd::new(&emd, &ClusterHistogram::of_records(&emd, &members));
+    assert!(format!("{state:?}").starts_with("ExactEmd { diffs: Wide"));
+    for inn in 20..40 {
+        let hist = ClusterHistogram::of_records(&emd, &members);
+        assert_eq!(state, ExactEmd::new(&emd, &hist));
+        assert_eq!(state.emd(), emd.exact_emd(&hist));
+        let outs: Vec<usize> = members[..SWAP_LANES]
+            .iter()
+            .map(|&r| emd.bin_of(r))
+            .collect();
+        let deltas = state.swap_deltas(&outs, emd.bin_of(inn));
+        for (l, &out) in outs.iter().enumerate() {
+            let mut swapped = hist.clone();
+            swapped.remove(out);
+            swapped.add(emd.bin_of(inn));
+            assert_eq!(state.emd_after(deltas[l]), emd.exact_emd(&swapped));
+        }
+        let mut grown = hist.clone();
+        grown.add(emd.bin_of(inn));
+        assert_eq!(
+            state.grown(&emd, emd.bin_of(inn)),
+            ExactEmd::new(&emd, &grown)
+        );
+        let i = inn % members.len();
+        state.swap(emd.bin_of(members[i]), emd.bin_of(inn));
+        members[i] = inn;
     }
-    let product = (m as i128 - 1) * 300 * emd.n() as i128;
-    assert!(product > EXACT_LIMIT as i128);
-    assert!(ExactEmd::new(&emd, &hist).is_none());
-    // A tenth of that cluster fits.
-    let mut small = ClusterHistogram::empty(m);
-    for r in 0..30 {
-        small.add(r);
-    }
-    assert!(ExactEmd::new(&emd, &small).is_some());
 }

@@ -1,9 +1,9 @@
-//! Differential tests of [`OrderedEmd`]'s one-pair evaluators, the f64
-//! walk that scores Algorithm 2's swaps where the exact integers tie:
-//! `emd_after_swap` and `emd_after_add` must be **bit-identical** to a
-//! fresh [`OrderedEmd::emd`] of the swapped or grown histogram — across
-//! domain sizes m ∈ {1, 2, 3, 17, 1017}, outgoing bins equal to the
-//! incoming one, duplicate outgoing bins and the end bins 0 and m − 1.
+//! Differential tests of [`OrderedEmd`]'s one-pair evaluator, the f64
+//! walk of a swapped cluster: `emd_after_swap` must be **bit-identical**
+//! to a fresh [`OrderedEmd::emd`] of the swapped histogram, also after the
+//! cluster grows — across domain sizes m ∈ {1, 2, 3, 17, 1017}, outgoing
+//! bins equal to the incoming one, duplicate outgoing bins and the end
+//! bins 0 and m − 1.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -96,14 +96,9 @@ fn growing_by_add_matches_a_fresh_emd() {
         let mut hist = ClusterHistogram::of_records(&emd, &members);
         for _ in 0..12 {
             let inn = rng.gen_range(0..emd.n());
-            let mut grown = hist.clone();
-            grown.add(emd.bin_of(inn));
-            let expected = emd.emd(&grown);
-            assert_eq!(emd.emd_after_add(&hist, inn).to_bits(), expected.to_bits());
             hist.add(emd.bin_of(inn));
             members.push(inn);
             assert_eq!(hist, ClusterHistogram::of_records(&emd, &members));
-            assert_eq!(emd.emd(&hist).to_bits(), expected.to_bits());
             check_swaps(&emd, &hist, &members, rng.gen_range(0..emd.n()));
         }
     }

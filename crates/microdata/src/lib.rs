@@ -51,6 +51,7 @@ pub mod column;
 pub mod csv;
 pub mod error;
 pub mod normalize;
+pub mod partial;
 pub mod schema;
 pub mod stats;
 pub mod table;
@@ -60,6 +61,7 @@ pub use attribute::{AttributeDef, AttributeKind, AttributeRole, Dictionary};
 pub use column::Column;
 pub use error::{Error, Result};
 pub use normalize::NormalizeMethod;
+pub use partial::PartialFile;
 pub use schema::Schema;
 pub use stats::{correlation, mean, population_variance, range, std_dev, RunningStats};
 pub use table::Table;

@@ -101,7 +101,7 @@ use tclose_core::{
     Algorithm, Anonymizer, FittedAnonymizer, GlobalFit, NeighborBackend, TClosenessParams,
 };
 use tclose_microdata::csv::{read_csv_auto, CsvAppendWriter, CsvChunks};
-use tclose_microdata::{AttributeRole, NormalizeMethod, Schema, Table};
+use tclose_microdata::{AttributeRole, NormalizeMethod, PartialFile, Schema, Table};
 use tclose_parallel::{ordered_pipeline, Parallelism};
 
 /// Default shard size (records per shard) when none is configured.
@@ -270,10 +270,12 @@ impl ShardedAnonymizer {
     ///
     /// Each shard goes through [`release_shard`] on the pipeline's
     /// workers; the released shards are appended to `output` in input
-    /// order, and their audit-log lines to the policy's log. The log is
-    /// opened before `output` is created, so an unwritable log path fails
-    /// the run before any release is written, and a failed run leaves no
-    /// log. The error returned is the first failure in input order (see
+    /// order, and their audit-log lines to the policy's log. Both are
+    /// [`PartialFile`]s, renamed into place once the last shard is
+    /// written, so a failed run leaves no release and no log, and a file
+    /// already at either path stays as it was. The log is opened first, so
+    /// an unwritable log path fails the run before any release is written.
+    /// The error returned is the first failure in input order (see
     /// [`ordered_pipeline`]), so it does not depend on the worker count.
     pub fn apply_file_with(
         &self,
@@ -307,9 +309,9 @@ impl ShardedAnonymizer {
             Some(engine) => engine.open_audit_log()?,
             None => None,
         };
-        let mut sink = Some(BufWriter::new(File::create(output).map_err(|e| {
-            Error::Io(format!("cannot create {}: {e}", output.display()))
-        })?));
+        let mut sink = Some(BufWriter::new(PartialFile::create(output).map_err(
+            |e| Error::Io(format!("cannot create {}: {e}", output.display())),
+        )?));
         // The header comes from the first released shard, so it names
         // exactly the columns `release_shard` keeps.
         let mut writer = None;
@@ -347,7 +349,12 @@ impl ShardedAnonymizer {
                 detail: "input has a header but no data records".into(),
             });
         };
-        writer.finish()?;
+        let written = |e| Error::Io(format!("cannot write {}: {e}", output.display()));
+        let release = writer.finish()?.into_inner();
+        release
+            .map_err(|e| written(e.into_error()))?
+            .commit()
+            .map_err(written)?;
         if let Some(log) = log {
             log.commit()?;
         }

@@ -150,7 +150,8 @@ fn merge_algorithm_always_attains_t() {
         c.check_min_size(k.min(rows.len())).unwrap();
         for cl in c.clusters() {
             let d = model.emd_of_records(cl);
-            assert!(d <= t + 1e-9, "case {case}: EMD {d} > t {t}");
+            let over = model.exact_emd_of_records(cl).exceeds(t);
+            assert!(!over, "case {case}: EMD {d} > t {t}");
         }
     }
 }
@@ -170,7 +171,8 @@ fn tfirst_always_attains_t_with_fallback() {
         c.check_min_size(k.min(rows.len())).unwrap();
         for cl in c.clusters() {
             let d = model.emd_of_records(cl);
-            assert!(d <= t + 1e-9, "case {case}: EMD {d} > t {t}");
+            let over = model.exact_emd_of_records(cl).exceeds(t);
+            assert!(!over, "case {case}: EMD {d} > t {t}");
         }
     }
 }
@@ -203,7 +205,8 @@ fn tfirst_construction_meets_t_on_distinct_divisible_instances() {
         assert_eq!(c.max_size(), k_eff, "case {case}: a cluster was merged");
         for cl in c.clusters() {
             let d = model.emd_of_records(cl);
-            assert!(d <= t + 1e-9, "case {case}: EMD {d} > t with k_eff {k_eff}");
+            let over = model.exact_emd_of_records(cl).exceeds(t);
+            assert!(!over, "case {case}: EMD {d} > t with k_eff {k_eff}");
             assert!(d <= emd_upper_bound(n, k_eff) + 1e-9, "case {case}");
         }
     }

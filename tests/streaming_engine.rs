@@ -355,9 +355,10 @@ fn a_failing_stream_reports_the_first_failure_at_any_worker_count() {
 
 /// The same failing file with planted PII, streamed under a policy that
 /// writes an audit log: shards 0 and 1 are written, log lines included,
-/// before shard 2 fails, yet at every worker count no log and no
-/// temporary file is left beside its path, and a log already there stays
-/// byte for byte as it was.
+/// before shard 2 fails, yet at every worker count no release, no log and
+/// no temporary file is left beside their paths, and a release and a log
+/// already there stay byte for byte as they were. A header-only input
+/// leaves no release either.
 #[test]
 fn a_failing_logged_stream_leaves_no_log() {
     let (fitted, bad) = failing_stream("logged_failure", &tclose::datasets::pii_patients(3, 600));
@@ -379,26 +380,45 @@ fn a_failing_logged_stream_leaves_no_log() {
         names
     };
 
+    let release = dir.join("release.csv");
     let earlier = b"{\"row\":0,\"an\":\"earlier log\"}\n";
+    let earlier_release = b"AGE,ZIP\n1,2\n";
     for existing in [false, true] {
         if existing {
             std::fs::write(&log, earlier).unwrap();
+            std::fs::write(&release, earlier_release).unwrap();
         }
         for workers in 1..=4 {
             let err = ShardedAnonymizer::new(5, 0.3)
                 .shard_rows(100)
                 .with_parallelism(Parallelism::workers(workers))
                 .with_compliance(engine.clone())
-                .apply_file_with(&fitted, &bad, &tmp("logged_failure_out.csv"))
+                .apply_file_with(&fitted, &bad, &release)
                 .unwrap_err()
                 .to_string();
             assert!(err.contains("record 250 "), "{workers} workers: {err}");
             if existing {
-                assert_eq!(entries(), ["audit.jsonl"], "{workers} workers");
+                assert_eq!(
+                    entries(),
+                    ["audit.jsonl", "release.csv"],
+                    "{workers} workers"
+                );
                 assert_eq!(std::fs::read(&log).unwrap(), earlier, "{workers} workers");
+                let kept = std::fs::read(&release).unwrap();
+                assert_eq!(kept, earlier_release, "{workers} workers");
             } else {
                 assert!(entries().is_empty(), "{workers} workers: {:?}", entries());
             }
         }
     }
+
+    let header_only = tmp("logged_failure_header_only.csv");
+    let text = std::fs::read_to_string(&bad).unwrap();
+    std::fs::write(&header_only, text.lines().next().unwrap().to_owned() + "\n").unwrap();
+    std::fs::remove_file(&release).unwrap();
+    let err = ShardedAnonymizer::new(5, 0.3)
+        .apply_file_with(&fitted, &header_only, &release)
+        .unwrap_err();
+    assert!(err.to_string().contains("no data records"), "{err}");
+    assert_eq!(entries(), ["audit.jsonl"]);
 }
