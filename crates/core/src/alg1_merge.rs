@@ -110,8 +110,9 @@ impl<M: Microaggregator> TCloseClusterer for MergeAlgorithm<M> {
 /// Repeatedly merges the cluster with the greatest EMD into a partner
 /// until every cluster's EMD is ≤ `t` (or one cluster remains), ranking
 /// and testing clusters by their exact EMDs
-/// ([`Confidential::exact_emd_of_hists`]). `par` sets the worker count of
-/// the centroid scans; the result never depends on it.
+/// ([`Confidential::exact_emd_of_hists`]) on their sparse histograms. `par`
+/// sets the worker count of the centroid scans; the result never depends
+/// on it.
 pub fn merge_until_t_close_with(
     m: &Matrix,
     conf: &Confidential,
@@ -181,8 +182,8 @@ pub fn merge_until_t_close_with(
             .collect();
         let moved = std::mem::take(&mut clusters[mate]);
         clusters[worst].extend(moved);
-        let moved_h = hists[mate].clone();
-        hists[worst].merge(&moved_h);
+        let moved = std::mem::take(&mut hists[mate]);
+        hists[worst].merge(&moved);
         emds[worst] = conf.exact_emd_of_hists(&hists[worst]);
         centroids[worst] = merged_centroid;
 
@@ -367,7 +368,7 @@ mod tests {
         // Tied confidential models of one to three attributes (the third
         // of one bin), QI points on a small grid so that centroid distances
         // tie too, and random partitions into clusters of one to six
-        // records; t at the walk's EMD of a cluster and its neighbours, so
+        // records; t at the reported EMD of a cluster and its neighbours, so
         // that some t equal an exact EMD.
         for (case, bins) in [2usize, 3, 5, 17, 60].into_iter().enumerate() {
             for attrs in 1..=3 {
@@ -390,12 +391,12 @@ mod tests {
                         clusters.push(order.split_off(order.len() - size));
                     }
                     let some = &clusters[rng.below(clusters.len())];
-                    let walk = conf.emd_of_records(some);
+                    let rounded = conf.emd_of_records(some);
                     let start = Clustering::new(clusters, n).unwrap();
                     for t in [
-                        walk,
-                        walk.next_up(),
-                        walk.next_down(),
+                        rounded,
+                        rounded.next_up(),
+                        rounded.next_down(),
                         0.05 + 0.3 * rng.unit(),
                     ] {
                         if t <= 1e-30 {

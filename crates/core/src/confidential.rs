@@ -12,7 +12,7 @@
 //! are rejected with a clear error.
 
 use crate::error::{Error, Result};
-use tclose_metrics::emd::{ClusterHistogram, ExactEmd, OrderedEmd, Ratio, SWAP_LANES};
+use tclose_metrics::emd::{ExactEmd, OrderedEmd, Ratio, SparseHistogram, SWAP_LANES};
 use tclose_microdata::{AttributeKind, Table};
 
 /// Fitted evaluators for all confidential attributes of a table.
@@ -181,28 +181,26 @@ impl Confidential {
         &self.emds[0]
     }
 
-    /// Maximum EMD across confidential attributes for a cluster of records.
+    /// Maximum EMD across confidential attributes for a cluster of records,
+    /// the exact value rounded once to the nearest `f64`: a value to report.
     pub fn emd_of_records(&self, records: &[usize]) -> f64 {
-        self.emds
-            .iter()
-            .map(|e| e.emd_of_records(records))
-            .fold(0.0, f64::max)
+        self.exact_emd_of_records(records).to_f64()
     }
 
-    /// Builds one histogram per attribute for the given records.
+    /// Builds one sparse histogram per attribute for the given records.
     pub fn histograms(&self, records: &[usize]) -> ClusterHists {
         ClusterHists {
             hists: self
                 .emds
                 .iter()
-                .map(|e| ClusterHistogram::of_records(e, records))
+                .map(|e| SparseHistogram::of_records(e, records))
                 .collect(),
         }
     }
 
     /// Maximum EMD across attributes after hypothetically swapping record
-    /// `out` for record `inn` (pure — does not mutate `hists`): an f64
-    /// value to report, where exact EMDs decide t.
+    /// `out` for record `inn` (pure — does not mutate `hists`), the exact
+    /// value rounded once to the nearest `f64`: a value to report.
     pub fn emd_after_swap(&self, hists: &ClusterHists, out: usize, inn: usize) -> f64 {
         self.emds
             .iter()
@@ -229,7 +227,7 @@ impl Confidential {
         let states = self
             .emds
             .iter()
-            .map(|e| ExactEmd::new(e, &ClusterHistogram::of_records(e, records)))
+            .map(|e| ExactEmd::new(e, &SparseHistogram::of_records(e, records)))
             .collect();
         ClusterScorer {
             conf: self,
@@ -331,11 +329,12 @@ impl ClusterScorer<'_> {
     }
 }
 
-/// One [`ClusterHistogram`] per confidential attribute, kept in sync by the
-/// incremental algorithms.
-#[derive(Debug, Clone)]
+/// One [`SparseHistogram`] per confidential attribute, a cluster's state in
+/// the merge pass: `O(|C|)` whatever the size of the domains, and its exact
+/// EMD ([`Confidential::exact_emd_of_hists`]) costs `O(|C| log m)`.
+#[derive(Debug, Clone, Default)]
 pub struct ClusterHists {
-    hists: Vec<ClusterHistogram>,
+    hists: Vec<SparseHistogram>,
 }
 
 impl ClusterHists {
@@ -362,7 +361,7 @@ impl ClusterHists {
 
     /// Current cluster size (identical across attributes by construction).
     pub fn size(&self) -> usize {
-        self.hists.first().map(ClusterHistogram::size).unwrap_or(0)
+        self.hists.first().map(SparseHistogram::size).unwrap_or(0)
     }
 }
 
@@ -535,7 +534,7 @@ mod tests {
         let fresh = |scorer: &ClusterScorer, members: &[usize]| {
             assert_eq!(scorer.emd(), conf.exact_emd_of_records(members));
             for (state, e) in scorer.states.iter().zip(conf.emds()) {
-                let hist = ClusterHistogram::of_records(e, members);
+                let hist = SparseHistogram::of_records(e, members);
                 assert_eq!(state, &ExactEmd::new(e, &hist));
             }
         };
@@ -582,12 +581,12 @@ mod tests {
             let want = reference::best_swap(conf, &members, inn);
             let case = format!("m={:?} |C|={} in {inn}", conf.emds()[0].m(), members.len());
             assert_eq!(scorer.best_swap(&members, inn), want, "{case}");
-            let walk = conf.emd_of_records(&members);
-            let mut ts = vec![rng.unit(), walk];
+            let rounded = conf.emd_of_records(&members);
+            let mut ts = vec![rng.unit(), rounded];
             for _ in 0..2 {
                 ts.push(ts[ts.len() - 1].next_up());
             }
-            ts.extend([walk.next_down(), walk.next_down().next_down()]);
+            ts.extend([rounded.next_down(), rounded.next_down().next_down()]);
             for t in ts.into_iter().filter(|&t| t > 1e-30) {
                 let order = reference::cmp_t(current, t);
                 ties += usize::from(order.is_eq());
@@ -665,10 +664,10 @@ mod tests {
 
     #[test]
     fn an_exact_emd_equal_to_t_does_not_exceed_it() {
-        // One record of three values: the EMD is 1/2 exactly, and the f64
-        // walk rounds it up.
+        // One record of three values: the EMD is 1/2 exactly, and so is
+        // the f64 it is reported as.
         let conf = Confidential::single(OrderedEmd::new(&[0.0, 1.0, 2.0]));
-        assert!(conf.emd_of_records(&[0]) > 0.5);
+        assert_eq!(conf.emd_of_records(&[0]), 0.5);
         let exceeds = |t: f64| conf.scorer(&[0]).exceeds(t);
         assert!(!exceeds(0.5));
         assert!(exceeds(0.5f64.next_down()));
@@ -688,6 +687,27 @@ mod tests {
         for attrs in 1..=2 {
             let conf = Confidential::from_emds(vec![bound.clone(); attrs]).unwrap();
             check_decisions(&mut rng, &conf, 20, 6);
+        }
+    }
+
+    #[test]
+    fn emd_after_swap_is_the_swapped_clusters_exact_emd_rounded() {
+        let mut rng = Draws(7);
+        for m in [1usize, 3, 40, 2000] {
+            let conf = reference::tied_model(&mut rng, &[m, (m / 7).max(2)], 2 * m + 60);
+            let n = conf.n_bound();
+            for size in [1, 5, 30] {
+                let members: Vec<usize> = (0..size).map(|_| rng.below(n)).collect();
+                let hists = conf.histograms(&members);
+                for _ in 0..10 {
+                    let (i, inn) = (rng.below(size), rng.below(n));
+                    let mut swapped = members.clone();
+                    swapped[i] = inn;
+                    let want = conf.exact_emd_of_records(&swapped).to_f64();
+                    let got = conf.emd_after_swap(&hists, members[i], inn);
+                    assert_eq!(got.to_bits(), want.to_bits(), "m={m} |C|={size}");
+                }
+            }
         }
     }
 

@@ -27,7 +27,7 @@ use crate::confidential::Confidential;
 use crate::error::{Error, Result};
 use crate::params::TClosenessParams;
 use crate::pipeline::{Algorithm, AnonymizationReport, Anonymized, Anonymizer};
-use crate::verify::{verify_k_anonymity, verify_t_closeness_with};
+use crate::verify::audit_release;
 use tclose_metrics::sse::normalized_sse;
 use tclose_microagg::{aggregate_columns, Matrix, NeighborBackend, Parallelism};
 use tclose_microdata::{stats, AttributeKind, AttributeRole, NormalizeMethod, Schema, Table};
@@ -475,8 +475,7 @@ impl FittedAnonymizer {
 
         // Audit the *release*, not the clustering: the report's achieved
         // levels are what an external auditor would measure.
-        let achieved_k = verify_k_anonymity(&released)?;
-        let achieved_t = verify_t_closeness_with(&released, &conf, self.par)?;
+        let audit = audit_release(&released, &conf, self.par)?;
         let sse = normalized_sse(shard, &released, &self.fit.qi)?;
 
         let report = AnonymizationReport {
@@ -485,10 +484,11 @@ impl FittedAnonymizer {
             t_requested: self.params.t,
             n_records: shard.n_rows(),
             n_clusters: clustering.n_clusters(),
-            min_cluster_size: achieved_k,
+            min_cluster_size: audit.achieved_k,
             mean_cluster_size: clustering.mean_size(),
             max_cluster_size: clustering.max_size(),
-            max_emd: achieved_t,
+            max_emd: audit.max_emd.to_f64(),
+            max_emd_exact: audit.max_emd,
             sse,
             clustering_time,
         };

@@ -79,10 +79,11 @@ pub use fit::{FittedAnonymizer, GlobalFit, QiEmbedding};
 pub use models::verify_l_diversity;
 pub use params::TClosenessParams;
 pub use pipeline::{Algorithm, AnonymizationReport, Anonymized, Anonymizer};
+pub use tclose_metrics::emd::Ratio;
 pub use tclose_microagg::NeighborBackend;
 pub use verify::{
-    equivalence_classes, t_closeness_holds_with, verify_k_anonymity, verify_t_closeness,
-    verify_t_closeness_with,
+    audit_release, equivalence_classes, verify_k_anonymity, verify_t_closeness,
+    verify_t_closeness_with, ReleaseAudit,
 };
 
 /// A t-closeness-aware clustering algorithm over normalized QI vectors.

@@ -16,6 +16,7 @@ use crate::error::Result;
 use crate::fit::{FittedAnonymizer, GlobalFit, QiEmbedding};
 use crate::params::TClosenessParams;
 use crate::TCloseClusterer;
+use tclose_metrics::emd::Ratio;
 use tclose_microagg::{Clustering, Matrix, NeighborBackend, Parallelism};
 use tclose_microdata::{NormalizeMethod, Table};
 
@@ -61,8 +62,10 @@ pub struct AnonymizationReport {
     pub mean_cluster_size: f64,
     /// Largest class size.
     pub max_cluster_size: usize,
-    /// Largest class-to-table EMD — the *achieved* t (audited).
+    /// Largest class-to-table EMD — the *achieved* t (audited), rounded.
     pub max_emd: f64,
+    /// The same EMD exactly, which [`Self::satisfies_request`] grades.
+    pub max_emd_exact: Ratio,
     /// Normalized SSE over the quasi-identifiers (Eq. 5).
     pub sse: f64,
     /// Wall-clock time of the clustering step.
@@ -70,10 +73,12 @@ pub struct AnonymizationReport {
 }
 
 impl AnonymizationReport {
-    /// True when the audited release satisfies both requested levels.
+    /// True when the audited release satisfies both requested levels: t
+    /// is graded on the exact EMD, so a class whose EMD equals `t` passes
+    /// and one a hair above it fails.
     pub fn satisfies_request(&self) -> bool {
         self.min_cluster_size >= self.k_requested.min(self.n_records)
-            && self.max_emd <= self.t_requested + 1e-9
+            && !self.max_emd_exact.exceeds(self.t_requested)
     }
 }
 
@@ -425,5 +430,43 @@ mod tests {
                 .unwrap();
             assert!(out.report.min_cluster_size >= 3);
         }
+    }
+
+    #[test]
+    fn a_worst_class_at_exactly_t_satisfies_it_and_one_above_does_not() {
+        // Class q = 1 holds one record of a three-value column: its EMD is
+        // 1/2 exactly, which rounds to 0.5, so only the exact grade tells
+        // t = 0.5 from the double below it.
+        let schema = Schema::new(vec![
+            AttributeDef::numeric("q", AttributeRole::QuasiIdentifier),
+            AttributeDef::numeric("c", AttributeRole::Confidential),
+        ])
+        .unwrap();
+        let mut table = Table::new(schema);
+        for (q, c) in [(1.0, 0.0), (2.0, 1.0), (2.0, 2.0)] {
+            table
+                .push_row(&[Value::Number(q), Value::Number(c)])
+                .unwrap();
+        }
+        let conf = Confidential::from_table(&table).unwrap();
+        let audit = crate::verify::audit_release(&table, &conf, Parallelism::sequential()).unwrap();
+        assert_eq!((audit.achieved_k, audit.max_emd), (1, Ratio::new(1, 2)));
+        let report = |t_requested: f64| AnonymizationReport {
+            algorithm: Algorithm::Merge.name(),
+            k_requested: 1,
+            t_requested,
+            n_records: 3,
+            n_clusters: 2,
+            min_cluster_size: audit.achieved_k,
+            mean_cluster_size: 1.5,
+            max_cluster_size: 2,
+            max_emd: audit.max_emd.to_f64(),
+            max_emd_exact: audit.max_emd,
+            sse: 0.0,
+            clustering_time: Duration::ZERO,
+        };
+        assert_eq!(report(0.5).max_emd, 0.5);
+        assert!(report(0.5).satisfies_request());
+        assert!(!report(0.5f64.next_down()).satisfies_request());
     }
 }

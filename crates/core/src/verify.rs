@@ -8,6 +8,7 @@
 use crate::confidential::Confidential;
 use crate::error::{Error, Result};
 use std::collections::HashMap;
+use tclose_metrics::emd::Ratio;
 use tclose_microdata::{AttributeKind, Table};
 use tclose_parallel::{parallel_map_with, Parallelism};
 
@@ -21,28 +22,34 @@ pub fn equivalence_classes(table: &Table) -> Result<Vec<Vec<usize>>> {
             "the schema declares no quasi-identifier attribute".into(),
         ));
     }
-    // Key each record by the exact bit patterns of its QI values. Numeric
-    // aggregation copies centroids bit-for-bit, so exact matching is right.
-    let mut classes: Vec<Vec<usize>> = Vec::new();
-    let mut index: HashMap<Vec<u64>, usize> = HashMap::new();
-    for r in 0..table.n_rows() {
-        let mut key = Vec::with_capacity(qi.len());
-        for &a in &qi {
-            let attr = table.schema().attribute(a)?;
-            match attr.kind {
-                AttributeKind::Numeric => {
-                    key.push(table.numeric_column(a)?[r].to_bits());
+    // Key each record by the exact bit patterns of its QI values, in one
+    // row-major buffer. Numeric aggregation copies centroids bit-for-bit,
+    // so exact matching is right.
+    let d = qi.len();
+    let mut keys = vec![0u64; table.n_rows() * d];
+    for (j, &a) in qi.iter().enumerate() {
+        let column = keys.iter_mut().skip(j).step_by(d);
+        match table.schema().attribute(a)?.kind {
+            AttributeKind::Numeric => {
+                for (k, x) in column.zip(table.numeric_column(a)?) {
+                    *k = x.to_bits();
                 }
-                _ => key.push(u64::from(table.categorical_column(a)?[r])),
+            }
+            _ => {
+                for (k, &c) in column.zip(table.categorical_column(a)?) {
+                    *k = u64::from(c);
+                }
             }
         }
-        match index.get(&key) {
-            Some(&ci) => classes[ci].push(r),
-            None => {
-                index.insert(key, classes.len());
-                classes.push(vec![r]);
-            }
-        }
+    }
+    let mut classes: Vec<Vec<usize>> = Vec::new();
+    let mut index: HashMap<&[u64], usize> = HashMap::new();
+    for (r, key) in keys.chunks_exact(d).enumerate() {
+        let ci = *index.entry(key).or_insert_with(|| {
+            classes.push(Vec::new());
+            classes.len() - 1
+        });
+        classes[ci].push(r);
     }
     Ok(classes)
 }
@@ -57,54 +64,29 @@ pub fn verify_k_anonymity(table: &Table) -> Result<usize> {
     Ok(classes.iter().map(Vec::len).min().unwrap_or(0))
 }
 
-/// Audits t-closeness of a released table: returns the maximum EMD between
-/// any equivalence class's confidential distribution and the global one
-/// (the achieved `t`).
+/// What one audit pass measures on a released table: both levels come
+/// from one grouping of its rows into equivalence classes.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct ReleaseAudit {
+    /// The size of the smallest class: the achieved `k` (0 for no rows).
+    pub achieved_k: usize,
+    /// The largest EMD of any class on any confidential attribute, exactly:
+    /// the achieved `t`, which [`Ratio::exceeds`] grades against a request.
+    pub max_emd: Ratio,
+}
+
+/// Audits a released table in one pass: groups its rows into equivalence
+/// classes once and measures achieved k and the worst class's exact EMD
+/// ([`Confidential::exact_emd_of_records`]) from those classes.
 ///
 /// `conf` must be *bound* to the rows of `table`: either fitted directly on
 /// its confidential columns ([`Confidential::from_table`] — microaggregation
 /// leaves them untouched, so fitting on the original or the released table
 /// is equivalent), or rebound to this record subset via
 /// [`Confidential::rebind`] when auditing one shard against a global fit.
-pub fn verify_t_closeness(table: &Table, conf: &Confidential) -> Result<f64> {
-    verify_t_closeness_with(table, conf, Parallelism::auto())
-}
-
-/// [`verify_t_closeness`] with an explicit thread-count policy for the
-/// per-class EMD evaluations (the CLI's `--workers` lands here). The
-/// result is identical for any worker count: classes are evaluated
-/// independently and reduced in class order.
-pub fn verify_t_closeness_with(
-    table: &Table,
-    conf: &Confidential,
-    par: Parallelism,
-) -> Result<f64> {
-    let classes = bound_classes(table, conf)?;
-    Ok(parallel_map_with(classes, par, |c| conf.emd_of_records(c))
-        .into_iter()
-        .fold(0.0, f64::max))
-}
-
-/// Whether no equivalence class of `table` has an EMD above `t` on any
-/// confidential attribute, decided on exact integers
-/// ([`Confidential::exact_emd_of_records`]) as the merge pass decides it:
-/// a class whose EMD equals `t` passes, whatever its f64 EMD rounds to.
-/// `conf` is bound as for [`verify_t_closeness`]; the verdict is the same
-/// for any worker count.
-pub fn t_closeness_holds_with(
-    table: &Table,
-    conf: &Confidential,
-    t: f64,
-    par: Parallelism,
-) -> Result<bool> {
-    let classes = bound_classes(table, conf)?;
-    let over = parallel_map_with(classes, par, |c| conf.exact_emd_of_records(c).exceeds(t));
-    Ok(!over.contains(&true))
-}
-
-/// The equivalence classes of `table`, once `conf` is checked to be bound
-/// to its rows.
-fn bound_classes(table: &Table, conf: &Confidential) -> Result<Vec<Vec<usize>>> {
+/// `par` sets the worker count of the per-class EMDs; the result is the
+/// same for any worker count.
+pub fn audit_release(table: &Table, conf: &Confidential, par: Parallelism) -> Result<ReleaseAudit> {
     if table.n_rows() != conf.n_bound() {
         return Err(Error::UnsupportedData(format!(
             "confidential model is bound to {} records, table has {}",
@@ -112,7 +94,30 @@ fn bound_classes(table: &Table, conf: &Confidential) -> Result<Vec<Vec<usize>>> 
             table.n_rows()
         )));
     }
-    equivalence_classes(table)
+    let classes = equivalence_classes(table)?;
+    let achieved_k = classes.iter().map(Vec::len).min().unwrap_or(0);
+    let emds = parallel_map_with(classes, par, |c| conf.exact_emd_of_records(c));
+    Ok(ReleaseAudit {
+        achieved_k,
+        max_emd: emds.into_iter().max().unwrap_or(Ratio::ZERO),
+    })
+}
+
+/// Audits t-closeness of a released table: [`audit_release`]'s `max_emd`,
+/// the achieved `t`, rounded once to the nearest `f64`.
+pub fn verify_t_closeness(table: &Table, conf: &Confidential) -> Result<f64> {
+    verify_t_closeness_with(table, conf, Parallelism::auto())
+}
+
+/// [`verify_t_closeness`] with an explicit thread-count policy for the
+/// per-class EMD evaluations (the CLI's `--workers` lands here). The
+/// result is identical for any worker count.
+pub fn verify_t_closeness_with(
+    table: &Table,
+    conf: &Confidential,
+    par: Parallelism,
+) -> Result<f64> {
+    Ok(audit_release(table, conf, par)?.max_emd.to_f64())
 }
 
 #[cfg(test)]

@@ -13,25 +13,30 @@
 //! t-Closeness compares, for every equivalence class `C` of the anonymized
 //! table, the distribution of the confidential attribute within `C` against
 //! its distribution over the whole table `T`. [`OrderedEmd`] is fitted once
-//! on the whole attribute column (fixing the value domain and the global
-//! distribution `Q`) and then evaluates `EMD(C, T)` for arbitrary clusters,
-//! either from a set of record indices or incrementally through a
-//! [`ClusterHistogram`] — the work-horse of the k-anonymity-first algorithm,
-//! which repeatedly tries single-record swaps. Every decision about t is
-//! made on exact integers: [`OrderedEmd::exact_emd`] gives a cluster's EMD
-//! as a [`Ratio`], and [`ExactEmd`] keeps it for a cluster that swaps
-//! records. The f64 walk ([`OrderedEmd::emd`],
-//! [`OrderedEmd::emd_after_swap`]) reports the achieved t.
+//! on the whole attribute column: its domain, the global distribution, the
+//! cumulative counts `G_i` and their prefix sums. A cluster is a
+//! [`SparseHistogram`] of its sorted `(bin, count)` pairs.
+//!
+//! Every EMD is exact: [`OrderedEmd::exact_emd`] sums it as a [`Ratio`] one
+//! run of bins at a time, in `O(r log m)` for a cluster over `r` distinct
+//! bins (docs/ALGORITHMS.md, "Exact EMD over runs"), and [`ExactEmd`] keeps
+//! every bin's term of the one cluster Algorithm 2 refines. No f64 walk
+//! decides or reports anything: an f64 EMD is the exact ratio rounded once
+//! ([`Ratio::to_f64`]).
 
 use std::cmp::Ordering;
 use std::collections::HashMap;
 use std::fmt;
 use std::iter::Sum;
-use std::ops::{Add, Mul, Neg, Sub};
+use std::ops::{Add, Neg, Sub};
+use std::sync::Arc;
+
+#[cfg(test)]
+mod reference;
 
 /// Errors from fitting or evaluating an EMD over a confidential attribute.
 ///
-/// The panicking entry points ([`OrderedEmd::new`], [`ClusterHistogram::remove`])
+/// The panicking entry points ([`OrderedEmd::new`], [`SparseHistogram::remove`])
 /// are kept for callers holding data already validated upstream; the `try_*`
 /// variants surface the same conditions as values for callers handling
 /// untrusted input (CSV files, CLI arguments).
@@ -116,18 +121,65 @@ impl fmt::Display for EmdError {
 impl std::error::Error for EmdError {}
 
 /// Fitted ordered-EMD evaluator for one confidential attribute.
+///
+/// Cloning and [`OrderedEmd::rebind`] share the global state; only the
+/// per-record bins are copied.
 #[derive(Debug, Clone)]
 pub struct OrderedEmd {
+    /// The frozen global state, built once per fit.
+    global: Arc<Global>,
+    /// Bin (index into the values) of every bound record.
+    record_bins: Vec<u32>,
+}
+
+/// The global state of one attribute: its domain, the data set's counts
+/// per bin, their cumulative counts and the prefix sums of those.
+#[derive(Debug)]
+struct Global {
     /// Distinct attribute values, ascending. `values.len() == m`.
     values: Vec<f64>,
-    /// Bin (index into `values`) of every record of the fitting column.
-    record_bins: Vec<u32>,
     /// Number of records per bin over the whole data set.
-    global_counts: Vec<u32>,
-    /// Total number of records.
+    counts: Vec<u32>,
+    /// `G_i`: the records in bins `0..=i`.
+    cumulative: Vec<u64>,
+    /// `P_j = Σ_{i<j} G_i` for `j` in `0..=m`.
+    prefix: Vec<u128>,
+    /// Total number of records, `N = G_{m−1}`.
     n: usize,
-    /// `g_i/N` per bin, divided once here rather than in every walk.
-    fracs: Vec<f64>,
+}
+
+impl Global {
+    fn new(values: Vec<f64>, counts: Vec<u32>) -> Self {
+        let mut cumulative = Vec::with_capacity(counts.len());
+        let mut prefix = Vec::with_capacity(counts.len() + 1);
+        let (mut g, mut p) = (0u64, 0u128);
+        prefix.push(p);
+        for &c in &counts {
+            g += u64::from(c);
+            p += u128::from(g);
+            cumulative.push(g);
+            prefix.push(p);
+        }
+        Global {
+            values,
+            counts,
+            cumulative,
+            prefix,
+            n: g as usize,
+        }
+    }
+}
+
+/// `x` with `-0.0` folded into `+0.0`, which [`f64::total_cmp`], the
+/// domain's order, would otherwise put in a bin of its own.
+fn canonical(x: f64) -> f64 {
+    x + 0.0
+}
+
+/// The bin of `x` in the ascending, canonical `values`.
+fn bin_in(values: &[f64], x: f64) -> Option<usize> {
+    let x = canonical(x);
+    values.binary_search_by(|v| v.total_cmp(&x)).ok()
 }
 
 impl OrderedEmd {
@@ -151,6 +203,7 @@ impl OrderedEmd {
     /// single-category column (all records share one value) is *valid*:
     /// the fitted domain has `m == 1` and every cluster's EMD is 0, i.e.
     /// t-closeness holds trivially — the attribute reveals nothing.
+    /// `-0.0` and `0.0` are one value.
     pub fn try_new(column: &[f64]) -> Result<Self, EmdError> {
         if column.is_empty() {
             return Err(EmdError::EmptyColumn);
@@ -158,31 +211,22 @@ impl OrderedEmd {
         if let Some((index, &value)) = column.iter().enumerate().find(|(_, x)| !x.is_finite()) {
             return Err(EmdError::NonFinite { index, value });
         }
-        let mut values: Vec<f64> = column.to_vec();
-        values.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
+        let mut values: Vec<f64> = column.iter().map(|&x| canonical(x)).collect();
+        values.sort_unstable_by(f64::total_cmp);
         values.dedup();
 
-        // Map each record to its bin via binary search on the dense domain.
         let record_bins: Vec<u32> = column
             .iter()
-            .map(|x| {
-                values
-                    .binary_search_by(|v| v.partial_cmp(x).expect("finite"))
-                    .expect("every record value is in the domain") as u32
-            })
+            .map(|&x| bin_in(&values, x).expect("every record value is in the domain") as u32)
             .collect();
 
-        let mut global_counts = vec![0u32; values.len()];
+        let mut counts = vec![0u32; values.len()];
         for &b in &record_bins {
-            global_counts[b as usize] += 1;
+            counts[b as usize] += 1;
         }
-        let fracs = fracs_of(&global_counts, column.len());
         Ok(OrderedEmd {
-            values,
+            global: Arc::new(Global::new(values, counts)),
             record_bins,
-            global_counts,
-            n: column.len(),
-            fracs,
         })
     }
 
@@ -210,9 +254,10 @@ impl OrderedEmd {
     /// another evaluator). The result has no bound records — call
     /// [`OrderedEmd::rebind`] to attach a working set.
     ///
-    /// Errors on an empty or unsorted/duplicated domain, non-finite values,
-    /// a length mismatch between `values` and `global_counts`, or an empty
-    /// bin (a domain value the global distribution never saw).
+    /// Errors on an empty or unsorted/duplicated domain (`-0.0` and `0.0`
+    /// are one value), non-finite values, a length mismatch between
+    /// `values` and `global_counts`, or an empty bin (a domain value the
+    /// global distribution never saw).
     pub fn try_from_global(values: Vec<f64>, global_counts: Vec<u32>) -> Result<Self, EmdError> {
         if values.is_empty() {
             return Err(EmdError::EmptyColumn);
@@ -220,6 +265,7 @@ impl OrderedEmd {
         if let Some((index, &value)) = values.iter().enumerate().find(|(_, x)| !x.is_finite()) {
             return Err(EmdError::NonFinite { index, value });
         }
+        let values: Vec<f64> = values.into_iter().map(canonical).collect();
         if let Some(index) = values.windows(2).position(|w| w[0] >= w[1]) {
             return Err(EmdError::UnsortedDomain { index: index + 1 });
         }
@@ -232,20 +278,15 @@ impl OrderedEmd {
         if let Some(bin) = global_counts.iter().position(|&c| c == 0) {
             return Err(EmdError::Underflow { bin });
         }
-        let n = global_counts.iter().map(|&c| c as usize).sum();
-        let fracs = fracs_of(&global_counts, n);
         Ok(OrderedEmd {
-            values,
+            global: Arc::new(Global::new(values, global_counts)),
             record_bins: Vec::new(),
-            global_counts,
-            n,
-            fracs,
         })
     }
 
     /// A copy of this evaluator whose per-record bins cover `column`
-    /// instead of the fitting column, keeping the global domain and
-    /// distribution frozen.
+    /// instead of the fitting column, sharing the frozen global domain and
+    /// distribution.
     ///
     /// This is the fit/apply split: fit once on the whole data set, rebind
     /// to any record subset (a shard) and evaluate cluster-to-*table* EMDs
@@ -257,18 +298,13 @@ impl OrderedEmd {
             if !value.is_finite() {
                 return Err(EmdError::NonFinite { index, value });
             }
-            let bin = self
-                .values
-                .binary_search_by(|v| v.partial_cmp(&value).expect("finite"))
-                .map_err(|_| EmdError::ValueNotInDomain { index, value })?;
+            let bin = bin_in(&self.global.values, value)
+                .ok_or(EmdError::ValueNotInDomain { index, value })?;
             record_bins.push(bin as u32);
         }
         Ok(OrderedEmd {
-            values: self.values.clone(),
+            global: Arc::clone(&self.global),
             record_bins,
-            global_counts: self.global_counts.clone(),
-            n: self.n,
-            fracs: self.fracs.clone(),
         })
     }
 
@@ -280,14 +316,14 @@ impl OrderedEmd {
 
     /// Number of distinct values `m` in the domain.
     pub fn m(&self) -> usize {
-        self.values.len()
+        self.global.values.len()
     }
 
     /// Number of records the evaluator was fitted on — the denominator of
     /// the global distribution, *not* the bound working set (see
     /// [`OrderedEmd::n_bound`]).
     pub fn n(&self) -> usize {
-        self.n
+        self.global.n
     }
 
     /// Number of records currently bound for per-record evaluation
@@ -301,12 +337,12 @@ impl OrderedEmd {
     /// Per-bin record counts of the whole data set (the frozen global
     /// state next to [`OrderedEmd::values`]).
     pub fn global_counts(&self) -> &[u32] {
-        &self.global_counts
+        &self.global.counts
     }
 
     /// The sorted distinct values.
     pub fn values(&self) -> &[f64] {
-        &self.values
+        &self.global.values
     }
 
     /// The frozen global state as plain data: `(values, global_counts)` —
@@ -315,7 +351,7 @@ impl OrderedEmd {
     /// are a binding to one working set and are recomputed by
     /// [`OrderedEmd::rebind`].
     pub fn to_global_parts(&self) -> (&[f64], &[u32]) {
-        (&self.values, &self.global_counts)
+        (&self.global.values, &self.global.counts)
     }
 
     /// Bin index of record `r` of the fitting column.
@@ -324,142 +360,79 @@ impl OrderedEmd {
     }
 
     /// `EMD(C, T)` for the cluster given by record indices (duplicates
-    /// would bias the distribution and are the caller's responsibility).
+    /// would bias the distribution and are the caller's responsibility),
+    /// rounded like [`OrderedEmd::emd`].
     pub fn emd_of_records(&self, records: &[usize]) -> f64 {
-        let mut hist = ClusterHistogram::empty(self.m());
-        for &r in records {
-            hist.add(self.bin_of(r));
-        }
-        self.emd(&hist)
+        self.emd(&SparseHistogram::of_records(self, records))
     }
 
-    /// `EMD(C, T)` for a cluster histogram maintained incrementally.
-    ///
-    /// Cost `O(m)`. Empty clusters have EMD 0 by convention.
-    pub fn emd(&self, cluster: &ClusterHistogram) -> f64 {
-        debug_assert_eq!(
-            cluster.counts.len(),
-            self.m(),
-            "histogram fitted on another domain"
-        );
-        self.cumulative_emd(cluster, &[])
+    /// `EMD(C, T)` for a cluster histogram: [`OrderedEmd::exact_emd`]
+    /// rounded once to the nearest `f64`, a value to report. Empty
+    /// clusters have EMD 0 by convention.
+    pub fn emd(&self, cluster: &SparseHistogram) -> f64 {
+        self.exact_emd(cluster).to_f64()
     }
 
-    /// The ordered EMD of a cluster of `cluster`'s size with its counts,
-    /// except at the bins of `changed` (ascending), which hold the paired
-    /// counts instead: one cumulative pass over the bins. Every f64 EMD of
-    /// a cluster is this walk, so equal inputs give equal bits.
-    fn cumulative_emd(&self, cluster: &ClusterHistogram, changed: &[(usize, u32)]) -> f64 {
-        let m = self.m();
-        if m <= 1 || cluster.size == 0 {
-            return 0.0;
-        }
-        let cn = cluster.size as f64;
-        let (counts, fracs) = (&cluster.counts[..m], &self.fracs[..m]);
-        let mut cum = 0.0f64;
-        let mut total = 0.0f64;
-        // Bin i's term c_i/|C| − g_i/N of the cumulative sum. A cluster
-        // leaves most bins empty, and an empty bin's c_i/|C| is +0.0
-        // exactly, so it skips the division; with g_i/N from `fracs`, every
-        // term has the bits of `c_i as f64 / |C| − g_i as f64 / N`.
-        let mut add = |count: u32, frac: f64| {
-            let c = if count == 0 { 0.0 } else { count as f64 / cn };
-            cum += c - frac;
-            total += cum.abs();
-        };
-        // The i = m term contributes |cum_m| = 0 for true distributions; we
-        // include all m terms to match the formula literally. Plain runs
-        // between the changed bins keep the loop free of tests for them.
-        let mut next = 0;
-        for &(bin, count) in changed {
-            for (&c, &f) in counts[next..bin].iter().zip(&fracs[next..bin]) {
-                add(c, f);
-            }
-            add(count, fracs[bin]);
-            next = bin + 1;
-        }
-        for (&c, &f) in counts[next..].iter().zip(&fracs[next..]) {
-            add(c, f);
-        }
-        total / (m as f64 - 1.0)
-    }
-
-    /// The EMD obtained after hypothetically swapping record `out` for
-    /// record `inn` in `cluster`, without mutating or copying it: one
-    /// `O(m)` pass with the two adjusted counts read inline.
+    /// [`OrderedEmd::emd`] of `cluster` with record `out` swapped for
+    /// record `inn`, without mutating `cluster`.
     ///
     /// # Panics
     /// Panics if `out`'s bin is empty in `cluster` (histogram underflow).
-    pub fn emd_after_swap(&self, cluster: &ClusterHistogram, out: usize, inn: usize) -> f64 {
-        let bin_out = self.bin_of(out);
-        let bin_in = self.bin_of(inn);
-        if bin_out == bin_in {
-            return self.emd(cluster);
-        }
-        let out = (bin_out, cluster.count_after_removal(bin_out));
-        let inn = (bin_in, cluster.counts[bin_in] + 1);
-        let changed = if bin_out < bin_in {
-            [out, inn]
-        } else {
-            [inn, out]
-        };
-        self.cumulative_emd(cluster, &changed)
+    pub fn emd_after_swap(&self, cluster: &SparseHistogram, out: usize, inn: usize) -> f64 {
+        let mut swapped = cluster.clone();
+        swapped.remove(self.bin_of(out));
+        swapped.add(self.bin_of(inn));
+        self.emd(&swapped)
     }
 
     /// `EMD(C, T)` for a cluster histogram as an exact [`Ratio`], the
-    /// value every t verdict is decided on. Cost `O(m)`; an empty cluster
-    /// or a one-bin domain has EMD 0.
+    /// value every t verdict is decided on: `S / ((m − 1)·|C|·N)` with
+    /// `S = Σ_i |D_i|` and `D_i = N·C_i − |C|·G_i`; 0 for an empty cluster
+    /// or a one-bin domain. On a run `[lo, hi)` of bins where `C_i` is a
+    /// constant `C`, `D_i` falls as `G_i` grows, so one binary search finds
+    /// `split`, the first bin with `D_i < 0`, and the prefix sums `P_j`
+    /// give the run's `N·C·(split − lo) − |C|·(P_split − P_lo)` and
+    /// `|C|·(P_hi − P_split) − N·C·(hi − split)`, each at most
+    /// `m·|C|·N ≤ 2¹²⁷`: `O(r log m)` for a cluster over `r` distinct bins.
     ///
     /// # Panics
-    /// Panics where [`ExactEmd::new`] does.
-    pub fn exact_emd(&self, cluster: &ClusterHistogram) -> Ratio {
-        let (n, size) = (self.n, cluster.size);
-        match denominator(self.m(), size, n) {
-            // Every D_i and S are at most the denominator.
-            den if den <= 1 << 62 => {
-                let diffs = self.diffs(cluster, n as i64, size as i64);
-                Ratio::new(diffs.map(i64::unsigned_abs).sum::<u64>().into(), den)
-            }
-            den => {
-                let diffs = self.diffs(cluster, n as i128, size as i128);
-                Ratio::new(diffs.map(i128::unsigned_abs).sum(), den)
-            }
+    /// Panics past 2¹²⁶: a cluster of more than 2³⁰ records over 2³² bins
+    /// that hold 2⁶⁴ records, far more than fits in memory.
+    pub fn exact_emd(&self, cluster: &SparseHistogram) -> Ratio {
+        let den = denominator(self.m(), cluster.size, self.n());
+        let Global {
+            cumulative: g,
+            prefix: p,
+            n,
+            ..
+        } = &*self.global;
+        let wide = |a: u64, b: u64| u128::from(a) * u128::from(b);
+        let (n, size) = (*n as u64, cluster.size as u64);
+        let ends = cluster
+            .bins
+            .iter()
+            .map(|&(bin, count)| (bin as usize, count));
+        let (mut sum, mut c, mut lo) = (0, 0, 0);
+        for (hi, count) in ends.chain([(g.len(), 0)]) {
+            let nc = wide(n, c);
+            // Before the cluster's first bin every D_i < 0, after its last ≥ 0.
+            let split = match c {
+                0 => lo,
+                _ if c == size => hi,
+                _ => lo + g[lo..hi].partition_point(|&gi| wide(size, gi) <= nc),
+            };
+            sum += nc * (split - lo) as u128 - u128::from(size) * (p[split] - p[lo]);
+            sum += u128::from(size) * (p[hi] - p[split]) - nc * (hi - split) as u128;
+            (c, lo) = (c + u64::from(count), hi);
         }
+        Ratio::new(sum, den)
     }
-
-    /// `D_i = N·C_i − |C|·G_i` for every bin `i` of `cluster`, with `C_i`
-    /// and `G_i` its and the data set's cumulative counts through `i`, in
-    /// a type the caller has checked holds them (`n` = `N`, `size` = `|C|`).
-    fn diffs<'a, T: Diff + 'a>(
-        &'a self,
-        cluster: &'a ClusterHistogram,
-        n: T,
-        size: T,
-    ) -> impl Iterator<Item = T> + 'a {
-        debug_assert_eq!(
-            cluster.counts.len(),
-            self.m(),
-            "histogram fitted on another domain"
-        );
-        let mut d = T::default();
-        let pairs = cluster.counts.iter().zip(&self.global_counts);
-        pairs.map(move |(&c, &g)| {
-            d = d + n * T::from(c) - size * T::from(g);
-            d
-        })
-    }
-}
-
-/// Every bin's global term `g_i/N`.
-fn fracs_of(global_counts: &[u32], n: usize) -> Vec<f64> {
-    global_counts.iter().map(|&g| g as f64 / n as f64).collect()
 }
 
 /// `(m − 1)·|C|·N`, the denominator of a cluster's exact EMD.
 ///
 /// # Panics
-/// Panics past 2¹²⁶: a cluster of more than 2³⁰ records over 2³² bins
-/// that hold 2⁶⁴ records, far more than fits in memory.
+/// Panics past 2¹²⁶, as [`OrderedEmd::exact_emd`] says.
 fn denominator(m: usize, size: usize, n: usize) -> u128 {
     (m.saturating_sub(1) as u128)
         .checked_mul(size as u128)
@@ -498,6 +471,39 @@ impl Ratio {
     /// `num > ⌊mant·den / 2^e⌋`. No value exceeds a NaN `t`.
     pub fn exceeds(self, t: f64) -> bool {
         self.num as i128 > max_within(t, self.den)
+    }
+
+    /// This value rounded once to the nearest `f64`, ties to even: how an
+    /// exact EMD is reported. The rounding is monotone, so a value that
+    /// does not exceed an `f64` `t` never rounds above it.
+    pub fn to_f64(self) -> f64 {
+        let Ratio { num, den } = self;
+        if num == 0 || num >= den {
+            return if num == 0 { 0.0 } else { 1.0 };
+        }
+        // The next binary digit of r / den < 1, by comparing 2r with den
+        // without forming 2r.
+        let digit = |r: &mut u128| {
+            let one = *r >= den - *r;
+            *r = if one { *r - (den - *r) } else { *r << 1 };
+            u64::from(one)
+        };
+        // Shifting num to one bit short of den's length leaves at most one
+        // zero digit before the first one, the digit of 2^−e.
+        let skip = (num.leading_zeros() - den.leading_zeros()).saturating_sub(1);
+        let (mut r, mut e) = (num << skip, u64::from(skip) + 1);
+        while digit(&mut r) == 0 {
+            e += 1;
+        }
+        // 53 significant bits and a rounding bit; a remainder means more.
+        let mut mant: u64 = 1;
+        for _ in 0..53 {
+            mant = mant << 1 | digit(&mut r);
+        }
+        let up = mant & 1 == 1 && (r != 0 || mant & 2 != 0);
+        let mant = (mant >> 1) + u64::from(up);
+        // A mantissa rounded up to 2^53 carries into the exponent field.
+        f64::from_bits(((1023 - e) << 52) + (mant - (1 << 52)))
     }
 }
 
@@ -603,30 +609,34 @@ enum Diffs {
 
 impl ExactEmd {
     /// The exact state of the cluster with histogram `hist` under `emd`'s
-    /// domain.
+    /// domain: every `D_i`, filled from `hist`'s pairs and the cumulative
+    /// counts `G_i`. Cost `O(m)`.
     ///
     /// # Panics
     /// Panics where [`OrderedEmd::exact_emd`] does.
-    pub fn new(emd: &OrderedEmd, hist: &ClusterHistogram) -> Self {
-        let (n, size) = (emd.n, hist.size);
-        match narrow(emd, size) {
-            true => Self::from_diffs(emd.diffs(hist, n as i64, size as i64), emd, size),
-            false => Self::from_diffs(emd.diffs(hist, n as i128, size as i128), emd, size),
-        }
+    pub fn new(emd: &OrderedEmd, hist: &SparseHistogram) -> Self {
+        let (n, size) = (emd.n() as u64, hist.size as u64);
+        let mut pairs = hist.bins.iter().peekable();
+        let mut nc = 0;
+        let diffs = emd.global.cumulative.iter().enumerate().map(|(i, &g)| {
+            if let Some(&(_, count)) = pairs.next_if(|&&(bin, _)| bin as usize == i) {
+                nc += i128::from(n) * i128::from(count);
+            }
+            nc - (u128::from(size) * u128::from(g)) as i128
+        });
+        Self::from_diffs(diffs, emd, hist.size)
     }
 
     /// The state of this cluster with one record of `bin` added. `|C|`
     /// grows, so every `D_i` changes: it gains `N` from `bin` on and loses
     /// `G_i`. Cost `O(m)`.
     pub fn grown(&self, emd: &OrderedEmd, bin: usize) -> Self {
-        let mut cum_g = 0i128;
-        let grown = emd.global_counts.iter().enumerate().map(|(i, &g)| {
-            cum_g += i128::from(g);
+        let grown = emd.global.cumulative.iter().enumerate().map(|(i, &g)| {
             let d = match &self.diffs {
                 Diffs::Narrow(d) => i128::from(d[i]),
                 Diffs::Wide(d) => d[i],
             };
-            d + if i >= bin { self.n } else { 0 } - cum_g
+            d + if i >= bin { self.n } else { 0 } - i128::from(g)
         });
         Self::from_diffs(grown, emd, self.size + 1)
     }
@@ -637,7 +647,7 @@ impl ExactEmd {
         emd: &OrderedEmd,
         size: usize,
     ) -> Self {
-        let den = denominator(emd.m(), size, emd.n);
+        let den = denominator(emd.m(), size, emd.n());
         let mut sum = 0;
         let diffs = diffs.map(Into::into).inspect(|d: &i128| sum += d.abs());
         let diffs = match narrow(emd, size) {
@@ -647,7 +657,7 @@ impl ExactEmd {
         ExactEmd {
             diffs,
             sum,
-            n: emd.n as i128,
+            n: emd.n() as i128,
             size,
             den,
         }
@@ -707,20 +717,12 @@ impl ExactEmd {
 /// `D_i` in `i64`: `(m + |C|)·N ≤ 2⁶²` keeps every `D_i`, moved `D_i` and
 /// swap delta below 2⁶².
 fn narrow(emd: &OrderedEmd, size: usize) -> bool {
-    (emd.m() as u128 + size as u128).saturating_mul(emd.n as u128) <= 1 << 62
+    (emd.m() as u128 + size as u128).saturating_mul(emd.n() as u128) <= 1 << 62
 }
 
 /// An integer type the `D_i` are computed in.
 trait Diff:
-    Copy
-    + Default
-    + Ord
-    + Sum
-    + From<u32>
-    + Add<Output = Self>
-    + Sub<Output = Self>
-    + Mul<Output = Self>
-    + Neg<Output = Self>
+    Copy + Default + Ord + Sum + Add<Output = Self> + Sub<Output = Self> + Neg<Output = Self>
 {
 }
 
@@ -801,10 +803,9 @@ fn apply_swap<T: Diff>(diffs: &mut [T], n: T, out_bin: usize, in_bin: usize) -> 
 /// domain and global distribution. The finalized evaluator has no
 /// bound records; [`OrderedEmd::rebind`] attaches each working set.
 ///
-/// Values are keyed by their exact bit pattern while accumulating; equal
-/// values that compare `==` under distinct bit patterns (`-0.0` vs `0.0`)
-/// are collapsed into one bin at finalization, matching
-/// [`OrderedEmd::try_new`]'s `sort + dedup` semantics.
+/// Values are keyed by their exact bit pattern, with `-0.0` keyed as
+/// `0.0`, so that the two zeros share one bin as in
+/// [`OrderedEmd::try_new`].
 #[derive(Debug, Clone, Default)]
 pub struct DomainAccumulator {
     counts: HashMap<u64, u32>,
@@ -833,7 +834,7 @@ impl DomainAccumulator {
         if !value.is_finite() {
             return Err(EmdError::NonFinite { index, value });
         }
-        *self.counts.entry(value.to_bits()).or_insert(0) += 1;
+        *self.counts.entry(canonical(value).to_bits()).or_insert(0) += 1;
         self.n += 1;
         Ok(())
     }
@@ -858,47 +859,30 @@ impl DomainAccumulator {
             .iter()
             .map(|(&bits, &c)| (f64::from_bits(bits), c))
             .collect();
-        pairs.sort_by(|a, b| a.0.partial_cmp(&b.0).expect("finite"));
-        // Collapse ==-equal values with distinct bit patterns (-0.0 / 0.0).
-        let mut values: Vec<f64> = Vec::with_capacity(pairs.len());
-        let mut global_counts: Vec<u32> = Vec::with_capacity(pairs.len());
-        for (v, c) in pairs {
-            match values.last() {
-                Some(&last) if last == v => *global_counts.last_mut().expect("non-empty") += c,
-                _ => {
-                    values.push(v);
-                    global_counts.push(c);
-                }
-            }
-        }
+        pairs.sort_unstable_by(|a, b| a.0.total_cmp(&b.0));
+        let (values, global_counts) = pairs.into_iter().unzip();
         OrderedEmd::try_from_global(values, global_counts)
     }
 }
 
-/// Incrementally maintained histogram of a cluster over an [`OrderedEmd`]
-/// domain. Cheap to clone (one `Vec<u32>`).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ClusterHistogram {
-    counts: Vec<u32>,
+/// A cluster's histogram over an [`OrderedEmd`] domain: its `(bin, count)`
+/// pairs, ascending by bin, every count positive. It holds `O(r)` for a
+/// cluster over `r` distinct bins, whatever the size of the domain.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct SparseHistogram {
+    bins: Vec<(u32, u32)>,
     size: usize,
 }
 
-impl ClusterHistogram {
-    /// Empty histogram over a domain with `m` bins.
-    pub fn empty(m: usize) -> Self {
-        ClusterHistogram {
-            counts: vec![0; m],
-            size: 0,
-        }
-    }
-
-    /// Histogram of the given records under `emd`'s domain.
+impl SparseHistogram {
+    /// Histogram of the given records under `emd`'s domain, in
+    /// `O(|C| log |C|)`.
     pub fn of_records(emd: &OrderedEmd, records: &[usize]) -> Self {
-        let mut h = Self::empty(emd.m());
-        for &r in records {
-            h.add(emd.bin_of(r));
+        let bins = records.iter().map(|&r| (emd.record_bins[r], 1)).collect();
+        SparseHistogram {
+            bins: coalesced(bins),
+            size: records.len(),
         }
-        h
     }
 
     /// Number of records currently in the cluster.
@@ -906,14 +890,17 @@ impl ClusterHistogram {
         self.size
     }
 
-    /// Per-bin record counts.
-    pub fn counts(&self) -> &[u32] {
-        &self.counts
+    /// Where `bin` is, or would be inserted.
+    fn find(&self, bin: usize) -> Result<usize, usize> {
+        self.bins.binary_search_by(|&(b, _)| (b as usize).cmp(&bin))
     }
 
     /// Adds one record falling in `bin`.
     pub fn add(&mut self, bin: usize) {
-        self.counts[bin] += 1;
+        match self.find(bin) {
+            Ok(i) => self.bins[i].1 += 1,
+            Err(i) => self.bins.insert(i, (bin as u32, 1)),
+        }
         self.size += 1;
     }
 
@@ -921,7 +908,7 @@ impl ClusterHistogram {
     ///
     /// # Panics
     /// Panics if the bin is already empty (histogram underflow indicates a
-    /// caller bookkeeping bug). Use [`ClusterHistogram::try_remove`] when
+    /// caller bookkeeping bug). Use [`SparseHistogram::try_remove`] when
     /// the bookkeeping is driven by untrusted input.
     pub fn remove(&mut self, bin: usize) {
         if let Err(e) = self.try_remove(bin) {
@@ -929,40 +916,43 @@ impl ClusterHistogram {
         }
     }
 
-    /// Fallible variant of [`ClusterHistogram::remove`]: returns
+    /// Fallible variant of [`SparseHistogram::remove`]: returns
     /// [`EmdError::Underflow`] instead of panicking when `bin` is empty.
-    /// A bin outside the domain holds no records, so it too is an underflow.
     pub fn try_remove(&mut self, bin: usize) -> Result<(), EmdError> {
-        if self.counts.get(bin).is_none_or(|&c| c == 0) {
-            return Err(EmdError::Underflow { bin });
+        let i = self.find(bin).map_err(|_| EmdError::Underflow { bin })?;
+        match self.bins[i].1 {
+            1 => {
+                self.bins.remove(i);
+            }
+            _ => self.bins[i].1 -= 1,
         }
-        self.counts[bin] -= 1;
         self.size -= 1;
         Ok(())
     }
 
-    /// `bin`'s count after removing one record from it, without mutating
-    /// the histogram. Panics like [`ClusterHistogram::remove`] when `bin`
-    /// is empty.
-    fn count_after_removal(&self, bin: usize) -> u32 {
-        match self.counts.get(bin) {
-            Some(&c) if c > 0 => c - 1,
-            _ => panic!("{}", EmdError::Underflow { bin }),
-        }
-    }
-
-    /// Merges another histogram into this one (cluster union).
-    pub fn merge(&mut self, other: &ClusterHistogram) {
-        assert_eq!(
-            self.counts.len(),
-            other.counts.len(),
-            "merging incompatible histograms"
-        );
-        for (a, b) in self.counts.iter_mut().zip(&other.counts) {
-            *a += *b;
-        }
+    /// Merges another histogram into this one (cluster union): one sorted
+    /// merge of the two pair lists.
+    pub fn merge(&mut self, other: &SparseHistogram) {
+        let mut bins = std::mem::take(&mut self.bins);
+        bins.extend_from_slice(&other.bins);
+        self.bins = coalesced(bins);
         self.size += other.size;
     }
+}
+
+/// `bins` sorted by bin, with the counts of equal bins summed. The stable
+/// sort merges already sorted runs in linear time, so the pairs of two
+/// histograms, one after the other, are merged rather than sorted afresh.
+fn coalesced(mut bins: Vec<(u32, u32)>) -> Vec<(u32, u32)> {
+    bins.sort_by_key(|&(bin, _)| bin);
+    bins.dedup_by(|next, run| {
+        let same = next.0 == run.0;
+        if same {
+            run.1 += next.1;
+        }
+        same
+    });
+    bins
 }
 
 #[cfg(test)]
@@ -1015,7 +1005,7 @@ mod tests {
         let records = [0, 3, 5, 7];
         let batch = emd.emd_of_records(&records);
 
-        let mut h = ClusterHistogram::empty(emd.m());
+        let mut h = SparseHistogram::default();
         for &r in &records {
             h.add(emd.bin_of(r));
         }
@@ -1032,7 +1022,7 @@ mod tests {
     fn emd_after_swap_is_pure() {
         let col = vec![0.0, 1.0, 2.0, 3.0, 4.0, 5.0];
         let emd = OrderedEmd::new(&col);
-        let h = ClusterHistogram::of_records(&emd, &[0, 1]);
+        let h = SparseHistogram::of_records(&emd, &[0, 1]);
         let before = emd.emd(&h);
         let hypothetical = emd.emd_after_swap(&h, 0, 5);
         // cluster {1,5} is more spread than {0,1}
@@ -1047,8 +1037,8 @@ mod tests {
     fn merge_adds_counts() {
         let col = vec![0.0, 1.0, 2.0, 3.0];
         let emd = OrderedEmd::new(&col);
-        let mut a = ClusterHistogram::of_records(&emd, &[0, 1]);
-        let b = ClusterHistogram::of_records(&emd, &[2, 3]);
+        let mut a = SparseHistogram::of_records(&emd, &[0, 1]);
+        let b = SparseHistogram::of_records(&emd, &[2, 3]);
         a.merge(&b);
         assert_eq!(a.size(), 4);
         assert!(emd.emd(&a) < EPS); // union == whole data set
@@ -1057,7 +1047,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "underflow")]
     fn histogram_underflow_panics() {
-        let mut h = ClusterHistogram::empty(3);
+        let mut h = SparseHistogram::default();
         h.remove(0);
     }
 
@@ -1100,14 +1090,14 @@ mod tests {
         let emd = OrderedEmd::try_new(&[5.0; 7]).unwrap();
         assert_eq!(emd.m(), 1);
         assert_eq!(emd.emd_of_records(&[0, 3]), 0.0);
-        let h = ClusterHistogram::of_records(&emd, &[0]);
+        let h = SparseHistogram::of_records(&emd, &[0]);
         assert_eq!(emd.emd_after_swap(&h, 0, 3), 0.0);
         assert_eq!(emd.exact_emd(&h), Ratio::ZERO);
     }
 
     #[test]
     fn try_remove_reports_underflow() {
-        let mut h = ClusterHistogram::empty(3);
+        let mut h = SparseHistogram::default();
         h.add(1);
         assert_eq!(h.try_remove(0).unwrap_err(), EmdError::Underflow { bin: 0 });
         // out-of-domain bins hold no records: underflow, not a panic
@@ -1136,31 +1126,6 @@ mod tests {
         assert!(msgs[1].contains("record 4"));
         assert!(msgs[2].contains("2 bins"));
         assert!(msgs[3].contains("bin 9"));
-    }
-
-    #[test]
-    fn walk_has_the_bits_of_the_literal_formula() {
-        // Σᵢ |Σ_{j≤i} (c_j/|C| − g_j/N)| / (m − 1), summed bin by bin.
-        let literal = |emd: &OrderedEmd, h: &ClusterHistogram| {
-            let (cn, n) = (h.size() as f64, emd.n() as f64);
-            let (mut cum, mut total) = (0.0f64, 0.0f64);
-            for (&c, &g) in h.counts().iter().zip(emd.global_counts()) {
-                cum += c as f64 / cn - g as f64 / n;
-                total += cum.abs();
-            }
-            total / (emd.m() as f64 - 1.0)
-        };
-        // Sparse clusters over 101 values, and dense ones over 11 values
-        // whose bins hold up to 14 records.
-        for (values, step) in [(101, 7), (11, 2)] {
-            let col: Vec<f64> = (0..300u64).map(|i| ((i * 37) % values) as f64).collect();
-            let emd = OrderedEmd::new(&col);
-            let mut h = ClusterHistogram::empty(emd.m());
-            for r in (0..col.len()).step_by(step) {
-                h.add(emd.bin_of(r));
-                assert_eq!(emd.emd(&h).to_bits(), literal(&emd, &h).to_bits());
-            }
-        }
     }
 
     /// `a / b` against `c / d` as continued fractions, forming no product.
@@ -1406,5 +1371,194 @@ mod tests {
         assert_eq!(acc.n(), 3);
         let emd = acc.finalize().unwrap();
         assert_eq!(emd.values(), &[0.0, 2.0]);
+    }
+
+    /// Whether `f` is the double nearest to `num / den`, ties to even: the
+    /// value lies between the midpoints to `f`'s neighbours, compared as
+    /// fractions. Below a power of two the lower neighbour is half as far.
+    fn is_nearest(num: u128, den: u128, f: f64) -> bool {
+        let bits = f.to_bits();
+        let mant = u128::from(bits & ((1 << 52) - 1) | 1 << 52);
+        let e = 1075 - (bits >> 52) as u32;
+        let lower = match mant == 1 << 52 {
+            true => (4 * mant - 1, e + 2),
+            false => (2 * mant - 1, e + 1),
+        };
+        assert!(lower.1 < 128, "{f} is too small for the reference");
+        let lo = cmp_fractions(num, den, lower.0, 1 << lower.1);
+        let hi = cmp_fractions(num, den, 2 * mant + 1, 1 << (e + 1));
+        let even = mant % 2 == 0;
+        (lo.is_gt() || lo.is_eq() && even) && (hi.is_lt() || hi.is_eq() && even)
+    }
+
+    #[test]
+    fn to_f64_rounds_to_the_nearest_double() {
+        let mut state = 3;
+        for bits in [1, 7, 40, 53, 63, 64, 65, 100, 126] {
+            for _ in 0..2_000 {
+                let den = draw(&mut state, bits).max(1);
+                let num = draw(&mut state, bits) % (den + 1);
+                let f = Ratio::new(num, den).to_f64();
+                if num == 0 {
+                    assert_eq!(f.to_bits(), 0);
+                } else if f >= 2f64.powi(-73) {
+                    assert!(is_nearest(num, den, f), "{num}/{den} gave {f}");
+                }
+                // Below 2⁵³ both convert exactly, and IEEE division rounds
+                // the quotient correctly.
+                if den < 1 << 53 {
+                    assert_eq!(f.to_bits(), (num as f64 / den as f64).to_bits());
+                }
+            }
+        }
+        // Ties go to the even mantissa: 1/2 + 2⁻⁵⁴ down, 1/2 + 3·2⁻⁵⁴ up.
+        let half = 1u128 << 53;
+        assert_eq!(Ratio::new(half + 1, half << 1).to_f64(), 0.5);
+        assert_eq!(
+            Ratio::new(half + 3, half << 1).to_f64(),
+            0.5 + 2f64.powi(-52)
+        );
+        // Rounding up to the next power of two, and the smallest values.
+        assert_eq!(Ratio::new((1 << 54) - 1, 1 << 54).to_f64(), 1.0);
+        assert_eq!(Ratio::new(1, 1 << 126).to_f64(), 2f64.powi(-126));
+        assert_eq!(Ratio::new(3, 1 << 126).to_f64(), 3.0 * 2f64.powi(-126));
+        assert_eq!(Ratio::new(1, u128::MAX).to_f64(), 2f64.powi(-128));
+        assert_eq!(Ratio::new(0, 0).to_f64(), 0.0);
+        assert_eq!(Ratio::new(7, 7).to_f64(), 1.0);
+    }
+
+    #[test]
+    fn negative_zero_shares_the_bin_of_zero() {
+        let column = [-0.0, 1.0, 0.0, -0.0];
+        let shard = [0.0, -0.0, 1.0];
+        let fitted = OrderedEmd::try_new(&column).unwrap();
+        assert_eq!(fitted.m(), 2);
+        assert_eq!(fitted.global_counts(), &[3, 1]);
+        let mut acc = DomainAccumulator::new();
+        for (i, &x) in column.iter().enumerate() {
+            acc.add(x, i).unwrap();
+        }
+        let accumulated = acc.finalize().unwrap();
+        let given = OrderedEmd::try_from_global(vec![-0.0, 1.0], vec![3, 1]).unwrap();
+        for emd in [&fitted, &accumulated, &given] {
+            assert_eq!(emd.values(), &[0.0, 1.0]);
+            assert_eq!(emd.values()[0].to_bits(), 0);
+            let bound = emd.rebind(&shard).unwrap();
+            let bins: Vec<usize> = (0..shard.len()).map(|r| bound.bin_of(r)).collect();
+            assert_eq!(bins, [0, 0, 1]);
+        }
+        for (r, &x) in column.iter().enumerate() {
+            assert_eq!(fitted.bin_of(r), usize::from(x == 1.0));
+        }
+    }
+
+    /// A column over exactly `m` distinct values. Every bin is used; a
+    /// third of the bins share one large count and the rest are drawn, so
+    /// many global cumulative counts tie.
+    fn tied_column(state: &mut u64, m: usize) -> Vec<f64> {
+        let mut col = Vec::new();
+        for bin in 0..m {
+            let count = if bin % 3 == 0 {
+                6
+            } else {
+                1 + draw(state, 2) as usize
+            };
+            col.extend(std::iter::repeat_n(bin as f64 * 0.5 - 3.0, count));
+        }
+        col
+    }
+
+    /// `size` records of `emd`'s bound set, repeats allowed.
+    fn records(state: &mut u64, emd: &OrderedEmd, size: usize) -> Vec<usize> {
+        let n = emd.n_bound() as u128;
+        (0..size).map(|_| (draw(state, 64) % n) as usize).collect()
+    }
+
+    /// The cluster of `members` checked against the dense reference: the
+    /// sparse EMD, and [`ExactEmd::new`]'s terms, sum and EMD. `wide`
+    /// notes which regimes were covered, each `[narrow, wide]`: `[0]`
+    /// whether `m·|C|·N` passes 2⁶⁴, `[1]` whether the state's terms are
+    /// `i128`.
+    fn check_against_dense(
+        emd: &OrderedEmd,
+        hist: &SparseHistogram,
+        members: &[usize],
+        wide: &mut [[bool; 2]; 2],
+    ) {
+        let counts = reference::counts(emd, members);
+        let want = reference::exact_emd(emd, &counts);
+        let case = format!("m={} |C|={}", emd.m(), members.len());
+        assert_eq!(hist.size(), members.len(), "{case}");
+        assert_eq!(emd.exact_emd(hist), want, "{case}");
+        assert_eq!(emd.emd(hist).to_bits(), want.to_f64().to_bits());
+        let den = denominator(emd.m(), members.len(), emd.n());
+        let bound = den + members.len() as u128 * emd.n() as u128;
+        wide[0][usize::from(bound > u128::from(u64::MAX))] = true;
+
+        let state = ExactEmd::new(emd, hist);
+        let terms: Vec<i128> = match &state.diffs {
+            Diffs::Narrow(d) => d.iter().map(|&x| i128::from(x)).collect(),
+            Diffs::Wide(d) => d.clone(),
+        };
+        wide[1][usize::from(matches!(state.diffs, Diffs::Wide(_)))] = true;
+        let diffs = reference::diffs(emd, &counts);
+        assert_eq!(terms, diffs, "{case}");
+        assert_eq!(state.sum(), diffs.iter().map(|d| d.abs()).sum(), "{case}");
+        assert_eq!(state.emd(), want, "{case}");
+    }
+
+    /// A cluster and its union with another, checked against the dense
+    /// reference.
+    fn check_union(emd: &OrderedEmd, a: &[usize], b: &[usize], wide: &mut [[bool; 2]; 2]) {
+        let mut hist = SparseHistogram::of_records(emd, a);
+        check_against_dense(emd, &hist, a, wide);
+        hist.merge(&SparseHistogram::of_records(emd, b));
+        check_against_dense(emd, &hist, &[a, b].concat(), wide);
+    }
+
+    #[test]
+    fn sparse_exact_emd_and_state_equal_the_dense_reference() {
+        let (mut state, mut wide) = (4, [[false; 2]; 2]);
+        // Domains of 1 to 100,000 bins with heavy ties, bound to their own
+        // column, clusters of 1 to 300 records and their unions.
+        for m in [1, 2, 3, 17, 400, 2_000, 100_000] {
+            let emd = OrderedEmd::new(&tied_column(&mut state, m));
+            assert_eq!(emd.m(), m);
+            for size in [1, 2, 5, 13, 50, 300] {
+                let cluster = records(&mut state, &emd, size);
+                let other = records(&mut state, &emd, 1 + size / 2);
+                check_union(&emd, &cluster, &other, &mut wide);
+            }
+            let all: Vec<usize> = (0..emd.n()).collect();
+            assert_eq!(
+                emd.exact_emd(&SparseHistogram::of_records(&emd, &all)),
+                Ratio::ZERO
+            );
+        }
+        // N = 8·10¹²: 2,000 bins of 4·10⁹ records. From about 1,150
+        // records m·|C|·N passes 2⁶⁴, and every D_i needs i128.
+        let values: Vec<f64> = (0..2_000).map(f64::from).collect();
+        let global = OrderedEmd::try_from_global(values, vec![4_000_000_000; 2_000]).unwrap();
+        let column: Vec<f64> = (0..3_000)
+            .map(|_| (draw(&mut state, 64) % 2_000) as f64)
+            .collect();
+        let emd = global.rebind(&column).unwrap();
+        for size in [1, 30, 1_000, 2_000] {
+            let cluster = records(&mut state, &emd, size);
+            check_union(&emd, &cluster, &cluster[..size / 2], &mut wide);
+        }
+        // 100,000 bins of u32::MAX records: the prefix sums pass 2⁶⁴.
+        let m = 100_000;
+        let values: Vec<f64> = (0..m).map(|v| v as f64).collect();
+        let global = OrderedEmd::try_from_global(values, vec![u32::MAX; m]).unwrap();
+        let column: Vec<f64> = (0..400)
+            .map(|_| (draw(&mut state, 64) % m as u128) as f64)
+            .collect();
+        let emd = global.rebind(&column).unwrap();
+        for size in [1, 7, 200] {
+            let cluster = records(&mut state, &emd, size);
+            check_union(&emd, &cluster, &cluster[size / 2..], &mut wide);
+        }
+        assert_eq!(wide, [[true; 2]; 2], "every width was taken");
     }
 }

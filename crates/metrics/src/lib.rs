@@ -38,7 +38,7 @@ pub mod simd;
 pub mod sse;
 
 pub use distance::{centroid_ids, farthest_from_ids, k_nearest_ids, nearest_to_ids, sq_dist};
-pub use emd::{ClusterHistogram, DomainAccumulator, EmdError, OrderedEmd};
+pub use emd::{DomainAccumulator, EmdError, OrderedEmd, SparseHistogram};
 pub use matrix::{Matrix, RowId, RowIndex};
 pub use simd::KernelPath;
 pub use sse::{normalized_sse, sse_absolute};

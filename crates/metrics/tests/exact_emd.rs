@@ -7,7 +7,7 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use tclose_metrics::emd::{ClusterHistogram, ExactEmd, OrderedEmd, Ratio, SWAP_LANES};
+use tclose_metrics::emd::{ExactEmd, OrderedEmd, Ratio, SparseHistogram, SWAP_LANES};
 
 const DOMAINS: [usize; 6] = [1, 2, 3, 17, 400, 2000];
 
@@ -34,12 +34,13 @@ fn cluster(rng: &mut StdRng, emd: &OrderedEmd, size: usize) -> Vec<usize> {
     members
 }
 
-/// The state's EMD is [`OrderedEmd::exact_emd`]'s, and the f64 walk lies
-/// within `3·(m + 1)²·2⁻⁵³` of it, relative to `K = (m − 1)·|C|·N`:
-/// `|emd·K − S| ≤ 3·(m + 1)²·|C|·N·2⁻⁵³`, with the product's own rounding
-/// (a few units of `S·2⁻⁵²`) allowed for.
-fn assert_within_bound(emd: &OrderedEmd, state: &ExactEmd, hist: &ClusterHistogram) {
+/// The state's EMD is [`OrderedEmd::exact_emd`]'s, the reported f64 is
+/// it rounded, and that lies within `3·(m + 1)²·2⁻⁵³` of it, relative to
+/// `K = (m − 1)·|C|·N`: `|emd·K − S| ≤ 3·(m + 1)²·|C|·N·2⁻⁵³`, with the
+/// product's own rounding (a few units of `S·2⁻⁵²`) allowed for.
+fn assert_within_bound(emd: &OrderedEmd, state: &ExactEmd, hist: &SparseHistogram) {
     assert_eq!(state.emd(), emd.exact_emd(hist));
+    assert_eq!(emd.emd(hist).to_bits(), state.emd().to_f64().to_bits());
     let m = emd.m() as f64;
     let scale = hist.size() as f64 * emd.n() as f64;
     let scaled = emd.emd(hist) * scale * (m - 1.0).max(1.0);
@@ -62,14 +63,14 @@ fn sum_is_the_emd_within_the_rounding_bound() {
         let emd = OrderedEmd::new(&column(&mut rng, m));
         assert_eq!(emd.m(), m);
         for size in [1, 2, 5, 9, 50] {
-            let hist = ClusterHistogram::of_records(&emd, &cluster(&mut rng, &emd, size));
+            let hist = SparseHistogram::of_records(&emd, &cluster(&mut rng, &emd, size));
             let state = ExactEmd::new(&emd, &hist);
             assert_within_bound(&emd, &state, &hist);
         }
     }
     // The whole data set is its own distribution: S = 0 exactly.
     let emd = OrderedEmd::new(&[1.0, 1.0, 2.0, 5.0]);
-    let all = ClusterHistogram::of_records(&emd, &[0, 1, 2, 3]);
+    let all = SparseHistogram::of_records(&emd, &[0, 1, 2, 3]);
     assert_eq!(ExactEmd::new(&emd, &all).emd(), Ratio::ZERO);
 }
 
@@ -80,7 +81,7 @@ fn swap_deltas_equal_the_swapped_clusters_sums() {
         let emd = OrderedEmd::new(&column(&mut rng, m));
         for size in [2, 5, 8, 20] {
             let members = cluster(&mut rng, &emd, size);
-            let hist = ClusterHistogram::of_records(&emd, &members);
+            let hist = SparseHistogram::of_records(&emd, &members);
             let state = ExactEmd::new(&emd, &hist);
             for _ in 0..12 {
                 // Outgoing bins of distinct members, repeats included; the
@@ -120,7 +121,7 @@ fn applied_swaps_keep_the_state_equal_to_a_fresh_one() {
         let emd = OrderedEmd::new(&column(&mut rng, m));
         for size in [1, 3, 30] {
             let mut members = cluster(&mut rng, &emd, size.min(emd.n() - 1));
-            let hist = ClusterHistogram::of_records(&emd, &members);
+            let hist = SparseHistogram::of_records(&emd, &members);
             let mut state = ExactEmd::new(&emd, &hist);
             for _ in 0..40 {
                 let i = rng.gen_range(0..members.len());
@@ -134,7 +135,7 @@ fn applied_swaps_keep_the_state_equal_to_a_fresh_one() {
                 let predicted = state.sum() + state.swap_deltas(&[out_bin], in_bin)[0];
                 state.swap(out_bin, in_bin);
                 members[i] = inn;
-                let hist = ClusterHistogram::of_records(&emd, &members);
+                let hist = SparseHistogram::of_records(&emd, &members);
                 let fresh = ExactEmd::new(&emd, &hist);
                 assert_eq!(state.sum(), fresh.sum());
                 assert_eq!(state.sum(), predicted);
@@ -158,10 +159,10 @@ fn counts_too_large_for_i64_are_held_in_i128() {
     let column: Vec<f64> = (0..64).map(|_| rng.gen_range(0..m) as f64).collect();
     let emd = global.rebind(&column).unwrap();
     let mut members: Vec<usize> = (0..20).collect();
-    let mut state = ExactEmd::new(&emd, &ClusterHistogram::of_records(&emd, &members));
+    let mut state = ExactEmd::new(&emd, &SparseHistogram::of_records(&emd, &members));
     assert!(format!("{state:?}").starts_with("ExactEmd { diffs: Wide"));
     for inn in 20..40 {
-        let hist = ClusterHistogram::of_records(&emd, &members);
+        let hist = SparseHistogram::of_records(&emd, &members);
         assert_eq!(state, ExactEmd::new(&emd, &hist));
         assert_eq!(state.emd(), emd.exact_emd(&hist));
         let outs: Vec<usize> = members[..SWAP_LANES]

@@ -1,13 +1,13 @@
-//! Differential tests of [`OrderedEmd`]'s one-pair evaluator, the f64
-//! walk of a swapped cluster: `emd_after_swap` must be **bit-identical**
-//! to a fresh [`OrderedEmd::emd`] of the swapped histogram, also after the
-//! cluster grows — across domain sizes m ∈ {1, 2, 3, 17, 1017}, outgoing
+//! Differential tests of [`OrderedEmd`]'s one-pair evaluator, the
+//! reported EMD of a swapped cluster: `emd_after_swap` must be
+//! **bit-identical** to a fresh [`OrderedEmd::emd`] of the swapped
+//! histogram, the exact ratio rounded, also after the cluster grows — across domain sizes m ∈ {1, 2, 3, 17, 1017}, outgoing
 //! bins equal to the incoming one, duplicate outgoing bins and the end
 //! bins 0 and m − 1.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use tclose_metrics::emd::{ClusterHistogram, OrderedEmd};
+use tclose_metrics::emd::{OrderedEmd, SparseHistogram};
 
 const DOMAINS: [usize; 5] = [1, 2, 3, 17, 1017];
 
@@ -58,7 +58,7 @@ fn incoming(rng: &mut StdRng, emd: &OrderedEmd, members: &[usize]) -> Vec<usize>
 
 /// Checks `emd_after_swap` of every member of `hist` against `inn` with
 /// the EMD of the histogram that swap leaves.
-fn check_swaps(emd: &OrderedEmd, hist: &ClusterHistogram, members: &[usize], inn: usize) {
+fn check_swaps(emd: &OrderedEmd, hist: &SparseHistogram, members: &[usize], inn: usize) {
     for &out in members {
         let mut swapped = hist.clone();
         swapped.remove(emd.bin_of(out));
@@ -80,7 +80,7 @@ fn emd_after_swap_matches_the_swapped_histogram() {
         let mut rng = StdRng::seed_from_u64(99 + m as u64);
         let emd = OrderedEmd::new(&column(&mut rng, m));
         let members = cluster(&mut rng, &emd, 9);
-        let hist = ClusterHistogram::of_records(&emd, &members);
+        let hist = SparseHistogram::of_records(&emd, &members);
         for inn in incoming(&mut rng, &emd, &members) {
             check_swaps(&emd, &hist, &members, inn);
         }
@@ -93,12 +93,12 @@ fn growing_by_add_matches_a_fresh_emd() {
         let mut rng = StdRng::seed_from_u64(7 * m as u64);
         let emd = OrderedEmd::new(&column(&mut rng, m));
         let mut members = cluster(&mut rng, &emd, 3);
-        let mut hist = ClusterHistogram::of_records(&emd, &members);
+        let mut hist = SparseHistogram::of_records(&emd, &members);
         for _ in 0..12 {
             let inn = rng.gen_range(0..emd.n());
             hist.add(emd.bin_of(inn));
             members.push(inn);
-            assert_eq!(hist, ClusterHistogram::of_records(&emd, &members));
+            assert_eq!(hist, SparseHistogram::of_records(&emd, &members));
             check_swaps(&emd, &hist, &members, rng.gen_range(0..emd.n()));
         }
     }

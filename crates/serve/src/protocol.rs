@@ -14,7 +14,7 @@
 
 use std::io::{self, Read, Write};
 
-use tclose_core::{verify_k_anonymity, verify_l_diversity, verify_t_closeness_with, Confidential};
+use tclose_core::{audit_release, verify_l_diversity, Confidential, Ratio};
 use tclose_microdata::Table;
 use tclose_parallel::Parallelism;
 use tclose_ser::Json;
@@ -345,20 +345,23 @@ pub struct AuditReport {
 }
 
 impl AuditReport {
-    /// Audits a released table: k-anonymity, t-closeness against the
-    /// table's own confidential distribution, and l-diversity. `tclose
-    /// audit` and the daemon's audit op both run this.
-    pub fn measure(table: &Table, par: Parallelism) -> Result<AuditReport, String> {
-        let achieved_k = verify_k_anonymity(table).map_err(|e| e.to_string())?;
+    /// Audits a released table: k-anonymity and t-closeness against the
+    /// table's own confidential distribution from one audit pass
+    /// ([`audit_release`]), and l-diversity. Returns the report and the
+    /// worst class's exact EMD, which `achieved_t` rounds and which grades
+    /// a requested t. `tclose audit` and the daemon's audit op both run
+    /// this.
+    pub fn measure(table: &Table, par: Parallelism) -> Result<(AuditReport, Ratio), String> {
         let conf = Confidential::from_table(table).map_err(|e| e.to_string())?;
-        let achieved_t = verify_t_closeness_with(table, &conf, par).map_err(|e| e.to_string())?;
+        let audit = audit_release(table, &conf, par).map_err(|e| e.to_string())?;
         let achieved_l = verify_l_diversity(table).map_err(|e| e.to_string())?;
-        Ok(AuditReport {
+        let report = AuditReport {
             n_records: table.n_rows(),
-            achieved_k,
-            achieved_t,
+            achieved_k: audit.achieved_k,
+            achieved_t: audit.max_emd.to_f64(),
             achieved_l,
-        })
+        };
+        Ok((report, audit.max_emd))
     }
 
     /// The audit as text, naming the audited `source`.

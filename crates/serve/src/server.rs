@@ -624,7 +624,7 @@ fn process(shared: &Shared, req: &Request, model: Option<Arc<LoadedModel>>) -> R
             match model_table(&model, csv)
                 .and_then(|table| AuditReport::measure(&table, Parallelism::sequential()))
             {
-                Ok(report) => Response::Audited { id: *id, report },
+                Ok((report, _)) => Response::Audited { id: *id, report },
                 Err(detail) => Response::Error { id: *id, detail },
             }
         }

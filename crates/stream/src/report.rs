@@ -134,13 +134,14 @@ impl StreamReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use tclose_core::Ratio;
 
     fn report(
         n: usize,
         clusters: usize,
         min: usize,
         max: usize,
-        emd: f64,
+        emd: Ratio,
         sse: f64,
     ) -> AnonymizationReport {
         AnonymizationReport {
@@ -152,7 +153,8 @@ mod tests {
             min_cluster_size: min,
             mean_cluster_size: n as f64 / clusters as f64,
             max_cluster_size: max,
-            max_emd: emd,
+            max_emd: emd.to_f64(),
+            max_emd_exact: emd,
             sse,
             clustering_time: Duration::from_millis(1),
         }
@@ -162,8 +164,8 @@ mod tests {
     fn merge_aggregates_correctly() {
         let merged = StreamReport::merge(
             vec![
-                report(100, 20, 3, 8, 0.15, 0.01),
-                report(50, 10, 4, 6, 0.19, 0.04),
+                report(100, 20, 3, 8, Ratio::new(15, 100), 0.01),
+                report(50, 10, 4, 6, Ratio::new(19, 100), 0.04),
             ],
             100,
             Duration::from_millis(5),
@@ -187,8 +189,8 @@ mod tests {
     fn merge_flags_a_violating_shard() {
         let merged = StreamReport::merge(
             vec![
-                report(30, 10, 3, 3, 0.1, 0.0),
-                report(30, 10, 2, 3, 0.1, 0.0),
+                report(30, 10, 3, 3, Ratio::new(1, 10), 0.0),
+                report(30, 10, 2, 3, Ratio::new(1, 10), 0.0),
             ],
             30,
             Duration::ZERO,

@@ -12,7 +12,7 @@ use tclose::core::bounds::{emd_lower_bound, emd_upper_bound, tfirst_cluster_size
 use tclose::core::{
     Confidential, MergeAlgorithm, TCloseClusterer, TClosenessFirst, TClosenessParams,
 };
-use tclose::metrics::emd::{ClusterHistogram, OrderedEmd};
+use tclose::metrics::emd::{OrderedEmd, SparseHistogram};
 use tclose::microagg::{Clustering, Matrix, Mdav, Microaggregator, VMdav};
 
 /// Number of random cases per property (mirrors proptest's default-ish 48).
@@ -76,7 +76,7 @@ fn incremental_histogram_equals_batch() {
         let records: Vec<usize> = (0..n_picks)
             .map(|_| rng.gen_range(0usize..conf.len()))
             .collect();
-        let mut hist = ClusterHistogram::empty(emd.m());
+        let mut hist = SparseHistogram::default();
         for &r in &records {
             hist.add(emd.bin_of(r));
         }
