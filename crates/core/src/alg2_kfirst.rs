@@ -169,11 +169,11 @@ impl KAnonymityFirst {
             search.remove(r);
         }
 
-        // Only a cluster that needs refining gets the per-bin state.
-        if !conf.exact_emd_of_records(&members).exceeds(params.t) {
+        // Only a cluster that needs refining gets a candidate queue.
+        let mut scorer = conf.scorer(&members);
+        if !scorer.exceeds(params.t) {
             return members;
         }
-        let mut scorer = conf.scorer(&members);
 
         // Candidate queue: the unclustered records by (distance to the seed,
         // id). Each candidate is considered once (the paper's

@@ -12,7 +12,7 @@
 //! are rejected with a clear error.
 
 use crate::error::{Error, Result};
-use tclose_metrics::emd::{ExactEmd, OrderedEmd, Ratio, SparseHistogram, SWAP_LANES};
+use tclose_metrics::emd::{ExactEmd, OrderedEmd, Ratio, SparseHistogram};
 use tclose_microdata::{AttributeKind, Table};
 
 /// Fitted evaluators for all confidential attributes of a table.
@@ -227,12 +227,13 @@ impl Confidential {
         let states = self
             .emds
             .iter()
-            .map(|e| ExactEmd::new(e, &SparseHistogram::of_records(e, records)))
+            .map(|e| ExactEmd::new(e, SparseHistogram::of_records(e, records)))
             .collect();
         ClusterScorer {
             conf: self,
             states,
             maxima: Vec::new(),
+            deltas: Vec::new(),
         }
     }
 }
@@ -256,6 +257,8 @@ pub(crate) struct ClusterScorer<'a> {
     states: Vec<ExactEmd>,
     /// Scratch: every member's swap EMD for one candidate.
     maxima: Vec<Ratio>,
+    /// Scratch: one attribute's [`ExactEmd::swap_deltas`].
+    deltas: Vec<i128>,
 }
 
 impl ClusterScorer<'_> {
@@ -271,28 +274,20 @@ impl ClusterScorer<'_> {
 
     /// The index of the member whose swap for record `inn` gives the
     /// smallest maximum EMD below the current one, the first such member
-    /// on ties; `None` when no swap lowers it.
+    /// on ties; `None` when no swap lowers it. Per attribute, one
+    /// [`ExactEmd::swap_deltas`] pass scores every pair, and each member
+    /// reads its pair's delta.
     pub fn best_swap(&mut self, members: &[usize], inn: usize) -> Option<usize> {
-        let mut maxima = std::mem::take(&mut self.maxima);
+        let (mut maxima, mut deltas) = (
+            std::mem::take(&mut self.maxima),
+            std::mem::take(&mut self.deltas),
+        );
         maxima.clear();
         maxima.resize(members.len(), Ratio::ZERO);
-        for (a, (state, e)) in self.states.iter().zip(&self.conf.emds).enumerate() {
-            let in_bin = e.bin_of(inn);
-            let chunks = members
-                .chunks(SWAP_LANES)
-                .zip(maxima.chunks_mut(SWAP_LANES));
-            for (chunk, lanes) in chunks {
-                let mut bins = [0usize; SWAP_LANES];
-                for (b, &r) in bins.iter_mut().zip(chunk) {
-                    *b = e.bin_of(r);
-                }
-                let deltas = state.swap_deltas(&bins[..chunk.len()], in_bin);
-                for (max, d) in lanes.iter_mut().zip(deltas) {
-                    let emd = state.emd_after(d);
-                    if a == 0 || emd > *max {
-                        *max = emd;
-                    }
-                }
+        for (state, e) in self.states.iter().zip(&self.conf.emds) {
+            state.swap_deltas(e, e.bin_of(inn), &mut deltas);
+            for (max, &r) in maxima.iter_mut().zip(members) {
+                *max = (*max).max(state.emd_after(deltas[state.pair_of(e.bin_of(r))]));
             }
         }
         let mut best = (None, self.emd());
@@ -301,14 +296,14 @@ impl ClusterScorer<'_> {
                 best = (Some(i), emd);
             }
         }
-        self.maxima = maxima;
+        (self.maxima, self.deltas) = (maxima, deltas);
         best.0
     }
 
     /// Swaps member `out` for record `inn`.
     pub fn swap(&mut self, out: usize, inn: usize) {
         for (state, e) in self.states.iter_mut().zip(&self.conf.emds) {
-            state.swap(e.bin_of(out), e.bin_of(inn));
+            state.swap(e, e.bin_of(out), e.bin_of(inn));
         }
     }
 
@@ -362,6 +357,12 @@ impl ClusterHists {
     /// Current cluster size (identical across attributes by construction).
     pub fn size(&self) -> usize {
         self.hists.first().map(SparseHistogram::size).unwrap_or(0)
+    }
+
+    /// The fewest distinct values of the cluster on any attribute.
+    pub(crate) fn distinct_bins(&self) -> usize {
+        let distinct = self.hists.iter().map(SparseHistogram::distinct_bins);
+        distinct.min().unwrap_or(0)
     }
 }
 
@@ -535,7 +536,7 @@ mod tests {
             assert_eq!(scorer.emd(), conf.exact_emd_of_records(members));
             for (state, e) in scorer.states.iter().zip(conf.emds()) {
                 let hist = SparseHistogram::of_records(e, members);
-                assert_eq!(state, &ExactEmd::new(e, &hist));
+                assert_eq!(state, &ExactEmd::new(e, hist));
             }
         };
         let mut members: Vec<usize> = (0..40).step_by(3).collect();
@@ -676,8 +677,8 @@ mod tests {
 
     #[test]
     fn counts_too_large_for_i64_are_decided_in_i128() {
-        // 40,000 bins of u32::MAX records each: (m + |C|)·N passes 2⁶², so
-        // the states hold their D_i in i128, and (m − 1)·|C|·N passes 2⁶⁴.
+        // 40,000 bins of u32::MAX records each: (m − 1)·|C|·N passes 2⁶⁴,
+        // and so do the run terms the swap deltas are summed from.
         let m = 40_000;
         let values: Vec<f64> = (0..m).map(|v| v as f64).collect();
         let global = OrderedEmd::try_from_global(values, vec![u32::MAX; m]).unwrap();

@@ -62,7 +62,8 @@ pub mod bounds;
 pub mod confidential;
 pub mod error;
 pub mod fit;
-pub mod models;
+#[cfg(test)]
+mod models;
 pub mod params;
 pub mod pipeline;
 #[cfg(test)]
@@ -76,7 +77,6 @@ pub use artifact::{ArtifactError, ModelArtifact, ModelParams, ARTIFACT_SCHEMA_VE
 pub use confidential::Confidential;
 pub use error::{Error, Result};
 pub use fit::{FittedAnonymizer, GlobalFit, QiEmbedding};
-pub use models::verify_l_diversity;
 pub use params::TClosenessParams;
 pub use pipeline::{Algorithm, AnonymizationReport, Anonymized, Anonymizer};
 pub use tclose_metrics::emd::Ratio;

@@ -1,14 +1,13 @@
-//! Auditor for a related k-anonymity refinement the paper discusses
-//! (Section 2.2): **distinct l-diversity** (Machanavajjhala et al. 2007).
-//! Its count is also the `p` of **p-sensitive k-anonymity** (Truta &
-//! Vinay 2006), which pairs it with the `k` of
-//! [`crate::verify_k_anonymity`].
+//! Tests of the related models whose level [`crate::audit_release`]
+//! reports beside k and t: **distinct l-diversity** (Machanavajjhala et
+//! al. 2007; Section 2.2 of the paper), whose count is also the `p` of
+//! **p-sensitive k-anonymity** (Truta & Vinay 2006). The audit counts it
+//! from the histograms each class's EMD is summed over, so one grouping of
+//! the release serves all three levels.
 //!
 //! t-Closeness subsumes both in spirit — it constrains the *whole*
 //! within-class distribution rather than counting distinct values — but
 //! real deployments often need to report all three levels for one release.
-//! The auditor recomputes equivalence classes from the released table,
-//! exactly like [`crate::verify`].
 //!
 //! A structural relation worth knowing (and tested below): a class
 //! satisfying t-closeness with small `t` necessarily contains many
@@ -17,55 +16,18 @@
 //! converse fails — 2 well-chosen distinct values satisfy 2-diversity while
 //! grossly violating t-closeness.
 
-use crate::error::Result;
-use crate::verify::equivalence_classes;
-use std::collections::HashSet;
-use tclose_microdata::{AttributeKind, Table};
-
-/// Number of *distinct* values of confidential attribute `attr` within the
-/// records of `class`.
-fn distinct_values(table: &Table, attr: usize, class: &[usize]) -> Result<usize> {
-    let kind = table.schema().attribute(attr)?.kind;
-    match kind {
-        AttributeKind::Numeric => {
-            let col = table.numeric_column(attr)?;
-            let set: HashSet<u64> = class.iter().map(|&r| col[r].to_bits()).collect();
-            Ok(set.len())
-        }
-        _ => {
-            let col = table.categorical_column(attr)?;
-            let set: HashSet<u32> = class.iter().map(|&r| col[r]).collect();
-            Ok(set.len())
-        }
-    }
-}
-
-/// Audits **distinct l-diversity**: returns the smallest number of
-/// distinct confidential values in any equivalence class, minimized over
-/// all confidential attributes. A release is l-diverse iff the returned
-/// value is ≥ l.
-pub fn verify_l_diversity(table: &Table) -> Result<usize> {
-    let classes = equivalence_classes(table)?;
-    let conf = table.schema().confidential();
-    if conf.is_empty() {
-        return Err(crate::error::Error::UnsupportedData(
-            "the schema declares no confidential attribute".into(),
-        ));
-    }
-    let mut worst = usize::MAX;
-    for class in &classes {
-        for &a in &conf {
-            worst = worst.min(distinct_values(table, a, class)?);
-        }
-    }
-    Ok(worst)
-}
-
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use crate::{Algorithm, Anonymizer};
-    use tclose_microdata::{AttributeDef, AttributeRole, Schema, Value};
+    use crate::{audit_release, Algorithm, Anonymizer, Confidential};
+    use tclose_microdata::{AttributeDef, AttributeRole, Schema, Table, Value};
+    use tclose_parallel::Parallelism;
+
+    /// The audited l of `table`, against its own confidential distribution.
+    fn achieved_l(table: &Table) -> usize {
+        let conf = Confidential::from_table(table).unwrap();
+        let audit = audit_release(table, &conf, Parallelism::sequential()).unwrap();
+        audit.achieved_l
+    }
 
     fn release(classes: &[(f64, &[f64])]) -> Table {
         // one QI value per class, explicit confidential values
@@ -89,13 +51,13 @@ mod tests {
             (1.0, &[10.0, 20.0, 30.0]), // 3 distinct
             (2.0, &[10.0, 10.0, 20.0]), // 2 distinct
         ]);
-        assert_eq!(verify_l_diversity(&t).unwrap(), 2);
+        assert_eq!(achieved_l(&t), 2);
     }
 
     #[test]
     fn homogeneous_class_is_1_diverse() {
         let t = release(&[(1.0, &[5.0, 5.0, 5.0])]);
-        assert_eq!(verify_l_diversity(&t).unwrap(), 1);
+        assert_eq!(achieved_l(&t), 1);
     }
 
     #[test]
@@ -110,7 +72,7 @@ mod tests {
             t.push_row(&[Value::Number(1.0), Value::Category(code)])
                 .unwrap();
         }
-        assert_eq!(verify_l_diversity(&t).unwrap(), 3);
+        assert_eq!(achieved_l(&t), 3);
     }
 
     #[test]
@@ -135,7 +97,7 @@ mod tests {
             .algorithm(Algorithm::TClosenessFirst)
             .anonymize(&table)
             .unwrap();
-        let l = verify_l_diversity(&out.table).unwrap();
+        let l = achieved_l(&out.table);
         // k'(0.05) = ⌈120/12.9⌉ = 10 distinct-valued strata → ≥ 10 values
         assert!(
             l >= 10,
@@ -147,8 +109,8 @@ mod tests {
     fn diversity_does_not_imply_t_closeness() {
         // Two distinct extreme values per class: 2-diverse, terrible EMD.
         let t = release(&[(1.0, &[0.0, 1.0]), (2.0, &[999.0, 1000.0])]);
-        assert_eq!(verify_l_diversity(&t).unwrap(), 2);
-        let conf = crate::Confidential::from_table(&t).unwrap();
+        assert_eq!(achieved_l(&t), 2);
+        let conf = Confidential::from_table(&t).unwrap();
         let achieved_t = crate::verify::verify_t_closeness(&t, &conf).unwrap();
         assert!(achieved_t > 0.3, "t = {achieved_t} should be large");
     }
@@ -162,6 +124,17 @@ mod tests {
         .unwrap();
         let mut t = Table::new(schema);
         t.push_row(&[Value::Number(1.0)]).unwrap();
-        assert!(verify_l_diversity(&t).is_err());
+        // The audit measures l through a confidential model, and a table
+        // without a confidential attribute has none.
+        assert!(Confidential::from_table(&t).is_err());
+    }
+
+    #[test]
+    fn negative_zero_and_zero_are_one_value() {
+        // The EMD's domain folds -0.0 into 0.0, and l counts its bins.
+        let t = release(&[(1.0, &[-0.0, 0.0, 1.0]), (2.0, &[0.0, -0.0, 2.0, 2.0])]);
+        assert_eq!(achieved_l(&t), 2);
+        let t = release(&[(1.0, &[-0.0, 0.0])]);
+        assert_eq!(achieved_l(&t), 1);
     }
 }

@@ -1,4 +1,5 @@
-//! Independent verifiers for the two privacy models.
+//! Independent verifiers for the two privacy models, and for the
+//! l-diversity level reported beside them.
 //!
 //! These functions check a *released table* (not the clustering the
 //! algorithm claims to have used): equivalence classes are recomputed from
@@ -64,7 +65,7 @@ pub fn verify_k_anonymity(table: &Table) -> Result<usize> {
     Ok(classes.iter().map(Vec::len).min().unwrap_or(0))
 }
 
-/// What one audit pass measures on a released table: both levels come
+/// What one audit pass measures on a released table: every level comes
 /// from one grouping of its rows into equivalence classes.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ReleaseAudit {
@@ -73,11 +74,18 @@ pub struct ReleaseAudit {
     /// The largest EMD of any class on any confidential attribute, exactly:
     /// the achieved `t`, which [`Ratio::exceeds`] grades against a request.
     pub max_emd: Ratio,
+    /// The fewest distinct values of any class on any confidential
+    /// attribute (0 for no rows): the achieved `l` of distinct
+    /// l-diversity (Machanavajjhala et al. 2007), which is also the `p` of
+    /// p-sensitive k-anonymity (Truta & Vinay 2006). Values are counted as
+    /// bins of the EMD's domain, so `-0.0` and `0.0` are one value.
+    pub achieved_l: usize,
 }
 
 /// Audits a released table in one pass: groups its rows into equivalence
-/// classes once and measures achieved k and the worst class's exact EMD
-/// ([`Confidential::exact_emd_of_records`]) from those classes.
+/// classes once and measures achieved k, the worst class's exact EMD
+/// ([`Confidential::exact_emd_of_hists`]) and achieved l from those
+/// classes, each class's l from the histograms its EMD is summed over.
 ///
 /// `conf` must be *bound* to the rows of `table`: either fitted directly on
 /// its confidential columns ([`Confidential::from_table`] — microaggregation
@@ -96,10 +104,14 @@ pub fn audit_release(table: &Table, conf: &Confidential, par: Parallelism) -> Re
     }
     let classes = equivalence_classes(table)?;
     let achieved_k = classes.iter().map(Vec::len).min().unwrap_or(0);
-    let emds = parallel_map_with(classes, par, |c| conf.exact_emd_of_records(c));
+    let measured = parallel_map_with(classes, par, |c| {
+        let hists = conf.histograms(c);
+        (conf.exact_emd_of_hists(&hists), hists.distinct_bins())
+    });
     Ok(ReleaseAudit {
         achieved_k,
-        max_emd: emds.into_iter().max().unwrap_or(Ratio::ZERO),
+        max_emd: measured.iter().map(|m| m.0).max().unwrap_or(Ratio::ZERO),
+        achieved_l: measured.iter().map(|m| m.1).min().unwrap_or(0),
     })
 }
 

@@ -106,7 +106,7 @@ impl MondrianTClose {
                 (d, hi - lo)
             })
             .collect();
-        dims.sort_by(|a, b| b.1.partial_cmp(&a.1).expect("finite").then(a.0.cmp(&b.0)));
+        dims.sort_by(|a, b| (b.1 + 0.0).total_cmp(&(a.1 + 0.0)).then(a.0.cmp(&b.0)));
 
         for (d, range) in dims {
             if range <= 0.0 {
@@ -114,9 +114,8 @@ impl MondrianTClose {
             }
             let mut sorted: Vec<usize> = records.to_vec();
             sorted.sort_by(|&a, &b| {
-                m.get(a, d)
-                    .partial_cmp(&m.get(b, d))
-                    .expect("finite")
+                (m.get(a, d) + 0.0)
+                    .total_cmp(&(m.get(b, d) + 0.0))
                     .then(a.cmp(&b))
             });
             // Median split on *values*: records equal to the median value

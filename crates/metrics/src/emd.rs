@@ -19,16 +19,14 @@
 //!
 //! Every EMD is exact: [`OrderedEmd::exact_emd`] sums it as a [`Ratio`] one
 //! run of bins at a time, in `O(r log m)` for a cluster over `r` distinct
-//! bins (docs/ALGORITHMS.md, "Exact EMD over runs"), and [`ExactEmd`] keeps
-//! every bin's term of the one cluster Algorithm 2 refines. No f64 walk
-//! decides or reports anything: an f64 EMD is the exact ratio rounded once
-//! ([`Ratio::to_f64`]).
+//! bins (docs/ALGORITHMS.md, "Exact EMD over runs"), and [`ExactEmd`]
+//! scores the swaps of the one cluster Algorithm 2 refines over the same
+//! runs. No f64 walk decides or reports anything: an f64 EMD is the exact
+//! ratio rounded once ([`Ratio::to_f64`]).
 
 use std::cmp::Ordering;
 use std::collections::HashMap;
 use std::fmt;
-use std::iter::Sum;
-use std::ops::{Add, Neg, Sub};
 use std::sync::Arc;
 
 #[cfg(test)]
@@ -167,6 +165,14 @@ impl Global {
             prefix,
             n: g as usize,
         }
+    }
+
+    /// `|Σ_{x≤i<y} D_i|` over bins where the cluster's cumulative count is
+    /// `c` and every `D_i` has one sign: `N·c·(y − x)` against
+    /// `|C|·(P_y − P_x)`, each at most `m·|C|·N ≤ 2¹²⁷`.
+    fn run_sum(&self, size: u64, c: u64, x: usize, y: usize) -> u128 {
+        let nc = self.n as u128 * u128::from(c);
+        (nc * (y - x) as u128).abs_diff(u128::from(size) * (self.prefix[y] - self.prefix[x]))
     }
 }
 
@@ -400,14 +406,10 @@ impl OrderedEmd {
     /// that hold 2⁶⁴ records, far more than fits in memory.
     pub fn exact_emd(&self, cluster: &SparseHistogram) -> Ratio {
         let den = denominator(self.m(), cluster.size, self.n());
-        let Global {
-            cumulative: g,
-            prefix: p,
-            n,
-            ..
-        } = &*self.global;
+        let global = &*self.global;
+        let g = &global.cumulative;
         let wide = |a: u64, b: u64| u128::from(a) * u128::from(b);
-        let (n, size) = (*n as u64, cluster.size as u64);
+        let (n, size) = (global.n as u64, cluster.size as u64);
         let ends = cluster
             .bins
             .iter()
@@ -421,8 +423,7 @@ impl OrderedEmd {
                 _ if c == size => hi,
                 _ => lo + g[lo..hi].partition_point(|&gi| wide(size, gi) <= nc),
             };
-            sum += nc * (split - lo) as u128 - u128::from(size) * (p[split] - p[lo]);
-            sum += u128::from(size) * (p[hi] - p[split]) - nc * (hi - split) as u128;
+            sum += global.run_sum(size, c, lo, split) + global.run_sum(size, c, split, hi);
             (c, lo) = (c + u64::from(count), hi);
         }
         Ratio::new(sum, den)
@@ -568,99 +569,59 @@ fn mul_wide(a: u128, b: u128) -> (u128, u128) {
     (high, low)
 }
 
-/// Number of outgoing bins one [`ExactEmd::swap_deltas`] pass scores.
-pub const SWAP_LANES: usize = 8;
-
-/// A cluster's ordered EMD held exactly in integers, for scoring swaps on
-/// only the bins they move.
+/// A cluster's ordered EMD held exactly in integers, for scoring swaps
+/// over the cluster's runs of bins.
 ///
 /// With `C_i` and `G_i` the cluster's and the data set's cumulative
-/// counts through bin `i`, it keeps `D_i = N·C_i − |C|·G_i` for every bin
-/// and `S = Σ|D_i|`, so that `EMD(C, T) = S / ((m − 1)·|C|·N)` exactly
-/// ([`ExactEmd::emd`]). Swapping a record of bin `a` out for one of bin
-/// `b` keeps `|C|` and moves `C_i` by one between the two bins only:
-/// `D_i` falls by `N` on `a ≤ i < b`, or rises by `N` on `b ≤ i < a`.
-/// [`ExactEmd::swap_deltas`] therefore scores up to [`SWAP_LANES`]
-/// outgoing bins in one pass per side of `b`, each as far as its farthest
-/// lane, in `O(|a − b|)` rather than `O(m)`.
-///
-/// The `D_i` are `i64` where the input's sizes keep them below 2⁶², and
-/// `i128` otherwise: every size up to [`OrderedEmd::exact_emd`]'s limit
-/// has a state.
+/// counts through bin `i`, `D_i = N·C_i − |C|·G_i` and `S = Σ|D_i|`, so
+/// that `EMD(C, T) = S / ((m − 1)·|C|·N)` exactly ([`ExactEmd::emd`]). The
+/// state keeps the cluster's pairs, `S` and the split table `q[c]`, the
+/// first bin with `|C|·G_i > N·c`, for `c` in `0..=|C|`: on a run of bins
+/// where `C_i = c`, `D_i ≥ N` before `q[c − 1]`, `0 ≤ D_i < N` up to
+/// `q[c]`, `−N ≤ D_i < 0` up to `q[c + 1]` and `D_i < −N` after. A swap
+/// keeps `|C|`, and so `q`; its change of `S` has a closed form per run
+/// ([`ExactEmd::swap_deltas`]). No part of the state is per bin of the
+/// domain.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ExactEmd {
-    diffs: Diffs,
+    hist: SparseHistogram,
     /// `S = Σ|D_i|`.
     sum: i128,
-    /// `N`: the step by which one record moves each `D_i` of its range.
-    n: i128,
-    /// `|C|`.
-    size: usize,
+    /// `q[c]` for `c` in `0..=|C|`.
+    splits: Vec<usize>,
     /// `(m − 1)·|C|·N`.
     den: u128,
 }
 
-/// The `D_i` of an [`ExactEmd`], in the narrower type that holds them.
-#[derive(Debug, Clone, PartialEq, Eq)]
-enum Diffs {
-    Narrow(Vec<i64>),
-    Wide(Vec<i128>),
-}
-
 impl ExactEmd {
     /// The exact state of the cluster with histogram `hist` under `emd`'s
-    /// domain: every `D_i`, filled from `hist`'s pairs and the cumulative
-    /// counts `G_i`. Cost `O(m)`.
+    /// domain: `S` from [`OrderedEmd::exact_emd`], and `q` from one binary
+    /// search per `c`. Cost `O((r + |C|) log m)` for a cluster over `r`
+    /// distinct bins.
     ///
     /// # Panics
     /// Panics where [`OrderedEmd::exact_emd`] does.
-    pub fn new(emd: &OrderedEmd, hist: &SparseHistogram) -> Self {
-        let (n, size) = (emd.n() as u64, hist.size as u64);
-        let mut pairs = hist.bins.iter().peekable();
-        let mut nc = 0;
-        let diffs = emd.global.cumulative.iter().enumerate().map(|(i, &g)| {
-            if let Some(&(_, count)) = pairs.next_if(|&&(bin, _)| bin as usize == i) {
-                nc += i128::from(n) * i128::from(count);
-            }
-            nc - (u128::from(size) * u128::from(g)) as i128
-        });
-        Self::from_diffs(diffs, emd, hist.size)
-    }
-
-    /// The state of this cluster with one record of `bin` added. `|C|`
-    /// grows, so every `D_i` changes: it gains `N` from `bin` on and loses
-    /// `G_i`. Cost `O(m)`.
-    pub fn grown(&self, emd: &OrderedEmd, bin: usize) -> Self {
-        let grown = emd.global.cumulative.iter().enumerate().map(|(i, &g)| {
-            let d = match &self.diffs {
-                Diffs::Narrow(d) => i128::from(d[i]),
-                Diffs::Wide(d) => d[i],
-            };
-            d + if i >= bin { self.n } else { 0 } - i128::from(g)
-        });
-        Self::from_diffs(grown, emd, self.size + 1)
-    }
-
-    /// The state whose `D_i` are `diffs`.
-    fn from_diffs<T: Into<i128>>(
-        diffs: impl Iterator<Item = T>,
-        emd: &OrderedEmd,
-        size: usize,
-    ) -> Self {
-        let den = denominator(emd.m(), size, emd.n());
-        let mut sum = 0;
-        let diffs = diffs.map(Into::into).inspect(|d: &i128| sum += d.abs());
-        let diffs = match narrow(emd, size) {
-            true => Diffs::Narrow(diffs.map(|d| d as i64).collect()),
-            false => Diffs::Wide(diffs.collect()),
-        };
+    pub fn new(emd: &OrderedEmd, hist: SparseHistogram) -> Self {
+        let Ratio { num, den } = emd.exact_emd(&hist);
+        let (n, size) = (emd.n() as u128, hist.size as u128);
+        let g = &emd.global.cumulative;
+        let splits = (0..=size)
+            .map(|c| g.partition_point(|&gi| size * u128::from(gi) <= n * c))
+            .collect();
         ExactEmd {
-            diffs,
-            sum,
-            n: emd.n() as i128,
-            size,
+            hist,
+            sum: num as i128,
+            splits,
             den,
         }
+    }
+
+    /// The state of this cluster with one record of `bin` added: `|C|`
+    /// grows, so the state is built afresh from the grown pairs.
+    pub fn grown(&self, emd: &OrderedEmd, bin: usize) -> Self {
+        let mut hist = self.hist.clone();
+        hist.add(bin);
+        Self::new(emd, hist)
     }
 
     /// `S = Σ|D_i|`.
@@ -674,7 +635,7 @@ impl ExactEmd {
     }
 
     /// The EMD of this cluster after a swap that changes `S` by `delta`
-    /// (a lane of [`ExactEmd::swap_deltas`]).
+    /// (an entry of [`ExactEmd::swap_deltas`]).
     pub fn emd_after(&self, delta: i128) -> Ratio {
         Ratio {
             num: (self.sum + delta) as u128,
@@ -682,114 +643,77 @@ impl ExactEmd {
         }
     }
 
-    /// Lane `l` of the result is the change of [`ExactEmd::sum`] when one
-    /// record of bin `out_bins[l]` is swapped for one of bin `in_bin`.
-    /// Same-bin lanes and lanes past `out_bins.len()` hold 0.
-    ///
-    /// One pass down from `in_bin` serves the outgoing bins below it,
-    /// nearest first, and one pass up those above it.
+    /// The index of the pair of `bin`, whose entry of
+    /// [`ExactEmd::swap_deltas`] scores swapping that bin's records out.
     ///
     /// # Panics
-    /// Panics if `out_bins` has more than [`SWAP_LANES`] entries.
-    pub fn swap_deltas(&self, out_bins: &[usize], in_bin: usize) -> [i128; SWAP_LANES] {
-        assert!(
-            out_bins.len() <= SWAP_LANES,
-            "at most {SWAP_LANES} outgoing bins per pass"
-        );
-        match &self.diffs {
-            Diffs::Narrow(d) => lane_deltas(d, self.n as i64, out_bins, in_bin).map(i128::from),
-            Diffs::Wide(d) => lane_deltas(d, self.n, out_bins, in_bin),
+    /// Panics if no record of the cluster falls in `bin`.
+    pub fn pair_of(&self, bin: usize) -> usize {
+        self.hist.find(bin).expect("a bin of the cluster")
+    }
+
+    /// Fills `deltas` with one change of [`ExactEmd::sum`] per pair, in
+    /// pair order: that of swapping one record of the pair's bin `a` out
+    /// for one of `in_bin`. The swap moves `D_i` by `−N` on
+    /// `a ≤ i < in_bin`, or by `+N` on `in_bin ≤ i < a`; a pair at `in_bin`
+    /// gets 0.
+    ///
+    /// One walk down from `in_bin` serves the pairs below it, nearest
+    /// first, and one walk up those above: each pair's range is the next
+    /// pair's plus one run, so the walks cost `O(r)` for `r` pairs,
+    /// whatever the size of the domain. Each `|ΔS| ≤ N·m`.
+    pub fn swap_deltas(&self, emd: &OrderedEmd, in_bin: usize, deltas: &mut Vec<i128>) {
+        let pairs = &self.hist.bins;
+        let below = pairs.partition_point(|&(bin, _)| (bin as usize) < in_bin);
+        let c_in: u64 = pairs[..below].iter().map(|&(_, c)| u64::from(c)).sum();
+        deltas.clear();
+        deltas.resize(pairs.len(), 0);
+        // Down: pair j's range [a_j, in_bin) is pair j + 1's plus the run
+        // [a_j, a_{j+1}), where C_i is the count through pair j.
+        let (mut acc, mut c, mut hi) = (0, c_in, in_bin);
+        for (j, &(bin, count)) in pairs[..below].iter().enumerate().rev() {
+            acc += self.run_delta(emd, c, bin as usize, hi, true);
+            deltas[j] = acc;
+            (c, hi) = (c - u64::from(count), bin as usize);
+        }
+        // Up: pair j's range [in_bin, a_j) is pair j − 1's plus the run
+        // [a_{j−1}, a_j), where C_i is the count through pair j − 1.
+        let (mut acc, mut c, mut lo) = (0, c_in, in_bin);
+        for (j, &(bin, count)) in pairs.iter().enumerate().skip(below) {
+            acc += self.run_delta(emd, c, lo, bin as usize, false);
+            deltas[j] = acc;
+            (c, lo) = (c + u64::from(count), bin as usize);
         }
     }
 
-    /// Applies the swap of one record of bin `out_bin` for one of bin
-    /// `in_bin`, which the caller guarantees holds a record of the
-    /// cluster: `D` and `S` change over the bins between the two only.
-    pub fn swap(&mut self, out_bin: usize, in_bin: usize) {
-        self.sum += match &mut self.diffs {
-            Diffs::Narrow(d) => i128::from(apply_swap(d, self.n as i64, out_bin, in_bin)),
-            Diffs::Wide(d) => apply_swap(d, self.n, out_bin, in_bin),
-        };
+    /// The change of `S` over bins `[x, y)`, on which `C_i = c`, when a
+    /// swap moves every `D_i` there by `−N` (`down`) or `+N`. Down, a bin
+    /// adds `−N` before `q[c − 1]`, `N − 2·D_i` up to `q[c]` and `+N`
+    /// after; up, `+N` before `q[c]`, `N + 2·D_i` up to `q[c + 1]` and
+    /// `−N` after. The middle `D_i` have one sign and `|D_i| ≤ N`, so
+    /// their sum is a [`Global::run_sum`] below `N·m`. A walk down has
+    /// `1 ≤ c ≤ |C|` and one up `c < |C|`, so `q` covers both.
+    fn run_delta(&self, emd: &OrderedEmd, c: u64, x: usize, y: usize, down: bool) -> i128 {
+        let q = &self.splits[c as usize - usize::from(down)..];
+        let (u, v) = (q[0].clamp(x, y), q[1].clamp(x, y));
+        let global = &*emd.global;
+        let n = global.n as i128;
+        let middle = global.run_sum(self.hist.size as u64, c, u, v) as i128;
+        let outer = n * ((y - v) as i128 - (u - x) as i128);
+        n * (v - u) as i128 - 2 * middle + if down { outer } else { -outer }
     }
-}
 
-/// Whether a cluster of `size` records over `emd`'s domain holds its
-/// `D_i` in `i64`: `(m + |C|)·N ≤ 2⁶²` keeps every `D_i`, moved `D_i` and
-/// swap delta below 2⁶².
-fn narrow(emd: &OrderedEmd, size: usize) -> bool {
-    (emd.m() as u128 + size as u128).saturating_mul(emd.n() as u128) <= 1 << 62
-}
-
-/// An integer type the `D_i` are computed in.
-trait Diff:
-    Copy + Default + Ord + Sum + Add<Output = Self> + Sub<Output = Self> + Neg<Output = Self>
-{
-}
-
-impl Diff for i64 {}
-impl Diff for i128 {}
-
-fn abs<T: Diff>(x: T) -> T {
-    if x < T::default() {
-        -x
-    } else {
-        x
+    /// Applies the swap of one record of bin `out_bin`, which the caller
+    /// guarantees holds a record of the cluster, for one of bin `in_bin`:
+    /// `S` changes by the pair's [`ExactEmd::swap_deltas`] entry and the
+    /// record moves between pairs.
+    pub fn swap(&mut self, emd: &OrderedEmd, out_bin: usize, in_bin: usize) {
+        let mut deltas = Vec::new();
+        self.swap_deltas(emd, in_bin, &mut deltas);
+        self.sum += deltas[self.pair_of(out_bin)];
+        self.hist.remove(out_bin);
+        self.hist.add(in_bin);
     }
-}
-
-/// The change of `Σ|D_i|` over `diffs` when every `D_i` moves by `shift`.
-fn shift_gain<T: Diff>(diffs: &[T], shift: T) -> T {
-    diffs.iter().map(|&d| abs(d + shift) - abs(d)).sum()
-}
-
-/// [`ExactEmd::swap_deltas`] on `D_i` of type `T`, with `n` = `N`.
-fn lane_deltas<T: Diff>(diffs: &[T], n: T, out_bins: &[usize], in_bin: usize) -> [T; SWAP_LANES] {
-    let (mut below, mut above) = ([(0, 0); SWAP_LANES], [(0, 0); SWAP_LANES]);
-    let (mut nb, mut na) = (0, 0);
-    for (l, &a) in out_bins.iter().enumerate() {
-        if a < in_bin {
-            below[nb] = (a, l);
-            nb += 1;
-        } else if a > in_bin {
-            above[na] = (a, l);
-            na += 1;
-        }
-    }
-    let below = &mut below[..nb];
-    let above = &mut above[..na];
-    below.sort_unstable_by(|x, y| y.cmp(x));
-    above.sort_unstable();
-
-    let mut deltas = [T::default(); SWAP_LANES];
-    let (mut acc, mut hi) = (T::default(), in_bin);
-    for &(a, l) in below.iter() {
-        acc = acc + shift_gain(&diffs[a..hi], -n);
-        hi = a;
-        deltas[l] = acc;
-    }
-    let (mut acc, mut lo) = (T::default(), in_bin);
-    for &(a, l) in above.iter() {
-        acc = acc + shift_gain(&diffs[lo..a], n);
-        lo = a;
-        deltas[l] = acc;
-    }
-    deltas
-}
-
-/// [`ExactEmd::swap`] on `D_i` of type `T`: moves the `D_i` between the
-/// two bins and returns the change of `S`.
-fn apply_swap<T: Diff>(diffs: &mut [T], n: T, out_bin: usize, in_bin: usize) -> T {
-    let (range, shift) = if out_bin < in_bin {
-        (out_bin..in_bin, -n)
-    } else {
-        (in_bin..out_bin, n)
-    };
-    let diffs = &mut diffs[range];
-    let gain = shift_gain(diffs, shift);
-    for d in diffs {
-        *d = *d + shift;
-    }
-    gain
 }
 
 /// Mergeable accumulator of a confidential attribute's *global* value
@@ -888,6 +812,12 @@ impl SparseHistogram {
     /// Number of records currently in the cluster.
     pub fn size(&self) -> usize {
         self.size
+    }
+
+    /// Number of distinct bins, and so distinct values, the cluster's
+    /// records fall in.
+    pub fn distinct_bins(&self) -> usize {
+        self.bins.len()
     }
 
     /// Where `bin` is, or would be inserted.
@@ -1474,91 +1404,152 @@ mod tests {
         (0..size).map(|_| (draw(state, 64) % n) as usize).collect()
     }
 
+    /// The domains the dense-reference tests run on, each with its cluster
+    /// sizes: 1 to 100,000 bins with heavy ties, bound to their own column;
+    /// `N` = 8·10¹², 2,000 bins of 4·10⁹ records, where from about 1,150
+    /// records `m·|C|·N` passes 2⁶⁴; and 100,000 bins of `u32::MAX`
+    /// records, whose prefix sums pass 2⁶⁴.
+    fn reference_domains(state: &mut u64) -> Vec<(OrderedEmd, &'static [usize])> {
+        let mut domains = Vec::new();
+        for m in [1, 2, 3, 17, 400, 2_000, 100_000] {
+            let emd = OrderedEmd::new(&tied_column(state, m));
+            assert_eq!(emd.m(), m);
+            domains.push((emd, &[1, 2, 5, 13, 50, 300][..]));
+        }
+        let values: Vec<f64> = (0..2_000).map(f64::from).collect();
+        let global = OrderedEmd::try_from_global(values, vec![4_000_000_000; 2_000]).unwrap();
+        let column: Vec<f64> = (0..3_000)
+            .map(|_| (draw(state, 64) % 2_000) as f64)
+            .collect();
+        domains.push((global.rebind(&column).unwrap(), &[1, 30, 1_000, 2_000]));
+        let m = 100_000;
+        let values: Vec<f64> = (0..m).map(|v| v as f64).collect();
+        let global = OrderedEmd::try_from_global(values, vec![u32::MAX; m]).unwrap();
+        let column: Vec<f64> = (0..400)
+            .map(|_| (draw(state, 64) % m as u128) as f64)
+            .collect();
+        domains.push((global.rebind(&column).unwrap(), &[1, 7, 200]));
+        domains
+    }
+
+    /// Whether `m·|C|·N`, the bound of every run term, passes 2⁶⁴.
+    fn past_u64(emd: &OrderedEmd, size: usize) -> bool {
+        denominator(emd.m(), size, emd.n()) + size as u128 * emd.n() as u128 > u128::from(u64::MAX)
+    }
+
     /// The cluster of `members` checked against the dense reference: the
-    /// sparse EMD, and [`ExactEmd::new`]'s terms, sum and EMD. `wide`
-    /// notes which regimes were covered, each `[narrow, wide]`: `[0]`
-    /// whether `m·|C|·N` passes 2⁶⁴, `[1]` whether the state's terms are
-    /// `i128`.
-    fn check_against_dense(
-        emd: &OrderedEmd,
-        hist: &SparseHistogram,
-        members: &[usize],
-        wide: &mut [[bool; 2]; 2],
-    ) {
+    /// sparse EMD, and [`ExactEmd::new`]'s sum and EMD.
+    fn check_against_dense(emd: &OrderedEmd, hist: &SparseHistogram, members: &[usize]) {
         let counts = reference::counts(emd, members);
         let want = reference::exact_emd(emd, &counts);
         let case = format!("m={} |C|={}", emd.m(), members.len());
         assert_eq!(hist.size(), members.len(), "{case}");
         assert_eq!(emd.exact_emd(hist), want, "{case}");
         assert_eq!(emd.emd(hist).to_bits(), want.to_f64().to_bits());
-        let den = denominator(emd.m(), members.len(), emd.n());
-        let bound = den + members.len() as u128 * emd.n() as u128;
-        wide[0][usize::from(bound > u128::from(u64::MAX))] = true;
-
-        let state = ExactEmd::new(emd, hist);
-        let terms: Vec<i128> = match &state.diffs {
-            Diffs::Narrow(d) => d.iter().map(|&x| i128::from(x)).collect(),
-            Diffs::Wide(d) => d.clone(),
-        };
-        wide[1][usize::from(matches!(state.diffs, Diffs::Wide(_)))] = true;
-        let diffs = reference::diffs(emd, &counts);
-        assert_eq!(terms, diffs, "{case}");
-        assert_eq!(state.sum(), diffs.iter().map(|d| d.abs()).sum(), "{case}");
+        let state = ExactEmd::new(emd, hist.clone());
+        assert_eq!(state.sum() as u128, want.num, "{case}");
         assert_eq!(state.emd(), want, "{case}");
-    }
-
-    /// A cluster and its union with another, checked against the dense
-    /// reference.
-    fn check_union(emd: &OrderedEmd, a: &[usize], b: &[usize], wide: &mut [[bool; 2]; 2]) {
-        let mut hist = SparseHistogram::of_records(emd, a);
-        check_against_dense(emd, &hist, a, wide);
-        hist.merge(&SparseHistogram::of_records(emd, b));
-        check_against_dense(emd, &hist, &[a, b].concat(), wide);
     }
 
     #[test]
     fn sparse_exact_emd_and_state_equal_the_dense_reference() {
-        let (mut state, mut wide) = (4, [[false; 2]; 2]);
-        // Domains of 1 to 100,000 bins with heavy ties, bound to their own
-        // column, clusters of 1 to 300 records and their unions.
-        for m in [1, 2, 3, 17, 400, 2_000, 100_000] {
-            let emd = OrderedEmd::new(&tied_column(&mut state, m));
-            assert_eq!(emd.m(), m);
-            for size in [1, 2, 5, 13, 50, 300] {
-                let cluster = records(&mut state, &emd, size);
-                let other = records(&mut state, &emd, 1 + size / 2);
-                check_union(&emd, &cluster, &other, &mut wide);
+        let (mut state, mut wide) = (4, [false; 2]);
+        for (emd, sizes) in reference_domains(&mut state) {
+            for &size in sizes {
+                // A cluster and its union with another.
+                let a = records(&mut state, &emd, size);
+                let b = records(&mut state, &emd, 1 + size / 2);
+                let mut hist = SparseHistogram::of_records(&emd, &a);
+                check_against_dense(&emd, &hist, &a);
+                hist.merge(&SparseHistogram::of_records(&emd, &b));
+                check_against_dense(&emd, &hist, &[a, b].concat());
+                wide[usize::from(past_u64(&emd, hist.size()))] = true;
             }
-            let all: Vec<usize> = (0..emd.n()).collect();
-            assert_eq!(
-                emd.exact_emd(&SparseHistogram::of_records(&emd, &all)),
-                Ratio::ZERO
-            );
+            // A domain bound to its own column: the whole of it has EMD 0.
+            if emd.n_bound() == emd.n() {
+                let all: Vec<usize> = (0..emd.n()).collect();
+                let whole = SparseHistogram::of_records(&emd, &all);
+                assert_eq!(emd.exact_emd(&whole), Ratio::ZERO);
+            }
         }
-        // N = 8·10¹²: 2,000 bins of 4·10⁹ records. From about 1,150
-        // records m·|C|·N passes 2⁶⁴, and every D_i needs i128.
-        let values: Vec<f64> = (0..2_000).map(f64::from).collect();
-        let global = OrderedEmd::try_from_global(values, vec![4_000_000_000; 2_000]).unwrap();
-        let column: Vec<f64> = (0..3_000)
-            .map(|_| (draw(&mut state, 64) % 2_000) as f64)
+        assert_eq!(wide, [true; 2], "both sides of 2⁶⁴ were taken");
+    }
+
+    /// The histogram with per-bin `counts`.
+    fn hist_of(counts: &[u32]) -> SparseHistogram {
+        let bins: Vec<(u32, u32)> = (0..counts.len() as u32)
+            .zip(counts.iter().copied())
+            .filter(|&(_, c)| c > 0)
             .collect();
-        let emd = global.rebind(&column).unwrap();
-        for size in [1, 30, 1_000, 2_000] {
-            let cluster = records(&mut state, &emd, size);
-            check_union(&emd, &cluster, &cluster[..size / 2], &mut wide);
+        let size = bins.iter().map(|&(_, c)| c as usize).sum();
+        SparseHistogram { bins, size }
+    }
+
+    /// `exact` checked against the dense reference of the cluster with
+    /// per-bin `counts`: its sum and EMD, and every pair's swap delta for
+    /// each of `in_bins`, against the `D_i` of [`reference::diffs`] moved
+    /// bin by bin.
+    fn check_swap_state(emd: &OrderedEmd, exact: &ExactEmd, counts: &[u32], in_bins: &[usize]) {
+        let want = reference::exact_emd(emd, counts);
+        let case = format!("m={} |C|={}", emd.m(), exact.hist.size());
+        assert_eq!(exact.hist, hist_of(counts), "{case}");
+        assert_eq!(exact.sum() as u128, want.num, "{case}");
+        assert_eq!(exact.emd(), want, "{case}");
+        // The change of Σ|D_i| when each D_i falls, or rises, by N, summed
+        // from bin 0.
+        let n = emd.n() as i128;
+        let (mut down, mut up) = (vec![0], vec![0]);
+        for d in reference::diffs(emd, counts) {
+            down.push(down[down.len() - 1] + (d - n).abs() - d.abs());
+            up.push(up[up.len() - 1] + (d + n).abs() - d.abs());
         }
-        // 100,000 bins of u32::MAX records: the prefix sums pass 2⁶⁴.
-        let m = 100_000;
-        let values: Vec<f64> = (0..m).map(|v| v as f64).collect();
-        let global = OrderedEmd::try_from_global(values, vec![u32::MAX; m]).unwrap();
-        let column: Vec<f64> = (0..400)
-            .map(|_| (draw(&mut state, 64) % m as u128) as f64)
-            .collect();
-        let emd = global.rebind(&column).unwrap();
-        for size in [1, 7, 200] {
-            let cluster = records(&mut state, &emd, size);
-            check_union(&emd, &cluster, &cluster[size / 2..], &mut wide);
+        let mut deltas = Vec::new();
+        for &b in in_bins {
+            exact.swap_deltas(emd, b, &mut deltas);
+            let pairs = exact.hist.bins.iter().map(|&(a, _)| a as usize);
+            let want: Vec<i128> = pairs
+                .map(|a| {
+                    if a < b {
+                        down[b] - down[a]
+                    } else {
+                        up[a] - up[b]
+                    }
+                })
+                .collect();
+            assert_eq!(deltas, want, "{case} in bin {b}");
         }
-        assert_eq!(wide, [[true; 2]; 2], "every width was taken");
+    }
+
+    #[test]
+    fn swap_deltas_swaps_and_growth_equal_the_dense_reference() {
+        let (mut state, mut wide) = (5, [false; 2]);
+        for (emd, sizes) in reference_domains(&mut state) {
+            let m = emd.m();
+            for &size in sizes {
+                let members = records(&mut state, &emd, size);
+                let mut counts = reference::counts(&emd, &members);
+                let mut exact = ExactEmd::new(&emd, hist_of(&counts));
+                wide[usize::from(past_u64(&emd, size))] = true;
+                // Incoming bins at both ends, on a member's bin and between.
+                let member = members[(draw(&mut state, 32) % size as u128) as usize];
+                let between = (draw(&mut state, 64) % m as u128) as usize;
+                let in_bins = [0, m - 1, emd.bin_of(member), between];
+                check_swap_state(&emd, &exact, &counts, &in_bins);
+                for &b in &in_bins {
+                    let mut grown = counts.clone();
+                    grown[b] += 1;
+                    check_swap_state(&emd, &exact.grown(&emd, b), &grown, &[b, between]);
+                    // Swap out a record of a drawn pair for one of b.
+                    let pairs = &exact.hist.bins;
+                    let out = pairs[(draw(&mut state, 32) % pairs.len() as u128) as usize].0;
+                    exact.swap(&emd, out as usize, b);
+                    counts[out as usize] -= 1;
+                    counts[b] += 1;
+                    check_swap_state(&emd, &exact, &counts, &in_bins);
+                    assert_eq!(exact, ExactEmd::new(&emd, hist_of(&counts)));
+                }
+            }
+        }
+        assert_eq!(wide, [true; 2], "both sides of 2⁶⁴ were taken");
     }
 }

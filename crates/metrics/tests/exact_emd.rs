@@ -1,13 +1,14 @@
 //! Differential tests of [`ExactEmd`]: its EMD is the ordered EMD in exact
-//! integers, each swap delta equals the sum of the swapped cluster built
-//! afresh, and applied swaps keep the state equal to a fresh one — across
-//! domains of 1 to 2,000 bins with heavy global ties, clusters of 1 to 50
-//! records, same-bin and duplicate outgoing bins and the end bins, and
-//! counts too large for `i64`.
+//! integers, each pair's swap delta equals the sum of the swapped cluster
+//! built afresh, and applied swaps and growth keep the state equal to a
+//! fresh one — across domains of 1 to 2,000 bins with heavy global ties,
+//! clusters of 1 to 50 records, incoming bins on a member's bin and at the
+//! end bins, and counts too large for `i64`. `emd.rs`'s unit tests check
+//! the states themselves against a dense per-bin reference.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use tclose_metrics::emd::{ExactEmd, OrderedEmd, Ratio, SparseHistogram, SWAP_LANES};
+use tclose_metrics::emd::{ExactEmd, OrderedEmd, Ratio, SparseHistogram};
 
 const DOMAINS: [usize; 6] = [1, 2, 3, 17, 400, 2000];
 
@@ -64,14 +65,31 @@ fn sum_is_the_emd_within_the_rounding_bound() {
         assert_eq!(emd.m(), m);
         for size in [1, 2, 5, 9, 50] {
             let hist = SparseHistogram::of_records(&emd, &cluster(&mut rng, &emd, size));
-            let state = ExactEmd::new(&emd, &hist);
+            let state = ExactEmd::new(&emd, hist.clone());
             assert_within_bound(&emd, &state, &hist);
         }
     }
     // The whole data set is its own distribution: S = 0 exactly.
     let emd = OrderedEmd::new(&[1.0, 1.0, 2.0, 5.0]);
     let all = SparseHistogram::of_records(&emd, &[0, 1, 2, 3]);
-    assert_eq!(ExactEmd::new(&emd, &all).emd(), Ratio::ZERO);
+    assert_eq!(ExactEmd::new(&emd, all).emd(), Ratio::ZERO);
+}
+
+/// The sum of the cluster of `hist` with one record of `out` swapped for
+/// one of `in_bin`, from a state built afresh.
+fn swapped_sum(emd: &OrderedEmd, hist: &SparseHistogram, out: usize, in_bin: usize) -> i128 {
+    let mut swapped = hist.clone();
+    swapped.remove(out);
+    swapped.add(in_bin);
+    ExactEmd::new(emd, swapped).sum()
+}
+
+/// The distinct bins of `members`, ascending: the cluster's pairs.
+fn pair_bins(emd: &OrderedEmd, members: &[usize]) -> Vec<usize> {
+    let mut bins: Vec<usize> = members.iter().map(|&r| emd.bin_of(r)).collect();
+    bins.sort_unstable();
+    bins.dedup();
+    bins
 }
 
 #[test]
@@ -82,33 +100,27 @@ fn swap_deltas_equal_the_swapped_clusters_sums() {
         for size in [2, 5, 8, 20] {
             let members = cluster(&mut rng, &emd, size);
             let hist = SparseHistogram::of_records(&emd, &members);
-            let state = ExactEmd::new(&emd, &hist);
+            let state = ExactEmd::new(&emd, hist.clone());
+            let bins = pair_bins(&emd, &members);
+            let mut deltas = Vec::new();
             for _ in 0..12 {
-                // Outgoing bins of distinct members, repeats included; the
-                // incoming bin is drawn, or an end bin, or a member's bin.
-                let lanes = rng.gen_range(1..=SWAP_LANES.min(members.len()));
-                let outs: Vec<usize> = (0..lanes)
-                    .map(|_| emd.bin_of(members[rng.gen_range(0..members.len())]))
-                    .collect();
+                // The incoming bin is drawn, or an end bin, or a member's.
                 let in_bin = match rng.gen_range(0..4) {
                     0 => 0,
                     1 => m - 1,
-                    2 => outs[0],
+                    2 => emd.bin_of(members[rng.gen_range(0..members.len())]),
                     _ => rng.gen_range(0..m),
                 };
-                let deltas = state.swap_deltas(&outs, in_bin);
-                for (l, &out) in outs.iter().enumerate() {
-                    let mut swapped = hist.clone();
-                    swapped.remove(out);
-                    swapped.add(in_bin);
-                    let fresh = ExactEmd::new(&emd, &swapped);
+                state.swap_deltas(&emd, in_bin, &mut deltas);
+                assert_eq!(deltas.len(), bins.len());
+                for (p, &out) in bins.iter().enumerate() {
+                    assert_eq!(state.pair_of(out), p);
                     assert_eq!(
-                        state.sum() + deltas[l],
-                        fresh.sum(),
-                        "m={m} lane {l}: out bin {out} in bin {in_bin}"
+                        state.sum() + deltas[p],
+                        swapped_sum(&emd, &hist, out, in_bin),
+                        "m={m} pair {p}: out bin {out} in bin {in_bin}"
                     );
                 }
-                assert!(deltas[outs.len()..].iter().all(|&d| d == 0));
             }
         }
     }
@@ -122,7 +134,8 @@ fn applied_swaps_keep_the_state_equal_to_a_fresh_one() {
         for size in [1, 3, 30] {
             let mut members = cluster(&mut rng, &emd, size.min(emd.n() - 1));
             let hist = SparseHistogram::of_records(&emd, &members);
-            let mut state = ExactEmd::new(&emd, &hist);
+            let mut state = ExactEmd::new(&emd, hist);
+            let mut deltas = Vec::new();
             for _ in 0..40 {
                 let i = rng.gen_range(0..members.len());
                 let inn = loop {
@@ -132,12 +145,12 @@ fn applied_swaps_keep_the_state_equal_to_a_fresh_one() {
                     }
                 };
                 let (out_bin, in_bin) = (emd.bin_of(members[i]), emd.bin_of(inn));
-                let predicted = state.sum() + state.swap_deltas(&[out_bin], in_bin)[0];
-                state.swap(out_bin, in_bin);
+                state.swap_deltas(&emd, in_bin, &mut deltas);
+                let predicted = state.sum() + deltas[state.pair_of(out_bin)];
+                state.swap(&emd, out_bin, in_bin);
                 members[i] = inn;
                 let hist = SparseHistogram::of_records(&emd, &members);
-                let fresh = ExactEmd::new(&emd, &hist);
-                assert_eq!(state.sum(), fresh.sum());
+                let fresh = ExactEmd::new(&emd, hist.clone());
                 assert_eq!(state.sum(), predicted);
                 assert_eq!(state, fresh);
                 assert_within_bound(&emd, &state, &hist);
@@ -148,10 +161,9 @@ fn applied_swaps_keep_the_state_equal_to_a_fresh_one() {
 
 #[test]
 fn counts_too_large_for_i64_are_held_in_i128() {
-    // 40,000 bins of u32::MAX records each: (m + |C|)·N passes 2⁶², so the
-    // D_i are held in i128, and (m − 1)·|C|·N passes 2⁶⁴. Swap deltas,
-    // applied swaps and growth still match fresh states, and the EMD
-    // matches `exact_emd`.
+    // 40,000 bins of u32::MAX records each: (m − 1)·|C|·N passes 2⁶⁴, and
+    // so do the run terms, summed in u128. Swap deltas, applied swaps and
+    // growth still match fresh states, and the EMD matches `exact_emd`.
     let m = 40_000;
     let values: Vec<f64> = (0..m).map(|v| v as f64).collect();
     let global = OrderedEmd::try_from_global(values, vec![u32::MAX; m]).unwrap();
@@ -159,31 +171,27 @@ fn counts_too_large_for_i64_are_held_in_i128() {
     let column: Vec<f64> = (0..64).map(|_| rng.gen_range(0..m) as f64).collect();
     let emd = global.rebind(&column).unwrap();
     let mut members: Vec<usize> = (0..20).collect();
-    let mut state = ExactEmd::new(&emd, &SparseHistogram::of_records(&emd, &members));
-    assert!(format!("{state:?}").starts_with("ExactEmd { diffs: Wide"));
+    let mut state = ExactEmd::new(&emd, SparseHistogram::of_records(&emd, &members));
+    let mut deltas = Vec::new();
     for inn in 20..40 {
         let hist = SparseHistogram::of_records(&emd, &members);
-        assert_eq!(state, ExactEmd::new(&emd, &hist));
+        assert_eq!(state, ExactEmd::new(&emd, hist.clone()));
         assert_eq!(state.emd(), emd.exact_emd(&hist));
-        let outs: Vec<usize> = members[..SWAP_LANES]
-            .iter()
-            .map(|&r| emd.bin_of(r))
-            .collect();
-        let deltas = state.swap_deltas(&outs, emd.bin_of(inn));
-        for (l, &out) in outs.iter().enumerate() {
+        state.swap_deltas(&emd, emd.bin_of(inn), &mut deltas);
+        for (p, &out) in pair_bins(&emd, &members).iter().enumerate() {
             let mut swapped = hist.clone();
             swapped.remove(out);
             swapped.add(emd.bin_of(inn));
-            assert_eq!(state.emd_after(deltas[l]), emd.exact_emd(&swapped));
+            assert_eq!(state.emd_after(deltas[p]), emd.exact_emd(&swapped));
         }
         let mut grown = hist.clone();
         grown.add(emd.bin_of(inn));
         assert_eq!(
             state.grown(&emd, emd.bin_of(inn)),
-            ExactEmd::new(&emd, &grown)
+            ExactEmd::new(&emd, grown)
         );
         let i = inn % members.len();
-        state.swap(emd.bin_of(members[i]), emd.bin_of(inn));
+        state.swap(&emd, emd.bin_of(members[i]), emd.bin_of(inn));
         members[i] = inn;
     }
 }

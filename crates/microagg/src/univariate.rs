@@ -56,7 +56,7 @@ pub fn optimal_univariate(values: &[f64], k: usize) -> (Clustering, f64) {
     }
 
     let mut order: Vec<usize> = (0..n).collect();
-    order.sort_by(|&a, &b| values[a].partial_cmp(&values[b]).expect("finite"));
+    order.sort_by(|&a, &b| (values[a] + 0.0).total_cmp(&(values[b] + 0.0)));
     let sorted: Vec<f64> = order.iter().map(|&i| values[i]).collect();
 
     let mut prefix = vec![0.0; n + 1];

@@ -192,13 +192,15 @@ pub fn correlation(xs: &[f64], ys: &[f64]) -> f64 {
 
 /// Sample `p`-quantile (linear interpolation), `p ∈ [0,1]`.
 ///
-/// Returns `None` for an empty slice.
+/// Returns `None` for an empty slice. The sort is `total_cmp` with `-0.0`
+/// folded into `0.0`, so it never panics: the two zeros keep their input
+/// order, as under `partial_cmp`, and a NaN sorts by its sign bit.
 pub fn quantile(xs: &[f64], p: f64) -> Option<f64> {
     if xs.is_empty() {
         return None;
     }
     let mut sorted = xs.to_vec();
-    sorted.sort_by(|a, b| a.partial_cmp(b).expect("finite values"));
+    sorted.sort_by(|a, b| (a + 0.0).total_cmp(&(b + 0.0)));
     let p = p.clamp(0.0, 1.0);
     let pos = p * (sorted.len() - 1) as f64;
     let lo = pos.floor() as usize;
@@ -324,5 +326,13 @@ mod tests {
         assert!((quantile(&xs, 0.5).unwrap() - 2.5).abs() < EPS);
         // out-of-range p is clamped
         assert_eq!(quantile(&xs, 2.0), Some(4.0));
+    }
+
+    #[test]
+    fn quantile_of_a_nan_sample_does_not_panic() {
+        assert_eq!(quantile(&[1.0, f64::NAN], 0.0), Some(1.0));
+        assert!(quantile(&[1.0, f64::NAN], 0.5).unwrap().is_nan());
+        assert_eq!(quantile(&[-f64::NAN, 1.0], 1.0), Some(1.0));
+        assert_eq!(quantile(&[0.0, -0.0, -1.0], 0.75), Some(0.0));
     }
 }

@@ -14,7 +14,7 @@
 
 use std::io::{self, Read, Write};
 
-use tclose_core::{audit_release, verify_l_diversity, Confidential, Ratio};
+use tclose_core::{audit_release, Confidential, Ratio};
 use tclose_microdata::Table;
 use tclose_parallel::Parallelism;
 use tclose_ser::Json;
@@ -345,21 +345,20 @@ pub struct AuditReport {
 }
 
 impl AuditReport {
-    /// Audits a released table: k-anonymity and t-closeness against the
-    /// table's own confidential distribution from one audit pass
-    /// ([`audit_release`]), and l-diversity. Returns the report and the
-    /// worst class's exact EMD, which `achieved_t` rounds and which grades
-    /// a requested t. `tclose audit` and the daemon's audit op both run
-    /// this.
+    /// Audits a released table: k-anonymity, t-closeness against the
+    /// table's own confidential distribution and l-diversity, from one
+    /// audit pass ([`audit_release`]) that groups the rows once. Returns
+    /// the report and the worst class's exact EMD, which `achieved_t`
+    /// rounds and which grades a requested t. `tclose audit` and the
+    /// daemon's audit op both run this.
     pub fn measure(table: &Table, par: Parallelism) -> Result<(AuditReport, Ratio), String> {
         let conf = Confidential::from_table(table).map_err(|e| e.to_string())?;
         let audit = audit_release(table, &conf, par).map_err(|e| e.to_string())?;
-        let achieved_l = verify_l_diversity(table).map_err(|e| e.to_string())?;
         let report = AuditReport {
             n_records: table.n_rows(),
             achieved_k: audit.achieved_k,
             achieved_t: audit.max_emd.to_f64(),
-            achieved_l,
+            achieved_l: audit.achieved_l,
         };
         Ok((report, audit.max_emd))
     }
