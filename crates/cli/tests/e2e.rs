@@ -843,6 +843,102 @@ fn fused_and_fit_apply_releases_agree_under_a_policy() {
     }
 }
 
+/// The labels of `columns` in a CSV file.
+fn labels_of(path: &Path, columns: &[&str]) -> Vec<String> {
+    let table = tclose_microdata::csv::read_csv_auto(std::fs::File::open(path).unwrap()).unwrap();
+    let schema = table.schema();
+    columns
+        .iter()
+        .flat_map(|name| {
+            let dictionary = &schema.attributes()[schema.index_of(name).unwrap()].dictionary;
+            dictionary.labels().map(str::to_owned).collect::<Vec<_>>()
+        })
+        .collect()
+}
+
+#[test]
+fn models_hold_no_pass_through_labels_and_old_models_apply_alike() {
+    let data = pii_seed2("pii_labels.csv");
+    let input = data.to_str().unwrap();
+    let audit = tmp("pii_labels_audit.jsonl");
+    let _ = std::fs::remove_file(&audit);
+    let policy = tokenize_policy("pii_labels_policy.toml", &audit, "");
+    let policy = policy.to_str().unwrap();
+    let labels = labels_of(&data, &["NAME", "SSN", "EMAIL", "PHONE", "NOTES"]);
+    assert!(labels.len() > 4 * 400, "{} labels", labels.len());
+
+    let streams = [&[][..], &["--stream", "--shard-size", "150"][..]];
+    for fit_stream in streams {
+        let new = tmp("pii_labels_new.json");
+        let mut args = vec!["fit", "--input", input, "--out", new.to_str().unwrap()];
+        args.extend(PII_ROLES);
+        args.extend(fit_stream);
+        args.extend(["--compliance", policy]);
+        tclose_ok(&args);
+        let text = std::fs::read_to_string(&new).unwrap();
+        for label in &labels {
+            assert!(!text.contains(label.as_str()), "{fit_stream:?}: {label}");
+        }
+        let artifact = tclose_core::ModelArtifact::load(&new).unwrap();
+        let schema = artifact.global_fit().schema();
+        assert!(schema
+            .attributes()
+            .iter()
+            .all(|a| !a.is_categorical_pass_through() || a.dictionary.is_empty()));
+
+        // The model the parent layout wrote: the same fit, with every
+        // label of the input's pass-through columns.
+        let roles = tclose_stream::Roles::Model(schema);
+        let table =
+            tclose_stream::read_with_roles(std::fs::File::open(&data).unwrap(), roles).unwrap();
+        let fit = artifact.global_fit();
+        let labelled = tclose_core::GlobalFit::from_parts(
+            table.schema().clone(),
+            fit.embedding().clone(),
+            fit.confidential().clone(),
+            fit.n_records(),
+        )
+        .unwrap();
+        let p = artifact.params();
+        let fitted = tclose_core::Anonymizer::new(p.k, p.t)
+            .algorithm(p.algorithm)
+            .with_fit(labelled)
+            .unwrap();
+        let old = tmp("pii_labels_old.json");
+        tclose_core::ModelArtifact::from_fitted(&fitted)
+            .with_compliance_fingerprint(artifact.compliance_fingerprint().unwrap())
+            .save(&old)
+            .unwrap();
+        let old_text = std::fs::read_to_string(&old).unwrap();
+        assert!(old_text.contains("@example.com") && old_text.contains(&labels[0]));
+
+        for apply_stream in streams {
+            let mut outputs = Vec::new();
+            for model in [&old, &new] {
+                let released = tmp("pii_labels_out.csv");
+                let mut args = vec![
+                    "apply",
+                    "--model",
+                    model.to_str().unwrap(),
+                    "--input",
+                    input,
+                    "--output",
+                    released.to_str().unwrap(),
+                    "--compliance",
+                    policy,
+                ];
+                args.extend(apply_stream);
+                tclose_ok(&args);
+                outputs.push((take(&released), take(&audit)));
+            }
+            assert!(
+                outputs[0] == outputs[1],
+                "fit {fit_stream:?}, apply {apply_stream:?}: old and new models differ"
+            );
+        }
+    }
+}
+
 #[test]
 fn apply_honours_a_dry_run_policy_in_both_modes() {
     let data = pii_seed2("pii_apply_dry.csv");

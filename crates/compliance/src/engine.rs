@@ -18,7 +18,7 @@
 use std::borrow::Cow;
 use std::ops::Range;
 
-use tclose_microdata::{AttributeDef, AttributeRole, Column, Dictionary, Schema, Table};
+use tclose_microdata::{AttributeDef, Column, Dictionary, Schema, Table};
 use tclose_ser::Json;
 
 use crate::audit::{line_middle, push_line, salted_digest, AuditLog, LINE_FRAME};
@@ -222,16 +222,6 @@ impl ComplianceEngine {
         }
     }
 
-    /// True when a scrub would rewrite the column: categorical, and the
-    /// role is not part of the t-closeness computation.
-    fn transformable(attr: &AttributeDef) -> bool {
-        attr.kind.is_categorical()
-            && matches!(
-                attr.role,
-                AttributeRole::Identifier | AttributeRole::NonConfidential
-            )
-    }
-
     /// Detects matches in one cell, decoding it into `buf.chars`: whole-
     /// cell rules win outright; otherwise span rules claim
     /// non-overlapping spans in rule order.
@@ -344,7 +334,7 @@ impl ComplianceEngine {
             }
             columns.push(ColumnScan {
                 column: attr.name.clone(),
-                transformable: Self::transformable(attr),
+                transformable: attr.is_categorical_pass_through(),
                 matched_cells,
                 hits,
             });
@@ -377,7 +367,11 @@ impl ComplianceEngine {
             let column = table.column(c).map_err(data_err)?;
             let applicable = self.applicable(&attr.name);
             let codes = match column {
-                Column::Cat(codes) if Self::transformable(attr) && !applicable.is_empty() => codes,
+                Column::Cat(codes)
+                    if attr.is_categorical_pass_through() && !applicable.is_empty() =>
+                {
+                    codes
+                }
                 _ => {
                     attrs.push(attr.clone());
                     columns.push(column.clone());
@@ -717,6 +711,7 @@ impl ScanReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use tclose_microdata::AttributeRole;
 
     /// A 4-row table: NAME (identifier), NOTES (non-confidential, with
     /// embedded PII), AGE (QI numeric), DIAG (confidential categorical).

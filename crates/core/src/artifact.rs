@@ -19,7 +19,7 @@
 //! | `kind` | the literal `"tclose-model-artifact"` |
 //! | `schema_version` | format version of this document (see [`ARTIFACT_SCHEMA_VERSION`]) |
 //! | `params` | `k`, `t`, algorithm name (one of the paper's three, see [`Algorithm::name`]) |
-//! | `qi_schema` | every attribute's name/kind/role (+ dictionary labels), in column order |
+//! | `qi_schema` | every attribute's name/kind/role, in column order, with the dictionary labels of a categorical quasi-identifier or confidential attribute (`"labels": []` for a categorical pass-through one: no model holds its values) |
 //! | `embedding` | normalization method + per-QI `(shift, scale)` pairs |
 //! | `emd_domains` | per confidential attribute: sorted distinct values + global bin counts |
 //! | `n_records` | record count of the fitting data |
@@ -537,7 +537,9 @@ fn algorithm_from_name(name: &str) -> Result<Algorithm, ArtifactError> {
 /// Serializes every attribute (name, kind, role, dictionary labels for
 /// categorical kinds), in column order. The whole schema is stored — not
 /// just the QIs — because apply needs kinds and roles for every column to
-/// parse input shards identically to the fit.
+/// parse input shards identically to the fit. A fit holds no label of a
+/// categorical pass-through attribute, so its `labels` array is empty; an
+/// artifact that lists such labels still loads, and applies alike.
 fn schema_to_json(schema: &Schema) -> Json {
     Json::Arr(
         schema

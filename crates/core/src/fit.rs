@@ -30,7 +30,7 @@ use crate::pipeline::{Algorithm, AnonymizationReport, Anonymized, Anonymizer};
 use crate::verify::audit_release;
 use tclose_metrics::sse::normalized_sse;
 use tclose_microagg::{aggregate_columns, Matrix, NeighborBackend, Parallelism};
-use tclose_microdata::{stats, AttributeKind, AttributeRole, NormalizeMethod, Schema, Table};
+use tclose_microdata::{stats, AttributeKind, NormalizeMethod, Schema, Table};
 
 /// Frozen per-attribute affine transform `x ↦ (x − shift) / scale` over the
 /// quasi-identifier columns, fitted once on the global data.
@@ -198,6 +198,12 @@ pub struct GlobalFit {
 
 impl GlobalFit {
     /// Fits the global state on a whole in-memory table (one pass).
+    ///
+    /// The fit's schema keeps every attribute's name, kind and role, and
+    /// the dictionaries of the quasi-identifier and confidential
+    /// attributes; a categorical pass-through attribute's dictionary is
+    /// empty, as in the streamed fit: no fit reads those labels, and each
+    /// shard brings its own.
     pub fn fit(table: &Table, normalize: NormalizeMethod) -> Result<Self> {
         if table.is_empty() {
             return Err(Error::Microdata(tclose_microdata::Error::EmptyTable));
@@ -210,8 +216,10 @@ impl GlobalFit {
         }
         let embedding = QiEmbedding::fit(table, &qi, normalize)?;
         let conf = Confidential::from_table(table)?;
+        let mut schema = table.schema().clone();
+        schema.clear_pass_through_labels();
         Ok(GlobalFit {
-            schema: table.schema().clone(),
+            schema,
             qi,
             embedding,
             conf,
@@ -220,9 +228,10 @@ impl GlobalFit {
     }
 
     /// Assembles the global state from streaming-accumulated parts: the
-    /// final `schema` (roles assigned, dictionaries complete), the frozen
-    /// QI `embedding`, the confidential model `conf` (from merged domain
-    /// accumulators) and the total record count.
+    /// final `schema` (roles assigned, quasi-identifier and confidential
+    /// dictionaries complete), the frozen QI `embedding`, the confidential
+    /// model `conf` (from merged domain accumulators) and the total record
+    /// count.
     ///
     /// The schema must declare at least one quasi-identifier and its
     /// confidential attribute count must match the model's.
@@ -299,10 +308,11 @@ impl GlobalFit {
     /// wrong category in the embedding and the EMD rebinding. Shards
     /// produced from the fitting data (via `Table::take_rows` or the
     /// chunked reader seeded with the fitted schema) satisfy this by
-    /// construction. Pass-through categorical columns (identifier /
+    /// construction. Categorical pass-through columns (identifier /
     /// non-confidential) are exempt: the fit never interprets their
-    /// codes, each shard's own dictionary travels with it end to end,
-    /// and a compliance scrub legitimately re-interns them.
+    /// codes and holds none of their labels, each shard's own dictionary
+    /// travels with it end to end, and a compliance scrub legitimately
+    /// re-interns them.
     fn check_shard_schema(&self, shard: &Table) -> Result<()> {
         let a = self.schema.attributes();
         let b = shard.schema().attributes();
@@ -321,11 +331,7 @@ impl GlobalFit {
                     y.name, y.kind, y.role, x.name, x.kind, x.role
                 )));
             }
-            let interpreted = matches!(
-                x.role,
-                AttributeRole::QuasiIdentifier | AttributeRole::Confidential
-            );
-            if x.kind.is_categorical() && interpreted {
+            if x.kind.is_categorical() && !x.is_categorical_pass_through() {
                 let (fit, shard) = (&x.dictionary, &y.dictionary);
                 let prefix_ok = shard.len() <= fit.len()
                     && shard.labels().zip(fit.labels()).all(|(s, f)| s == f);

@@ -456,14 +456,15 @@ fn widest_dim(lo: &[f64], hi: &[f64]) -> (usize, f64) {
 }
 
 /// Partitions `perm` at its median under the total order (coordinate on
-/// `split_dim`, row id), so the split is deterministic.
+/// `split_dim`, row id), so the split is deterministic. Coordinates
+/// compare by `total_cmp` with `-0.0` folded into `0.0`, so the two zeros
+/// tie (and fall to the row id) as under `partial_cmp`, and a NaN sorts
+/// by its sign bit instead of panicking.
 fn split_at_median(m: &Matrix, perm: &mut [u32], split_dim: usize) -> usize {
     let mid = perm.len() / 2;
     perm.select_nth_unstable_by(mid, |&a, &b| {
-        m.get(a as usize, split_dim)
-            .partial_cmp(&m.get(b as usize, split_dim))
-            .expect("finite coordinate")
-            .then(a.cmp(&b))
+        let (x, y) = (m.get(a as usize, split_dim), m.get(b as usize, split_dim));
+        (x + 0.0).total_cmp(&(y + 0.0)).then(a.cmp(&b))
     });
     mid
 }

@@ -260,6 +260,18 @@ impl AttributeDef {
         self.role = role;
         self
     }
+
+    /// True for a categorical attribute that is neither a quasi-identifier
+    /// nor confidential. No fit reads its codes: its labels are data of
+    /// the table that holds them, released as they are (or dropped, for
+    /// an identifier).
+    pub fn is_categorical_pass_through(&self) -> bool {
+        self.kind.is_categorical()
+            && matches!(
+                self.role,
+                AttributeRole::Identifier | AttributeRole::NonConfidential
+            )
+    }
 }
 
 #[cfg(test)]
@@ -383,7 +395,17 @@ mod tests {
 
         let n = AttributeDef::nominal("job", AttributeRole::NonConfidential, ["nurse"]);
         assert_eq!(n.kind, AttributeKind::NominalCategorical);
+        assert!(n.is_categorical_pass_through());
+        assert!(n
+            .clone()
+            .with_role(AttributeRole::Identifier)
+            .is_categorical_pass_through());
         let n = n.with_role(AttributeRole::Confidential);
         assert_eq!(n.role, AttributeRole::Confidential);
+        assert!(!n.is_categorical_pass_through());
+        assert!(!o.is_categorical_pass_through());
+        assert!(!a
+            .with_role(AttributeRole::NonConfidential)
+            .is_categorical_pass_through());
     }
 }

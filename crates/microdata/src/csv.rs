@@ -4,8 +4,10 @@
 //! newlines are wrapped in `"`, embedded quotes doubled). Three ingestion
 //! modes are provided:
 //!
-//! * [`read_csv`] — parse against a known [`Schema`]; categorical labels not
-//!   yet in the attribute dictionary are interned on the fly.
+//! * [`read_csv`] — parse against a known [`Schema`]; quasi-identifier and
+//!   confidential labels not yet in the attribute dictionary are interned
+//!   on the fly, and each categorical pass-through column gets a
+//!   dictionary of its own labels (see [`CsvChunks`]).
 //! * [`read_csv_auto`] — infer each column's kind (numeric if every value
 //!   parses as `f64`, nominal otherwise, see [`ColumnInference`]); all
 //!   roles default to [`AttributeRole::NonConfidential`] and should be
@@ -422,14 +424,24 @@ fn push_record(schema: &mut Schema, columns: &mut [Column], record: Record<'_>) 
 /// (the fast path — no inference pass, values land directly in typed
 /// columns).
 ///
-/// Categorical labels not yet in a dictionary are interned in file order as
-/// they appear, so codes are consistent *across* chunks of one pass; each
-/// yielded table carries a schema snapshot whose dictionaries cover every
-/// label seen so far. Snapshots share their dictionaries with the reader
-/// (see [`Dictionary`]): the labels are stored once, however many chunks
-/// are alive, and are copied only when a later chunk interns a label the
-/// schema did not hold while an earlier chunk is still alive. After a
-/// parse error the iterator fuses (yields `None` forever).
+/// The role of a categorical attribute decides how far its codes reach:
+///
+/// * a quasi-identifier or confidential attribute's labels are interned in
+///   file order as they appear, so its codes are consistent *across* the
+///   chunks of one pass, as a fit that reads them needs: each yielded
+///   table's dictionary covers every label seen so far. Snapshots share
+///   these dictionaries with the reader (see [`Dictionary`]): the labels
+///   are stored once, however many chunks are alive, and are copied only
+///   when a later chunk interns a label the schema did not hold while an
+///   earlier chunk is still alive;
+/// * a pass-through attribute's codes are *chunk-local*
+///   ([`AttributeDef::is_categorical_pass_through`]): every chunk starts
+///   with an empty dictionary and interns its own labels in the order
+///   they appear in it, whatever labels the given schema held. No fit
+///   reads those codes and cells are written as labels, so the reader
+///   holds one chunk's labels of such a column, not the file's.
+///
+/// After a parse error the iterator fuses (yields `None` forever).
 #[derive(Debug)]
 pub struct CsvChunks<R: Read> {
     records: CsvRecords<R>,
@@ -459,8 +471,9 @@ impl<R: Read> CsvChunks<R> {
         })
     }
 
-    /// The schema as of the last yielded chunk (dictionaries grow as labels
-    /// are interned).
+    /// The schema as of the last yielded chunk (quasi-identifier and
+    /// confidential dictionaries grow as labels are interned; pass-through
+    /// ones hold that chunk's labels).
     pub fn schema(&self) -> &Schema {
         &self.schema
     }
@@ -472,6 +485,7 @@ impl<R: Read> CsvChunks<R> {
 
     /// Parses up to `chunk_rows` records straight into typed columns.
     fn read_chunk(&mut self) -> Result<Option<Table>> {
+        self.schema.clear_pass_through_labels();
         let mut columns: Vec<Column> = self
             .schema
             .attributes()
@@ -514,10 +528,12 @@ pub fn to_csv_string(table: &Table) -> Result<String> {
     String::from_utf8(buf).map_err(|e| Error::Io(e.to_string()))
 }
 
-/// Reads CSV against a known schema.
+/// Reads CSV against a known schema: [`CsvChunks`] with one chunk.
 ///
 /// The header must contain exactly the schema's attribute names in order.
-/// Categorical labels missing from the dictionary are interned.
+/// Quasi-identifier and confidential labels missing from the dictionary
+/// are interned; a categorical pass-through column's dictionary holds the
+/// file's labels in first-appearance order.
 pub fn read_csv<R: Read>(reader: R, schema: Schema) -> Result<Table> {
     let mut chunks = CsvChunks::new(reader, schema, usize::MAX)?;
     match chunks.next() {
@@ -530,15 +546,16 @@ pub fn read_csv<R: Read>(reader: R, schema: Schema) -> Result<Table> {
 /// [`read_csv_auto`] and of the streaming engine's schema-less fit.
 ///
 /// A column is numeric when every field parses as `f64` (after trimming
-/// whitespace), and nominal otherwise. Every field is interned as it is
-/// scanned, so a column that stops looking numeric at any record already
-/// holds its dictionary in first-appearance order. A column that ends
-/// numeric must be finite throughout: [`ColumnInference::first_non_finite`]
-/// names its first `inf`/`nan` field, which a nominal column keeps as a
-/// label.
+/// whitespace), and nominal otherwise. A column that ends numeric must be
+/// finite throughout: [`ColumnInference::first_non_finite`] names its
+/// first `inf`/`nan` field, which a nominal column keeps as a label.
+///
+/// The inference decides the kind only and holds no labels:
+/// [`read_csv_auto`] interns each field beside it, while the streaming
+/// fit, whose schema holds no pass-through labels, stops looking at a
+/// column's fields once one fails to parse.
 #[derive(Debug, Clone, Default)]
 pub struct ColumnInference {
-    dictionary: Dictionary,
     non_numeric: bool,
     first_non_finite: Option<(usize, String)>,
 }
@@ -549,22 +566,20 @@ impl ColumnInference {
         Self::default()
     }
 
-    /// Scans the column's next field, found on file line `line`: interns
-    /// it and returns its code, plus its value while every field so far
-    /// has parsed as a number.
-    pub fn push(&mut self, field: &str, line: usize) -> (u32, Option<f64>) {
-        let code = self.dictionary.intern(field);
+    /// Scans the column's next field, found on file line `line`, and
+    /// returns its value while every field so far has parsed as a number.
+    pub fn push(&mut self, field: &str, line: usize) -> Option<f64> {
         if self.non_numeric {
-            return (code, None);
+            return None;
         }
         let Ok(x) = field.trim().parse::<f64>() else {
             self.non_numeric = true;
-            return (code, None);
+            return None;
         };
         if !x.is_finite() && self.first_non_finite.is_none() {
             self.first_non_finite = Some((line, field.to_owned()));
         }
-        (code, Some(x))
+        Some(x)
     }
 
     /// True while every field scanned so far parsed as a number.
@@ -579,11 +594,6 @@ impl ColumnInference {
             .as_ref()
             .map(|(line, field)| (*line, field.as_str()))
     }
-
-    /// The column's labels in first-appearance order.
-    pub fn into_dictionary(self) -> Dictionary {
-        self.dictionary
-    }
 }
 
 /// Reads CSV inferring each column's kind from its values (see
@@ -594,14 +604,21 @@ impl ColumnInference {
 pub fn read_csv_auto<R: Read>(reader: R) -> Result<Table> {
     let mut records = CsvRecords::new(reader)?;
     let names = records.header().to_vec();
-    // Per column: its inference, its codes, and its numbers while every
-    // field so far parsed as one.
-    let mut scans = vec![(ColumnInference::new(), Vec::new(), Vec::new()); names.len()];
+    // Per column: its inference, its labels in first-appearance order and
+    // codes, and its numbers while every field so far parsed as one.
+    let mut scans = vec![
+        (
+            ColumnInference::new(),
+            Dictionary::new(),
+            Vec::new(),
+            Vec::new()
+        );
+        names.len()
+    ];
     while let Some(record) = records.next_record()? {
-        for ((kind, codes, values), field) in scans.iter_mut().zip(record.fields()) {
-            let (code, value) = kind.push(field, record.line());
-            codes.push(code);
-            if let Some(x) = value {
+        for ((kind, dictionary, codes, values), field) in scans.iter_mut().zip(record.fields()) {
+            codes.push(dictionary.intern(field));
+            if let Some(x) = kind.push(field, record.line()) {
                 values.push(x);
             }
         }
@@ -610,13 +627,13 @@ pub fn read_csv_auto<R: Read>(reader: R) -> Result<Table> {
     let mut attrs = Vec::with_capacity(names.len());
     let mut columns = Vec::with_capacity(names.len());
     let mut first_error: Option<(usize, usize, String)> = None;
-    for (i, (name, (kind, codes, values))) in names.into_iter().zip(scans).enumerate() {
+    for (i, (name, (kind, dictionary, codes, values))) in names.into_iter().zip(scans).enumerate() {
         if !kind.is_numeric() {
             attrs.push(AttributeDef {
                 name,
                 kind: AttributeKind::NominalCategorical,
                 role: AttributeRole::NonConfidential,
-                dictionary: kind.into_dictionary(),
+                dictionary,
             });
             columns.push(Column::Cat(codes));
             continue;
@@ -778,6 +795,45 @@ mod tests {
                 .len(),
             3
         );
+    }
+
+    #[test]
+    fn each_chunk_holds_only_its_own_pass_through_labels() {
+        // city is a quasi-identifier, note and name pass through.
+        let schema = Schema::new(vec![
+            AttributeDef::nominal("city", AttributeRole::QuasiIdentifier, Vec::<String>::new()),
+            AttributeDef::nominal("note", AttributeRole::NonConfidential, ["stale"]),
+            AttributeDef::nominal("name", AttributeRole::Identifier, Vec::<String>::new()),
+            AttributeDef::numeric("income", AttributeRole::Confidential),
+        ])
+        .unwrap();
+        let data = "city,note,name,income\n\
+                    rome,a,ann,1\noslo,b,bob,2\n\
+                    rome,b,cy,3\nlyon,c,ann,4\n\
+                    rome,a,dan,5\n";
+        let chunks: Vec<Table> = CsvChunks::new(data.as_bytes(), schema.clone(), 2)
+            .unwrap()
+            .map(Result::unwrap)
+            .collect();
+        let labels = |t: &Table, c: usize| -> Vec<String> {
+            let dictionary = &t.schema().attributes()[c].dictionary;
+            dictionary.labels().map(str::to_owned).collect()
+        };
+        // Pass-through codes are the chunk's own, in order of appearance.
+        assert_eq!(labels(&chunks[0], 1), ["a", "b"]);
+        assert_eq!(labels(&chunks[1], 1), ["b", "c"]);
+        assert_eq!(labels(&chunks[2], 1), ["a"]);
+        assert_eq!(labels(&chunks[1], 2), ["cy", "ann"]);
+        assert_eq!(chunks[1].categorical_column(1).unwrap(), &[0, 1]);
+        assert_eq!(chunks[2].categorical_column(2).unwrap(), &[0]);
+        // Quasi-identifier codes run across chunks.
+        assert_eq!(labels(&chunks[2], 0), ["rome", "oslo", "lyon"]);
+        assert_eq!(chunks[1].categorical_column(0).unwrap(), &[0, 2]);
+        // One chunk of the whole file holds the file's labels, and none of
+        // the labels the schema brought.
+        let whole = read_csv(data.as_bytes(), schema).unwrap();
+        assert_eq!(labels(&whole, 1), ["a", "b", "c"]);
+        assert_eq!(whole.categorical_column(1).unwrap(), &[0, 1, 1, 2, 0]);
     }
 
     #[test]

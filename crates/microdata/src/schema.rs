@@ -1,6 +1,6 @@
 //! Table schemas: ordered attribute definitions with role-based queries.
 
-use crate::attribute::{AttributeDef, AttributeKind, AttributeRole};
+use crate::attribute::{AttributeDef, AttributeKind, AttributeRole, Dictionary};
 use crate::error::{Error, Result};
 
 /// An ordered collection of [`AttributeDef`]s with unique names.
@@ -96,6 +96,17 @@ impl Schema {
         self.indices_with_role(AttributeRole::Identifier)
     }
 
+    /// Empties the dictionary of every categorical pass-through attribute
+    /// (see [`AttributeDef::is_categorical_pass_through`]), leaving every
+    /// other attribute as it is.
+    pub fn clear_pass_through_labels(&mut self) {
+        for a in &mut self.attributes {
+            if a.is_categorical_pass_through() {
+                a.dictionary = Dictionary::new();
+            }
+        }
+    }
+
     /// Reassigns roles by attribute name; unknown names are an error.
     pub fn set_roles(&mut self, roles: &[(&str, AttributeRole)]) -> Result<()> {
         for (name, role) in roles {
@@ -180,6 +191,23 @@ mod tests {
         assert!(s
             .set_roles(&[("ghost", AttributeRole::Identifier)])
             .is_err());
+    }
+
+    #[test]
+    fn clearing_pass_through_labels_keeps_interpreted_dictionaries() {
+        let mut s = Schema::new(vec![
+            AttributeDef::nominal("hobby", AttributeRole::NonConfidential, ["chess"]),
+            AttributeDef::nominal("name", AttributeRole::Identifier, ["ann"]),
+            AttributeDef::ordinal("edu", AttributeRole::QuasiIdentifier, ["lo", "hi"]),
+            AttributeDef::nominal("dx", AttributeRole::Confidential, ["flu"]),
+            AttributeDef::numeric("age", AttributeRole::NonConfidential),
+        ])
+        .unwrap();
+        let before = s.clone();
+        s.clear_pass_through_labels();
+        let lens: Vec<usize> = s.attributes().iter().map(|a| a.dictionary.len()).collect();
+        assert_eq!(lens, [0, 0, 2, 1, 0]);
+        assert_eq!(s.attributes()[2..], before.attributes()[2..]);
     }
 
     #[test]

@@ -22,12 +22,15 @@ pub struct Summary {
 
 /// Summarizes a non-empty sample set.
 ///
+/// The samples sort by `total_cmp` with `-0.0` folded into `0.0`, so a
+/// NaN sample sorts by its sign bit instead of panicking.
+///
 /// # Panics
 /// Panics if `samples` is empty.
 pub fn summarize(samples: &[f64]) -> Summary {
     assert!(!samples.is_empty(), "cannot summarize zero samples");
     let mut sorted = samples.to_vec();
-    sorted.sort_by(|a, b| a.partial_cmp(b).expect("finite timing samples"));
+    sorted.sort_by(|a, b| (a + 0.0).total_cmp(&(b + 0.0)));
     let q = |p: f64| percentile(&sorted, p);
     Summary {
         median_ns: q(0.5),
@@ -93,6 +96,18 @@ mod tests {
         let s = summarize(&[7.0]);
         assert_eq!(s.median_ns, 7.0);
         assert_eq!(s.iqr_ns, 0.0);
+    }
+
+    #[test]
+    fn a_nan_sample_does_not_panic() {
+        let s = summarize(&[3.0, f64::NAN, 1.0]);
+        assert_eq!(s.min_ns, 1.0);
+        assert_eq!(s.median_ns, 3.0);
+        assert!(s.max_ns.is_nan() && s.mean_ns.is_nan());
+        let s = summarize(&[-f64::NAN, 2.0, 4.0]);
+        assert!(s.min_ns.is_nan());
+        assert_eq!((s.median_ns, s.max_ns), (2.0, 4.0));
+        assert_eq!(summarize(&[0.0, -0.0]).min_ns.to_bits(), 0.0f64.to_bits());
     }
 
     #[test]

@@ -4,11 +4,14 @@
 //! each column's kind over the *whole* file (a column is numeric when
 //! every value parses as `f64`), requires quasi-identifier and
 //! confidential columns to be numeric, and accumulates [`RunningStats`] /
-//! [`DomainAccumulator`]s as it goes. Memory is bounded by the number of
-//! *distinct* values per column (the EMD domain is that set anyway), never
-//! by the record count. Ordinal attributes, which inference cannot
-//! produce, stream through pass 2 with a fit made in memory or loaded
-//! from a model artifact.
+//! [`DomainAccumulator`]s as it goes. A pass-through column only has its
+//! kind inferred, by [`ColumnInference`] as `read_csv_auto` does, and its
+//! labels are never kept: the fit's schema holds an empty dictionary for
+//! it, and pass 2 reads its labels chunk by chunk. Memory is bounded by
+//! the number of *distinct* confidential values (the EMD domain is that
+//! set anyway), never by the record count or by a pass-through column.
+//! Ordinal attributes, which inference cannot produce, stream through
+//! pass 2 with a fit made in memory or loaded from a model artifact.
 
 use std::io::Read;
 
@@ -16,9 +19,7 @@ use crate::error::{Error, Result};
 use tclose_core::{Confidential, GlobalFit, QiEmbedding};
 use tclose_metrics::emd::DomainAccumulator;
 use tclose_microdata::csv::{ColumnInference, CsvRecords};
-use tclose_microdata::{
-    AttributeDef, AttributeKind, AttributeRole, NormalizeMethod, RunningStats, Schema,
-};
+use tclose_microdata::{AttributeDef, AttributeRole, NormalizeMethod, RunningStats, Schema};
 
 #[cfg(test)]
 mod reference;
@@ -29,7 +30,7 @@ enum Accumulator {
     Qi(RunningStats),
     /// Domain and counts of a confidential attribute.
     Confidential(DomainAccumulator),
-    /// Kind inference and dictionary of a pass-through column.
+    /// Kind inference of a pass-through column.
     Other(ColumnInference),
 }
 
@@ -127,8 +128,9 @@ fn resolve_roles(
 /// Streaming fit with column-kind inference (no schema known up front).
 ///
 /// Returns the assembled [`GlobalFit`]; its schema carries the inferred
-/// kinds, the requested roles and complete dictionaries, ready to drive
-/// the pass-2 chunked re-read.
+/// kinds and the requested roles, ready to drive the pass-2 chunked
+/// re-read. A nominal pass-through column's dictionary is empty: the fit
+/// never reads its labels.
 pub fn fit_auto<R: Read>(
     reader: R,
     qi: &[String],
@@ -181,12 +183,9 @@ pub fn fit_auto<R: Read>(
             Accumulator::Other(kind) if kind.is_numeric() => {
                 AttributeDef::numeric(name, AttributeRole::NonConfidential)
             }
-            Accumulator::Other(kind) => AttributeDef {
-                name,
-                kind: AttributeKind::NominalCategorical,
-                role: AttributeRole::NonConfidential,
-                dictionary: kind.into_dictionary(),
-            },
+            Accumulator::Other(_) => {
+                AttributeDef::nominal(name, AttributeRole::NonConfidential, Vec::<String>::new())
+            }
         });
     }
     let schema = Schema::new(attrs)?;
@@ -208,6 +207,7 @@ pub fn fit_auto<R: Read>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use tclose_microdata::AttributeKind;
 
     const CSV: &str = "age,city,wage\n\
                        30,rome,100\n\
@@ -231,14 +231,13 @@ mod tests {
         assert_eq!(fit.n_records(), 4);
         assert_eq!(fit.qi(), &[0]);
         assert_eq!(fit.confidential().n(), 4);
-        assert_eq!(fit.confidential().primary().m(), 3); // {100, 200, 300}
-                                                         // city inferred nominal with first-appearance dictionary
+        // The domain is {100, 200, 300}.
+        assert_eq!(fit.confidential().primary().m(), 3);
+        // city is inferred nominal, and the fit keeps none of its labels.
         let city = fit.schema().attribute(1).unwrap();
         assert_eq!(city.kind, AttributeKind::NominalCategorical);
-        assert_eq!(
-            city.dictionary.labels().collect::<Vec<_>>(),
-            ["rome", "paris", "oslo"]
-        );
+        assert_eq!(city.role, AttributeRole::NonConfidential);
+        assert!(city.dictionary.is_empty(), "{:?}", city.dictionary);
         // z-score params match the batch statistics
         let (shift, scale) = fit.embedding().params()[0];
         let ages = [30.0, 34.0, 41.0, 29.0];
@@ -361,9 +360,13 @@ mod tests {
             other => panic!("expected Data error, got {other:?}"),
         }
 
-        // …while a mixed column (text + "inf") goes nominal in both.
+        // …while a mixed column (text + "inf") goes nominal in both; the
+        // in-memory table holds its labels, the fit none.
         let mixed = "age,extra,wage\n30,x,100\n31,inf,200\n32,y,100\n";
-        assert!(tclose_microdata::csv::read_csv_auto(mixed.as_bytes()).is_ok());
+        let table = tclose_microdata::csv::read_csv_auto(mixed.as_bytes()).unwrap();
+        let extra = table.schema().attribute(1).unwrap();
+        assert_eq!(extra.kind, AttributeKind::NominalCategorical);
+        assert!(extra.dictionary.labels().eq(["x", "inf", "y"]));
         let fit = fit_auto(
             mixed.as_bytes(),
             &names(&["age"]),
@@ -371,18 +374,8 @@ mod tests {
             NormalizeMethod::ZScore,
         )
         .unwrap();
-        assert_eq!(
-            fit.schema().attribute(1).unwrap().kind,
-            AttributeKind::NominalCategorical
-        );
-        assert_eq!(
-            fit.schema()
-                .attribute(1)
-                .unwrap()
-                .dictionary
-                .labels()
-                .collect::<Vec<_>>(),
-            ["x", "inf", "y"]
-        );
+        let extra = fit.schema().attribute(1).unwrap();
+        assert_eq!(extra.kind, AttributeKind::NominalCategorical);
+        assert!(extra.dictionary.is_empty(), "{:?}", extra.dictionary);
     }
 }

@@ -18,7 +18,8 @@
 //!    [`DomainAccumulator`](tclose_metrics::emd::DomainAccumulator) per
 //!    confidential attribute) into a frozen
 //!    [`GlobalFit`]. Memory is bounded by the
-//!    number of *distinct* values per column, never the record count.
+//!    number of *distinct* confidential values, never the record count;
+//!    pass-through columns only have their kind inferred.
 //! 2. **Apply** — re-read the file in shards of `shard_rows` records
 //!    through [`CsvChunks`] and release them through one
 //!    [`ordered_pipeline`]: the calling thread reads the shards and
@@ -27,11 +28,14 @@
 //!    pass run [`release_shard`], a free worker taking the next shard at
 //!    once. Peak residency is at most `workers + 1` shards in flight (read
 //!    but not yet written), plus the one chunk of lookahead that merges a
-//!    ragged tail, plus one copy of the fit's whole-file dictionaries,
-//!    which every in-flight shard shares (a
+//!    ragged tail, plus the fit. A shard carries its own labels of each
+//!    categorical pass-through column (its codes are chunk-local, see
+//!    [`CsvChunks`]), so no dictionary of such a column grows with the
+//!    file; quasi-identifier and confidential dictionaries run across
+//!    shards and are shared by every shard in flight (a
 //!    [`Dictionary`](tclose_microdata::Dictionary) is copy-on-write). Only
 //!    a label the fit never saw, as when a model is applied to another
-//!    file, makes the reader copy a dictionary that an earlier shard still
+//!    file, makes the reader copy one that an earlier shard still
 //!    holds. Under a compliance policy that writes an audit log, each
 //!    shard in flight also carries its own log lines, appended to the log
 //!    right after the shard's rows, so a logged run holds at most
@@ -101,7 +105,7 @@ use tclose_core::{
     Algorithm, Anonymizer, FittedAnonymizer, GlobalFit, NeighborBackend, TClosenessParams,
 };
 use tclose_microdata::csv::{read_csv_auto, CsvAppendWriter, CsvChunks};
-use tclose_microdata::{AttributeRole, NormalizeMethod, PartialFile, Schema, Table};
+use tclose_microdata::{AttributeRole, Column, NormalizeMethod, PartialFile, Schema, Table};
 use tclose_parallel::{ordered_pipeline, Parallelism};
 
 /// Default shard size (records per shard) when none is configured.
@@ -485,14 +489,37 @@ impl<R: Read> MergeTail<R> {
     }
 }
 
-/// Concatenates two chunks (the second one's schema may carry a larger
-/// dictionary — it wins).
+/// Concatenates two consecutive chunks of one reader into the table one
+/// chunk of both would have been. Quasi-identifier and confidential codes
+/// run across chunks, so the second chunk's dictionaries (which extend
+/// the first's) serve both. A pass-through column's codes are its chunk's
+/// own, so the columns are joined by label: the second chunk's labels,
+/// held in the order they appear in it, are interned after the first's.
 fn concat(a: &Table, b: &Table) -> Result<Table> {
-    let mut out = Table::new(b.schema().clone());
-    for row in a.rows().chain(b.rows()) {
-        out.push_row(&row)?;
+    let mut attrs = Vec::with_capacity(b.n_cols());
+    let mut columns = Vec::with_capacity(b.n_cols());
+    let pairs = a.schema().attributes().iter().zip(b.schema().attributes());
+    for (c, (first, second)) in pairs.enumerate() {
+        let mut attr = second.clone();
+        let mut column = a.column(c)?.clone();
+        match (&mut column, b.column(c)?) {
+            (Column::Cat(codes), Column::Cat(more)) if attr.is_categorical_pass_through() => {
+                attr.dictionary = first.dictionary.clone();
+                let code_of: Vec<u32> = second
+                    .dictionary
+                    .labels()
+                    .map(|label| attr.dictionary.intern(label))
+                    .collect();
+                codes.extend(more.iter().map(|&code| code_of[code as usize]));
+            }
+            (Column::Cat(codes), Column::Cat(more)) => codes.extend_from_slice(more),
+            (Column::F64(values), Column::F64(more)) => values.extend_from_slice(more),
+            _ => unreachable!("the chunks of one reader share their column kinds"),
+        }
+        attrs.push(attr);
+        columns.push(column);
     }
-    Ok(out)
+    Ok(Table::from_columns(Schema::new(attrs)?, columns)?)
 }
 
 fn open(path: &Path) -> Result<File> {
@@ -626,6 +653,33 @@ mod tests {
         assert_eq!(report.shards[0].n_records, 100);
         assert_eq!(report.shards[1].n_records, 105);
         assert!(report.satisfies_request());
+    }
+
+    #[test]
+    fn a_merged_tail_joins_pass_through_columns_by_label() {
+        // 205 rows at shard 100: rows 100..205 are one shard, merged from
+        // two chunks whose email codes are each their own.
+        let input = tmp("tail_labels_in.csv");
+        write_pii_input(&input, 205);
+        let fit = ShardedAnonymizer::new(3, 0.4)
+            .fit_file(&input, &qi(), &conf())
+            .unwrap();
+        let reader = BufReader::new(open(&input).unwrap());
+        let chunks = CsvChunks::new(reader, fit.schema().clone(), 100).unwrap();
+        let mut shards = MergeTail::new(chunks, 100, 50);
+        let first = shards.next().unwrap().unwrap();
+        let tail = shards.next().unwrap().unwrap();
+        assert!(shards.next().unwrap().is_none());
+
+        let email = |t: &Table| t.schema().attributes()[2].dictionary.len();
+        assert_eq!((email(&first), email(&tail)), (100, 105));
+        // Each shard renders to its own lines of the input.
+        let text = std::fs::read_to_string(&input).unwrap();
+        let lines: Vec<&str> = text.lines().collect();
+        let rendered = |t: &Table| tclose_microdata::csv::to_csv_string(t).unwrap();
+        assert_eq!(rendered(&first), lines[..101].join("\n") + "\n");
+        let tail_lines = [&lines[..1], &lines[101..]].concat();
+        assert_eq!(rendered(&tail), tail_lines.join("\n") + "\n");
     }
 
     #[test]
